@@ -11,7 +11,7 @@ Recognized keys (defaults in brackets):
   Nx            number of mesh cells, even                     (required)
   boundary      "mono:<i0>" or "table:<i>=<val>,<i>=<val>,..." (required)
   scheme        upwind1 | upwind2 | central | oracle           [central]
-  rel_tol       linear-solver residual tolerance               [1e-12]
+  rel_tol       linear-solver residual tolerance in (0, 1e-6]  [1e-12]
   out_dir       output directory                               [.]
   emit          subset of solution,density,current,report      [solution,density,current]
 
@@ -130,6 +130,12 @@ def _parse_boundary(raw: str):
     )
 
 
+def _checked_rel_tol(source: str, value: float) -> float:
+    if not (0.0 < value <= 1e-6):
+        raise ConfigError(f"{source}: rel_tol must lie in (0, 1e-6], got {value!r}")
+    return value
+
+
 def parse_config(path: str) -> dict:
     """Read and validate a config file; returns a dict with defaults filled.
 
@@ -183,7 +189,10 @@ def parse_config(path: str) -> dict:
         raise ConfigError(
             f"config key 'scheme': expected one of {', '.join(_SCHEME_TOKENS)}, got {cfg['scheme']!r}"
         )
-    cfg["rel_tol"] = _parse_float("rel_tol", raw["rel_tol"]) if "rel_tol" in raw else _DEFAULTS["rel_tol"]
+    if "rel_tol" in raw:
+        cfg["rel_tol"] = _checked_rel_tol("config key 'rel_tol'", _parse_float("rel_tol", raw["rel_tol"]))
+    else:
+        cfg["rel_tol"] = _DEFAULTS["rel_tol"]
     cfg["out_dir"] = raw.get("out_dir", _DEFAULTS["out_dir"]).strip()
     if "emit" in raw:
         tokens = tuple(t.strip() for t in raw["emit"].split(",") if t.strip())
@@ -224,6 +233,18 @@ def _system_from_config(cfg: dict):
     return build_system(pot, grid, mesh, boundary)
 
 
+def _load_config(args) -> dict:
+    """parse_config plus the command-line overrides a subcommand offers."""
+    cfg = parse_config(args.config)
+    if args.tol is not None:
+        cfg["rel_tol"] = _checked_rel_tol("--tol", args.tol)
+    if getattr(args, "out", None) is not None:
+        cfg["out_dir"] = args.out
+    if getattr(args, "scheme", None) is not None:
+        cfg["scheme"] = args.scheme
+    return cfg
+
+
 def _solve_for(system, scheme: str, rel_tol: float):
     if scheme == "oracle":
         return solve_bvp_shooting(system)
@@ -231,13 +252,7 @@ def _solve_for(system, scheme: str, rel_tol: float):
 
 
 def cmd_solve(args) -> int:
-    cfg = parse_config(args.config)
-    if args.tol is not None:
-        cfg["rel_tol"] = args.tol
-    if args.out is not None:
-        cfg["out_dir"] = args.out
-    if args.scheme is not None:
-        cfg["scheme"] = args.scheme
+    cfg = _load_config(args)
     system = _system_from_config(cfg)
     t0 = time.perf_counter()
     sol = _solve_for(system, cfg["scheme"], cfg["rel_tol"])
@@ -284,11 +299,7 @@ def _parse_int_list(raw: str, flag: str) -> list:
 
 
 def cmd_study(args) -> int:
-    cfg = parse_config(args.config)
-    if args.tol is not None:
-        cfg["rel_tol"] = args.tol
-    if args.out is not None:
-        cfg["out_dir"] = args.out
+    cfg = _load_config(args)
     nx_list = _parse_int_list(args.nx, "--nx")
     schemes = [s.strip() for chunk in args.schemes.split(",") for s in chunk.split() if s.strip()]
     if not schemes:
@@ -317,9 +328,7 @@ def cmd_study(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = parse_config(args.config)
-    if args.tol is not None:
-        cfg["rel_tol"] = args.tol
+    cfg = _load_config(args)
     system = _system_from_config(cfg)
     results = run_all_checks(system, rel_tol=cfg["rel_tol"])
     all_ok = True

@@ -11,9 +11,12 @@ sparse linear system.  Three stencils are provided:
            with the average of the coupling term at the two cell ends,
            which is second-order accurate and mirror-consistent.
 
-Small systems go through a sparse LU factorization; large ones switch to
-a block elimination sweep over mesh nodes so memory stays bounded by the
-per-node carry matrices instead of the LU fill.
+Each stencil is written once, in ``assemble``.  Systems up to 600k
+unknowns go through a sparse LU factorization; larger ones through a
+block tridiagonal sweep whose blocks are cut from the assembled matrix at
+mesh-node boundaries, so memory grows with one dense velocity-by-velocity
+carry per node instead of the LU fill.  Both paths share one step of
+iterative refinement and the residual gate.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lu_factor, lu_solve
 
 from .kinetic import WignerSystem
+from .potential import _sine_table
 
 __all__ = [
     "Scheme",
@@ -95,26 +99,6 @@ class DiscreteSolution:
     residual: float
 
 
-def _sin_tables(system: WignerSystem) -> np.ndarray:
-    """sin(2 n kappa x_j) for n = 1..N as an (N, Nx + 1) table.
-
-    Built on the left half-mesh and reflected with negation so the table
-    is odd about the center node to the last bit, matching the mesh.
-    """
-    mesh = system.mesh
-    kappa = system.potential.kappa
-    nmax = len(system.potential.coeffs) - 1
-    half = mesh.Nx // 2
-    xs = mesh.nodes[: half + 1]
-    rows = []
-    for n in range(1, nmax + 1):
-        t = np.sin(2.0 * n * kappa * xs)
-        rows.append(np.concatenate([t, -t[:half][::-1]]))
-    if not rows:
-        return np.zeros((0, mesh.Nx + 1))
-    return np.vstack(rows)
-
-
 def _pinned_mask_and_values(system: WignerSystem):
     """Flags and values of the pinned inflow entries in node-major order."""
     m = system.grid.size
@@ -134,39 +118,20 @@ def _pinned_mask_and_values(system: WignerSystem):
     return pinned, pinval
 
 
-class _TripletSink:
-    """Accumulates (row, col, value) arrays in flat node-major indexing."""
+def _emit_transport(sink: list, m: int, J: np.ndarray, K: np.ndarray, dj: int, coef: np.ndarray):
+    """Transport leg: row (k, j) gets coefficient coef[k] on column (k, j + dj).
 
-    def __init__(self):
-        self.rows = []
-        self.cols = []
-        self.data = []
-
-    def emit(self, rows: np.ndarray, cols: np.ndarray, data: np.ndarray):
-        self.rows.append(rows.ravel())
-        self.cols.append(cols.ravel())
-        self.data.append(data.ravel())
-
-    def concatenated(self):
-        return (
-            np.concatenate(self.rows),
-            np.concatenate(self.cols),
-            np.concatenate(self.data),
-        )
-
-
-def _emit_transport(sink: _TripletSink, m: int, J: np.ndarray, K: np.ndarray, dj: int, coef: np.ndarray):
-    """Transport leg: row (k, j) gets coefficient coef[k] on column (k, j + dj)."""
+    Appends (rows, cols, data) in flat node-major indexing to ``sink``.
+    """
     if J.size == 0 or K.size == 0:
         return
     rows = J[:, None] * m + K[None, :]
     cols = (J + dj)[:, None] * m + K[None, :]
-    data = np.broadcast_to(coef[None, :], rows.shape)
-    sink.emit(rows, cols, data.copy())
+    sink.append((rows, cols, np.broadcast_to(coef[None, :], rows.shape)))
 
 
 def _emit_coupling(
-    sink: _TripletSink,
+    sink: list,
     m: int,
     coeffs: np.ndarray,
     sv: np.ndarray,
@@ -195,14 +160,35 @@ def _emit_coupling(
         if down.size:
             rows = J_rows[:, None] * m + down[None, :]
             cols = J_cols[:, None] * m + (down - n)[None, :]
-            data = np.broadcast_to((-w)[:, None], rows.shape)
-            sink.emit(rows, cols, data.copy())
+            sink.append((rows, cols, np.broadcast_to((-w)[:, None], rows.shape)))
         up = K[K + n <= m - 1]
         if up.size:
             rows = J_rows[:, None] * m + up[None, :]
             cols = J_cols[:, None] * m + (up + n)[None, :]
-            data = np.broadcast_to(w[:, None], rows.shape)
-            sink.emit(rows, cols, data.copy())
+            sink.append((rows, cols, np.broadcast_to(w[:, None], rows.shape)))
+
+
+# Forward difference (f_j - f_{j-1}) / dx as transport legs (dj, c).
+_ONE_SIDED = ((0, 1.0), (-1, -1.0))
+
+
+def _stencil(scheme: Scheme, Nx: int) -> list:
+    """Equations for the rows of v > 0, as (nodes, transport, coupling).
+
+    A transport leg (dj, c) puts c * v / dx on node j + dj; a coupling leg
+    (dj, w) moves w * A(x_{j+dj}) f_{j+dj} to the left-hand side.  Rows of
+    v < 0 use the mirror image: nodes Nx - j, offsets -dj and c negated.
+    """
+    nodes = np.arange(1, Nx + 1)
+    if scheme is Scheme.UPWIND1:
+        return [(nodes, _ONE_SIDED, ((0, 1.0),))]
+    if scheme is Scheme.CENTRAL:
+        return [(nodes, _ONE_SIDED, ((0, 0.5), (-1, 0.5)))]
+    # upwind2 falls back to first order at the node beside the inflow end
+    return [
+        (nodes[1:], ((0, 1.5), (-1, -2.0), (-2, 0.5)), ((0, 1.0),)),
+        (nodes[:1], _ONE_SIDED, ((0, 1.0),)),
+    ]
 
 
 def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
@@ -225,53 +211,16 @@ def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
     kpos = np.where(v > 0)[0]
     kneg = np.where(v < 0)[0]
     coeffs = system.potential.coeffs
-    sv = _sin_tables(system)
+    sv = _sine_table(system.potential, mesh.nodes)
 
-    sink = _TripletSink()
-
-    if scheme is Scheme.UPWIND1:
-        J = np.arange(1, Nx + 1)
-        _emit_transport(sink, m, J, kpos, 0, vdx[kpos])
-        _emit_transport(sink, m, J, kpos, -1, -vdx[kpos])
-        _emit_coupling(sink, m, coeffs, sv, J, J, kpos, 1.0)
-        J = np.arange(0, Nx)
-        _emit_transport(sink, m, J, kneg, +1, vdx[kneg])
-        _emit_transport(sink, m, J, kneg, 0, -vdx[kneg])
-        _emit_coupling(sink, m, coeffs, sv, J, J, kneg, 1.0)
-    elif scheme is Scheme.UPWIND2:
-        # interior second-order legs
-        J = np.arange(2, Nx + 1)
-        _emit_transport(sink, m, J, kpos, 0, 1.5 * vdx[kpos])
-        _emit_transport(sink, m, J, kpos, -1, -2.0 * vdx[kpos])
-        _emit_transport(sink, m, J, kpos, -2, 0.5 * vdx[kpos])
-        _emit_coupling(sink, m, coeffs, sv, J, J, kpos, 1.0)
-        J = np.arange(0, Nx - 1)
-        _emit_transport(sink, m, J, kneg, 0, -1.5 * vdx[kneg])
-        _emit_transport(sink, m, J, kneg, +1, 2.0 * vdx[kneg])
-        _emit_transport(sink, m, J, kneg, +2, -0.5 * vdx[kneg])
-        _emit_coupling(sink, m, coeffs, sv, J, J, kneg, 1.0)
-        # first-order fallback at the node beside each inflow end
-        J = np.array([1])
-        _emit_transport(sink, m, J, kpos, 0, vdx[kpos])
-        _emit_transport(sink, m, J, kpos, -1, -vdx[kpos])
-        _emit_coupling(sink, m, coeffs, sv, J, J, kpos, 1.0)
-        J = np.array([Nx - 1])
-        _emit_transport(sink, m, J, kneg, +1, vdx[kneg])
-        _emit_transport(sink, m, J, kneg, 0, -vdx[kneg])
-        _emit_coupling(sink, m, coeffs, sv, J, J, kneg, 1.0)
-    elif scheme is Scheme.CENTRAL:
-        J = np.arange(1, Nx + 1)
-        _emit_transport(sink, m, J, kpos, 0, vdx[kpos])
-        _emit_transport(sink, m, J, kpos, -1, -vdx[kpos])
-        _emit_coupling(sink, m, coeffs, sv, J, J, kpos, 0.5)
-        _emit_coupling(sink, m, coeffs, sv, J, J - 1, kpos, 0.5)
-        J = np.arange(0, Nx)
-        _emit_transport(sink, m, J, kneg, +1, vdx[kneg])
-        _emit_transport(sink, m, J, kneg, 0, -vdx[kneg])
-        _emit_coupling(sink, m, coeffs, sv, J, J, kneg, 0.5)
-        _emit_coupling(sink, m, coeffs, sv, J, J + 1, kneg, 0.5)
-    else:  # pragma: no cover - Scheme() conversion already rejects others
-        raise ValueError(f"unknown scheme {scheme!r}")
+    sink = []
+    for nodes, transport, coupling in _stencil(scheme, Nx):
+        # rows of v < 0 mirror those of v > 0
+        for K, J, sign in ((kpos, nodes, 1), (kneg, Nx - nodes, -1)):
+            for dj, c in transport:
+                _emit_transport(sink, m, J, K, sign * dj, c * sign * vdx[K])
+            for dj, w in coupling:
+                _emit_coupling(sink, m, coeffs, sv, J, J + sign * dj, K, w)
 
     pinned, pinval = _pinned_mask_and_values(system)
     N = m * (Nx + 1)
@@ -280,7 +229,7 @@ def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
     n_unknowns = int(free.sum())
     red[free] = np.arange(n_unknowns)
 
-    rows, cols, data = sink.concatenated()
+    rows, cols, data = (np.concatenate([leg[i].ravel() for leg in sink]) for i in range(3))
     data = data * (mesh.dx / np.abs(v))[rows % m]
     rr = red[rows]
     rhs = np.zeros(n_unknowns)
@@ -305,201 +254,70 @@ def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
     return float(np.linalg.norm(r) / max(np.linalg.norm(problem.rhs), _NORM_FLOOR))
 
 
-def _node_block_provider(system: WignerSystem, scheme: Scheme):
-    """Per-node m x m blocks of the full (pinned rows included) system.
+def _block_sweep(problem: LinearProblem, rhs: np.ndarray, nodes_per_block: int) -> np.ndarray:
+    """Solve problem.matrix @ x = rhs by block tridiagonal elimination.
 
-    Returns (bandwidth, blocks) where blocks(j) maps node offsets in
-    [-bandwidth, bandwidth] to the m x m coefficient block of the
-    equations collocated at node j.  Pinned rows appear as identity rows
-    at offset 0 so pinned values ride along in the state vector.
+    The unknowns are cut into blocks of ``nodes_per_block`` mesh nodes at
+    the node boundaries given by ``problem.free``; the stencil must couple
+    each block only to its two neighbours (one node per block for
+    bandwidth-1 stencils, node pairs for upwind2).  The D, L and U blocks
+    are read straight from the assembled matrix.  Memory is one dense
+    carry per block.
     """
-    grid = system.grid
-    mesh = system.mesh
-    m = grid.size
-    Nx = mesh.Nx
-    v = grid.velocities
-    vdx = v / mesh.dx
-    pos = v > 0
-    neg = v < 0
-    coeffs = system.potential.coeffs
-    sv = _sin_tables(system)
-    nmax = sv.shape[0]
-    bandwidth = 2 if scheme is Scheme.UPWIND2 else 1
-    row_scale = mesh.dx / np.abs(v)  # matches the scaling used by assemble
-
-    def coupling_block(j: int, weight: float) -> np.ndarray:
-        blk = np.zeros((m, m))
-        for n in range(1, nmax + 1):
-            a_n = coeffs[n]
-            if a_n == 0.0 or n >= m:
-                continue
-            w = weight * a_n * sv[n - 1, j]
-            idx = np.arange(n, m)
-            blk[idx, idx - n] += -w
-            idx = np.arange(0, m - n)
-            blk[idx, idx + n] += w
-        return blk
-
-    def blocks(j: int) -> dict:
-        out = {off: np.zeros((m, m)) for off in range(-bandwidth, bandwidth + 1)}
-        D = out[0]
-        pin_here = np.zeros(m, dtype=bool)
-        if j == 0:
-            pin_here |= pos
-        if j == Nx:
-            pin_here |= neg
-        rows_pos = pos & ~pin_here
-        rows_neg = neg & ~pin_here
-
-        if scheme is Scheme.UPWIND1 or scheme is Scheme.CENTRAL:
-            weight = 0.5 if scheme is Scheme.CENTRAL else 1.0
-            cpl_j = coupling_block(j, weight)
-            if rows_pos.any():
-                D[rows_pos, rows_pos] += vdx[rows_pos]
-                out[-1][rows_pos, rows_pos] += -vdx[rows_pos]
-                D[rows_pos] += cpl_j[rows_pos]
-                if scheme is Scheme.CENTRAL:
-                    out[-1][rows_pos] += coupling_block(j - 1, weight)[rows_pos]
-            if rows_neg.any():
-                D[rows_neg, rows_neg] += -vdx[rows_neg]
-                out[+1][rows_neg, rows_neg] += vdx[rows_neg]
-                D[rows_neg] += cpl_j[rows_neg]
-                if scheme is Scheme.CENTRAL:
-                    out[+1][rows_neg] += coupling_block(j + 1, weight)[rows_neg]
-        else:  # UPWIND2
-            cpl_j = coupling_block(j, 1.0)
-            if rows_pos.any():
-                if j == 1:
-                    D[rows_pos, rows_pos] += vdx[rows_pos]
-                    out[-1][rows_pos, rows_pos] += -vdx[rows_pos]
-                else:
-                    D[rows_pos, rows_pos] += 1.5 * vdx[rows_pos]
-                    out[-1][rows_pos, rows_pos] += -2.0 * vdx[rows_pos]
-                    out[-2][rows_pos, rows_pos] += 0.5 * vdx[rows_pos]
-                D[rows_pos] += cpl_j[rows_pos]
-            if rows_neg.any():
-                if j == Nx - 1:
-                    D[rows_neg, rows_neg] += -vdx[rows_neg]
-                    out[+1][rows_neg, rows_neg] += vdx[rows_neg]
-                else:
-                    D[rows_neg, rows_neg] += -1.5 * vdx[rows_neg]
-                    out[+1][rows_neg, rows_neg] += 2.0 * vdx[rows_neg]
-                    out[+2][rows_neg, rows_neg] += -0.5 * vdx[rows_neg]
-                D[rows_neg] += cpl_j[rows_neg]
-        live = ~pin_here
-        for off in out:
-            out[off][live] *= row_scale[live, None]
-        if pin_here.any():
-            idx = np.where(pin_here)[0]
-            D[idx, idx] = 1.0
-        return out
-
-    return bandwidth, blocks
-
-
-def _solve_via_blocks(system: WignerSystem, scheme: Scheme, rhs_full=None) -> np.ndarray:
-    """Block tridiagonal elimination over nodes (or node pairs).
-
-    Bandwidth-1 stencils sweep node by node; the bandwidth-2 stencil pairs
-    neighbouring nodes into superblocks, which restores the tridiagonal
-    structure.  Returns the full field in node-major flat order, pinned
-    entries included.  ``rhs_full`` overrides the default right-hand side
-    (pinned values, zero elsewhere); iterative refinement uses it to solve
-    for a correction.
-    """
-    m = system.grid.size
-    Nx = system.mesh.Nx
-    n_nodes = Nx + 1
-    bandwidth, blocks = _node_block_provider(system, scheme)
-    if rhs_full is None:
-        _, pinval = _pinned_mask_and_values(system)
-        b_full = pinval.reshape(n_nodes, m)
-    else:
-        b_full = np.asarray(rhs_full).reshape(n_nodes, m)
-
-    if bandwidth == 1:
-        groups = [[j] for j in range(n_nodes)]
-    else:
-        groups = [list(range(t, min(t + 2, n_nodes))) for t in range(0, n_nodes, 2)]
-
-    def group_matrices(t: int):
-        """D, L, U blocks of superblock t, built from node blocks."""
-        nodes = groups[t]
-        size = len(nodes) * m
-        prev = groups[t - 1] if t > 0 else []
-        nxt = groups[t + 1] if t + 1 < len(groups) else []
-        D = np.zeros((size, size))
-        L = np.zeros((size, len(prev) * m)) if prev else None
-        U = np.zeros((size, len(nxt) * m)) if nxt else None
-        for a, j in enumerate(nodes):
-            bj = blocks(j)
-            for off, blk in bj.items():
-                jj = j + off
-                if jj < 0 or jj >= n_nodes:
-                    continue
-                if jj in nodes:
-                    D[a * m:(a + 1) * m, nodes.index(jj) * m:(nodes.index(jj) + 1) * m] += blk
-                elif prev and jj in prev:
-                    L[a * m:(a + 1) * m, prev.index(jj) * m:(prev.index(jj) + 1) * m] += blk
-                elif nxt and jj in nxt:
-                    U[a * m:(a + 1) * m, nxt.index(jj) * m:(nxt.index(jj) + 1) * m] += blk
-        rhs = np.concatenate([b_full[j] for j in nodes])
-        return D, L, U, rhs
-
-    n_groups = len(groups)
-    carries = [None] * n_groups
-    partials = [None] * n_groups
-    prev_carry = None
-    prev_partial = None
-    for t in range(n_groups):
-        D, L, U, rhs = group_matrices(t)
-        if L is not None:
-            D = D - L @ prev_carry
-            rhs = rhs - L @ prev_partial
+    counts = problem.free.reshape(problem.n_nodes, problem.n_velocities).sum(axis=1)
+    starts = np.arange(0, problem.n_nodes, nodes_per_block)
+    edges = np.concatenate([[0], np.cumsum(np.add.reduceat(counts, starts))])
+    n_blocks = len(starts)
+    carries = [None] * n_blocks
+    partials = [None] * n_blocks
+    for t in range(n_blocks):
+        a, b = edges[t], edges[t + 1]
+        lo = edges[max(t - 1, 0)]
+        rows = problem.matrix[a:b, lo:edges[min(t + 2, n_blocks)]].toarray()
+        D = rows[:, a - lo:b - lo]
+        r = rhs[a:b]
+        if t > 0:
+            L = rows[:, :a - lo]
+            D = D - L @ carries[t - 1]
+            r = r - L @ partials[t - 1]
         try:
             lu = lu_factor(D)
-        except Exception as exc:  # singular pivot
-            raise SolverError(f"block elimination hit a singular pivot at group {t}: {exc}")
-        prev_partial = lu_solve(lu, rhs)
-        partials[t] = prev_partial
-        if U is not None:
-            prev_carry = lu_solve(lu, U)
-            carries[t] = prev_carry
+        except (ValueError, np.linalg.LinAlgError) as exc:  # non-finite or singular block
+            raise SolverError(f"block elimination failed at block {t}: {exc}")
+        partials[t] = lu_solve(lu, r)
+        if t + 1 < n_blocks:
+            carries[t] = lu_solve(lu, rows[:, b - lo:])
 
-    x = [None] * n_groups
-    x[-1] = partials[-1]
-    for t in range(n_groups - 2, -1, -1):
-        x[t] = partials[t] - carries[t] @ x[t + 1]
-    return np.concatenate(x)
+    x = np.empty(edges[-1])
+    x[edges[-2]:] = partials[-1]
+    for t in range(n_blocks - 2, -1, -1):
+        x[edges[t]:edges[t + 1]] = partials[t] - carries[t] @ x[edges[t + 1]:edges[t + 2]]
+    return x
 
 
-def solve_bvp(
-    system: WignerSystem,
-    scheme: Scheme,
-    rel_tol: float = 1e-12,
-    method: str = "auto",
-) -> DiscreteSolution:
+def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> DiscreteSolution:
     """Assemble and solve one scheme on one system.
+
+    Systems of at most 600k unknowns go through a sparse LU factorization;
+    larger ones through a block elimination sweep over mesh nodes, which
+    needs no global fill.  If the first solve misses rel_tol, one step of
+    iterative refinement against the assembled matrix follows.
 
     Args:
         system: the transport problem.
         scheme: stencil selector (Scheme or its string value).
         rel_tol: acceptance threshold for the relative residual; must lie
             in (0, 1e-6].
-        method: "auto" picks sparse LU below a size cutoff and the block
-            sweep above it; "direct" or "blocks" force one path.
 
     Returns:
         DiscreteSolution whose residual is at most rel_tol.
 
     Raises:
-        ValueError: bad rel_tol or method.
+        ValueError: bad rel_tol or scheme.
         SolverError: singular system or residual above rel_tol.
     """
     if not (0.0 < rel_tol <= 1e-6):
         raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
-    if method not in ("auto", "direct", "blocks"):
-        raise ValueError(f"unknown method {method!r}")
     scheme = Scheme(scheme)
     m = system.grid.size
     Nx = system.mesh.Nx
@@ -511,25 +329,23 @@ def solve_bvp(
         return DiscreteSolution(values=values, system=system, scheme=scheme.value, residual=0.0)
 
     problem = assemble(system, scheme)
-    n_unknowns = problem.matrix.shape[0]
-    use_blocks = method == "blocks" or (method == "auto" and n_unknowns > _DIRECT_LIMIT)
-    if use_blocks:
-        full = _solve_via_blocks(system, scheme)
-        x = full[problem.free]
-        if residual_norm(problem, x) > rel_tol:
-            # one sweep of iterative refinement against the assembled system
-            r = problem.rhs - problem.matrix @ x
-            r_full = np.zeros(problem.free.size)
-            r_full[problem.free] = r
-            delta = _solve_via_blocks(system, scheme, rhs_full=r_full)
-            x = x + delta[problem.free]
-    else:
+    if problem.matrix.shape[0] <= _DIRECT_LIMIT:
         try:
-            x = spla.splu(problem.matrix.tocsc()).solve(problem.rhs)
+            solve = spla.splu(problem.matrix.tocsc()).solve
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}")
+    else:
+        nodes_per_block = 2 if scheme is Scheme.UPWIND2 else 1
 
+        def solve(rhs):
+            return _block_sweep(problem, rhs, nodes_per_block)
+
+    x = solve(problem.rhs)
     res = residual_norm(problem, x)
+    if res > rel_tol:
+        # one step of iterative refinement against the assembled system
+        x = x + solve(problem.rhs - problem.matrix @ x)
+        res = residual_norm(problem, x)
     if not np.isfinite(res) or res > rel_tol:
         raise SolverError(
             f"solver residual {res:.3e} exceeds rel_tol {rel_tol:.3e} "

@@ -83,23 +83,36 @@ def eval_potential(p: FourierPotential, x) -> float | np.ndarray:
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def _skew_shift_sum(coeffs: np.ndarray, sines, f: np.ndarray) -> np.ndarray:
-    """Core convolution sum_{n>=1} a_n sines[n-1] (f down-shift - f up-shift).
+def _sine_table(p: FourierPotential, x) -> np.ndarray:
+    """sin(2 n kappa x) for n = 1..N, with n along a new leading axis.
 
-    ``f`` may carry extra trailing axes (batched columns); the velocity index
-    is axis 0.  ``sines`` is indexed by n-1 and may itself broadcast against
-    the trailing axes of ``f``.
+    Evaluated as sign(x) sin(2 n kappa |x|), so the table at mirrored
+    points x and -x is odd to the last bit.
+    """
+    xa = np.asarray(x, dtype=float)
+    nk = 2.0 * np.arange(1, len(p.coeffs)) * p.kappa
+    return np.sign(xa) * np.sin(np.multiply.outer(nk, np.abs(xa)))
+
+
+def _apply_sines(coeffs: np.ndarray, sines, f: np.ndarray, axis: int = 0) -> np.ndarray:
+    """sum_{n>=1} a_n sines[n-1] (f_{k-n} - f_{k+n}) along velocity ``axis`` of f.
+
+    ``sines[n-1]`` must broadcast against ``f``; other axes of ``f`` are
+    batch axes (quadrature points, columns).
     """
     g = np.zeros_like(f)
-    m = f.shape[0]
+    m = f.shape[axis]
+    lead = (slice(None),) * axis
     for n in range(1, len(coeffs)):
         a_n = coeffs[n]
         if a_n == 0.0 or n >= m:
             continue
         w = a_n * sines[n - 1]
+        low = lead + (slice(None, -n),)
+        high = lead + (slice(n, None),)
         # f_{k-n}: valid for k >= n; f_{k+n}: valid for k < m-n
-        g[n:] += w * f[:-n]
-        g[:-n] -= w * f[n:]
+        g[high] += w * f[low]
+        g[low] -= w * f[high]
     return g
 
 
@@ -121,9 +134,7 @@ def apply_coupling(p: FourierPotential, x: float, f) -> np.ndarray:
     fa = np.asarray(f, dtype=float)
     if fa.ndim != 1 or fa.size == 0:
         raise ValueError("f must be a non-empty one-dimensional velocity-indexed vector")
-    n = np.arange(1, len(p.coeffs))
-    sines = np.sin(2.0 * p.kappa * float(x) * n)
-    return _skew_shift_sum(p.coeffs, sines, fa)
+    return _apply_sines(p.coeffs, _sine_table(p, float(x)), fa)
 
 
 def coupling_bound(p: FourierPotential) -> float:

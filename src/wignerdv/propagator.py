@@ -25,7 +25,7 @@ import numpy as np
 
 from .fd import DiscreteSolution, SolverError
 from .kinetic import WignerSystem
-from .potential import coupling_bound
+from .potential import _apply_sines, _sine_table, coupling_bound
 
 __all__ = [
     "PropagatorOptions",
@@ -123,24 +123,6 @@ def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _apply_coupling_batch(coeffs: np.ndarray, sines: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Coupling operator applied at every quadrature point at once.
-
-    ``F`` has shape (npts, m, ncols); ``sines`` has shape (nmax, npts)
-    holding sin(2 n kappa y_t).  Velocity shifts out of range drop out.
-    """
-    G = np.zeros_like(F)
-    m = F.shape[1]
-    for n in range(1, len(coeffs)):
-        a_n = coeffs[n]
-        if a_n == 0.0 or n >= m:
-            continue
-        w = (a_n * sines[n - 1])[:, None, None]
-        G[:, n:, :] += w * F[:, :-n, :]
-        G[:, :-n, :] -= w * F[:, n:, :]
-    return G
-
-
 def _propagate_contractive(
     system: WignerSystem, F0: np.ndarray, x1: float, x2: float, options: PropagatorOptions
 ) -> np.ndarray:
@@ -149,24 +131,20 @@ def _propagate_contractive(
     The caller guarantees |x2 - x1| is below the contraction step times
     step_fraction (or that the coupling vanishes).
     """
-    if x1 == x2:
-        return F0.copy()
     coeffs = system.potential.coeffs
-    kappa = system.potential.kappa
+    if x1 == x2 or len(coeffs) == 1:
+        return F0.copy()
     v = system.grid.velocities
     npts = 2 * int(options.quad_panels) + 1
     ys = np.linspace(x1, x2, npts)
     h = (x2 - x1) / (npts - 1)
-    nmax = len(coeffs) - 1
-    if nmax == 0:
-        return F0.copy()
-    ns = np.arange(1, nmax + 1)
-    sines = np.sin(2.0 * kappa * np.multiply.outer(ns, ys))
+    # one sine per quadrature point, broadcast over (npts, m, ncols)
+    sines = _sine_table(system.potential, ys)[:, :, None, None]
     F = np.broadcast_to(F0[None, :, :], (npts,) + F0.shape).copy()
     inv_v = 1.0 / v
     gap = math.inf
     for _ in range(_MAX_PICARD_ITER):
-        G = _apply_coupling_batch(coeffs, sines, F)
+        G = _apply_sines(coeffs, sines, F, axis=1)
         cum = _cumulative_simpson(G, h)
         F_new = F0[None, :, :] + inv_v[None, :, None] * cum
         gap = float(np.sqrt(((F_new - F) ** 2).sum(axis=1)).max())

@@ -73,6 +73,29 @@ def test_parse_config_rejects_bad_values(tmp_path):
         )
     with pytest.raises(ConfigError, match="Nx"):
         parse_config(_write(tmp_path, "period_l = 1\ncoeffs = 1\nNx = ten\nboundary = mono:0\n"))
+    for bad in ("0.5", "1e-3", "0", "-1e-12", "nan"):
+        with pytest.raises(ConfigError, match="rel_tol"):
+            parse_config(_write(tmp_path, BASE_CONFIG.replace("rel_tol = 1e-12", f"rel_tol = {bad}")))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{cfg}", "--out", "{out}"],
+        ["study", "{cfg}", "--nx", "10", "--schemes", "central", "--out", "{out}"],
+        ["verify", "{cfg}"],
+    ],
+)
+def test_out_of_range_rel_tol_exits_2(argv, config_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    args = [a.format(cfg=config_file, out=out) for a in argv]
+    assert main(args + ["--tol", "1e-3"]) == 2
+    assert "--tol" in capsys.readouterr().err
+    bad_cfg = _write(tmp_path, BASE_CONFIG.replace("rel_tol = 1e-12", "rel_tol = 0.5"))
+    args = [a.format(cfg=bad_cfg, out=out) for a in argv]
+    assert main(args) == 2
+    assert "rel_tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_table_boundary(tmp_path):

@@ -2,18 +2,21 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from wignerdv import (
     Scheme,
     SolverError,
     apply_coupling,
     assemble,
+    new_potential,
     residual_norm,
     solve_bvp,
     symmetry_error,
     tabulated_boundary,
 )
-from wignerdv.fd import _sin_tables
+from wignerdv import fd
+from wignerdv.potential import _sine_table
 
 from conftest import make_system
 
@@ -28,11 +31,15 @@ def test_scheme_enum_round_trip():
 
 def test_sin_tables_are_odd_to_the_bit():
     system = make_system(10)
-    sv = _sin_tables(system)
+    sv = _sine_table(system.potential, system.mesh.nodes)
     assert sv.shape == (1, 11)
     for j in range(11):
         assert sv[0, 10 - j] == -sv[0, j]
     assert sv[0, 5] == 0.0
+    # any mirrored points, several harmonics
+    xs = np.random.default_rng(17).uniform(-3.0, 3.0, 200)
+    p = new_potential(1.0, [0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(_sine_table(p, -xs), -_sine_table(p, xs))
 
 
 def test_assemble_counts_unknowns():
@@ -94,8 +101,6 @@ def test_solve_bvp_rejects_bad_rel_tol():
     for bad in (0.0, -1e-12, 1e-5, 1.0):
         with pytest.raises(ValueError):
             solve_bvp(system, Scheme.CENTRAL, rel_tol=bad)
-    with pytest.raises(ValueError):
-        solve_bvp(system, Scheme.CENTRAL, method="banana")
 
 
 def test_zero_boundary_short_circuits():
@@ -128,11 +133,26 @@ def test_solution_metadata():
 
 
 def test_block_path_matches_direct_path():
-    system = make_system(60)
+    rng = np.random.default_rng(23)
     for scheme in Scheme:
-        direct = solve_bvp(system, scheme, method="direct")
-        blocks = solve_bvp(system, scheme, method="blocks")
-        assert np.abs(direct.values - blocks.values).max() < 1e-9
+        problem = assemble(make_system(60), scheme)
+        lu = spla.splu(problem.matrix.tocsc())
+        nodes_per_block = 2 if scheme is Scheme.UPWIND2 else 1
+        # the assembled right-hand side, then a generic one as refinement sees
+        for rhs in (problem.rhs, rng.standard_normal(problem.rhs.size)):
+            direct = lu.solve(rhs)
+            swept = fd._block_sweep(problem, rhs, nodes_per_block)
+            assert np.abs(direct - swept).max() < 1e-11 * np.abs(direct).max()
+
+
+def test_solve_bvp_sweeps_above_direct_limit(monkeypatch):
+    system = make_system(20)
+    direct = {scheme: solve_bvp(system, scheme) for scheme in Scheme}
+    monkeypatch.setattr(fd, "_DIRECT_LIMIT", 0)
+    for scheme in Scheme:
+        swept = solve_bvp(system, scheme)
+        assert swept.residual <= 1e-12
+        assert np.abs(direct[scheme].values - swept.values).max() < 1e-11
 
 
 def test_free_streaming_is_exact_for_all_schemes():

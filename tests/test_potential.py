@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wignerdv import apply_coupling, coupling_bound, eval_potential, new_potential
+from wignerdv.potential import _apply_sines, _sine_table
 
 
 def test_new_potential_basic_fields():
@@ -125,3 +126,16 @@ def test_constant_potential_couples_nothing():
     p = new_potential(1.0, [40.0])
     f = np.arange(1.0, 6.0)
     assert np.all(apply_coupling(p, 0.37, f) == 0.0)
+
+
+def test_batched_apply_matches_apply_coupling():
+    # the propagator's use: velocity axis 1 of a (npts, m, ncols) batch,
+    # with harmonics beyond the channel count and one zero coefficient
+    p = new_potential(1.0, [1.0, 2.0, 0.0, -1.5, 0.5, 0.25, 0.1, 3.0, -0.2])
+    rng = np.random.default_rng(13)
+    ys = rng.uniform(-0.5, 0.5, 5)
+    F = rng.standard_normal((5, 7, 3))
+    G = _apply_sines(p.coeffs, _sine_table(p, ys)[:, :, None, None], F, axis=1)
+    for t, y in enumerate(ys):
+        for c in range(3):
+            assert G[t, :, c] == pytest.approx(apply_coupling(p, float(y), F[t, :, c]), abs=1e-14)
