@@ -11,12 +11,18 @@ sparse linear system.  Three stencils are provided:
            with the average of the coupling term at the two cell ends,
            which is second-order accurate and mirror-consistent.
 
-Each stencil is written once, in ``assemble``.  Systems up to 600k
-unknowns go through a sparse LU factorization; larger ones through a
-block tridiagonal sweep whose blocks are cut from the assembled matrix at
+Each stencil is written once, in ``assemble``.  The central scheme is
+solved without a global factorization: A(x) is odd and the mesh mirror
+symmetric, so its discrete map over one period is the identity and the
+boundary value problem is one forward march of banded solves from the
+inflow data of both ends (``_central_march``), O(Nx m nmax) work.  The
+march is gated on the residual of the assembled system.  The one-sided
+schemes, and a central march that misses the gate, go through a sparse
+LU factorization up to 600k unknowns and through a block tridiagonal
+sweep above that, whose blocks are cut from the assembled matrix at
 mesh-node boundaries, so memory grows with one dense velocity-by-velocity
-carry per node instead of the LU fill.  Both paths share one step of
-iterative refinement and the residual gate.
+carry per node instead of the LU fill.  Both share one step of iterative
+refinement and the residual gate.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor, lu_solve, solve_banded
 
 from .kinetic import WignerSystem
-from .potential import _sine_table
+from .potential import _apply_sines, _sine_table
 
 __all__ = [
     "Scheme",
@@ -295,40 +301,59 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray, nodes_per_block: int) 
     return x
 
 
-def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> DiscreteSolution:
-    """Assemble and solve one scheme on one system.
+def _central_march(system: WignerSystem) -> np.ndarray:
+    """Central field on the mesh by one forward march, shape (Nx + 1, m).
 
-    Systems of at most 600k unknowns go through a sparse LU factorization;
-    larger ones through a block elimination sweep over mesh nodes, which
-    needs no global fill.  If the first solve misses rel_tol, one step of
-    iterative refinement against the assembled matrix follows.
-
-    Args:
-        system: the transport problem.
-        scheme: stencil selector (Scheme or its string value).
-        rel_tol: acceptance threshold for the relative residual; must lie
-            in (0, 1e-6].
-
-    Returns:
-        DiscreteSolution whose residual is at most rel_tol.
+    Cell c of the central stencil reads (V - h/2 A_c) f_c = (V + h/2 A_{c-1}) f_{c-1}
+    for every channel, with V = diag(v) and A_c = A(x_c).  The sine table
+    is odd to the bit on the mirror-symmetric mesh, so A_{Nx-c} = -A_c and
+    the cell map of cell Nx + 1 - c is the inverse of that of cell c: the
+    product over the period is the identity.  Starting from the inflow
+    data of both ends therefore meets the right-end inflow again at +l/2.
+    Each step solves the banded system (V - h/2 A_c) d = h/2 (A_{c-1} + A_c) f_{c-1}
+    for the increment d = f_c - f_{c-1}.  The end state is returned as
+    marched, not pinned.
 
     Raises:
-        ValueError: bad rel_tol or scheme.
-        SolverError: singular system or residual above rel_tol.
+        SolverError: a cell matrix is singular.
     """
-    if not (0.0 < rel_tol <= 1e-6):
-        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
-    scheme = Scheme(scheme)
-    m = system.grid.size
+    coeffs = system.potential.coeffs
+    v = system.grid.velocities
+    m = v.size
     Nx = system.mesh.Nx
+    half_h = 0.5 * system.mesh.dx
+    sv = _sine_table(system.potential, system.mesh.nodes)
+    nb = min(sv.shape[0], m - 1)                  # bandwidth
+    field = np.empty((Nx + 1, m))
+    field[0] = system.boundary.values
+    ab = np.zeros((2 * nb + 1, m))
+    for c in range(1, Nx + 1):
+        # band of V - h/2 A(x_c) in solve_banded layout, ab[nb + i - j, j] = B[i, j];
+        # every entry inside the band is rewritten, the corners are never read
+        ab[nb] = v
+        for n in range(1, nb + 1):
+            w = half_h * coeffs[n] * sv[n - 1, c]
+            ab[nb - n, n:] = w
+            ab[nb + n, :-n] = -w
+        prev = field[c - 1]
+        rhs = half_h * _apply_sines(coeffs, sv[:, c - 1] + sv[:, c], prev)
+        try:
+            step = solve_banded(
+                (nb, nb), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+            )
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"central march: cell {c} matrix is singular: {exc}")
+        field[c] = prev + step
+    return field
 
-    if not np.any(system.boundary.values):
-        # zero inflow forces the zero solution; skip the solve entirely
-        values = np.zeros((m, Nx + 1))
-        values.flags.writeable = False
-        return DiscreteSolution(values=values, system=system, scheme=scheme.value, residual=0.0)
 
-    problem = assemble(system, scheme)
+def _global_solve(problem: LinearProblem, scheme: Scheme, rel_tol: float):
+    """Solve the assembled system by SuperLU or the block sweep.
+
+    SuperLU up to ``_DIRECT_LIMIT`` unknowns, the sweep above.  One step
+    of iterative refinement follows if the first solve misses rel_tol.
+    Returns the reduced solution and its relative residual.
+    """
     if problem.matrix.shape[0] <= _DIRECT_LIMIT:
         try:
             solve = spla.splu(problem.matrix.tocsc()).solve
@@ -346,12 +371,68 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
         # one step of iterative refinement against the assembled system
         x = x + solve(problem.rhs - problem.matrix @ x)
         res = residual_norm(problem, x)
-    if not np.isfinite(res) or res > rel_tol:
-        raise SolverError(
-            f"solver residual {res:.3e} exceeds rel_tol {rel_tol:.3e} "
-            f"for scheme {scheme.value} at Nx={Nx}",
-            residual=res,
-        )
+    return x, res
+
+
+def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> DiscreteSolution:
+    """Assemble and solve one scheme on one system.
+
+    ``central`` is solved by one forward march over the period (see
+    ``_central_march``), gated on the residual of the assembled system.
+    The one-sided schemes, and a central march that misses rel_tol, go
+    through a sparse LU factorization up to 600k unknowns and through a
+    block elimination sweep over mesh nodes above that, which needs no
+    global fill.  If that solve misses rel_tol, one step of iterative
+    refinement against the assembled matrix follows.
+
+    Args:
+        system: the transport problem.
+        scheme: stencil selector (Scheme or its string value).
+        rel_tol: acceptance threshold for the relative residual; must lie
+            in (0, 1e-6].
+
+    Returns:
+        DiscreteSolution whose residual is at most rel_tol.
+
+    Raises:
+        ValueError: bad rel_tol or scheme.
+        SolverError: singular system or residual above rel_tol; for
+            ``central`` the message also gives the march residual.
+    """
+    if not (0.0 < rel_tol <= 1e-6):
+        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
+    scheme = Scheme(scheme)
+    m = system.grid.size
+    Nx = system.mesh.Nx
+
+    if not np.any(system.boundary.values):
+        # zero inflow forces the zero solution; skip the solve entirely
+        values = np.zeros((m, Nx + 1))
+        values.flags.writeable = False
+        return DiscreteSolution(values=values, system=system, scheme=scheme.value, residual=0.0)
+
+    problem = assemble(system, scheme)
+    march_note = ""
+    x = None
+    if scheme is Scheme.CENTRAL:
+        try:
+            x = _central_march(system).ravel()[problem.free]
+        except SolverError as exc:
+            march_note = f"; {exc}"
+        else:
+            res = residual_norm(problem, x)
+            if not res <= rel_tol:                # NaN fails too
+                march_note = f"; central march residual {res:.3e}"
+                x = None
+
+    if x is None:
+        x, res = _global_solve(problem, scheme, rel_tol)
+        if not np.isfinite(res) or res > rel_tol:
+            raise SolverError(
+                f"solver residual {res:.3e} exceeds rel_tol {rel_tol:.3e} "
+                f"for scheme {scheme.value} at Nx={Nx}{march_note}",
+                residual=res,
+            )
 
     values = np.zeros((m, Nx + 1))
     flat = np.zeros(m * (Nx + 1))

@@ -9,6 +9,9 @@ from wignerdv import (
     SolverError,
     apply_coupling,
     assemble,
+    build_mesh,
+    build_system,
+    build_velocity_grid,
     new_potential,
     residual_norm,
     solve_bvp,
@@ -153,6 +156,95 @@ def test_solve_bvp_sweeps_above_direct_limit(monkeypatch):
         swept = solve_bvp(system, scheme)
         assert swept.residual <= 1e-12
         assert np.abs(direct[scheme].values - swept.values).max() < 1e-11
+
+
+def _random_central_system(rng):
+    """Random even potential (1-4 harmonics), grid, even mesh and two-sided inflow.
+
+    Coefficients are drawn up to the flagship barrier's amplitude of 20;
+    the shift is kappa/2 or off-half.
+    """
+    coeffs = rng.uniform(-20.0, 20.0, int(rng.integers(2, 6)))
+    pot = new_potential(1.0, coeffs)
+    s = pot.kappa * (0.5 if rng.random() < 0.5 else rng.uniform(0.05, 0.95))
+    grid = build_velocity_grid(pot.kappa, s, int(rng.integers(6, 31)), True)
+    mesh = build_mesh(1.0, 2 * int(rng.integers(5, 201)))
+    v = grid.velocities
+    inflow = [*rng.choice(grid.indices[v > 0], 2, replace=False),
+              *rng.choice(grid.indices[v < 0], 2, replace=False)]
+    table = {int(i): float(rng.uniform(0.1, 1.0)) for i in inflow}
+    return build_system(pot, grid, mesh, tabulated_boundary(grid, table))
+
+
+def test_central_march_period_map_is_identity_over_random_inputs():
+    rng = np.random.default_rng(3101)
+    for _ in range(12):
+        system = _random_central_system(rng)
+        problem = assemble(system, Scheme.CENTRAL)
+        field = fd._central_march(system)
+        x = field.ravel()[problem.free]
+        assert residual_norm(problem, x) <= 1e-12
+        direct = spla.splu(problem.matrix.tocsc()).solve(problem.rhs)
+        assert np.abs(x - direct).max() <= 1e-11 * np.abs(direct).max()
+        assert symmetry_error(solve_bvp(system, Scheme.CENTRAL)) <= 1e-12
+        # marching the period from the inflow data of both ends comes back
+        # to the right-end inflow: the discrete period map is the identity
+        b = system.boundary.values
+        neg = system.grid.velocities < 0
+        assert np.abs(field[-1, neg] - b[neg]).max() <= 1e-12 * np.abs(b).max()
+
+
+def test_central_falls_back_when_march_misses_gate(monkeypatch):
+    system = make_system(20)
+    problem = assemble(system, Scheme.CENTRAL)
+    direct = spla.splu(problem.matrix.tocsc()).solve(problem.rhs)
+    swept = fd._block_sweep(problem, problem.rhs, 1)
+    march = fd._central_march
+    sweep = fd._block_sweep
+    sweeps = []
+
+    def counted_sweep(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(fd, "_central_march", lambda s: march(s) + 1e-6)
+    monkeypatch.setattr(fd, "_block_sweep", counted_sweep)
+
+    def reduced(sol):
+        assert sol.residual <= 1e-12
+        return sol.values.T.ravel()[problem.free]
+
+    # SuperLU below the cutoff, the block sweep above it
+    x = reduced(solve_bvp(system, Scheme.CENTRAL))
+    assert not sweeps
+    assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
+    monkeypatch.setattr(fd, "_DIRECT_LIMIT", 0)
+    x = reduced(solve_bvp(system, Scheme.CENTRAL))
+    assert len(sweeps) == 1
+    assert np.abs(x - swept).max() <= 1e-13 * np.abs(swept).max()
+
+
+def test_central_gate_failure_names_march_and_global_residuals():
+    # a barrier this high grows the field by about 1e7 across the period
+    with pytest.raises(SolverError) as info:
+        solve_bvp(make_system(1600, coeffs=(0.0, 300.0)), Scheme.CENTRAL)
+    message = str(info.value)
+    assert "central march residual" in message
+    assert "solver residual" in message
+    assert info.value.residual > 1e-12
+
+
+def test_large_central_solve_marches_without_global_solver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("central fell back to a global solve")
+
+    monkeypatch.setattr(fd, "_block_sweep", refuse)
+    monkeypatch.setattr(fd.spla, "splu", refuse)
+    system = make_system(12800)
+    # m * Nx unknowns: above the cutoff, where the fallback would sweep
+    assert system.grid.size * system.mesh.Nx > fd._DIRECT_LIMIT
+    sol = solve_bvp(system, Scheme.CENTRAL)
+    assert sol.residual <= 1e-12
 
 
 def test_free_streaming_is_exact_for_all_schemes():
