@@ -20,9 +20,9 @@ march is gated on the residual of the assembled system.  The one-sided
 schemes, and a central march that misses the gate, go through a sparse
 LU factorization up to 600k unknowns and through a block tridiagonal
 sweep above that, whose blocks are cut from the assembled matrix at
-mesh-node boundaries, so memory grows with one dense velocity-by-velocity
-carry per node instead of the LU fill.  Both share one step of iterative
-refinement and the residual gate.
+mesh-node boundaries, so memory grows with one half-rank carry per node
+(velocities by the next node's v < 0 unknowns) instead of the LU fill.
+Both share one step of iterative refinement and the residual gate.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .kinetic import WignerSystem
 from .potential import _apply_sines, _sine_table
@@ -260,44 +260,90 @@ def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
     return float(np.linalg.norm(r) / max(np.linalg.norm(problem.rhs), _NORM_FLOOR))
 
 
-def _block_sweep(problem: LinearProblem, rhs: np.ndarray, nodes_per_block: int) -> np.ndarray:
+def _span(idx: np.ndarray):
+    """Sorted indices as a slice when they form one contiguous run."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _block_sweep(problem: LinearProblem, rhs: np.ndarray) -> np.ndarray:
     """Solve problem.matrix @ x = rhs by block tridiagonal elimination.
 
-    The unknowns are cut into blocks of ``nodes_per_block`` mesh nodes at
-    the node boundaries given by ``problem.free``; the stencil must couple
-    each block only to its two neighbours (one node per block for
-    bandwidth-1 stencils, node pairs for upwind2).  The D, L and U blocks
-    are read straight from the assembled matrix.  Memory is one dense
-    carry per block.
+    The unknowns are cut into blocks of whole mesh nodes at the node
+    boundaries given by ``problem.free``, as many nodes per block as the
+    farthest node any row of the assembled matrix reaches (one node for
+    bandwidth-1 stencils, node pairs for upwind2), so each block couples
+    only to its two neighbours.  Each block's D, L and U rows are filled
+    straight from the CSR arrays.  U_t, the coupling of block t to block
+    t + 1, is nonzero only in a column set J_t taken from the CSR
+    structure (about the v < 0 unknowns of the next block, half of
+    them), so the carry kept per block is the half-rank
+    C_t = D'_t^-1 U_t[:, J_t].  The Schur update touches only D_{t+1}[:, J_t],
+    on the rows where L_{t+1} has entries, and back substitution reads
+    x_t = p_t - C_t x_{t+1}[J_t].  LAPACK getrf/getrs are fetched once.
+
+    Raises:
+        SolverError: a block is not finite or is exactly singular.
     """
+    matrix = problem.matrix
+    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
     counts = problem.free.reshape(problem.n_nodes, problem.n_velocities).sum(axis=1)
-    starts = np.arange(0, problem.n_nodes, nodes_per_block)
-    edges = np.concatenate([[0], np.cumsum(np.add.reduceat(counts, starts))])
-    n_blocks = len(starts)
-    carries = [None] * n_blocks
-    partials = [None] * n_blocks
+    node_edges = np.concatenate([[0], np.cumsum(counts)])
+    # node reach: the farthest node any row reads, from each node's
+    # smallest and largest column
+    at = indptr[node_edges[:-1]]
+    nodes = np.arange(problem.n_nodes)
+    nearest = np.searchsorted(node_edges, np.minimum.reduceat(indices, at), "right") - 1
+    farthest = np.searchsorted(node_edges, np.maximum.reduceat(indices, at), "right") - 1
+    reach = max(int(np.max(nodes - nearest)), int(np.max(farthest - nodes)), 1)
+    edges = np.append(node_edges[:-1:reach], node_edges[-1])
+    n_blocks = edges.size - 1
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (data,))
+
+    def fail(t, why):
+        first, last = t * reach, min((t + 1) * reach, problem.n_nodes) - 1
+        where = f"mesh node {first}" if first == last else f"mesh nodes {first}-{last}"
+        return SolverError(f"block elimination failed at {where}: {why}")
+
+    carries, partials, reads = [], [], []
     for t in range(n_blocks):
         a, b = edges[t], edges[t + 1]
         lo = edges[max(t - 1, 0)]
-        rows = problem.matrix[a:b, lo:edges[min(t + 2, n_blocks)]].toarray()
-        D = rows[:, a - lo:b - lo]
-        r = rhs[a:b]
+        # the block's rows over the columns of blocks t - 1 .. t + 1
+        cols = indices[indptr[a]:indptr[b]] - lo
+        rows = np.repeat(np.arange(b - a), np.diff(indptr[a:b + 1]))
+        block = np.zeros((b - a, edges[min(t + 2, n_blocks)] - lo))
+        block[rows, cols] = data[indptr[a]:indptr[b]]
+        D = np.array(block[:, a - lo:b - lo], order="F")
+        r = rhs[a:b].copy()
         if t > 0:
-            L = rows[:, :a - lo]
-            D = D - L @ carries[t - 1]
-            r = r - L @ partials[t - 1]
-        try:
-            lu = lu_factor(D)
-        except (ValueError, np.linalg.LinAlgError) as exc:  # non-finite or singular block
-            raise SolverError(f"block elimination failed at block {t}: {exc}")
-        partials[t] = lu_solve(lu, r)
+            # rows of L_t with entries; only they change D and r
+            coupled = _span(np.flatnonzero(np.bincount(rows[cols < a - lo])))
+            L = block[coupled, :a - lo]
+            J = reads[t - 1]
+            if isinstance(coupled, slice) or isinstance(J, slice):
+                D[coupled, J] -= L @ carries[t - 1]
+            else:
+                D[np.ix_(coupled, J)] -= L @ carries[t - 1]
+            r[coupled] -= L @ partials[t - 1]
+        if not np.isfinite(D).all():
+            raise fail(t, "the block is not finite")
+        lu, piv, info = getrf(D, overwrite_a=True)
+        if info > 0:
+            j, k = divmod(int(np.flatnonzero(problem.free)[a + info - 1]), problem.n_velocities)
+            raise fail(t, f"the block is singular, zero pivot {info} of {b - a} "
+                          f"(node {j}, velocity index {k})")
+        partials.append(getrs(lu, piv, r, overwrite_b=True)[0])
         if t + 1 < n_blocks:
-            carries[t] = lu_solve(lu, rows[:, b - lo:])
+            J = _span(np.flatnonzero(np.bincount(cols[cols >= b - lo] - (b - lo))))
+            reads.append(J)
+            carries.append(getrs(lu, piv, block[:, b - lo:][:, J], overwrite_b=True)[0])
 
     x = np.empty(edges[-1])
     x[edges[-2]:] = partials[-1]
     for t in range(n_blocks - 2, -1, -1):
-        x[edges[t]:edges[t + 1]] = partials[t] - carries[t] @ x[edges[t + 1]:edges[t + 2]]
+        x[edges[t]:edges[t + 1]] = partials[t] - carries[t] @ x[edges[t + 1]:edges[t + 2]][reads[t]]
     return x
 
 
@@ -326,28 +372,28 @@ def _central_march(system: WignerSystem) -> np.ndarray:
     nb = min(sv.shape[0], m - 1)                  # bandwidth
     field = np.empty((Nx + 1, m))
     field[0] = system.boundary.values
-    ab = np.zeros((2 * nb + 1, m))
+    # LAPACK gbsv band layout, ab[2 nb + i - j, j] = B[i, j]; rows 0..nb-1
+    # are gbsv's fill-in workspace and need not be set
+    ab = np.zeros((3 * nb + 1, m), order="F")
+    gbsv = get_lapack_funcs("gbsv", (ab,))
     for c in range(1, Nx + 1):
-        # band of V - h/2 A(x_c) in solve_banded layout, ab[nb + i - j, j] = B[i, j];
-        # every entry inside the band is rewritten, the corners are never read
-        ab[nb] = v
+        # band of V - h/2 A(x_c); every entry inside the band is rewritten
+        # after gbsv overwrote it with its factors, the corners are never read
+        ab[2 * nb] = v
         for n in range(1, nb + 1):
             w = half_h * coeffs[n] * sv[n - 1, c]
-            ab[nb - n, n:] = w
-            ab[nb + n, :-n] = -w
+            ab[2 * nb - n, n:] = w
+            ab[2 * nb + n, :-n] = -w
         prev = field[c - 1]
         rhs = half_h * _apply_sines(coeffs, sv[:, c - 1] + sv[:, c], prev)
-        try:
-            step = solve_banded(
-                (nb, nb), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
-            )
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"central march: cell {c} matrix is singular: {exc}")
+        _, _, step, info = gbsv(nb, nb, ab, rhs, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise SolverError(f"central march: cell {c} matrix is singular: zero pivot {info} of {m}")
         field[c] = prev + step
     return field
 
 
-def _global_solve(problem: LinearProblem, scheme: Scheme, rel_tol: float):
+def _global_solve(problem: LinearProblem, rel_tol: float):
     """Solve the assembled system by SuperLU or the block sweep.
 
     SuperLU up to ``_DIRECT_LIMIT`` unknowns, the sweep above.  One step
@@ -360,10 +406,8 @@ def _global_solve(problem: LinearProblem, scheme: Scheme, rel_tol: float):
         except RuntimeError as exc:
             raise SolverError(f"sparse LU factorization failed: {exc}")
     else:
-        nodes_per_block = 2 if scheme is Scheme.UPWIND2 else 1
-
         def solve(rhs):
-            return _block_sweep(problem, rhs, nodes_per_block)
+            return _block_sweep(problem, rhs)
 
     x = solve(problem.rhs)
     res = residual_norm(problem, x)
@@ -426,7 +470,7 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
                 x = None
 
     if x is None:
-        x, res = _global_solve(problem, scheme, rel_tol)
+        x, res = _global_solve(problem, rel_tol)
         if not np.isfinite(res) or res > rel_tol:
             raise SolverError(
                 f"solver residual {res:.3e} exceeds rel_tol {rel_tol:.3e} "

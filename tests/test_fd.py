@@ -1,5 +1,8 @@
 """Assembly, residuals, solver dispatch and scheme behavior."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -140,12 +143,52 @@ def test_block_path_matches_direct_path():
     for scheme in Scheme:
         problem = assemble(make_system(60), scheme)
         lu = spla.splu(problem.matrix.tocsc())
-        nodes_per_block = 2 if scheme is Scheme.UPWIND2 else 1
         # the assembled right-hand side, then a generic one as refinement sees
         for rhs in (problem.rhs, rng.standard_normal(problem.rhs.size)):
             direct = lu.solve(rhs)
-            swept = fd._block_sweep(problem, rhs, nodes_per_block)
+            swept = fd._block_sweep(problem, rhs)
             assert np.abs(direct - swept).max() < 1e-11 * np.abs(direct).max()
+
+
+def _zero_node_block(problem, node, value=0.0):
+    """Copy of problem with the node's own block of the matrix set to value."""
+    counts = problem.free.reshape(problem.n_nodes, problem.n_velocities).sum(axis=1)
+    a, b = np.concatenate([[0], np.cumsum(counts)])[node:node + 2]
+    matrix = problem.matrix.copy()
+    for row in range(a, b):
+        span = slice(matrix.indptr[row], matrix.indptr[row + 1])
+        cols = matrix.indices[span]
+        matrix.data[span][(cols >= a) & (cols < b)] = value
+    return dataclasses.replace(problem, matrix=matrix)
+
+
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+def test_block_sweep_names_a_singular_node_block():
+    for scheme, where in ((Scheme.UPWIND1, "mesh node 3:"), (Scheme.UPWIND2, "mesh nodes 2-3:")):
+        problem = _zero_node_block(assemble(make_system(10), scheme), 3)
+        with pytest.raises(SolverError, match="singular") as info:
+            fd._block_sweep(problem, problem.rhs)
+        assert where in str(info.value)
+        assert "zero pivot" in str(info.value)
+
+
+def test_block_sweep_rejects_a_non_finite_block():
+    problem = _zero_node_block(assemble(make_system(10), Scheme.UPWIND1), 4, np.nan)
+    with pytest.raises(SolverError, match="mesh node 4: the block is not finite"):
+        fd._block_sweep(problem, problem.rhs)
+
+
+def test_block_sweep_carries_half_rank():
+    # a dense velocity-by-velocity carry per node alone would take
+    # n_nodes * m^2 doubles; the half-rank carry takes about half of that
+    problem = assemble(make_system(800), Scheme.UPWIND1)
+    tracemalloc.start()
+    try:
+        fd._block_sweep(problem, problem.rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.65 * problem.n_nodes * problem.n_velocities ** 2 * 8
 
 
 def test_solve_bvp_sweeps_above_direct_limit(monkeypatch):
@@ -198,7 +241,7 @@ def test_central_falls_back_when_march_misses_gate(monkeypatch):
     system = make_system(20)
     problem = assemble(system, Scheme.CENTRAL)
     direct = spla.splu(problem.matrix.tocsc()).solve(problem.rhs)
-    swept = fd._block_sweep(problem, problem.rhs, 1)
+    swept = fd._block_sweep(problem, problem.rhs)
     march = fd._central_march
     sweep = fd._block_sweep
     sweeps = []
@@ -245,6 +288,16 @@ def test_large_central_solve_marches_without_global_solver(monkeypatch):
     assert system.grid.size * system.mesh.Nx > fd._DIRECT_LIMIT
     sol = solve_bvp(system, Scheme.CENTRAL)
     assert sol.residual <= 1e-12
+
+
+def test_central_march_names_a_singular_cell():
+    # a resting channel without coupling makes every cell matrix singular
+    system = make_system(10, coeffs=(0.0,))
+    v = system.grid.velocities.copy()
+    v[3] = 0.0
+    system = dataclasses.replace(system, grid=dataclasses.replace(system.grid, velocities=v))
+    with pytest.raises(SolverError, match="central march: cell 1 matrix is singular"):
+        fd._central_march(system)
 
 
 def test_free_streaming_is_exact_for_all_schemes():
