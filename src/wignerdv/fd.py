@@ -306,7 +306,21 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray) -> np.ndarray:
         where = f"mesh node {first}" if first == last else f"mesh nodes {first}-{last}"
         return SolverError(f"block elimination failed at {where}: {why}")
 
-    carries, partials, reads = [], [], []
+    # J_t up front: a column read by a row of an earlier block lies in the
+    # next block, so flagging every column read past its row's block end
+    # gives all J_t at once
+    row_end = np.repeat(edges[1:], np.diff(edges)).astype(indices.dtype)
+    read = np.zeros(edges[-1], dtype=bool)
+    read[indices[indices >= np.repeat(row_end, np.diff(indptr))]] = True
+    # the carries share one buffer of exactly their size, and the partial
+    # solutions p_t live in x until back substitution overwrites them, so
+    # the sweep's lasting memory is two large arrays, returned whole when
+    # it ends instead of thousands of small ones left in the heap
+    widths = np.add.reduceat(read, edges[1:-1])
+    offsets = np.concatenate([[0], np.cumsum(np.diff(edges[:-1]) * widths)])
+    carry_buffer = np.empty(offsets[-1])
+    carries, reads = [], []
+    x = np.empty(edges[-1])
     for t in range(n_blocks):
         a, b = edges[t], edges[t + 1]
         lo = edges[max(t - 1, 0)]
@@ -326,7 +340,7 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray) -> np.ndarray:
                 D[coupled, J] -= L @ carries[t - 1]
             else:
                 D[np.ix_(coupled, J)] -= L @ carries[t - 1]
-            r[coupled] -= L @ partials[t - 1]
+            r[coupled] -= L @ x[lo:a]
         if not np.isfinite(D).all():
             raise fail(t, "the block is not finite")
         lu, piv, info = getrf(D, overwrite_a=True)
@@ -334,16 +348,17 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray) -> np.ndarray:
             j, k = divmod(int(np.flatnonzero(problem.free)[a + info - 1]), problem.n_velocities)
             raise fail(t, f"the block is singular, zero pivot {info} of {b - a} "
                           f"(node {j}, velocity index {k})")
-        partials.append(getrs(lu, piv, r, overwrite_b=True)[0])
+        x[a:b] = getrs(lu, piv, r, overwrite_b=True)[0]
         if t + 1 < n_blocks:
-            J = _span(np.flatnonzero(np.bincount(cols[cols >= b - lo] - (b - lo))))
+            J = _span(np.flatnonzero(read[b:edges[t + 2]]))
             reads.append(J)
-            carries.append(getrs(lu, piv, block[:, b - lo:][:, J], overwrite_b=True)[0])
+            # Fortran-ordered view of this block's share of the buffer
+            carry = carry_buffer[offsets[t]:offsets[t + 1]].reshape(widths[t], b - a).T
+            carry[...] = getrs(lu, piv, block[:, b - lo:][:, J], overwrite_b=True)[0]
+            carries.append(carry)
 
-    x = np.empty(edges[-1])
-    x[edges[-2]:] = partials[-1]
     for t in range(n_blocks - 2, -1, -1):
-        x[edges[t]:edges[t + 1]] = partials[t] - carries[t] @ x[edges[t + 1]:edges[t + 2]][reads[t]]
+        x[edges[t]:edges[t + 1]] -= carries[t] @ x[edges[t + 1]:edges[t + 2]][reads[t]]
     return x
 
 
