@@ -12,8 +12,14 @@ step_fraction * delta.  The integral is evaluated with composite Simpson
 quadrature on a fixed panel count per subinterval.
 
 This gives a scheme-independent reference ("oracle"): propagator matrices
-over arbitrary subintervals and a shooting solver for the same inflow
-boundary value problem that the finite-difference schemes discretize.
+over arbitrary subintervals and a solver for the same inflow boundary
+value problem that the finite-difference schemes discretize.  A(x) is
+odd, so the propagator over one period is the identity (Arnold, Lange &
+Zweifel, J. Math. Phys. 41 (2000)) and the outgoing state at -l/2 is the
+right-end inflow.  The solver therefore needs no period matrix: it
+marches the inflow data of both ends from -l/2 across the mesh, one
+Picard iteration per run of cells no longer than the step, on the
+Simpson points of every cell.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fd import DiscreteSolution, SolverError
+from .fd import _NORM_FLOOR, DiscreteSolution
 from .kinetic import WignerSystem
 from .potential import _apply_sines, _sine_table, coupling_bound
 
@@ -104,58 +110,81 @@ def contraction_step(system: WignerSystem) -> float:
     return min(s, kappa - s) / C
 
 
-def _cumulative_simpson(g: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral along axis 0 of samples on a uniform grid.
+def _cumulative_simpson(g: np.ndarray, h) -> np.ndarray:
+    """Cumulative integral along axis 0 of samples on Simpson panels.
 
-    ``g`` has an odd number of points 2P + 1.  Even points get composite
+    ``g`` has an odd number of points 2P + 1 and ``h`` is the point
+    spacing, one value or one per panel.  Even points get composite
     Simpson sums of whole panels; odd points add the half-panel formula
     h/12 (5 g_{2q} + 8 g_{2q+1} - g_{2q+2}).  Works for negative h.
     """
-    npts = g.shape[0]
-    panels = (npts - 1) // 2
+    h = np.reshape(h, (-1,) + (1,) * (g.ndim - 1))
+    g0, g1, g2 = g[0:-2:2], g[1::2], g[2::2]
     out = np.empty_like(g)
-    whole = (h / 3.0) * (g[0:-2:2] + 4.0 * g[1::2] + g[2::2])
-    even = np.zeros((panels + 1,) + g.shape[1:])
-    np.cumsum(whole, axis=0, out=even[1:])
-    odd = even[:-1] + (h / 12.0) * (5.0 * g[0:-2:2] + 8.0 * g[1::2] - g[2::2])
-    out[::2] = even
-    out[1::2] = odd
+    even, odd = out[::2], out[1::2]
+    even[0] = 0.0
+    # in place: the odd slots first hold the whole-panel Simpson sums
+    np.multiply(g1, 4.0, out=odd)
+    odd += g0
+    odd += g2
+    odd *= h / 3.0
+    np.cumsum(odd, axis=0, out=even[1:])
+    np.multiply(g1, 8.0, out=odd)
+    odd -= g2
+    odd += 5.0 * g0
+    odd *= h / 12.0
+    odd += even[:-1]
     return out
+
+
+def _picard_run(
+    system: WignerSystem, F0: np.ndarray, ys: np.ndarray, h, options: PropagatorOptions
+) -> np.ndarray:
+    """Picard iteration for f(y) = F0 + integral_{ys[0]}^{y} T^{-1} A f on the points ys.
+
+    ``ys`` are the 2P + 1 points of P Simpson panels with spacing ``h``
+    (one value or one per panel); ``F0`` is f(ys[0]), a channel vector or
+    a matrix of channel columns.  Returns f at every point, shape
+    (len(ys),) + F0.shape.  The caller keeps the span of ys below the
+    contraction step times step_fraction (or the coupling vanishes).
+    """
+    coeffs = system.potential.coeffs
+    batch = (1,) * (F0.ndim - 1)
+    inv_v = (1.0 / system.grid.velocities).reshape((-1,) + batch)
+    # one sine per quadrature point, broadcast over channels and columns
+    sines = _sine_table(system.potential, ys).reshape((-1, ys.size, 1) + batch)
+    F = np.broadcast_to(F0, ys.shape + F0.shape).copy()
+    gap = math.inf
+    for _ in range(_MAX_PICARD_ITER):
+        F_new = _cumulative_simpson(_apply_sines(coeffs, sines, F, axis=1), h)
+        F_new *= inv_v
+        F_new += F0
+        # F now becomes the squared change; the gap is its largest channel norm
+        F -= F_new
+        F *= F
+        gap = math.sqrt(float(F.sum(axis=1).max()))
+        F = F_new
+        if gap <= options.picard_tol:
+            return F
+    raise PropagatorError(
+        f"Picard iteration stalled at gap {gap:.3e} (tol {options.picard_tol:.3e}) "
+        f"on [{ys[0]!r}, {ys[-1]!r}]",
+        gap=gap,
+    )
 
 
 def _propagate_contractive(
     system: WignerSystem, F0: np.ndarray, x1: float, x2: float, options: PropagatorOptions
 ) -> np.ndarray:
-    """One Picard subinterval: propagate the columns of F0 from x1 to x2.
-
-    The caller guarantees |x2 - x1| is below the contraction step times
-    step_fraction (or that the coupling vanishes).
-    """
-    coeffs = system.potential.coeffs
-    if x1 == x2 or len(coeffs) == 1:
-        return F0.copy()
-    v = system.grid.velocities
+    """One Picard subinterval: propagate the columns of F0 from x1 to x2."""
     npts = 2 * int(options.quad_panels) + 1
     ys = np.linspace(x1, x2, npts)
-    h = (x2 - x1) / (npts - 1)
-    # one sine per quadrature point, broadcast over (npts, m, ncols)
-    sines = _sine_table(system.potential, ys)[:, :, None, None]
-    F = np.broadcast_to(F0[None, :, :], (npts,) + F0.shape).copy()
-    inv_v = 1.0 / v
-    gap = math.inf
-    for _ in range(_MAX_PICARD_ITER):
-        G = _apply_sines(coeffs, sines, F, axis=1)
-        cum = _cumulative_simpson(G, h)
-        F_new = F0[None, :, :] + inv_v[None, :, None] * cum
-        gap = float(np.sqrt(((F_new - F) ** 2).sum(axis=1)).max())
-        F = F_new
-        if gap <= options.picard_tol:
-            return F[-1]
-    raise PropagatorError(
-        f"Picard iteration stalled at gap {gap:.3e} (tol {options.picard_tol:.3e}) "
-        f"on [{x1!r}, {x2!r}]",
-        gap=gap,
-    )
+    return _picard_run(system, F0, ys, (x2 - x1) / (npts - 1), options)[-1]
+
+
+def _cuts(x1: float, x2: float, step: float) -> np.ndarray:
+    """Ends of the fewest equal pieces of [x1, x2] no longer than step."""
+    return np.linspace(x1, x2, max(1, math.ceil(abs(x2 - x1) / step)) + 1)
 
 
 def _check_domain(system: WignerSystem, x: float, name: str):
@@ -168,19 +197,54 @@ def _propagate(
     system: WignerSystem, F0: np.ndarray, x1: float, x2: float, options: PropagatorOptions
 ) -> np.ndarray:
     """Split [x1, x2] into contractive subintervals and chain them."""
-    delta = contraction_step(system)
-    total = abs(x2 - x1)
-    if total == 0.0:
+    if x1 == x2:
         return F0.copy()
-    if math.isinf(delta):
-        n_sub = 1
-    else:
-        n_sub = max(1, int(math.ceil(total / (options.step_fraction * delta))))
-    xs = np.linspace(x1, x2, n_sub + 1)
+    xs = _cuts(x1, x2, options.step_fraction * contraction_step(system))
     F = F0
     for a, b in zip(xs[:-1], xs[1:]):
         F = _propagate_contractive(system, F, float(a), float(b), options)
     return F
+
+
+def _march(system: WignerSystem, f_start: np.ndarray, options: PropagatorOptions) -> np.ndarray:
+    """Field on the mesh marched from f_start at -l/2, shape (Nx + 1, m).
+
+    Every cell is cut into the pieces ``picard_propagate`` would cut it
+    into, each with quad_panels Simpson panels, so the quadrature and the
+    discrete fixed point are those of a per-cell chain.  Consecutive
+    pieces are grouped into runs no longer than the Picard step (whole
+    cells on a fine mesh, one piece of a cell on a coarse one) and each
+    run is one Picard iteration over all its points.
+
+    Raises:
+        PropagatorError: a run stalls; the message names its mesh nodes.
+    """
+    nodes = system.mesh.nodes
+    panels = int(options.quad_panels)
+    step = options.step_fraction * contraction_step(system)
+    # piece ends, and the position of every mesh node among them
+    pieces = [_cuts(float(a), float(b), step)[1:] for a, b in zip(nodes[:-1], nodes[1:])]
+    xs = np.concatenate([nodes[:1]] + pieces)
+    at_node = np.concatenate([[0], np.cumsum([p.size for p in pieces])])
+    field = np.empty((nodes.size, f_start.size))
+    field[0] = state = f_start
+    offsets = np.arange(2 * panels) / (2 * panels)
+    s = 0
+    while s < xs.size - 1:
+        # the run covers pieces s..e-1; nodes lo..hi-1 lie in (xs[s], xs[e]]
+        e = max(s + 1, int(np.searchsorted(xs, xs[s] + step, side="right")) - 1)
+        lo, hi = np.searchsorted(at_node, [s, e], side="right")
+        a, width = xs[s:e], np.diff(xs[s : e + 1])
+        ys = np.append((a[:, None] + width[:, None] * offsets).ravel(), xs[e])
+        try:
+            F = _picard_run(system, state, ys, np.repeat(width / (2 * panels), panels), options)
+        except PropagatorError as exc:
+            last = int(np.searchsorted(at_node, e))
+            raise PropagatorError(f"{exc}, between mesh nodes {lo - 1} and {last}", gap=exc.gap) from exc
+        field[lo:hi] = F[2 * panels * (at_node[lo:hi] - s)]
+        state = F[-1]
+        s = e
+    return field
 
 
 def picard_propagate(
@@ -237,61 +301,30 @@ def propagator_matrix(
 def solve_bvp_shooting(
     system: WignerSystem, options: PropagatorOptions | None = None
 ) -> DiscreteSolution:
-    """Solve the inflow boundary value problem by shooting.
+    """Solve the inflow boundary value problem by one march across the period.
 
-    The unknown outgoing part u = f_{v<0}(-l/2) is found from the
-    full-period propagator P by solving the dense system
-
-        P_{neg,neg} u = right_inflow - P_{neg,pos} left_inflow,
-
-    then the full state at -l/2 is marched node to node across the mesh
-    to fill a (velocity, node) array.  Pinned inflow entries are set from
-    the boundary data exactly.  The result carries scheme tag "oracle"
-    and the relative residual of the dense shooting solve.
+    A(x) is odd, so the propagator over one period is the identity and
+    the outgoing state at -l/2 equals the right-end inflow: the state
+    at -l/2 is the inflow data of both ends, ``boundary.values``.  The
+    march carries it across the whole period (no mirroring, so
+    ``symmetry_error`` stays a measurement), one Picard iteration per
+    run of mesh cells no longer than the Picard step.  The result carries
+    scheme tag "oracle" and, as its residual, the marched end gap
+    |f_{v<0}(+l/2) - right_inflow| / |inflow|: the period identity
+    measured on the solution.  The pinned inflow entries are then set
+    from the boundary data exactly.
 
     Raises:
-        SolverError: singular shooting matrix.
-        PropagatorError: Picard failure during propagation.
+        PropagatorError: a Picard run stalls; the message names its mesh nodes.
     """
     opts = options or PropagatorOptions()
-    grid = system.grid
-    mesh = system.mesh
-    m = grid.size
-    half = 0.5 * system.potential.period_l
-    v = grid.velocities
-    pos = v > 0
-    neg = v < 0
-
-    b_left = system.boundary.values[pos]
-    b_right = system.boundary.values[neg]
-
-    P = propagator_matrix(system, -half, half, opts).matrix
-    P_nn = P[np.ix_(neg, neg)]
-    P_np = P[np.ix_(neg, pos)]
-    rhs = b_right - P_np @ b_left
-    try:
-        u = np.linalg.solve(P_nn, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(
-            f"shooting system is singular ({exc}); the truncated problem has "
-            f"no unique outgoing state at this tolerance"
-        )
-    res = float(
-        np.linalg.norm(P_nn @ u - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    )
-
-    f_start = np.zeros(m)
-    f_start[pos] = b_left
-    f_start[neg] = u
-
-    values = np.zeros((m, mesh.Nx + 1))
-    values[:, 0] = f_start
-    state = f_start
-    for j in range(mesh.Nx):
-        state = picard_propagate(system, state, float(mesh.nodes[j]), float(mesh.nodes[j + 1]), opts)
-        values[:, j + 1] = state
+    b = system.boundary.values
+    v = system.grid.velocities
+    pos, neg = v > 0, v < 0
+    values = _march(system, b, opts).T.copy()
+    gap = np.linalg.norm(values[neg, -1] - b[neg]) / max(np.linalg.norm(b), _NORM_FLOOR)
     # pin the inflow entries to the boundary data bit-exactly
-    values[pos, 0] = b_left
-    values[neg, mesh.Nx] = b_right
+    values[pos, 0] = b[pos]
+    values[neg, -1] = b[neg]
     values.flags.writeable = False
-    return DiscreteSolution(values=values, system=system, scheme="oracle", residual=res)
+    return DiscreteSolution(values=values, system=system, scheme="oracle", residual=float(gap))

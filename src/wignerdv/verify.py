@@ -5,7 +5,8 @@ suite and reports one pass/fail line per check.  The checks are:
 
   coupling-bound        |A(x) f|_2 never exceeds 2 sum |a_n|.
   propagator-mirror     propagation from the center is even in the target:
-                        P_[0,x] equals P_[0,-x] (potential oddness).
+                        P_[0,x] equals P_[0,-x] (potential oddness), so
+                        the period propagator P_[-l/2,l/2] is the identity.
   propagator-inversion  P_[x2,x1] inverts P_[x1,x2].
   free-streaming        zero coupling transports inflow data unchanged,
                         for all difference schemes and the oracle.
@@ -72,18 +73,26 @@ def check_propagator_mirror(
     tol: float = 1e-8,
     options: PropagatorOptions | None = None,
 ) -> CheckResult:
-    """P_[0,x] matches P_[0,-x] at several x (fractions of the half period)."""
+    """P_[0,x] matches P_[0,-x] at several x, and P_[-l/2,l/2] is the identity.
+
+    The x are fractions of the half period; each side is one chained
+    propagation out from the center through them.
+    """
     half = 0.5 * system.potential.period_l
+    eye = np.eye(system.grid.size)
     worst = 0.0
-    for frac in fractions:
-        x = frac * half
-        Pp = propagator_matrix(system, 0.0, x, options).matrix
-        Pm = propagator_matrix(system, 0.0, -x, options).matrix
+    Pp = Pm = eye
+    x_prev = 0.0
+    for x in sorted(frac * half for frac in fractions):
+        Pp = propagator_matrix(system, x_prev, x, options).matrix @ Pp
+        Pm = propagator_matrix(system, -x_prev, -x, options).matrix @ Pm
         worst = max(worst, float(np.abs(Pp - Pm).max()))
+        x_prev = x
+    period = float(np.abs(propagator_matrix(system, -half, half, options).matrix - eye).max())
     return CheckResult(
         name="propagator-mirror",
-        passed=worst <= tol,
-        detail=f"max entry mismatch {worst:.3e} (tol {tol:.1e})",
+        passed=worst <= tol and period <= tol,
+        detail=f"max entry mismatch {worst:.3e}, max |P_period - I| = {period:.3e} (tol {tol:.1e})",
     )
 
 

@@ -17,6 +17,7 @@ from wignerdv import (
     new_potential,
     solve_bvp,
     solve_bvp_shooting,
+    tabulated_boundary,
 )
 
 BARRIER_COEFFS = (20.0, 20.0)
@@ -31,6 +32,25 @@ def make_system(Nx: int, coeffs=BARRIER_COEFFS, i0: int = 0):
     mesh = build_mesh(PERIOD, Nx)
     boundary = mono_energetic_boundary(grid, i0)
     return build_system(pot, grid, mesh, boundary)
+
+
+def random_system(rng, max_harmonics: int, max_M: int, off_half=(0.05, 0.95)):
+    """Random even potential, grid, even mesh (Nx 10-400) and two-sided inflow.
+
+    Up to ``max_harmonics`` coefficients are drawn up to the flagship
+    barrier's amplitude of 20, M from 6 to ``max_M``, and the shift is
+    kappa/2 or drawn from ``off_half`` (fractions of kappa).
+    """
+    coeffs = rng.uniform(-20.0, 20.0, int(rng.integers(2, max_harmonics + 2)))
+    pot = new_potential(1.0, coeffs)
+    s = pot.kappa * (0.5 if rng.random() < 0.5 else rng.uniform(*off_half))
+    grid = build_velocity_grid(pot.kappa, s, int(rng.integers(6, max_M + 1)), True)
+    mesh = build_mesh(1.0, 2 * int(rng.integers(5, 201)))
+    v = grid.velocities
+    inflow = [*rng.choice(grid.indices[v > 0], 2, replace=False),
+              *rng.choice(grid.indices[v < 0], 2, replace=False)]
+    table = {int(i): float(rng.uniform(0.1, 1.0)) for i in inflow}
+    return build_system(pot, grid, mesh, tabulated_boundary(grid, table))
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,6 @@ from wignerdv import (
     SolverError,
     apply_coupling,
     assemble,
-    build_mesh,
-    build_system,
-    build_velocity_grid,
     new_potential,
     residual_norm,
     solve_bvp,
@@ -24,7 +21,7 @@ from wignerdv import (
 from wignerdv import fd
 from wignerdv.potential import _sine_table
 
-from conftest import make_system
+from conftest import make_system, random_system
 
 
 def test_scheme_enum_round_trip():
@@ -201,28 +198,10 @@ def test_solve_bvp_sweeps_above_direct_limit(monkeypatch):
         assert np.abs(direct[scheme].values - swept.values).max() < 1e-11
 
 
-def _random_central_system(rng):
-    """Random even potential (1-4 harmonics), grid, even mesh and two-sided inflow.
-
-    Coefficients are drawn up to the flagship barrier's amplitude of 20;
-    the shift is kappa/2 or off-half.
-    """
-    coeffs = rng.uniform(-20.0, 20.0, int(rng.integers(2, 6)))
-    pot = new_potential(1.0, coeffs)
-    s = pot.kappa * (0.5 if rng.random() < 0.5 else rng.uniform(0.05, 0.95))
-    grid = build_velocity_grid(pot.kappa, s, int(rng.integers(6, 31)), True)
-    mesh = build_mesh(1.0, 2 * int(rng.integers(5, 201)))
-    v = grid.velocities
-    inflow = [*rng.choice(grid.indices[v > 0], 2, replace=False),
-              *rng.choice(grid.indices[v < 0], 2, replace=False)]
-    table = {int(i): float(rng.uniform(0.1, 1.0)) for i in inflow}
-    return build_system(pot, grid, mesh, tabulated_boundary(grid, table))
-
-
 def test_central_march_period_map_is_identity_over_random_inputs():
     rng = np.random.default_rng(3101)
     for _ in range(12):
-        system = _random_central_system(rng)
+        system = random_system(rng, max_harmonics=4, max_M=30)
         problem = assemble(system, Scheme.CENTRAL)
         field = fd._central_march(system)
         x = field.ravel()[problem.free]

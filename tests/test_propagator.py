@@ -1,6 +1,8 @@
 """Picard propagation, propagator matrices and the shooting solver."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +15,11 @@ from wignerdv import (
     propagator_matrix,
     solve_bvp_shooting,
     symmetry_error,
+    tabulated_boundary,
 )
+from wignerdv import propagator, verify
 
-from conftest import make_system
+from conftest import make_system, random_system
 
 
 def test_options_validation():
@@ -149,3 +153,84 @@ def test_shooting_pins_boundary_bit_exactly():
     v = system.grid.velocities
     assert np.all(sol.values[v > 0, 0] == system.boundary.values[v > 0])
     assert np.all(sol.values[v < 0, -1] == system.boundary.values[v < 0])
+
+
+def test_period_identity_over_random_inputs():
+    rng = np.random.default_rng(5101)
+    for _ in range(8):
+        system = random_system(rng, max_harmonics=3, max_M=20, off_half=(0.2, 0.8))
+        m = system.grid.size
+        P = propagator_matrix(system, -0.5, 0.5).matrix
+        assert np.abs(P - np.eye(m)).max() <= 1e-12
+        sol = solve_bvp_shooting(system)
+        # the residual is the marched end gap: the period identity on the solution
+        assert sol.residual <= 1e-12
+        assert symmetry_error(sol) <= 1e-10
+        # same fixed point as a per-cell chain of picard_propagate
+        nodes = system.mesh.nodes
+        state = system.boundary.values
+        chain = [state]
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            state = picard_propagate(system, state, a, b)
+            chain.append(state)
+        chain = np.array(chain).T
+        assert np.abs(sol.values - chain).max() <= 1e-11 * np.abs(chain).max()
+
+
+@pytest.mark.parametrize("Nx, nodes", [(1600, "0 and 31"), (10, "0 and 1")])
+def test_picard_stall_in_the_march_names_its_mesh_nodes(monkeypatch, Nx, nodes):
+    # at Nx=1600 the first run holds 31 whole cells; at Nx=10 it is the
+    # first of the six pieces the step cuts cell 0 into
+    monkeypatch.setattr(propagator, "_MAX_PICARD_ITER", 1)
+    with pytest.raises(PropagatorError, match=f"between mesh nodes {nodes}") as info:
+        solve_bvp_shooting(make_system(Nx))
+    assert info.value.gap > PropagatorOptions().picard_tol
+
+
+def test_oracle_needs_no_period_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle built a period propagator")
+
+    monkeypatch.setattr(propagator, "propagator_matrix", refuse)
+    sol = solve_bvp_shooting(make_system(1600))
+    assert sol.residual <= 1e-12
+    assert symmetry_error(sol) <= 1e-10
+
+
+def test_oracle_residual_sees_a_wrong_start_state(monkeypatch):
+    # unit inflow in the slowest channel at each end
+    system = make_system(100)
+    grid = system.grid
+    neg = grid.velocities < 0
+    slowest = {int(grid.indices[~neg][0]): 1.0, int(grid.indices[neg][-1]): 1.0}
+    system = dataclasses.replace(system, boundary=tabulated_boundary(grid, slowest))
+    assert solve_bvp_shooting(system).residual <= 1e-12
+    march = propagator._march
+
+    def no_outgoing(system, f_start, options):
+        return march(system, np.where(neg, 0.0, f_start), options)
+
+    monkeypatch.setattr(propagator, "_march", no_outgoing)
+    assert solve_bvp_shooting(system).residual > 0.1
+
+
+def test_mirror_check_measures_the_period_propagator(monkeypatch):
+    system = make_system(4)
+    result = verify.check_propagator_mirror(system)
+    assert result.passed, result.detail
+    period = float(re.search(r"max \|P_period - I\| = (\S+)", result.detail).group(1))
+    assert period <= 1e-12
+    # a period map off the identity fails the check although the mirror holds
+    exact = verify.propagator_matrix
+
+    def skewed(system, x1, x2, options=None):
+        P = exact(system, x1, x2, options)
+        if (x1, x2) == (-0.5, 0.5):
+            return dataclasses.replace(P, matrix=P.matrix + 1e-6)
+        return P
+
+    monkeypatch.setattr(verify, "propagator_matrix", skewed)
+    result = verify.check_propagator_mirror(system)
+    assert not result.passed
+    assert "max entry mismatch 0.000e+00" in result.detail
+    assert "max |P_period - I| = 1.000e-06" in result.detail
