@@ -17,12 +17,13 @@ symmetric, so its discrete map over one period is the identity and the
 boundary value problem is one forward march of banded solves from the
 inflow data of both ends (``_central_march``), O(Nx m nmax) work.  The
 march is gated on the residual of the assembled system.  The one-sided
-schemes, and a central march that misses the gate, go through a sparse
-LU factorization up to 600k unknowns and through a block tridiagonal
-sweep above that, whose blocks are cut from the assembled matrix at
-mesh-node boundaries, so memory grows with one half-rank carry per node
-(velocities by the next node's v < 0 unknowns) instead of the LU fill.
-Both share one step of iterative refinement and the residual gate.
+schemes, and a central march that misses the gate, go through one global
+solver at every size: a block tridiagonal sweep whose blocks are cut from
+the assembled matrix at mesh-node boundaries, so memory grows with one
+half-rank carry per node (velocities by the next node's v < 0 unknowns)
+instead of a sparse LU fill.  One step of iterative refinement follows
+if the sweep misses the gate, and the better of the two iterates is
+kept.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 from .kinetic import WignerSystem
@@ -47,9 +47,6 @@ __all__ = [
     "residual_norm",
     "solve_bvp",
 ]
-
-# Above this many unknowns the sparse LU fill outgrows the block sweep.
-_DIRECT_LIMIT = 600_000
 
 # Guard against division by a zero right-hand-side norm.
 _NORM_FLOOR = 1e-300
@@ -409,27 +406,21 @@ def _central_march(system: WignerSystem) -> np.ndarray:
 
 
 def _global_solve(problem: LinearProblem, rel_tol: float):
-    """Solve the assembled system by SuperLU or the block sweep.
+    """Solve the assembled system by the block sweep.
 
-    SuperLU up to ``_DIRECT_LIMIT`` unknowns, the sweep above.  One step
-    of iterative refinement follows if the first solve misses rel_tol.
-    Returns the reduced solution and its relative residual.
+    If the sweep misses rel_tol, one step of iterative refinement against
+    the assembled matrix follows.  The step is not monotone on an
+    ill-conditioned system, so whichever of the two iterates has the lower
+    residual is kept.  Returns the reduced solution and its relative
+    residual.
     """
-    if problem.matrix.shape[0] <= _DIRECT_LIMIT:
-        try:
-            solve = spla.splu(problem.matrix.tocsc()).solve
-        except RuntimeError as exc:
-            raise SolverError(f"sparse LU factorization failed: {exc}")
-    else:
-        def solve(rhs):
-            return _block_sweep(problem, rhs)
-
-    x = solve(problem.rhs)
+    x = _block_sweep(problem, problem.rhs)
     res = residual_norm(problem, x)
     if res > rel_tol:
-        # one step of iterative refinement against the assembled system
-        x = x + solve(problem.rhs - problem.matrix @ x)
-        res = residual_norm(problem, x)
+        refined = x + _block_sweep(problem, problem.rhs - problem.matrix @ x)
+        refined_res = residual_norm(problem, refined)
+        if refined_res < res:
+            x, res = refined, refined_res
     return x, res
 
 
@@ -439,10 +430,10 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     ``central`` is solved by one forward march over the period (see
     ``_central_march``), gated on the residual of the assembled system.
     The one-sided schemes, and a central march that misses rel_tol, go
-    through a sparse LU factorization up to 600k unknowns and through a
-    block elimination sweep over mesh nodes above that, which needs no
-    global fill.  If that solve misses rel_tol, one step of iterative
-    refinement against the assembled matrix follows.
+    through a block elimination sweep over mesh nodes at every size,
+    which needs no global fill.  If the sweep misses rel_tol, one step of
+    iterative refinement against the assembled matrix follows and the
+    iterate with the lower residual is kept (see ``_global_solve``).
 
     Args:
         system: the transport problem.
@@ -455,8 +446,10 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
 
     Raises:
         ValueError: bad rel_tol or scheme.
-        SolverError: singular system or residual above rel_tol; for
-            ``central`` the message also gives the march residual.
+        SolverError: singular system or residual above rel_tol.  A missed
+            gate's message gives the growth factor max|f| / max|b| of the
+            rejected field, which sets an ill-conditioned truncation apart
+            from a bug, and for ``central`` also the march residual.
     """
     if not (0.0 < rel_tol <= 1e-6):
         raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
@@ -487,9 +480,12 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     if x is None:
         x, res = _global_solve(problem, rel_tol)
         if not np.isfinite(res) or res > rel_tol:
+            b_max = np.abs(system.boundary.values).max()
+            growth = max(np.abs(x).max(), b_max) / b_max
             raise SolverError(
                 f"solver residual {res:.3e} exceeds rel_tol {rel_tol:.3e} "
-                f"for scheme {scheme.value} at Nx={Nx}{march_note}",
+                f"for scheme {scheme.value} at Nx={Nx}, growth factor "
+                f"max|f| / max|b| = {growth:.3e}{march_note}",
                 residual=res,
             )
 

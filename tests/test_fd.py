@@ -1,6 +1,7 @@
 """Assembly, residuals, solver dispatch and scheme behavior."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -136,15 +137,21 @@ def test_solution_metadata():
 
 
 def test_block_path_matches_direct_path():
+    # the sweep is the only global solver, so it is checked against SuperLU
+    # from the smallest meshes (Nx + 1 nodes leave upwind2 an odd trailing
+    # block) up, and on seeded random systems
     rng = np.random.default_rng(23)
-    for scheme in Scheme:
-        problem = assemble(make_system(60), scheme)
-        lu = spla.splu(problem.matrix.tocsc())
-        # the assembled right-hand side, then a generic one as refinement sees
-        for rhs in (problem.rhs, rng.standard_normal(problem.rhs.size)):
-            direct = lu.solve(rhs)
-            swept = fd._block_sweep(problem, rhs)
-            assert np.abs(direct - swept).max() < 1e-11 * np.abs(direct).max()
+    systems = [make_system(Nx) for Nx in (2, 4, 6, 60)]
+    systems += [random_system(rng, max_harmonics=4, max_M=30) for _ in range(6)]
+    for system in systems:
+        for scheme in Scheme:
+            problem = assemble(system, scheme)
+            lu = spla.splu(problem.matrix.tocsc())
+            # the assembled right-hand side, then a generic one as refinement sees
+            for rhs in (problem.rhs, rng.standard_normal(problem.rhs.size)):
+                direct = lu.solve(rhs)
+                swept = fd._block_sweep(problem, rhs)
+                assert np.abs(direct - swept).max() < 1e-11 * np.abs(direct).max()
 
 
 def _zero_node_block(problem, node, value=0.0):
@@ -189,13 +196,47 @@ def test_block_sweep_carries_half_rank():
 
 
 def test_solve_bvp_sweeps_above_direct_limit(monkeypatch):
+    # SuperLU is a test-side reference only: solve_bvp never calls it
     system = make_system(20)
-    direct = {scheme: solve_bvp(system, scheme) for scheme in Scheme}
-    monkeypatch.setattr(fd, "_DIRECT_LIMIT", 0)
+    direct = {}
     for scheme in Scheme:
-        swept = solve_bvp(system, scheme)
-        assert swept.residual <= 1e-12
-        assert np.abs(direct[scheme].values - swept.values).max() < 1e-11
+        problem = assemble(system, scheme)
+        direct[scheme] = spla.splu(problem.matrix.tocsc()).solve(problem.rhs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_bvp called SuperLU")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    for scheme in Scheme:
+        sol = solve_bvp(system, scheme)
+        assert sol.residual <= 1e-12
+        x = sol.values.T.ravel()[assemble(system, scheme).free]
+        assert np.abs(x - direct[scheme]).max() < 1e-11
+
+
+def test_refinement_keeps_the_better_iterate(monkeypatch):
+    problem = assemble(make_system(20), Scheme.UPWIND1)
+    sweep = fd._block_sweep
+    first = sweep(problem, problem.rhs) + 1e-9
+    first_res = residual_norm(problem, first)
+    assert first_res > 1e-12
+    # a correction ten times too long makes the residual worse and is
+    # dropped; the true correction makes it better and is kept
+    for scale, kept in ((10.0, False), (1.0, True)):
+        calls = []
+
+        def off_first(problem, rhs):
+            calls.append(rhs)
+            return first.copy() if len(calls) == 1 else scale * sweep(problem, rhs)
+
+        monkeypatch.setattr(fd, "_block_sweep", off_first)
+        x, res = fd._global_solve(problem, 1e-12)
+        assert len(calls) == 2
+        assert res == residual_norm(problem, x)
+        if kept:
+            assert res < 1e-12
+        else:
+            assert np.array_equal(x, first) and res == first_res
 
 
 def test_central_march_period_map_is_identity_over_random_inputs():
@@ -231,19 +272,13 @@ def test_central_falls_back_when_march_misses_gate(monkeypatch):
 
     monkeypatch.setattr(fd, "_central_march", lambda s: march(s) + 1e-6)
     monkeypatch.setattr(fd, "_block_sweep", counted_sweep)
-
-    def reduced(sol):
-        assert sol.residual <= 1e-12
-        return sol.values.T.ravel()[problem.free]
-
-    # SuperLU below the cutoff, the block sweep above it
-    x = reduced(solve_bvp(system, Scheme.CENTRAL))
-    assert not sweeps
-    assert np.abs(x - direct).max() <= 1e-13 * np.abs(direct).max()
-    monkeypatch.setattr(fd, "_DIRECT_LIMIT", 0)
-    x = reduced(solve_bvp(system, Scheme.CENTRAL))
+    sol = solve_bvp(system, Scheme.CENTRAL)
+    assert sol.residual <= 1e-12
+    # exactly one sweep: the fallback passes the gate without refinement
     assert len(sweeps) == 1
+    x = sol.values.T.ravel()[problem.free]
     assert np.abs(x - swept).max() <= 1e-13 * np.abs(swept).max()
+    assert np.abs(x - direct).max() <= 1e-11 * np.abs(direct).max()
 
 
 def test_central_gate_failure_names_march_and_global_residuals():
@@ -254,19 +289,37 @@ def test_central_gate_failure_names_march_and_global_residuals():
     assert "central march residual" in message
     assert "solver residual" in message
     assert info.value.residual > 1e-12
+    # the growth factor reads as conditioning, not as a bug
+    growth = float(re.search(r"growth factor max\|f\| / max\|b\| = ([^;\s]+)", message)[1])
+    assert growth > 1e5
 
 
 def test_large_central_solve_marches_without_global_solver(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("central fell back to a global solve")
 
+    monkeypatch.setattr(fd, "_global_solve", refuse)
     monkeypatch.setattr(fd, "_block_sweep", refuse)
-    monkeypatch.setattr(fd.spla, "splu", refuse)
-    system = make_system(12800)
-    # m * Nx unknowns: above the cutoff, where the fallback would sweep
-    assert system.grid.size * system.mesh.Nx > fd._DIRECT_LIMIT
-    sol = solve_bvp(system, Scheme.CENTRAL)
+    sol = solve_bvp(make_system(12800), Scheme.CENTRAL)
     assert sol.residual <= 1e-12
+
+
+def test_global_solve_of_central_reflects_nothing_over_random_inputs():
+    # unlike the march, the global solve does not start from the inflow
+    # data, so f_{v<0}(-l/2) = b_right (the period map is the identity)
+    # is a property of its solution, not of its start
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        system = random_system(rng, max_harmonics=4, max_M=30)
+        problem = assemble(system, Scheme.CENTRAL)
+        x, res = fd._global_solve(problem, 1e-12)
+        assert res <= 1e-12
+        field = np.zeros(problem.free.size)
+        field[problem.free] = x
+        field = field.reshape(problem.n_nodes, problem.n_velocities)
+        b = system.boundary.values
+        neg = system.grid.velocities < 0
+        assert np.abs(field[0, neg] - b[neg]).max() <= 1e-11 * np.abs(b).max()
 
 
 def test_central_march_names_a_singular_cell():
