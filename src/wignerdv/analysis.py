@@ -22,6 +22,9 @@ from .fd import DiscreteSolution, Scheme, SolverError, solve_bvp
 from .kinetic import WignerSystem, build_mesh
 from .propagator import PropagatorError, solve_bvp_shooting
 
+# Scheme tags: the finite-difference stencils, then the Picard oracle.
+_SCHEMES = (*(s.value for s in Scheme), "oracle")
+
 __all__ = [
     "density",
     "current",
@@ -80,6 +83,13 @@ def scheme_difference(a: DiscreteSolution, b: DiscreteSolution) -> float:
     return float(0.5 * dv * coarse.system.mesh.dx * diff)
 
 
+def _solve(system: WignerSystem, scheme: str, rel_tol: float) -> DiscreteSolution:
+    """Solve with the solver a scheme tag names; "oracle" is the Picard march."""
+    if scheme == "oracle":
+        return solve_bvp_shooting(system)
+    return solve_bvp(system, scheme, rel_tol=rel_tol)
+
+
 @dataclass(frozen=True)
 class StudyRow:
     """One (scheme, mesh) record of a refinement study.
@@ -128,10 +138,7 @@ def convergence_study(system: WignerSystem, scheme, Nx_list, rel_tol: float = 1e
         sys_n = replace(system, mesh=mesh)
         t0 = time.perf_counter()
         try:
-            if scheme_tag == "oracle":
-                sol = solve_bvp_shooting(sys_n)
-            else:
-                sol = solve_bvp(sys_n, scheme_tag, rel_tol=rel_tol)
+            sol = _solve(sys_n, scheme_tag, rel_tol)
             runtime = time.perf_counter() - t0
             rows.append(
                 StudyRow(

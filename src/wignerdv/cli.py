@@ -27,15 +27,17 @@ import sys
 import time
 
 from .analysis import (
+    _SCHEMES,
     StudyReport,
     StudyRow,
+    _solve,
     convergence_study,
     current,
     density,
     symmetry_error,
     write_csv,
 )
-from .fd import Scheme, SolverError, solve_bvp
+from .fd import SolverError
 from .kinetic import (
     build_mesh,
     build_system,
@@ -44,12 +46,11 @@ from .kinetic import (
     tabulated_boundary,
 )
 from .potential import new_potential
-from .propagator import PropagatorError, solve_bvp_shooting
+from .propagator import PropagatorError
 from .verify import run_all_checks
 
 __all__ = ["ConfigError", "parse_config", "main"]
 
-_SCHEME_TOKENS = ("upwind1", "upwind2", "central", "oracle")
 _EMIT_TOKENS = ("solution", "density", "current", "report")
 
 _REQUIRED_KEYS = ("period_l", "coeffs", "Nx", "boundary")
@@ -185,9 +186,9 @@ def parse_config(path: str) -> dict:
         _parse_bool("symmetric", raw["symmetric"]) if "symmetric" in raw else _DEFAULTS["symmetric"]
     )
     cfg["scheme"] = raw.get("scheme", _DEFAULTS["scheme"]).strip()
-    if cfg["scheme"] not in _SCHEME_TOKENS:
+    if cfg["scheme"] not in _SCHEMES:
         raise ConfigError(
-            f"config key 'scheme': expected one of {', '.join(_SCHEME_TOKENS)}, got {cfg['scheme']!r}"
+            f"config key 'scheme': expected one of {', '.join(_SCHEMES)}, got {cfg['scheme']!r}"
         )
     if "rel_tol" in raw:
         cfg["rel_tol"] = _checked_rel_tol("config key 'rel_tol'", _parse_float("rel_tol", raw["rel_tol"]))
@@ -245,17 +246,11 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _solve_for(system, scheme: str, rel_tol: float):
-    if scheme == "oracle":
-        return solve_bvp_shooting(system)
-    return solve_bvp(system, Scheme(scheme), rel_tol=rel_tol)
-
-
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     system = _system_from_config(cfg)
     t0 = time.perf_counter()
-    sol = _solve_for(system, cfg["scheme"], cfg["rel_tol"])
+    sol = _solve(system, cfg["scheme"], cfg["rel_tol"])
     runtime = time.perf_counter() - t0
     e_sym = symmetry_error(sol)
     print(
@@ -305,9 +300,9 @@ def cmd_study(args) -> int:
     if not schemes:
         raise ConfigError("--schemes: list must not be empty")
     for s in schemes:
-        if s not in _SCHEME_TOKENS:
+        if s not in _SCHEMES:
             raise ConfigError(
-                f"--schemes: expected tokens from {', '.join(_SCHEME_TOKENS)}, got {s!r}"
+                f"--schemes: expected tokens from {', '.join(_SCHEMES)}, got {s!r}"
             )
     system = _system_from_config(cfg)
     rows = []
@@ -350,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("config", help="path to a key = value config file")
     p_solve.add_argument("--out", help="output directory (overrides config out_dir)")
     p_solve.add_argument("--tol", type=float, help="residual tolerance (overrides config rel_tol)")
-    p_solve.add_argument("--scheme", choices=_SCHEME_TOKENS, help="override the config scheme")
+    p_solve.add_argument("--scheme", choices=_SCHEMES, help="override the config scheme")
     p_solve.set_defaults(func=cmd_solve)
 
     p_study = sub.add_parser("study", help="mesh-refinement study across schemes")

@@ -11,7 +11,7 @@ sparse linear system.  Three stencils are provided:
            with the average of the coupling term at the two cell ends,
            which is second-order accurate and mirror-consistent.
 
-Each stencil is written once, in ``assemble``.  The central scheme is
+Each stencil is written once, in ``_stencil``.  The central scheme is
 solved without a global factorization: A(x) is odd and the mesh mirror
 symmetric, so its discrete map over one period is the identity and the
 boundary value problem is one forward march of banded solves from the
@@ -93,7 +93,9 @@ class DiscreteSolution:
         values: array of shape (grid.size, Nx + 1).
         system: the system that was solved.
         scheme: stencil tag, one of the Scheme values or "oracle".
-        residual: relative residual of the linear system that produced it.
+        residual: for a finite-difference scheme, the relative residual of
+            the assembled linear system; for the oracle, the marched end gap
+            |f_{v<0}(+l/2) - right inflow| / |inflow|.
     """
 
     values: np.ndarray
@@ -456,12 +458,6 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     scheme = Scheme(scheme)
     m = system.grid.size
     Nx = system.mesh.Nx
-
-    if not np.any(system.boundary.values):
-        # zero inflow forces the zero solution; skip the solve entirely
-        values = np.zeros((m, Nx + 1))
-        values.flags.writeable = False
-        return DiscreteSolution(values=values, system=system, scheme=scheme.value, residual=0.0)
 
     problem = assemble(system, scheme)
     march_note = ""

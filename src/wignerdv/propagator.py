@@ -17,9 +17,14 @@ value problem that the finite-difference schemes discretize.  A(x) is
 odd, so the propagator over one period is the identity (Arnold, Lange &
 Zweifel, J. Math. Phys. 41 (2000)) and the outgoing state at -l/2 is the
 right-end inflow.  The solver therefore needs no period matrix: it
-marches the inflow data of both ends from -l/2 across the mesh, one
-Picard iteration per run of cells no longer than the step, on the
-Simpson points of every cell.
+marches the inflow data of both ends from -l/2 across the mesh.
+
+One driver, ``_march``, does every propagation: it carries a channel
+vector or a matrix of columns through monotone points in either
+direction, one Picard iteration per run of intervals no longer than the
+step, on the Simpson points of every interval.  The solver passes the
+mesh nodes, ``picard_propagate`` and ``propagator_matrix`` pass their
+two endpoints.
 """
 
 from __future__ import annotations
@@ -173,15 +178,6 @@ def _picard_run(
     )
 
 
-def _propagate_contractive(
-    system: WignerSystem, F0: np.ndarray, x1: float, x2: float, options: PropagatorOptions
-) -> np.ndarray:
-    """One Picard subinterval: propagate the columns of F0 from x1 to x2."""
-    npts = 2 * int(options.quad_panels) + 1
-    ys = np.linspace(x1, x2, npts)
-    return _picard_run(system, F0, ys, (x2 - x1) / (npts - 1), options)[-1]
-
-
 def _cuts(x1: float, x2: float, step: float) -> np.ndarray:
     """Ends of the fewest equal pieces of [x1, x2] no longer than step."""
     return np.linspace(x1, x2, max(1, math.ceil(abs(x2 - x1) / step)) + 1)
@@ -193,55 +189,50 @@ def _check_domain(system: WignerSystem, x: float, name: str):
         raise ValueError(f"{name}={x!r} lies outside the period [{-half}, {half}]")
 
 
-def _propagate(
-    system: WignerSystem, F0: np.ndarray, x1: float, x2: float, options: PropagatorOptions
+def _march(
+    system: WignerSystem, F0: np.ndarray, points, options: PropagatorOptions
 ) -> np.ndarray:
-    """Split [x1, x2] into contractive subintervals and chain them."""
-    if x1 == x2:
-        return F0.copy()
-    xs = _cuts(x1, x2, options.step_fraction * contraction_step(system))
-    F = F0
-    for a, b in zip(xs[:-1], xs[1:]):
-        F = _propagate_contractive(system, F, float(a), float(b), options)
-    return F
+    """F marched from F0 at points[0] through monotone points, shape (len(points),) + F0.shape.
 
-
-def _march(system: WignerSystem, f_start: np.ndarray, options: PropagatorOptions) -> np.ndarray:
-    """Field on the mesh marched from f_start at -l/2, shape (Nx + 1, m).
-
-    Every cell is cut into the pieces ``picard_propagate`` would cut it
-    into, each with quad_panels Simpson panels, so the quadrature and the
-    discrete fixed point are those of a per-cell chain.  Consecutive
-    pieces are grouped into runs no longer than the Picard step (whole
-    cells on a fine mesh, one piece of a cell on a coarse one) and each
-    run is one Picard iteration over all its points.
+    ``points`` ascend or descend; ``F0`` is a channel vector or a matrix
+    of channel columns.  Every interval between consecutive points is cut
+    into the fewest equal pieces no longer than the Picard step, each with
+    quad_panels Simpson panels, so the quadrature and the discrete fixed
+    point are those of a per-interval chain.  Consecutive pieces are
+    grouped into runs no longer than the step (whole mesh cells on a fine
+    mesh, one piece of a long interval otherwise) and each run is one
+    Picard iteration over all its points.  A zero-length interval returns
+    its start state exactly.
 
     Raises:
-        PropagatorError: a run stalls; the message names its mesh nodes.
+        PropagatorError: a run stalls; the message names the indices in
+            ``points`` around it as mesh nodes.
     """
-    nodes = system.mesh.nodes
+    points = np.asarray(points, dtype=float)
     panels = int(options.quad_panels)
     step = options.step_fraction * contraction_step(system)
-    # piece ends, and the position of every mesh node among them
-    pieces = [_cuts(float(a), float(b), step)[1:] for a, b in zip(nodes[:-1], nodes[1:])]
-    xs = np.concatenate([nodes[:1]] + pieces)
-    at_node = np.concatenate([[0], np.cumsum([p.size for p in pieces])])
-    field = np.empty((nodes.size, f_start.size))
-    field[0] = state = f_start
+    # piece ends, and the position of every point among them
+    pieces = [_cuts(float(a), float(b), step)[1:] for a, b in zip(points[:-1], points[1:])]
+    xs = np.concatenate([points[:1]] + pieces)
+    at_point = np.concatenate([[0], np.cumsum([p.size for p in pieces])])
+    # direction-signed keys ascend either way
+    keys = (np.sign(xs[-1] - xs[0]) or 1.0) * xs
+    field = np.empty((points.size,) + F0.shape)
+    field[0] = state = F0
     offsets = np.arange(2 * panels) / (2 * panels)
     s = 0
     while s < xs.size - 1:
-        # the run covers pieces s..e-1; nodes lo..hi-1 lie in (xs[s], xs[e]]
-        e = max(s + 1, int(np.searchsorted(xs, xs[s] + step, side="right")) - 1)
-        lo, hi = np.searchsorted(at_node, [s, e], side="right")
+        # the run covers pieces s..e-1; points lo..hi-1 lie in (xs[s], xs[e]]
+        e = max(s + 1, int(np.searchsorted(keys, keys[s] + step, side="right")) - 1)
+        lo, hi = np.searchsorted(at_point, [s, e], side="right")
         a, width = xs[s:e], np.diff(xs[s : e + 1])
         ys = np.append((a[:, None] + width[:, None] * offsets).ravel(), xs[e])
         try:
             F = _picard_run(system, state, ys, np.repeat(width / (2 * panels), panels), options)
         except PropagatorError as exc:
-            last = int(np.searchsorted(at_node, e))
+            last = int(np.searchsorted(at_point, e))
             raise PropagatorError(f"{exc}, between mesh nodes {lo - 1} and {last}", gap=exc.gap) from exc
-        field[lo:hi] = F[2 * panels * (at_node[lo:hi] - s)]
+        field[lo:hi] = F[2 * panels * (at_point[lo:hi] - s)]
         state = F[-1]
         s = e
     return field
@@ -275,8 +266,7 @@ def picard_propagate(
         raise ValueError(f"f_start shape {fa.shape} does not match grid size {system.grid.size}")
     _check_domain(system, float(x1), "x1")
     _check_domain(system, float(x2), "x2")
-    out = _propagate(system, fa[:, None], float(x1), float(x2), opts)
-    return out[:, 0]
+    return _march(system, fa, [x1, x2], opts)[-1]
 
 
 def propagator_matrix(
@@ -293,8 +283,7 @@ def propagator_matrix(
     opts = options or PropagatorOptions()
     _check_domain(system, float(x1), "x1")
     _check_domain(system, float(x2), "x2")
-    m = system.grid.size
-    P = _propagate(system, np.eye(m), float(x1), float(x2), opts)
+    P = _march(system, np.eye(system.grid.size), [x1, x2], opts)[-1]
     return PropagatorMatrix(matrix=P, x1=float(x1), x2=float(x2))
 
 
@@ -321,7 +310,7 @@ def solve_bvp_shooting(
     b = system.boundary.values
     v = system.grid.velocities
     pos, neg = v > 0, v < 0
-    values = _march(system, b, opts).T.copy()
+    values = _march(system, b, system.mesh.nodes, opts).T.copy()
     gap = np.linalg.norm(values[neg, -1] - b[neg]) / max(np.linalg.norm(b), _NORM_FLOOR)
     # pin the inflow entries to the boundary data bit-exactly
     values[pos, 0] = b[pos]

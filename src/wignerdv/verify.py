@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import current
+from .analysis import _SCHEMES, _solve, current
 from .fd import Scheme, solve_bvp
-from .kinetic import WignerSystem, build_system, mono_energetic_boundary, tabulated_boundary
+from .kinetic import WignerSystem, build_mesh, build_system, mono_energetic_boundary, tabulated_boundary
 from .potential import apply_coupling, coupling_bound, new_potential
-from .propagator import PropagatorOptions, propagator_matrix, solve_bvp_shooting
+from .propagator import PropagatorOptions, _march, propagator_matrix
 
 __all__ = [
     "CheckResult",
@@ -36,6 +36,19 @@ __all__ = [
     "check_current_conservation",
     "run_all_checks",
 ]
+
+# Points of the mirror check, as fractions of the half period.
+_MIRROR_FRACTIONS = (0.1, 0.3, 0.5, 0.9)
+# Tolerance on propagator matrix entries (mirror, period, inversion).
+_PROPAGATOR_TOL = 1e-8
+# Random intervals of the inversion check, each at most this long.
+_INVERSION_INTERVALS = 3
+_INVERSION_MAX_LENGTH = 0.5
+# Largest free-streaming deviation from the inflow data.
+_FREE_STREAMING_TOL = 1e-12
+# Mesh refinement factor for upwind2, and the bound on central's deviation.
+_REFINE = 4
+_CENTRAL_CURRENT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,59 +80,48 @@ def check_coupling_bound(
     )
 
 
-def check_propagator_mirror(
-    system: WignerSystem,
-    fractions=(0.1, 0.3, 0.5, 0.9),
-    tol: float = 1e-8,
-    options: PropagatorOptions | None = None,
-) -> CheckResult:
+def check_propagator_mirror(system: WignerSystem) -> CheckResult:
     """P_[0,x] matches P_[0,-x] at several x, and P_[-l/2,l/2] is the identity.
 
-    The x are fractions of the half period; each side is one chained
-    propagation out from the center through them.
+    The x are fractions of the half period; each side is one march of the
+    identity out from the center through them.
     """
     half = 0.5 * system.potential.period_l
     eye = np.eye(system.grid.size)
-    worst = 0.0
-    Pp = Pm = eye
-    x_prev = 0.0
-    for x in sorted(frac * half for frac in fractions):
-        Pp = propagator_matrix(system, x_prev, x, options).matrix @ Pp
-        Pm = propagator_matrix(system, -x_prev, -x, options).matrix @ Pm
-        worst = max(worst, float(np.abs(Pp - Pm).max()))
-        x_prev = x
-    period = float(np.abs(propagator_matrix(system, -half, half, options).matrix - eye).max())
+    xs = np.array([0.0] + sorted(frac * half for frac in _MIRROR_FRACTIONS))
+    opts = PropagatorOptions()
+    worst = float(np.abs(_march(system, eye, xs, opts) - _march(system, eye, -xs, opts)).max())
+    period = float(np.abs(propagator_matrix(system, -half, half).matrix - eye).max())
     return CheckResult(
         name="propagator-mirror",
-        passed=worst <= tol and period <= tol,
-        detail=f"max entry mismatch {worst:.3e}, max |P_period - I| = {period:.3e} (tol {tol:.1e})",
+        passed=worst <= _PROPAGATOR_TOL and period <= _PROPAGATOR_TOL,
+        detail=(
+            f"max entry mismatch {worst:.3e}, max |P_period - I| = {period:.3e} "
+            f"(tol {_PROPAGATOR_TOL:.1e})"
+        ),
     )
 
 
-def check_propagator_inversion(
-    system: WignerSystem,
-    rng: np.random.Generator,
-    n_intervals: int = 3,
-    max_length: float = 0.5,
-    tol: float = 1e-8,
-    options: PropagatorOptions | None = None,
-) -> CheckResult:
+def check_propagator_inversion(system: WignerSystem, rng: np.random.Generator) -> CheckResult:
     """Forward-then-backward propagation returns the identity map."""
     half = 0.5 * system.potential.period_l
     m = system.grid.size
     eye = np.eye(m)
     worst = 0.0
-    for _ in range(n_intervals):
-        length = rng.uniform(0.0, max_length)
+    for _ in range(_INVERSION_INTERVALS):
+        length = rng.uniform(0.0, _INVERSION_MAX_LENGTH)
         a = rng.uniform(-half, half - length)
         b = a + length
-        F = propagator_matrix(system, a, b, options).matrix
-        B = propagator_matrix(system, b, a, options).matrix
+        F = propagator_matrix(system, a, b).matrix
+        B = propagator_matrix(system, b, a).matrix
         worst = max(worst, float(np.abs(B @ F - eye).max()))
     return CheckResult(
         name="propagator-inversion",
-        passed=worst <= tol,
-        detail=f"max |P_back P_fwd - I| = {worst:.3e} over {n_intervals} intervals (tol {tol:.1e})",
+        passed=worst <= _PROPAGATOR_TOL,
+        detail=(
+            f"max |P_back P_fwd - I| = {worst:.3e} over {_INVERSION_INTERVALS} intervals "
+            f"(tol {_PROPAGATOR_TOL:.1e})"
+        ),
     )
 
 
@@ -139,27 +141,15 @@ def _zero_potential_twin(system: WignerSystem) -> WignerSystem:
     return build_system(flat, system.grid, system.mesh, boundary)
 
 
-def check_free_streaming(
-    system: WignerSystem, rel_tol: float = 1e-12, tol: float = 1e-12
-) -> CheckResult:
+def check_free_streaming(system: WignerSystem, rel_tol: float = 1e-12) -> CheckResult:
     """Without coupling every channel stays at its inflow value exactly."""
     twin = _zero_potential_twin(system)
     expected = twin.boundary.values[:, None] * np.ones(twin.mesh.Nx + 1)
-    worst = 0.0
-    tags = []
-    for scheme in Scheme:
-        sol = solve_bvp(twin, scheme, rel_tol=rel_tol)
-        dev = float(np.abs(sol.values - expected).max())
-        worst = max(worst, dev)
-        tags.append(f"{scheme.value}={dev:.1e}")
-    sol = solve_bvp_shooting(twin)
-    dev = float(np.abs(sol.values - expected).max())
-    worst = max(worst, dev)
-    tags.append(f"oracle={dev:.1e}")
+    devs = {tag: float(np.abs(_solve(twin, tag, rel_tol).values - expected).max()) for tag in _SCHEMES}
     return CheckResult(
         name="free-streaming",
-        passed=worst <= tol,
-        detail="max deviation per solver: " + ", ".join(tags),
+        passed=max(devs.values()) <= _FREE_STREAMING_TOL,
+        detail="max deviation per solver: " + ", ".join(f"{tag}={dev:.1e}" for tag, dev in devs.items()),
     )
 
 
@@ -171,29 +161,25 @@ def _current_deviation(sol) -> float:
     return float(np.abs(J - J0).max() / abs(J0))
 
 
-def check_current_conservation(
-    system: WignerSystem, rel_tol: float = 1e-12, refine: int = 4, floor: float = 1e-8
-) -> CheckResult:
+def check_current_conservation(system: WignerSystem, rel_tol: float = 1e-12) -> CheckResult:
     """Current is flat for the cell form and improves for the one-sided form.
 
     The cell (central) form conserves J to solver precision on any mesh;
     the second-order one-sided form must shrink its deviation when the
-    mesh is refined by ``refine``.
+    mesh is refined by ``_REFINE``.
     """
-    from .kinetic import build_mesh
-
     dev_central = _current_deviation(solve_bvp(system, Scheme.CENTRAL, rel_tol=rel_tol))
     dev_up2_coarse = _current_deviation(solve_bvp(system, Scheme.UPWIND2, rel_tol=rel_tol))
-    fine_mesh = build_mesh(system.potential.period_l, system.mesh.Nx * refine)
+    fine_mesh = build_mesh(system.potential.period_l, system.mesh.Nx * _REFINE)
     fine = replace(system, mesh=fine_mesh)
     dev_up2_fine = _current_deviation(solve_bvp(fine, Scheme.UPWIND2, rel_tol=rel_tol))
-    ok = dev_central <= floor and dev_up2_fine < dev_up2_coarse
+    ok = dev_central <= _CENTRAL_CURRENT_FLOOR and dev_up2_fine < dev_up2_coarse
     return CheckResult(
         name="current-conservation",
         passed=ok,
         detail=(
-            f"central deviation {dev_central:.3e} (floor {floor:.1e}); "
-            f"upwind2 {dev_up2_coarse:.3e} -> {dev_up2_fine:.3e} under {refine}x refinement"
+            f"central deviation {dev_central:.3e} (floor {_CENTRAL_CURRENT_FLOOR:.1e}); "
+            f"upwind2 {dev_up2_coarse:.3e} -> {dev_up2_fine:.3e} under {_REFINE}x refinement"
         ),
     )
 

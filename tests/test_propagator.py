@@ -122,15 +122,15 @@ def test_quadrature_refinement_is_converged():
 
 def test_picard_cap_raises_on_non_contractive_interval():
     # the public entry points always split below the contraction step, so
-    # drive the inner routine directly across a whole period, far beyond
+    # drive one Picard run directly across a whole period, far beyond
     # the guaranteed contraction length, where the iteration diverges
-    from wignerdv.propagator import _propagate_contractive
-
     system = make_system(4, coeffs=(0.0, 4000.0))
     F0 = np.ones((system.grid.size, 1))
+    opts = PropagatorOptions()
+    ys = np.linspace(-0.5, 0.5, 2 * opts.quad_panels + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PropagatorError):
-            _propagate_contractive(system, F0, -0.5, 0.5, PropagatorOptions())
+            propagator._picard_run(system, F0, ys, ys[1] - ys[0], opts)
 
 
 def test_shooting_free_streaming():
@@ -162,6 +162,12 @@ def test_period_identity_over_random_inputs():
         m = system.grid.size
         P = propagator_matrix(system, -0.5, 0.5).matrix
         assert np.abs(P - np.eye(m)).max() <= 1e-12
+        # A is odd, so marching down from the center equals marching up, to
+        # the bit: the sine table is odd and the cuts and points negate exactly
+        upper = system.mesh.nodes[system.mesh.Nx // 2 :]
+        up = propagator._march(system, np.ones(m), upper, PropagatorOptions())
+        down = propagator._march(system, np.ones(m), -upper, PropagatorOptions())
+        assert np.array_equal(up, down)
         sol = solve_bvp_shooting(system)
         # the residual is the marched end gap: the period identity on the solution
         assert sol.residual <= 1e-12
@@ -207,8 +213,8 @@ def test_oracle_residual_sees_a_wrong_start_state(monkeypatch):
     assert solve_bvp_shooting(system).residual <= 1e-12
     march = propagator._march
 
-    def no_outgoing(system, f_start, options):
-        return march(system, np.where(neg, 0.0, f_start), options)
+    def no_outgoing(system, F0, points, options):
+        return march(system, np.where(neg, 0.0, F0), points, options)
 
     monkeypatch.setattr(propagator, "_march", no_outgoing)
     assert solve_bvp_shooting(system).residual > 0.1
