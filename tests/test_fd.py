@@ -13,6 +13,9 @@ from wignerdv import (
     SolverError,
     apply_coupling,
     assemble,
+    build_mesh,
+    build_system,
+    build_velocity_grid,
     new_potential,
     residual_norm,
     solve_bvp,
@@ -139,63 +142,137 @@ def test_solution_metadata():
     assert sol.system is system
 
 
-def test_block_path_matches_direct_path():
-    # the sweep is the only global solver, so it is checked against SuperLU
-    # from the smallest meshes (Nx + 1 nodes leave upwind2 an odd trailing
-    # block) up, and on seeded random systems
-    rng = np.random.default_rng(23)
+def _small_system(rng, Nx=12):
+    """Random system on four channels with four harmonics, so nmax >= m - 1."""
+    pot = new_potential(1.0, rng.uniform(-20.0, 20.0, 5))
+    grid = build_velocity_grid(pot.kappa, 0.5 * pot.kappa, 2, True)
+    v = grid.velocities
+    assert grid.size == 4
+    table = {int(grid.indices[v > 0][0]): 1.0, int(grid.indices[v < 0][-1]): 0.5}
+    return build_system(pot, grid, build_mesh(1.0, Nx), tabulated_boundary(grid, table))
+
+
+def _sample_systems(rng):
+    """Flagship meshes from the smallest, random systems and small-M systems."""
     systems = [make_system(Nx) for Nx in (2, 4, 6, 60)]
     systems += [random_system(rng, max_harmonics=4, max_M=30) for _ in range(6)]
-    for system in systems:
+    return systems + [_small_system(rng, Nx) for Nx in (4, 12)]
+
+
+def _cut_blocks(problem, edges):
+    """Node blocks cut from the assembled matrix: (block, rhs, coupled rows, read flags).
+
+    ``read`` flags the columns that a row of an earlier block reads.  Each
+    block's rows must have no entry outside the columns of the blocks
+    beside it.
+    """
+    matrix = problem.matrix
+    read = np.zeros(edges[-1], dtype=bool)
+    cut = []
+    for t in range(edges.size - 1):
+        a, b = edges[t], edges[t + 1]
+        lo, hi = edges[max(t - 1, 0)], edges[min(t + 2, edges.size - 1)]
+        rows = matrix[a:b]
+        assert rows.nnz == rows[:, lo:hi].nnz
+        read[rows.indices[rows.indices >= b]] = True
+        lower = np.repeat(np.arange(b - a), np.diff(rows.indptr))[rows.indices < a]
+        cut.append((rows[:, lo:hi].toarray(), problem.rhs[a:b], np.unique(lower)))
+    return cut, read
+
+
+def test_node_blocks_match_the_assembled_matrix():
+    # the stencil-built blocks, and the rhs their pinned columns give, are
+    # the blocks of the assembled system to the bit, on every scheme;
+    # Nx + 1 nodes always leave upwind2 an unpaired last node
+    rng = np.random.default_rng(29)
+    for system in _sample_systems(rng):
+        for scheme in Scheme:
+            op = fd._operator(system, scheme)
+            edges, read, blocks = fd._node_blocks(op)
+            blocks = list(blocks)
+            problem = assemble(system, scheme)
+            cut, cut_read = _cut_blocks(problem, edges)
+            assert len(blocks) == len(cut)
+            assert np.array_equal(read, cut_read)
+            for (block, rhs, coupled), (cut_block, cut_rhs, cut_coupled) in zip(blocks, cut):
+                assert np.array_equal(block, cut_block)
+                assert np.array_equal(rhs, cut_rhs)
+                assert np.array_equal(np.arange(block.shape[0])[coupled], cut_coupled)
+            if scheme is Scheme.UPWIND2:
+                assert edges[-1] - edges[-2] == int((~op.pinned[-1]).sum())
+
+
+def test_block_path_matches_direct_path():
+    # the sweep is the only global solver, so it is checked against SuperLU
+    # from the smallest meshes up, on seeded random systems and on systems
+    # with more harmonics than channels
+    rng = np.random.default_rng(23)
+    for system in _sample_systems(rng):
         for scheme in Scheme:
             problem = assemble(system, scheme)
+            op = fd._operator(system, scheme)
             lu = spla.splu(problem.matrix.tocsc())
-            # the assembled right-hand side, then a generic one as refinement sees
-            for rhs in (problem.rhs, rng.standard_normal(problem.rhs.size)):
-                direct = lu.solve(rhs)
-                swept = fd._block_sweep(problem, rhs)
+            # the pinned-column rhs, then a generic one as refinement sees
+            for rhs in (None, rng.standard_normal(problem.rhs.size)):
+                direct = lu.solve(problem.rhs if rhs is None else rhs)
+                swept = fd._block_sweep(op, rhs)
                 assert np.abs(direct - swept).max() < 1e-11 * np.abs(direct).max()
 
 
-def _zero_node_block(problem, node, value=0.0):
-    """Copy of problem with the node's own block of the matrix set to value."""
-    counts = problem.free.reshape(problem.n_nodes, problem.n_velocities).sum(axis=1)
-    a, b = np.concatenate([[0], np.cumsum(counts)])[node:node + 2]
-    matrix = problem.matrix.copy()
-    for row in range(a, b):
-        span = slice(matrix.indptr[row], matrix.indptr[row + 1])
-        cols = matrix.indices[span]
-        matrix.data[span][(cols >= a) & (cols < b)] = value
-    return dataclasses.replace(problem, matrix=matrix)
+def _zero_node_block(monkeypatch, node, value=0.0):
+    """Make the sweep see the node's own block of the matrix set to value."""
+    node_blocks = fd._node_blocks
+
+    def altered(op):
+        edges, read, blocks = node_blocks(op)
+        a, b = np.concatenate([[0], np.cumsum((~op.pinned).sum(axis=1))])[node:node + 2]
+
+        def patched():
+            for t, (block, rhs, coupled) in enumerate(blocks):
+                if edges[t] <= a < edges[t + 1]:
+                    lo = edges[max(t - 1, 0)]
+                    block[a - edges[t]:b - edges[t], a - lo:b - lo] = value
+                yield block, rhs, coupled
+
+        return edges, read, patched()
+
+    monkeypatch.setattr(fd, "_node_blocks", altered)
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
-def test_block_sweep_names_a_singular_node_block():
-    for scheme, where in ((Scheme.UPWIND1, "mesh node 3:"), (Scheme.UPWIND2, "mesh nodes 2-3:")):
-        problem = _zero_node_block(assemble(make_system(10), scheme), 3)
-        with pytest.raises(SolverError, match="singular") as info:
-            fd._block_sweep(problem, problem.rhs)
+def test_block_sweep_names_a_singular_node_block(monkeypatch):
+    # the previous node's carry fills the v < 0 columns, so the first zero
+    # pivot is the first v > 0 channel of node 3
+    for scheme, where, pivot in ((Scheme.UPWIND1, "mesh node 3:", "41 of 80"),
+                                 (Scheme.UPWIND2, "mesh nodes 2-3:", "121 of 160")):
+        op = fd._operator(make_system(10), scheme)
+        with monkeypatch.context() as patch:
+            _zero_node_block(patch, 3)
+            with pytest.raises(SolverError, match="singular") as info:
+                fd._block_sweep(op)
         assert where in str(info.value)
-        assert "zero pivot" in str(info.value)
+        assert f"zero pivot {pivot} (node 3, velocity index 40)" in str(info.value)
 
 
-def test_block_sweep_rejects_a_non_finite_block():
-    problem = _zero_node_block(assemble(make_system(10), Scheme.UPWIND1), 4, np.nan)
+def test_block_sweep_rejects_a_non_finite_block(monkeypatch):
+    op = fd._operator(make_system(10), Scheme.UPWIND1)
+    _zero_node_block(monkeypatch, 4, np.nan)
     with pytest.raises(SolverError, match="mesh node 4: the block is not finite"):
-        fd._block_sweep(problem, problem.rhs)
+        fd._block_sweep(op)
 
 
 def test_block_sweep_carries_half_rank():
     # a dense velocity-by-velocity carry per node alone would take
     # n_nodes * m^2 doubles; the half-rank carry takes about half of that
-    problem = assemble(make_system(800), Scheme.UPWIND1)
+    system = make_system(800)
+    op = fd._operator(system, Scheme.UPWIND1)
     tracemalloc.start()
     try:
-        fd._block_sweep(problem, problem.rhs)
+        fd._block_sweep(op)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.65 * problem.n_nodes * problem.n_velocities ** 2 * 8
+    assert peak < 0.65 * (system.mesh.Nx + 1) * system.grid.size ** 2 * 8
 
 
 def test_solve_bvp_sweeps_above_direct_limit(monkeypatch):
@@ -217,25 +294,76 @@ def test_solve_bvp_sweeps_above_direct_limit(monkeypatch):
         assert np.abs(x - direct[scheme]).max() < 1e-11
 
 
-def test_refinement_keeps_the_better_iterate(monkeypatch):
-    problem = assemble(make_system(20), Scheme.UPWIND1)
+def test_solve_bvp_never_assembles(monkeypatch):
+    # the gate and the sweep work from the stencil: no solve path builds
+    # the matrix, the central march's fallback included
+    system = make_system(20)
+    expected = {scheme: solve_bvp(system, scheme).values for scheme in Scheme}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_bvp assembled the matrix")
+
+    monkeypatch.setattr(fd, "assemble", refuse)
+    for scheme in Scheme:
+        sol = solve_bvp(system, scheme)
+        assert sol.residual <= 1e-12
+        assert np.array_equal(sol.values, expected[scheme])
+    march = fd._central_march
+    sweeps = []
     sweep = fd._block_sweep
-    first = sweep(problem, problem.rhs) + 1e-9
-    first_res = residual_norm(problem, first)
+    monkeypatch.setattr(fd, "_central_march", lambda *args: march(*args) + 1e-6)
+    monkeypatch.setattr(fd, "_block_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+    sol = solve_bvp(system, Scheme.CENTRAL)
+    assert sol.residual <= 1e-12 and len(sweeps) == 1
+    assert np.abs(sol.values - expected[Scheme.CENTRAL]).max() <= 1e-11
+
+
+def test_gate_matches_the_assembled_residual():
+    # the matrix-free gate against residual_norm(assemble(...)); both
+    # relative to |b|, from R(F_pin) here and from the assembled rhs there.
+    # Worst seen on these systems: 5.4e-16 relative on random fields and
+    # 4.7e-15 apart on solved ones
+    rng = np.random.default_rng(31)
+    for system in [random_system(rng, max_harmonics=4, max_M=30) for _ in range(8)] + [_small_system(rng)]:
+        for scheme in Scheme:
+            op = fd._operator(system, scheme)
+            problem = assemble(system, scheme)
+            free = ~op.pinned
+            assert op.rhs_norm == pytest.approx(np.linalg.norm(problem.rhs), rel=1e-14)
+            # a random field, where the residual is O(1): the vectors agree to rounding
+            x = rng.standard_normal(problem.rhs.size)
+            r, res = fd._gate(op, fd._field(op, x))
+            assert np.abs(r - (problem.matrix @ x - problem.rhs)).max() <= 1e-14 * np.abs(r).max()
+            assert res == pytest.approx(residual_norm(problem, x), rel=1e-14)
+            # a solved field: both gates pass and agree to rounding
+            sol = solve_bvp(system, scheme)
+            x = sol.values.T[free]
+            assert sol.residual == fd._gate(op, fd._field(op, x))[1]
+            assert max(sol.residual, residual_norm(problem, x)) <= 1e-12
+            assert abs(sol.residual - residual_norm(problem, x)) <= 5e-14
+
+
+def test_refinement_keeps_the_better_iterate(monkeypatch):
+    op = fd._operator(make_system(20), Scheme.UPWIND1)
+    sweep = fd._block_sweep
+    first = sweep(op) + 1e-9
+    first_res = fd._gate(op, fd._field(op, first))[1]
     assert first_res > 1e-12
     # a correction ten times too long makes the residual worse and is
     # dropped; the true correction makes it better and is kept
     for scale, kept in ((10.0, False), (1.0, True)):
         calls = []
 
-        def off_first(problem, rhs):
+        def off_first(op, rhs=None):
             calls.append(rhs)
-            return first.copy() if len(calls) == 1 else scale * sweep(problem, rhs)
+            return first.copy() if len(calls) == 1 else scale * sweep(op, rhs)
 
         monkeypatch.setattr(fd, "_block_sweep", off_first)
-        x, res = fd._global_solve(problem, 1e-12)
+        x, res = fd._global_solve(op, 1e-12)
         assert len(calls) == 2
-        assert res == residual_norm(problem, x)
+        # the refinement's rhs is the gate's residual vector of the first iterate
+        assert np.array_equal(calls[1], -fd._gate(op, fd._field(op, first))[0])
+        assert res == fd._gate(op, fd._field(op, x))[1]
         if kept:
             assert res < 1e-12
         else:
@@ -247,7 +375,7 @@ def test_central_march_period_map_is_identity_over_random_inputs():
     for _ in range(12):
         system = random_system(rng, max_harmonics=4, max_M=30)
         problem = assemble(system, Scheme.CENTRAL)
-        field = fd._central_march(system)
+        field = fd._central_march(system, _sine_table(system.potential, system.mesh.nodes))
         x = field.ravel()[problem.free]
         assert residual_norm(problem, x) <= 1e-12
         direct = spla.splu(problem.matrix.tocsc()).solve(problem.rhs)
@@ -264,7 +392,7 @@ def test_central_falls_back_when_march_misses_gate(monkeypatch):
     system = make_system(20)
     problem = assemble(system, Scheme.CENTRAL)
     direct = spla.splu(problem.matrix.tocsc()).solve(problem.rhs)
-    swept = fd._block_sweep(problem, problem.rhs)
+    swept = fd._block_sweep(fd._operator(system, Scheme.CENTRAL))
     march = fd._central_march
     sweep = fd._block_sweep
     sweeps = []
@@ -273,7 +401,7 @@ def test_central_falls_back_when_march_misses_gate(monkeypatch):
         sweeps.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(fd, "_central_march", lambda s: march(s) + 1e-6)
+    monkeypatch.setattr(fd, "_central_march", lambda *args: march(*args) + 1e-6)
     monkeypatch.setattr(fd, "_block_sweep", counted_sweep)
     sol = solve_bvp(system, Scheme.CENTRAL)
     assert sol.residual <= 1e-12
@@ -314,12 +442,10 @@ def test_global_solve_of_central_reflects_nothing_over_random_inputs():
     rng = np.random.default_rng(7)
     for _ in range(12):
         system = random_system(rng, max_harmonics=4, max_M=30)
-        problem = assemble(system, Scheme.CENTRAL)
-        x, res = fd._global_solve(problem, 1e-12)
+        op = fd._operator(system, Scheme.CENTRAL)
+        x, res = fd._global_solve(op, 1e-12)
         assert res <= 1e-12
-        field = np.zeros(problem.free.size)
-        field[problem.free] = x
-        field = field.reshape(problem.n_nodes, problem.n_velocities)
+        field = fd._field(op, x)
         b = system.boundary.values
         neg = system.grid.velocities < 0
         assert np.abs(field[0, neg] - b[neg]).max() <= 1e-11 * np.abs(b).max()
@@ -332,7 +458,7 @@ def test_central_march_names_a_singular_cell():
     v[3] = 0.0
     system = dataclasses.replace(system, grid=dataclasses.replace(system.grid, velocities=v))
     with pytest.raises(SolverError, match="central march: cell 1 matrix is singular"):
-        fd._central_march(system)
+        fd._central_march(system, _sine_table(system.potential, system.mesh.nodes))
 
 
 def test_free_streaming_is_exact_for_all_schemes():
@@ -360,14 +486,11 @@ def test_central_current_balance_over_random_inputs():
     rng = np.random.default_rng(11)
     for _ in range(12):
         system = random_system(rng, max_harmonics=4, max_M=30)
-        problem = assemble(system, Scheme.CENTRAL)
-        x, res = fd._global_solve(problem, 1e-12)
+        op = fd._operator(system, Scheme.CENTRAL)
+        x, res = fd._global_solve(op, 1e-12)
         assert res <= 1e-12
-        _, swept = fd._pinned_mask_and_values(system)
-        swept[problem.free] = x
-        swept = swept.reshape(problem.n_nodes, problem.n_velocities)
         v = system.grid.velocities
-        for field in (fd._central_march(system), swept):
+        for field in (fd._central_march(system, op.sines), fd._field(op, x)):
             Af = np.array([apply_coupling(system.potential, xj, f) for xj, f in zip(system.mesh.nodes, field)])
             gain = 0.5 * system.mesh.dx * (Af[1:] + Af[:-1]).sum(axis=1)
             scale = np.abs(field * v).sum(axis=1).max()
