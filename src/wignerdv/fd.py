@@ -11,9 +11,10 @@ sparse linear system.  Three stencils are provided:
            with the average of the coupling term at the two cell ends,
            which is second-order accurate and mirror-consistent.
 
-Each stencil is written once, in ``_stencil``, and no solve assembles
-its matrix: ``assemble`` builds it as a reference for the tests and for
-callers who want it.  The central scheme is solved without a global
+Each stencil is written once, in ``_stencil``.  ``assemble`` sets up a
+scheme's linear problem from it and the sine table, and no solve builds
+the problem's sparse matrix: it is built on first access, as a reference
+for the tests and for callers who want it.  The central scheme is solved without a global
 factorization: A(x) is odd and the mesh mirror symmetric, so its
 discrete map over one period is the identity and the boundary value
 problem is one forward march of banded solves from the inflow data of
@@ -31,6 +32,7 @@ the gate, and the better of the two iterates is kept.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,19 +74,49 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProblem:
-    """Assembled sparse system plus scatter bookkeeping.
+    """One scheme's linear system on one system, held without its matrix.
 
-    ``matrix`` and ``rhs`` describe the reduced system over non-pinned
-    unknowns.  ``free`` flags, in node-major (node, velocity) order, which
+    ``sines`` is the sine table on the mesh nodes.  ``pinned`` flags the
+    inflow entries of the node-major (Nx + 1, m) field, and ``pinval`` is
+    the field that holds the inflow data there and zero elsewhere.
+    ``rhs_norm`` is |b| of the reduced system, from b = -R(pinval).  The
+    solvers read only these.  ``matrix`` and ``rhs``, the reduced sparse
+    system over the non-pinned unknowns, are built on first access and
+    kept.  ``free`` flags, in node-major (node, velocity) order, which
     entries of the full field are unknowns; the reduced vector lists them
     in ascending order of that flat index.
     """
 
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    free: np.ndarray
-    n_velocities: int
-    n_nodes: int
+    system: WignerSystem
+    scheme: Scheme
+    sines: np.ndarray
+    pinned: np.ndarray
+    pinval: np.ndarray
+    rhs_norm: float
+
+    @property
+    def free(self) -> np.ndarray:
+        return ~self.pinned.ravel()
+
+    @property
+    def n_velocities(self) -> int:
+        return self.system.grid.size
+
+    @property
+    def n_nodes(self) -> int:
+        return self.system.mesh.Nx + 1
+
+    @functools.cached_property
+    def _reduced(self):
+        return _assemble_csr(self)
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        return self._reduced[0]
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self._reduced[1]
 
 
 @dataclass(frozen=True)
@@ -96,7 +128,7 @@ class DiscreteSolution:
         system: the system that was solved.
         scheme: stencil tag, one of the Scheme values or "oracle".
         residual: for a finite-difference scheme, the relative residual
-            |M x - b| / |b| of the linear system ``assemble`` builds,
+            |M x - b| / |b| of the linear system ``assemble`` sets up,
             evaluated from the stencil without the matrix (it matches
             ``residual_norm`` to rounding, not to the bit); for the oracle,
             the marched end gap |f_{v<0}(+l/2) - right inflow| / |inflow|.
@@ -198,23 +230,32 @@ def _entries(system: WignerSystem, scheme: Scheme, sines: np.ndarray, j0: int, j
 
 
 def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
-    """Build the reduced sparse system for one scheme.
+    """Set up the linear problem of one scheme on one system.
 
     Equations are collocated at every non-pinned (velocity, node) pair;
     contributions that hit a pinned inflow entry move to the right-hand
     side.  Every equation is scaled by dx / |v| so the transport diagonal
     is order one and the right-hand side stays bounded as the mesh is
     refined, which keeps the relative residual meaningful at large Nx.
+    This builds the sine table, the inflow entries and |b|; the sparse
+    matrix is built only when the problem's ``matrix`` or ``rhs`` is read.
     Raises ValueError for an unknown scheme.
     """
     scheme = Scheme(scheme)
-    m = system.grid.size
-    Nx = system.mesh.Nx
+    shape = (system.mesh.Nx + 1, system.grid.size)
     sines = _sine_table(system.potential, system.mesh.nodes)
-    rows, cols, data = _entries(system, scheme, sines, 0, Nx + 1)
+    pinned, pinval = (a.reshape(shape) for a in _pinned_mask_and_values(system))
+    rhs_norm = float(np.linalg.norm(_residual(system, scheme, sines, pinval)))
+    return LinearProblem(system, scheme, sines, pinned, pinval, rhs_norm)
 
-    pinned, pinval = _pinned_mask_and_values(system)
-    N = m * (Nx + 1)
+
+def _assemble_csr(problem: LinearProblem):
+    """The reduced sparse system (matrix, rhs) of a linear problem."""
+    system = problem.system
+    rows, cols, data = _entries(system, problem.scheme, problem.sines, 0, system.mesh.Nx + 1)
+    pinned = problem.pinned.ravel()
+    pinval = problem.pinval.ravel()
+    N = pinned.size
     red = np.full(N, -1, dtype=np.int64)
     free = ~pinned
     n_unknowns = int(free.sum())
@@ -229,7 +270,7 @@ def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
     matrix = sp.coo_matrix(
         (data[keep], (rr[keep], red[cols[keep]])), shape=(n_unknowns, n_unknowns)
     ).tocsr()
-    return LinearProblem(matrix=matrix, rhs=rhs, free=free, n_velocities=m, n_nodes=Nx + 1)
+    return matrix, rhs
 
 
 def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
@@ -248,25 +289,6 @@ def _span(idx: np.ndarray):
     if idx.size and idx[-1] - idx[0] + 1 == idx.size:
         return slice(int(idx[0]), int(idx[-1]) + 1)
     return idx
-
-
-@dataclass(frozen=True)
-class _Operator:
-    """One scheme's equations on one system, held without a matrix.
-
-    ``sines`` is the sine table on the mesh nodes, built once per solve.
-    ``pinned`` flags the inflow entries of the node-major (Nx + 1, m)
-    field, and ``pinval`` is the field that holds the inflow data there
-    and zero elsewhere.  ``rhs_norm`` is |b| of the reduced system,
-    from b = -R(pinval).
-    """
-
-    system: WignerSystem
-    scheme: Scheme
-    sines: np.ndarray
-    pinned: np.ndarray
-    pinval: np.ndarray
-    rhs_norm: float
 
 
 def _residual(system: WignerSystem, scheme: Scheme, sines: np.ndarray, field: np.ndarray) -> np.ndarray:
@@ -299,33 +321,24 @@ def _residual(system: WignerSystem, scheme: Scheme, sines: np.ndarray, field: np
     return R
 
 
-def _operator(system: WignerSystem, scheme: Scheme) -> _Operator:
-    """Sine table, inflow entries and |b| of one scheme on one system."""
-    shape = (system.mesh.Nx + 1, system.grid.size)
-    sines = _sine_table(system.potential, system.mesh.nodes)
-    pinned, pinval = (a.reshape(shape) for a in _pinned_mask_and_values(system))
-    rhs_norm = float(np.linalg.norm(_residual(system, scheme, sines, pinval)))
-    return _Operator(system, scheme, sines, pinned, pinval, rhs_norm)
-
-
-def _field(op: _Operator, x: np.ndarray) -> np.ndarray:
+def _field(problem: LinearProblem, x: np.ndarray) -> np.ndarray:
     """Full node-major field of the reduced vector x and the inflow data."""
-    field = op.pinval.copy()
-    field[~op.pinned] = x
+    field = problem.pinval.copy()
+    field[~problem.pinned] = x
     return field
 
 
-def _gate(op: _Operator, field: np.ndarray):
+def _gate(problem: LinearProblem, field: np.ndarray):
     """R(F) over the unknowns and the relative residual |M x - b| / max(|b|, tiny)."""
-    r = _residual(op.system, op.scheme, op.sines, field)[~op.pinned]
-    return r, float(np.linalg.norm(r) / max(op.rhs_norm, _NORM_FLOOR))
+    r = _residual(problem.system, problem.scheme, problem.sines, field)[~problem.pinned]
+    return r, float(np.linalg.norm(r) / max(problem.rhs_norm, _NORM_FLOOR))
 
 
 # mesh nodes whose stencil entries the sweep generates at once
 _RUN_NODES = 64
 
 
-def _node_blocks(op: _Operator):
+def _node_blocks(problem: LinearProblem):
     """The block sweep's node blocks, filled from the stencil and sine table.
 
     The unknowns are cut into blocks of whole mesh nodes, as many nodes per
@@ -345,14 +358,14 @@ def _node_blocks(op: _Operator):
     summed in the same order) and ``coupled`` the rows of L_t with
     entries.
     """
-    Nx = op.system.mesh.Nx
-    m = op.system.grid.size
-    reach = max(abs(dj) for _, transport, coupling in _stencil(op.scheme, Nx)
+    Nx = problem.system.mesh.Nx
+    m = problem.system.grid.size
+    reach = max(abs(dj) for _, transport, coupling in _stencil(problem.scheme, Nx)
                 for dj, _ in (*transport, *coupling))
-    pinned = op.pinned.ravel()
-    pinval = op.pinval.ravel()
+    pinned = problem.pinned.ravel()
+    pinval = problem.pinval.ravel()
     red = np.cumsum(~pinned) - 1                  # reduced index of each unknown
-    node_edges = np.concatenate([[0], np.cumsum((~op.pinned).sum(axis=1))])
+    node_edges = np.concatenate([[0], np.cumsum((~problem.pinned).sum(axis=1))])
     edges = np.append(node_edges[:-1:reach], node_edges[-1])
     n_blocks = edges.size - 1
     run = reach * max(_RUN_NODES // reach, 1)
@@ -362,13 +375,13 @@ def _node_blocks(op: _Operator):
     # end of its row's block is in J_t
     read = np.zeros(edges[-1], dtype=bool)
     for j0, j1 in runs:
-        rows, cols, _ = _entries(op.system, op.scheme, op.sines, j0, j1)
+        rows, cols, _ = _entries(problem.system, problem.scheme, problem.sines, j0, j1)
         ahead = (cols // (m * reach) > rows // (m * reach)) & ~pinned[cols]
         read[red[cols[ahead]]] = True
 
     def blocks():
         for j0, j1 in runs:
-            rows, cols, vals = _entries(op.system, op.scheme, op.sines, j0, j1)
+            rows, cols, vals = _entries(problem.system, problem.scheme, problem.sines, j0, j1)
             # group by block; the stable sort keeps each row's leg order
             # for the right-hand side sums
             at = rows // (m * reach)
@@ -404,10 +417,10 @@ def _node_blocks(op: _Operator):
     return edges, read, blocks()
 
 
-def _block_sweep(op: _Operator, rhs: np.ndarray | None = None) -> np.ndarray:
+def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.ndarray:
     """Solve M x = rhs by block tridiagonal elimination over node blocks.
 
-    M is the reduced matrix ``assemble`` would build; its node blocks come
+    M is the problem's reduced matrix, which is not built; its node blocks come
     from ``_node_blocks``.  With rhs None the right-hand side is b, the
     pinned-column part of each block.  U_t, the coupling of block t to
     block t + 1, is nonzero only in the column set J_t (about the v < 0
@@ -420,13 +433,13 @@ def _block_sweep(op: _Operator, rhs: np.ndarray | None = None) -> np.ndarray:
     Raises:
         SolverError: a block is not finite or is exactly singular.
     """
-    edges, read, blocks = _node_blocks(op)
+    edges, read, blocks = _node_blocks(problem)
     n_blocks = edges.size - 1
-    m = op.system.grid.size
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (op.pinval,))
+    m = problem.system.grid.size
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (problem.pinval,))
 
     def fail(t, why):
-        first, last = np.flatnonzero(~op.pinned)[[edges[t], edges[t + 1] - 1]] // m
+        first, last = np.flatnonzero(~problem.pinned)[[edges[t], edges[t + 1] - 1]] // m
         where = f"mesh node {first}" if first == last else f"mesh nodes {first}-{last}"
         return SolverError(f"block elimination failed at {where}: {why}")
 
@@ -457,7 +470,7 @@ def _block_sweep(op: _Operator, rhs: np.ndarray | None = None) -> np.ndarray:
             raise fail(t, "the block is not finite")
         lu, piv, info = getrf(D, overwrite_a=True)
         if info > 0:
-            j, k = divmod(int(np.flatnonzero(~op.pinned)[a + info - 1]), m)
+            j, k = divmod(int(np.flatnonzero(~problem.pinned)[a + info - 1]), m)
             raise fail(t, f"the block is singular, zero pivot {info} of {b - a} "
                           f"(node {j}, velocity index {k})")
         x[a:b] = getrs(lu, piv, r, overwrite_b=True)[0]
@@ -520,7 +533,7 @@ def _central_march(system: WignerSystem, sines: np.ndarray) -> np.ndarray:
     return field
 
 
-def _global_solve(op: _Operator, rel_tol: float):
+def _global_solve(problem: LinearProblem, rel_tol: float):
     """Solve the scheme's linear system by the block sweep.
 
     If the sweep misses rel_tol, one step of iterative refinement follows:
@@ -529,11 +542,11 @@ def _global_solve(op: _Operator, rel_tol: float):
     the two iterates has the lower residual is kept.  Returns the reduced
     solution and its relative residual.
     """
-    x = _block_sweep(op)
-    r, res = _gate(op, _field(op, x))
+    x = _block_sweep(problem)
+    r, res = _gate(problem, _field(problem, x))
     if res > rel_tol:
-        refined = x + _block_sweep(op, -r)
-        _, refined_res = _gate(op, _field(op, refined))
+        refined = x + _block_sweep(problem, -r)
+        _, refined_res = _gate(problem, _field(problem, refined))
         if refined_res < res:
             x, res = refined, refined_res
     return x, res
@@ -550,7 +563,7 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     with the lower residual is kept (see ``_global_solve``).
 
     Every result is gated on the relative residual |M x - b| / |b| of the
-    linear system ``assemble`` builds, computed from the stencil and the
+    linear system ``assemble`` sets up, computed from the stencil and the
     sine table without the matrix (see ``_residual``).  It matches
     ``residual_norm`` of the assembled system to rounding, not to the
     bit: on the flagship system at Nx 100 to 12800 the two differ by at
@@ -576,24 +589,24 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     """
     if not (0.0 < rel_tol <= 1e-6):
         raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
-    scheme = Scheme(scheme)
-    op = _operator(system, scheme)
+    problem = assemble(system, scheme)
+    scheme = problem.scheme
     march_note = ""
     field = None
     if scheme is Scheme.CENTRAL:
         try:
-            field = _central_march(system, op.sines)
+            field = _central_march(system, problem.sines)
         except SolverError as exc:
             march_note = f"; {exc}"
         else:
-            np.copyto(field, op.pinval, where=op.pinned)   # the end state was marched
-            _, res = _gate(op, field)
+            np.copyto(field, problem.pinval, where=problem.pinned)   # the end state was marched
+            _, res = _gate(problem, field)
             if not res <= rel_tol:                # NaN fails too
                 march_note = f"; central march residual {res:.3e}"
                 field = None
 
     if field is None:
-        x, res = _global_solve(op, rel_tol)
+        x, res = _global_solve(problem, rel_tol)
         if not np.isfinite(res) or res > rel_tol:
             b_max = np.abs(system.boundary.values).max()
             growth = max(np.abs(x).max(), b_max) / b_max
@@ -603,7 +616,7 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
                 f"max|f| / max|b| = {growth:.3e}{march_note}",
                 residual=res,
             )
-        field = _field(op, x)
+        field = _field(problem, x)
 
     values = np.ascontiguousarray(field.T)
     values.flags.writeable = False

@@ -187,7 +187,7 @@ def test_node_blocks_match_the_assembled_matrix():
     rng = np.random.default_rng(29)
     for system in _sample_systems(rng):
         for scheme in Scheme:
-            op = fd._operator(system, scheme)
+            op = assemble(system, scheme)
             edges, read, blocks = fd._node_blocks(op)
             blocks = list(blocks)
             problem = assemble(system, scheme)
@@ -210,7 +210,7 @@ def test_block_path_matches_direct_path():
     for system in _sample_systems(rng):
         for scheme in Scheme:
             problem = assemble(system, scheme)
-            op = fd._operator(system, scheme)
+            op = assemble(system, scheme)
             lu = spla.splu(problem.matrix.tocsc())
             # the pinned-column rhs, then a generic one as refinement sees
             for rhs in (None, rng.standard_normal(problem.rhs.size)):
@@ -245,7 +245,7 @@ def test_block_sweep_names_a_singular_node_block(monkeypatch):
     # pivot is the first v > 0 channel of node 3
     for scheme, where, pivot in ((Scheme.UPWIND1, "mesh node 3:", "41 of 80"),
                                  (Scheme.UPWIND2, "mesh nodes 2-3:", "121 of 160")):
-        op = fd._operator(make_system(10), scheme)
+        op = assemble(make_system(10), scheme)
         with monkeypatch.context() as patch:
             _zero_node_block(patch, 3)
             with pytest.raises(SolverError, match="singular") as info:
@@ -255,7 +255,7 @@ def test_block_sweep_names_a_singular_node_block(monkeypatch):
 
 
 def test_block_sweep_rejects_a_non_finite_block(monkeypatch):
-    op = fd._operator(make_system(10), Scheme.UPWIND1)
+    op = assemble(make_system(10), Scheme.UPWIND1)
     _zero_node_block(monkeypatch, 4, np.nan)
     with pytest.raises(SolverError, match="mesh node 4: the block is not finite"):
         fd._block_sweep(op)
@@ -265,7 +265,7 @@ def test_block_sweep_carries_half_rank():
     # a dense velocity-by-velocity carry per node alone would take
     # n_nodes * m^2 doubles; the half-rank carry takes about half of that
     system = make_system(800)
-    op = fd._operator(system, Scheme.UPWIND1)
+    op = assemble(system, Scheme.UPWIND1)
     tracemalloc.start()
     try:
         fd._block_sweep(op)
@@ -296,14 +296,14 @@ def test_solve_bvp_sweeps_above_direct_limit(monkeypatch):
 
 def test_solve_bvp_never_assembles(monkeypatch):
     # the gate and the sweep work from the stencil: no solve path builds
-    # the matrix, the central march's fallback included
+    # the problem's sparse matrix, the central march's fallback included
     system = make_system(20)
     expected = {scheme: solve_bvp(system, scheme).values for scheme in Scheme}
 
     def refuse(*args, **kwargs):
         raise AssertionError("solve_bvp assembled the matrix")
 
-    monkeypatch.setattr(fd, "assemble", refuse)
+    monkeypatch.setattr(fd, "_assemble_csr", refuse)
     for scheme in Scheme:
         sol = solve_bvp(system, scheme)
         assert sol.residual <= 1e-12
@@ -326,7 +326,7 @@ def test_gate_matches_the_assembled_residual():
     rng = np.random.default_rng(31)
     for system in [random_system(rng, max_harmonics=4, max_M=30) for _ in range(8)] + [_small_system(rng)]:
         for scheme in Scheme:
-            op = fd._operator(system, scheme)
+            op = assemble(system, scheme)
             problem = assemble(system, scheme)
             free = ~op.pinned
             assert op.rhs_norm == pytest.approx(np.linalg.norm(problem.rhs), rel=1e-14)
@@ -344,7 +344,7 @@ def test_gate_matches_the_assembled_residual():
 
 
 def test_refinement_keeps_the_better_iterate(monkeypatch):
-    op = fd._operator(make_system(20), Scheme.UPWIND1)
+    op = assemble(make_system(20), Scheme.UPWIND1)
     sweep = fd._block_sweep
     first = sweep(op) + 1e-9
     first_res = fd._gate(op, fd._field(op, first))[1]
@@ -392,7 +392,7 @@ def test_central_falls_back_when_march_misses_gate(monkeypatch):
     system = make_system(20)
     problem = assemble(system, Scheme.CENTRAL)
     direct = spla.splu(problem.matrix.tocsc()).solve(problem.rhs)
-    swept = fd._block_sweep(fd._operator(system, Scheme.CENTRAL))
+    swept = fd._block_sweep(assemble(system, Scheme.CENTRAL))
     march = fd._central_march
     sweep = fd._block_sweep
     sweeps = []
@@ -442,7 +442,7 @@ def test_global_solve_of_central_reflects_nothing_over_random_inputs():
     rng = np.random.default_rng(7)
     for _ in range(12):
         system = random_system(rng, max_harmonics=4, max_M=30)
-        op = fd._operator(system, Scheme.CENTRAL)
+        op = assemble(system, Scheme.CENTRAL)
         x, res = fd._global_solve(op, 1e-12)
         assert res <= 1e-12
         field = fd._field(op, x)
@@ -486,7 +486,7 @@ def test_central_current_balance_over_random_inputs():
     rng = np.random.default_rng(11)
     for _ in range(12):
         system = random_system(rng, max_harmonics=4, max_M=30)
-        op = fd._operator(system, Scheme.CENTRAL)
+        op = assemble(system, Scheme.CENTRAL)
         x, res = fd._global_solve(op, 1e-12)
         assert res <= 1e-12
         v = system.grid.velocities
