@@ -129,38 +129,25 @@ def convergence_study(system: WignerSystem, scheme, Nx_list, rel_tol: float = 1e
     for nx in nx_values:
         if nx < 2 or nx % 2 != 0:
             raise ValueError(f"mesh size Nx={nx} must be an even integer >= 2")
-    scheme_tag = scheme if isinstance(scheme, str) else Scheme(scheme).value
-    if scheme_tag != "oracle":
-        scheme_tag = Scheme(scheme_tag).value
+    scheme_tag = "oracle" if scheme == "oracle" else Scheme(scheme).value
     rows = []
     for nx in nx_values:
-        mesh = build_mesh(system.potential.period_l, nx)
-        sys_n = replace(system, mesh=mesh)
+        sys_n = replace(system, mesh=build_mesh(system.potential.period_l, nx))
         t0 = time.perf_counter()
         try:
             sol = _solve(sys_n, scheme_tag, rel_tol)
-            runtime = time.perf_counter() - t0
-            rows.append(
-                StudyRow(
-                    scheme=scheme_tag,
-                    Nx=nx,
-                    symmetry_error=symmetry_error(sol),
-                    runtime_s=runtime,
-                    residual=sol.residual,
-                )
-            )
         except (SolverError, PropagatorError) as exc:
-            runtime = time.perf_counter() - t0
-            residual = getattr(exc, "residual", float("nan"))
-            rows.append(
-                StudyRow(
-                    scheme=scheme_tag,
-                    Nx=nx,
-                    symmetry_error=float("nan"),
-                    runtime_s=runtime,
-                    residual=float(residual),
-                )
+            sol, residual = None, float(getattr(exc, "residual", float("nan")))
+        runtime = time.perf_counter() - t0
+        rows.append(
+            StudyRow(
+                scheme=scheme_tag,
+                Nx=nx,
+                symmetry_error=float("nan") if sol is None else symmetry_error(sol),
+                runtime_s=runtime,
+                residual=residual if sol is None else sol.residual,
             )
+        )
     return StudyReport(rows=tuple(rows))
 
 
@@ -180,13 +167,10 @@ def write_csv(obj, path) -> None:
     lines = []
     if isinstance(obj, DiscreteSolution):
         lines.append("x, v, f")
-        xs = obj.system.mesh.nodes
-        vs = obj.system.grid.velocities
-        F = obj.values
-        for j in range(xs.size):
-            xj = _fmt(xs[j])
-            for i in range(vs.size):
-                lines.append(f"{xj}, {_fmt(vs[i])}, {_fmt(F[i, j])}")
+        vs = [_fmt(v) for v in obj.system.grid.velocities]
+        for x, f in zip(obj.system.mesh.nodes, obj.values.T):
+            xj = _fmt(x)
+            lines.extend(f"{xj}, {v}, {_fmt(fk)}" for v, fk in zip(vs, f))
     elif isinstance(obj, StudyReport):
         lines.append("scheme, Nx, symmetry_error, runtime_s, residual")
         for row in obj.rows:

@@ -22,11 +22,13 @@ both ends (``_central_march``), O(Nx m nmax) work.  Every solve is gated
 on the residual of the linear system, computed from the stencil and the
 sine table (``_residual``).  The one-sided schemes, and a central march
 that misses the gate, go through one global solver at every size: a
-block tridiagonal sweep whose node blocks are filled from the same
-stencil and sine table, so memory grows with one half-rank carry per
-node (velocities by the next node's v < 0 unknowns) instead of a sparse
-LU fill.  One step of iterative refinement follows if the sweep misses
-the gate, and the better of the two iterates is kept.
+block tridiagonal sweep for the whole (Nx + 1, m) field, each pinned
+inflow entry an identity row that holds its data.  Its node blocks are
+filled from the same stencil and sine table, so memory grows with one
+half-rank carry per node (velocities by the next node's v < 0 entries)
+instead of a sparse LU fill.  One step of iterative refinement follows
+if the sweep misses the gate, and the better of the two iterates is
+kept.  Only the reference matrix numbers the free entries apart.
 """
 
 from __future__ import annotations
@@ -98,14 +100,6 @@ class LinearProblem:
     def free(self) -> np.ndarray:
         return ~self.pinned.ravel()
 
-    @property
-    def n_velocities(self) -> int:
-        return self.system.grid.size
-
-    @property
-    def n_nodes(self) -> int:
-        return self.system.mesh.Nx + 1
-
     @functools.cached_property
     def _reduced(self):
         return _assemble_csr(self)
@@ -141,22 +135,12 @@ class DiscreteSolution:
 
 
 def _pinned_mask_and_values(system: WignerSystem):
-    """Flags and values of the pinned inflow entries in node-major order."""
-    m = system.grid.size
-    Nx = system.mesh.Nx
+    """Flags and values of the pinned inflow entries of the (Nx + 1, m) field."""
     v = system.grid.velocities
-    pos = v > 0
-    neg = v < 0
-    N = m * (Nx + 1)
-    pinned = np.zeros(N, dtype=bool)
-    pinval = np.zeros(N)
-    kpos = np.where(pos)[0]
-    kneg = np.where(neg)[0]
-    pinned[kpos] = True                      # node 0 occupies flat indices 0..m-1
-    pinval[kpos] = system.boundary.values[kpos]
-    pinned[Nx * m + kneg] = True
-    pinval[Nx * m + kneg] = system.boundary.values[kneg]
-    return pinned, pinval
+    pinned = np.zeros((system.mesh.Nx + 1, v.size), dtype=bool)
+    pinned[0] = v > 0
+    pinned[-1] = v < 0
+    return pinned, np.where(pinned, system.boundary.values, 0.0)
 
 
 # Forward difference (f_j - f_{j-1}) / dx as transport legs (dj, c).
@@ -242,9 +226,8 @@ def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
     Raises ValueError for an unknown scheme.
     """
     scheme = Scheme(scheme)
-    shape = (system.mesh.Nx + 1, system.grid.size)
     sines = _sine_table(system.potential, system.mesh.nodes)
-    pinned, pinval = (a.reshape(shape) for a in _pinned_mask_and_values(system))
+    pinned, pinval = _pinned_mask_and_values(system)
     rhs_norm = float(np.linalg.norm(_residual(system, scheme, sines, pinval)))
     return LinearProblem(system, scheme, sines, pinned, pinval, rhs_norm)
 
@@ -256,19 +239,19 @@ def _assemble_csr(problem: LinearProblem):
     pinned = problem.pinned.ravel()
     pinval = problem.pinval.ravel()
     N = pinned.size
-    red = np.full(N, -1, dtype=np.int64)
+    unknown = np.full(N, -1, dtype=np.int64)       # reduced index of each free entry
     free = ~pinned
     n_unknowns = int(free.sum())
-    red[free] = np.arange(n_unknowns)
+    unknown[free] = np.arange(n_unknowns)
 
-    rr = red[rows]
+    rr = unknown[rows]
     rhs = np.zeros(n_unknowns)
     hit_pin = pinned[cols]
     if hit_pin.any():
         np.add.at(rhs, rr[hit_pin], -data[hit_pin] * pinval[cols[hit_pin]])
     keep = ~hit_pin
     matrix = sp.coo_matrix(
-        (data[keep], (rr[keep], red[cols[keep]])), shape=(n_unknowns, n_unknowns)
+        (data[keep], (rr[keep], unknown[cols[keep]])), shape=(n_unknowns, n_unknowns)
     ).tocsr()
     return matrix, rhs
 
@@ -306,7 +289,7 @@ def _residual(system: WignerSystem, scheme: Scheme, sines: np.ndarray, field: np
     Nx = system.mesh.Nx
     v = system.grid.velocities
     coupled = _apply_sines(system.potential.coeffs, sines[:, :, None], field, axis=1)
-    R = np.zeros_like(field)
+    R = np.zeros(field.shape)
     for K, sign in ((_span(np.flatnonzero(v > 0)), 1), (_span(np.flatnonzero(v < 0)), -1)):
         scale = system.mesh.dx / np.abs(v[K])
         for nodes, transport, coupling in _stencil(scheme, Nx):
@@ -321,17 +304,10 @@ def _residual(system: WignerSystem, scheme: Scheme, sines: np.ndarray, field: np
     return R
 
 
-def _field(problem: LinearProblem, x: np.ndarray) -> np.ndarray:
-    """Full node-major field of the reduced vector x and the inflow data."""
-    field = problem.pinval.copy()
-    field[~problem.pinned] = x
-    return field
-
-
 def _gate(problem: LinearProblem, field: np.ndarray):
-    """R(F) over the unknowns and the relative residual |M x - b| / max(|b|, tiny)."""
-    r = _residual(problem.system, problem.scheme, problem.sines, field)[~problem.pinned]
-    return r, float(np.linalg.norm(r) / max(problem.rhs_norm, _NORM_FLOOR))
+    """R(F), 0 at the pinned entries, and the relative residual |M x - b| / max(|b|, tiny)."""
+    R = _residual(problem.system, problem.scheme, problem.sines, field)
+    return R, float(np.linalg.norm(R) / max(problem.rhs_norm, _NORM_FLOOR))
 
 
 # mesh nodes whose stencil entries the sweep generates at once
@@ -341,21 +317,23 @@ _RUN_NODES = 64
 def _node_blocks(problem: LinearProblem):
     """The block sweep's node blocks, filled from the stencil and sine table.
 
-    The unknowns are cut into blocks of whole mesh nodes, as many nodes per
-    block as the largest leg offset of the stencil (one node for upwind1
-    and central, node pairs for upwind2), so each block couples only to
-    its two neighbours.  The stencil entries are generated for runs of
+    The system is the one for the whole node-major field: each free entry's
+    row is ``assemble``'s equation, pinned columns included, and each
+    pinned inflow entry's row is an identity row.  The field is cut into
+    blocks of reach m rows, reach being the largest leg offset of the
+    stencil (one node for upwind1 and central, node pairs for upwind2,
+    whose last block is one node when Nx + 1 is odd), so each block
+    couples only to its two neighbours and the pinned rows lie in the
+    first and last blocks.  The stencil entries are generated for runs of
     ``_RUN_NODES`` nodes, so the entries held at any time do not grow with
     the mesh.
 
-    Returns (edges, read, blocks): the reduced indices at the block
-    boundaries; flags on every unknown that a row of the block before it
+    Returns (edges, read, blocks): the flat indices at the block
+    boundaries; flags on every entry that a row of the block before it
     reads, so that J_t, the columns of U_t, is the flagged part of block
     t + 1; and an iterator that yields, for each block t in order,
-    (block, rhs, coupled).  ``block`` holds the rows of block t over the
-    columns of blocks t - 1 .. t + 1, ``rhs`` the contributions of the
-    pinned columns (block t's part of ``assemble``'s right-hand side,
-    summed in the same order) and ``coupled`` the rows of L_t with
+    (block, coupled).  ``block`` holds the rows of block t over the
+    columns of blocks t - 1 .. t + 1 and ``coupled`` the rows of L_t with
     entries.
     """
     Nx = problem.system.mesh.Nx
@@ -363,70 +341,63 @@ def _node_blocks(problem: LinearProblem):
     reach = max(abs(dj) for _, transport, coupling in _stencil(problem.scheme, Nx)
                 for dj, _ in (*transport, *coupling))
     pinned = problem.pinned.ravel()
-    pinval = problem.pinval.ravel()
-    red = np.cumsum(~pinned) - 1                  # reduced index of each unknown
-    node_edges = np.concatenate([[0], np.cumsum((~problem.pinned).sum(axis=1))])
-    edges = np.append(node_edges[:-1:reach], node_edges[-1])
+    edges = np.append(np.arange(0, pinned.size, reach * m), pinned.size)
     n_blocks = edges.size - 1
     run = reach * max(_RUN_NODES // reach, 1)
     runs = [(j0, min(j0 + run, Nx + 1)) for j0 in range(0, Nx + 1, run)]
 
-    # only block t reads block t + 1, so every free column read past the
-    # end of its row's block is in J_t
-    read = np.zeros(edges[-1], dtype=bool)
+    # only block t reads block t + 1, so every column read past the end of
+    # its row's block is in J_t
+    read = np.zeros(pinned.size, dtype=bool)
     for j0, j1 in runs:
         rows, cols, _ = _entries(problem.system, problem.scheme, problem.sines, j0, j1)
-        ahead = (cols // (m * reach) > rows // (m * reach)) & ~pinned[cols]
-        read[red[cols[ahead]]] = True
+        read[cols[cols // (m * reach) > rows // (m * reach)]] = True
 
     def blocks():
         for j0, j1 in runs:
             rows, cols, vals = _entries(problem.system, problem.scheme, problem.sines, j0, j1)
-            # group by block; the stable sort keeps each row's leg order
-            # for the right-hand side sums
+            # group by block
             at = rows // (m * reach)
             order = np.argsort(at, kind="stable")
-            rows, cols, vals, at = red[rows[order]], cols[order], vals[order], at[order]
-            hit = pinned[cols]
-            # each free entry's place in its block, row-major over the
-            # columns of the blocks beside it, and the rows of L_t (the
-            # columns before the block) that have entries
+            rows, cols, vals, at = rows[order], cols[order], vals[order], at[order]
+            # each entry's place in its block, row-major over the columns
+            # of the blocks beside it, and the rows of L_t (the columns
+            # before the block) that have entries
             first, lo = edges[at], edges[np.maximum(at - 1, 0)]
-            col = red[cols] - lo
-            spot = ((rows - first) * (edges[np.minimum(at + 2, n_blocks)] - lo) + col)[~hit]
-            base = edges[j0 // reach]
-            lower = np.zeros(edges[-(-j1 // reach)] - base, dtype=bool)
-            lower[rows[~hit & (col < first - lo)] - base] = True
-            free_vals = vals[~hit]
-            pin_rows, pin_vals = rows[hit], -vals[hit] * pinval[cols[hit]]
+            col = cols - lo
+            spot = (rows - first) * (edges[np.minimum(at + 2, n_blocks)] - lo) + col
+            base = j0 * m
+            lower = np.zeros((j1 - j0) * m, dtype=bool)
+            lower[rows[col < first - lo] - base] = True
             ts = np.arange(j0 // reach, -(-j1 // reach) + 1)
-            free_bounds = np.searchsorted(at[~hit], ts)
-            pin_bounds = np.searchsorted(at[hit], ts)
+            bounds = np.searchsorted(at, ts)
             for i, t in enumerate(ts[:-1]):
                 a, b = edges[t], edges[t + 1]
                 lo = edges[max(t - 1, 0)]
                 block = np.zeros((b - a, edges[min(t + 2, n_blocks)] - lo))
-                f = slice(free_bounds[i], free_bounds[i + 1])
-                np.put(block, spot[f], free_vals[f])
-                rhs = np.zeros(b - a)
-                if pin_bounds[i] < pin_bounds[i + 1]:
-                    p = slice(pin_bounds[i], pin_bounds[i + 1])
-                    np.add.at(rhs, pin_rows[p] - a, pin_vals[p])
-                yield block, rhs, _span(lower[a - base:b - base].nonzero()[0])
+                np.put(block, spot[bounds[i]:bounds[i + 1]], vals[bounds[i]:bounds[i + 1]])
+                if t == 0 or t == n_blocks - 1:
+                    pin = np.flatnonzero(pinned[a:b])
+                    block[pin, a - lo + pin] = 1.0
+                yield block, _span(lower[a - base:b - base].nonzero()[0])
 
     return edges, read, blocks()
 
 
 def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.ndarray:
-    """Solve M x = rhs by block tridiagonal elimination over node blocks.
+    """Solve M F = rhs for the (Nx + 1, m) field F by block tridiagonal elimination.
 
-    M is the problem's reduced matrix, which is not built; its node blocks come
-    from ``_node_blocks``.  With rhs None the right-hand side is b, the
-    pinned-column part of each block.  U_t, the coupling of block t to
-    block t + 1, is nonzero only in the column set J_t (about the v < 0
-    unknowns of the next block, half of them), so the carry kept per block
-    is the half-rank C_t = D'_t^-1 U_t[:, J_t].  The Schur update touches
-    only D_{t+1}[:, J_t], on the rows where L_{t+1} has entries, and back
+    M is the system of the whole field, which is not built: ``assemble``'s
+    equations on the free entries and an identity row on each pinned
+    inflow entry, in the node blocks of ``_node_blocks``.  With rhs None
+    the right-hand side is ``problem.pinval``, so the free entries solve
+    ``assemble``'s reduced system and the pinned ones hold the inflow data
+    to rounding (partial pivoting may mix an identity row with the
+    equations of its block).  U_t, the coupling of block t to block t + 1,
+    is nonzero only in the column set J_t (about the v < 0 entries of the
+    next block, half of them), so the carry kept per block is the
+    half-rank C_t = D'_t^-1 U_t[:, J_t].  The Schur update touches only
+    D_{t+1}[:, J_t], on the rows where L_{t+1} has entries, and back
     substitution reads x_t = p_t - C_t x_{t+1}[J_t].  LAPACK getrf/getrs
     are fetched once.
 
@@ -436,10 +407,11 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     edges, read, blocks = _node_blocks(problem)
     n_blocks = edges.size - 1
     m = problem.system.grid.size
+    rhs = (problem.pinval if rhs is None else rhs).ravel()
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (problem.pinval,))
 
     def fail(t, why):
-        first, last = np.flatnonzero(~problem.pinned)[[edges[t], edges[t + 1] - 1]] // m
+        first, last = edges[t] // m, (edges[t + 1] - 1) // m
         where = f"mesh node {first}" if first == last else f"mesh nodes {first}-{last}"
         return SolverError(f"block elimination failed at {where}: {why}")
 
@@ -452,12 +424,11 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     carry_buffer = np.empty(offsets[-1])
     carries, reads = [], []
     x = np.empty(edges[-1])
-    for t, (block, r, coupled) in enumerate(blocks):
+    for t, (block, coupled) in enumerate(blocks):
         a, b = edges[t], edges[t + 1]
         lo = edges[max(t - 1, 0)]
         D = np.array(block[:, a - lo:b - lo], order="F")
-        if rhs is not None:
-            r = rhs[a:b].copy()
+        r = rhs[a:b].copy()
         if t > 0:
             L = block[coupled, :a - lo]
             J = reads[t - 1]
@@ -470,7 +441,7 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             raise fail(t, "the block is not finite")
         lu, piv, info = getrf(D, overwrite_a=True)
         if info > 0:
-            j, k = divmod(int(np.flatnonzero(~problem.pinned)[a + info - 1]), m)
+            j, k = divmod(int(a + info - 1), m)
             raise fail(t, f"the block is singular, zero pivot {info} of {b - a} "
                           f"(node {j}, velocity index {k})")
         x[a:b] = getrs(lu, piv, r, overwrite_b=True)[0]
@@ -484,7 +455,7 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
 
     for t in range(n_blocks - 2, -1, -1):
         x[edges[t]:edges[t + 1]] -= carries[t] @ x[edges[t + 1]:edges[t + 2]][reads[t]]
-    return x
+    return x.reshape(problem.pinned.shape)
 
 
 def _central_march(system: WignerSystem, sines: np.ndarray) -> np.ndarray:
@@ -536,20 +507,24 @@ def _central_march(system: WignerSystem, sines: np.ndarray) -> np.ndarray:
 def _global_solve(problem: LinearProblem, rel_tol: float):
     """Solve the scheme's linear system by the block sweep.
 
-    If the sweep misses rel_tol, one step of iterative refinement follows:
-    the gate's residual vector is the right-hand side of a second sweep.
-    The step is not monotone on an ill-conditioned system, so whichever of
-    the two iterates has the lower residual is kept.  Returns the reduced
-    solution and its relative residual.
+    Each swept field has its inflow entries reset to the data exactly
+    before it is gated.  If the sweep misses rel_tol, one step of
+    iterative refinement follows: the gate's residual field is the
+    right-hand side of a second sweep.  The step is not monotone on an
+    ill-conditioned system, so whichever of the two iterates has the lower
+    residual is kept.  Returns the (Nx + 1, m) field and its relative
+    residual.
     """
-    x = _block_sweep(problem)
-    r, res = _gate(problem, _field(problem, x))
+    field = _block_sweep(problem)
+    np.copyto(field, problem.pinval, where=problem.pinned)
+    r, res = _gate(problem, field)
     if res > rel_tol:
-        refined = x + _block_sweep(problem, -r)
-        _, refined_res = _gate(problem, _field(problem, refined))
+        refined = field + _block_sweep(problem, -r)
+        np.copyto(refined, problem.pinval, where=problem.pinned)
+        _, refined_res = _gate(problem, refined)
         if refined_res < res:
-            x, res = refined, refined_res
-    return x, res
+            field, res = refined, refined_res
+    return field, res
 
 
 def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> DiscreteSolution:
@@ -558,7 +533,9 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     ``central`` is solved by one forward march over the period (see
     ``_central_march``).  The one-sided schemes, and a central march that
     misses rel_tol, go through a block elimination sweep over mesh nodes
-    at every size, which needs no global fill.  If the sweep misses
+    at every size, which needs no global fill; it solves for the whole
+    field, the inflow entries as identity rows, and the inflow entries
+    are then reset to the data exactly.  If the sweep misses
     rel_tol, one step of iterative refinement follows and the iterate
     with the lower residual is kept (see ``_global_solve``).
 
@@ -606,17 +583,16 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
                 field = None
 
     if field is None:
-        x, res = _global_solve(problem, rel_tol)
+        field, res = _global_solve(problem, rel_tol)
         if not np.isfinite(res) or res > rel_tol:
             b_max = np.abs(system.boundary.values).max()
-            growth = max(np.abs(x).max(), b_max) / b_max
+            growth = max(np.abs(field).max(), b_max) / b_max
             raise SolverError(
                 f"solver residual {res:.3e} exceeds rel_tol {rel_tol:.3e} "
                 f"for scheme {scheme.value} at Nx={system.mesh.Nx}, growth factor "
                 f"max|f| / max|b| = {growth:.3e}{march_note}",
                 residual=res,
             )
-        field = _field(problem, x)
 
     values = np.ascontiguousarray(field.T)
     values.flags.writeable = False

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analysis import _SCHEMES, _solve, current
 from .fd import Scheme, solve_bvp
-from .kinetic import WignerSystem, build_mesh, build_system, mono_energetic_boundary, tabulated_boundary
+from .kinetic import WignerSystem, build_mesh, build_system, mono_energetic_boundary
 from .potential import apply_coupling, coupling_bound, new_potential
 from .propagator import PropagatorOptions, _march, propagator_matrix
 
@@ -128,14 +128,9 @@ def check_propagator_inversion(system: WignerSystem, rng: np.random.Generator) -
 def _zero_potential_twin(system: WignerSystem) -> WignerSystem:
     """Same grid, mesh and boundary on a constant potential."""
     flat = new_potential(system.potential.period_l, [0.0])
-    table = {
-        int(i): float(val)
-        for i, val in zip(system.grid.indices, system.boundary.values)
-        if val != 0.0
-    }
     boundary = (
-        tabulated_boundary(system.grid, table)
-        if table
+        system.boundary
+        if system.boundary.values.any()
         else mono_energetic_boundary(system.grid, int(system.grid.indices[system.grid.velocities > 0][0]))
     )
     return build_system(flat, system.grid, system.mesh, boundary)

@@ -174,15 +174,12 @@ def test_write_csv_solution_round_trip(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x, v, f"
     assert len(lines) == 1 + system.grid.size * (system.mesh.Nx + 1)
-    # node-major ordering with exact float round trip
-    first = lines[1].split(", ")
-    assert float(first[0]) == system.mesh.nodes[0]
-    assert float(first[1]) == system.grid.velocities[0]
-    assert float(first[2]) == sol.values[0, 0]
-    last = lines[-1].split(", ")
-    assert float(last[0]) == system.mesh.nodes[-1]
-    assert float(last[1]) == system.grid.velocities[-1]
-    assert float(last[2]) == sol.values[-1, -1]
+    # node-major ordering with exact float round trip on every line
+    parsed = np.array([[float(cell) for cell in line.split(", ")] for line in lines[1:]])
+    m = system.grid.size
+    assert np.array_equal(parsed[:, 0], np.repeat(system.mesh.nodes, m))
+    assert np.array_equal(parsed[:, 1], np.tile(system.grid.velocities, system.mesh.Nx + 1))
+    assert np.array_equal(parsed[:, 2], sol.values.T.ravel())
 
 
 def test_write_csv_study_round_trip(tmp_path):

@@ -160,46 +160,67 @@ def _sample_systems(rng):
 
 
 def _cut_blocks(problem, edges):
-    """Node blocks cut from the assembled matrix: (block, rhs, coupled rows, read flags).
+    """The assembled matrix cut at the field's block edges: (block, rhs, coupled rows, read flags).
 
-    ``read`` flags the columns that a row of an earlier block reads.  Each
-    block's rows must have no entry outside the columns of the blocks
-    beside it.
+    ``block`` holds the free rows of block t over the free columns of the
+    blocks beside it and ``rhs`` the same rows of the assembled rhs.  The
+    coupled rows count from the block's first field entry, and ``read``
+    flags the field entries of the free columns that a row of an earlier
+    block reads.  Each block's rows must have no entry outside the columns
+    of the blocks beside it.
     """
     matrix = problem.matrix
-    read = np.zeros(edges[-1], dtype=bool)
+    unknowns = np.flatnonzero(problem.free)           # field entry of each unknown
+    cuts = np.searchsorted(unknowns, edges)
+    read = np.zeros(problem.free.size, dtype=bool)
     cut = []
     for t in range(edges.size - 1):
-        a, b = edges[t], edges[t + 1]
-        lo, hi = edges[max(t - 1, 0)], edges[min(t + 2, edges.size - 1)]
+        a, b = cuts[t], cuts[t + 1]
+        lo, hi = cuts[max(t - 1, 0)], cuts[min(t + 2, edges.size - 1)]
         rows = matrix[a:b]
         assert rows.nnz == rows[:, lo:hi].nnz
-        read[rows.indices[rows.indices >= b]] = True
-        lower = np.repeat(np.arange(b - a), np.diff(rows.indptr))[rows.indices < a]
-        cut.append((rows[:, lo:hi].toarray(), problem.rhs[a:b], np.unique(lower)))
+        read[unknowns[rows.indices[rows.indices >= b]]] = True
+        lower = np.repeat(np.arange(a, b), np.diff(rows.indptr))[rows.indices < a]
+        cut.append((rows[:, lo:hi].toarray(), problem.rhs[a:b], unknowns[np.unique(lower)] - edges[t]))
     return cut, read
 
 
 def test_node_blocks_match_the_assembled_matrix():
-    # the stencil-built blocks, and the rhs their pinned columns give, are
-    # the blocks of the assembled system to the bit, on every scheme;
-    # Nx + 1 nodes always leave upwind2 an unpaired last node
+    # the stencil-built blocks over the free rows and columns are the blocks
+    # of the assembled system to the bit, on every scheme; pinned rows are
+    # identity rows, and the pinned columns give the assembled rhs.  Nx + 1
+    # nodes always leave upwind2 an unpaired last node
     rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
     for system in _sample_systems(rng):
+        m = system.grid.size
         for scheme in Scheme:
-            op = assemble(system, scheme)
-            edges, read, blocks = fd._node_blocks(op)
-            blocks = list(blocks)
             problem = assemble(system, scheme)
+            edges, read, blocks = fd._node_blocks(problem)
+            blocks = list(blocks)
             cut, cut_read = _cut_blocks(problem, edges)
             assert len(blocks) == len(cut)
-            assert np.array_equal(read, cut_read)
-            for (block, rhs, coupled), (cut_block, cut_rhs, cut_coupled) in zip(blocks, cut):
-                assert np.array_equal(block, cut_block)
-                assert np.array_equal(rhs, cut_rhs)
-                assert np.array_equal(np.arange(block.shape[0])[coupled], cut_coupled)
+            free, pinval = problem.free, problem.pinval.ravel()
+            pin_read = np.zeros_like(read)
+            for t, ((block, coupled), (cut_block, cut_rhs, cut_coupled)) in enumerate(zip(blocks, cut)):
+                a, b = edges[t], edges[t + 1]
+                lo, hi = edges[max(t - 1, 0)], edges[min(t + 2, len(blocks))]
+                rows, cols = free[a:b], free[lo:hi]
+                assert np.array_equal(block[rows][:, cols], cut_block)
+                assert np.array_equal(block[~rows], np.eye(hi - lo)[a - lo:b - lo][~rows])
+                # the rhs sums the same products, in another order
+                terms = -block[rows][:, ~cols] * pinval[lo:hi][~cols]
+                bound = 2 * (~cols).sum() * eps * np.abs(terms).sum(axis=1)
+                assert np.all(np.abs(terms.sum(axis=1) - cut_rhs) <= bound)
+                pinned_before = block[:, :a - lo][:, ~free[lo:a]].any(axis=1)
+                expected = np.union1d(cut_coupled, np.flatnonzero(pinned_before))
+                assert np.array_equal(np.arange(b - a)[coupled], expected)
+                pin_read[b + np.flatnonzero(block[:, b - lo:].any(axis=0) & ~free[b:hi])] = True
+            assert np.array_equal(read, cut_read | pin_read)
+            reach = 2 if scheme is Scheme.UPWIND2 else 1
+            assert np.all(np.diff(edges)[:-1] == reach * m)
             if scheme is Scheme.UPWIND2:
-                assert edges[-1] - edges[-2] == int((~op.pinned[-1]).sum())
+                assert edges[-1] - edges[-2] == m
 
 
 def test_block_path_matches_direct_path():
@@ -210,13 +231,17 @@ def test_block_path_matches_direct_path():
     for system in _sample_systems(rng):
         for scheme in Scheme:
             problem = assemble(system, scheme)
-            op = assemble(system, scheme)
             lu = spla.splu(problem.matrix.tocsc())
-            # the pinned-column rhs, then a generic one as refinement sees
-            for rhs in (None, rng.standard_normal(problem.rhs.size)):
-                direct = lu.solve(problem.rhs if rhs is None else rhs)
-                swept = fd._block_sweep(op, rhs)
-                assert np.abs(direct - swept).max() < 1e-11 * np.abs(direct).max()
+            # the inflow data, then a generic rhs on the free entries as
+            # refinement sees
+            generic = np.zeros(problem.pinned.shape)
+            generic[~problem.pinned] = rng.standard_normal(problem.rhs.size)
+            for rhs, pinned in ((None, problem.pinval), (generic, 0.0 * generic)):
+                direct = lu.solve(problem.rhs if rhs is None else rhs[~problem.pinned])
+                swept = fd._block_sweep(problem, rhs)
+                assert np.abs(direct - swept[~problem.pinned]).max() < 1e-11 * np.abs(direct).max()
+                pin_gap = np.abs(swept - pinned)[problem.pinned].max()
+                assert pin_gap < 1e-11 * np.abs(direct).max()
 
 
 def _zero_node_block(monkeypatch, node, value=0.0):
@@ -225,14 +250,15 @@ def _zero_node_block(monkeypatch, node, value=0.0):
 
     def altered(op):
         edges, read, blocks = node_blocks(op)
-        a, b = np.concatenate([[0], np.cumsum((~op.pinned).sum(axis=1))])[node:node + 2]
+        m = op.system.grid.size
+        a, b = node * m, (node + 1) * m
 
         def patched():
-            for t, (block, rhs, coupled) in enumerate(blocks):
+            for t, (block, coupled) in enumerate(blocks):
                 if edges[t] <= a < edges[t + 1]:
                     lo = edges[max(t - 1, 0)]
                     block[a - edges[t]:b - edges[t], a - lo:b - lo] = value
-                yield block, rhs, coupled
+                yield block, coupled
 
         return edges, read, patched()
 
@@ -332,13 +358,16 @@ def test_gate_matches_the_assembled_residual():
             assert op.rhs_norm == pytest.approx(np.linalg.norm(problem.rhs), rel=1e-14)
             # a random field, where the residual is O(1): the vectors agree to rounding
             x = rng.standard_normal(problem.rhs.size)
-            r, res = fd._gate(op, fd._field(op, x))
-            assert np.abs(r - (problem.matrix @ x - problem.rhs)).max() <= 1e-14 * np.abs(r).max()
+            field = op.pinval.copy()
+            field[free] = x
+            r, res = fd._gate(op, field)
+            assert np.all(r[op.pinned] == 0.0)
+            assert np.abs(r[free] - (problem.matrix @ x - problem.rhs)).max() <= 1e-14 * np.abs(r).max()
             assert res == pytest.approx(residual_norm(problem, x), rel=1e-14)
             # a solved field: both gates pass and agree to rounding
             sol = solve_bvp(system, scheme)
             x = sol.values.T[free]
-            assert sol.residual == fd._gate(op, fd._field(op, x))[1]
+            assert sol.residual == fd._gate(op, sol.values.T)[1]
             assert max(sol.residual, residual_norm(problem, x)) <= 1e-12
             assert abs(sol.residual - residual_norm(problem, x)) <= 5e-14
 
@@ -346,8 +375,8 @@ def test_gate_matches_the_assembled_residual():
 def test_refinement_keeps_the_better_iterate(monkeypatch):
     op = assemble(make_system(20), Scheme.UPWIND1)
     sweep = fd._block_sweep
-    first = sweep(op) + 1e-9
-    first_res = fd._gate(op, fd._field(op, first))[1]
+    first = np.where(op.pinned, op.pinval, sweep(op) + 1e-9)
+    first_res = fd._gate(op, first)[1]
     assert first_res > 1e-12
     # a correction ten times too long makes the residual worse and is
     # dropped; the true correction makes it better and is kept
@@ -361,9 +390,9 @@ def test_refinement_keeps_the_better_iterate(monkeypatch):
         monkeypatch.setattr(fd, "_block_sweep", off_first)
         x, res = fd._global_solve(op, 1e-12)
         assert len(calls) == 2
-        # the refinement's rhs is the gate's residual vector of the first iterate
-        assert np.array_equal(calls[1], -fd._gate(op, fd._field(op, first))[0])
-        assert res == fd._gate(op, fd._field(op, x))[1]
+        # the refinement's rhs is the gate's residual field of the first iterate
+        assert np.array_equal(calls[1], -fd._gate(op, first)[0])
+        assert res == fd._gate(op, x)[1]
         if kept:
             assert res < 1e-12
         else:
@@ -408,6 +437,7 @@ def test_central_falls_back_when_march_misses_gate(monkeypatch):
     # exactly one sweep: the fallback passes the gate without refinement
     assert len(sweeps) == 1
     x = sol.values.T.ravel()[problem.free]
+    swept = swept.ravel()[problem.free]
     assert np.abs(x - swept).max() <= 1e-13 * np.abs(swept).max()
     assert np.abs(x - direct).max() <= 1e-11 * np.abs(direct).max()
 
@@ -443,9 +473,8 @@ def test_global_solve_of_central_reflects_nothing_over_random_inputs():
     for _ in range(12):
         system = random_system(rng, max_harmonics=4, max_M=30)
         op = assemble(system, Scheme.CENTRAL)
-        x, res = fd._global_solve(op, 1e-12)
+        field, res = fd._global_solve(op, 1e-12)
         assert res <= 1e-12
-        field = fd._field(op, x)
         b = system.boundary.values
         neg = system.grid.velocities < 0
         assert np.abs(field[0, neg] - b[neg]).max() <= 1e-11 * np.abs(b).max()
@@ -487,10 +516,10 @@ def test_central_current_balance_over_random_inputs():
     for _ in range(12):
         system = random_system(rng, max_harmonics=4, max_M=30)
         op = assemble(system, Scheme.CENTRAL)
-        x, res = fd._global_solve(op, 1e-12)
+        swept, res = fd._global_solve(op, 1e-12)
         assert res <= 1e-12
         v = system.grid.velocities
-        for field in (fd._central_march(system, op.sines), fd._field(op, x)):
+        for field in (fd._central_march(system, op.sines), swept):
             Af = np.array([apply_coupling(system.potential, xj, f) for xj, f in zip(system.mesh.nodes, field)])
             gain = 0.5 * system.mesh.dx * (Af[1:] + Af[:-1]).sum(axis=1)
             scale = np.abs(field * v).sum(axis=1).max()
