@@ -1,8 +1,8 @@
 """Finite-difference schemes for the discrete-velocity transport system.
 
-All schemes discretize v f_x = (A f) on the period mesh, pin the inflow
-rows (x = -l/2 for v > 0, x = +l/2 for v < 0) and solve the resulting
-sparse linear system.  Three stencils are provided:
+All schemes discretize v f_x = (A f) on the period mesh and pin the inflow
+entries (x = -l/2 for v > 0, x = +l/2 for v < 0).  Three stencils are
+provided:
 
   upwind1  first-order one-sided differences against the flow.
   upwind2  second-order one-sided differences, falling back to first
@@ -11,28 +11,23 @@ sparse linear system.  Three stencils are provided:
            with the average of the coupling term at the two cell ends,
            which is second-order accurate and mirror-consistent.
 
-Each stencil is written once, in ``_stencil``.  ``assemble`` sets up a
-scheme's linear problem from it and the sine table, and no solve builds
-the problem's sparse matrix: it is built on first access, as a reference
-for the tests and for callers who want it.  The central scheme is solved without a global
-factorization: A(x) is odd and the mesh mirror symmetric, so its
-discrete map over one period is the identity and the boundary value
-problem is one forward march of banded solves from the inflow data of
-both ends (``_central_march``), O(Nx m nmax) work.  Every solve is gated
-on the residual of the linear system, computed from the stencil and the
-sine table (``_residual``).  The one-sided schemes, and a central march
-that misses the gate, go through one global solver at every size: a
-block tridiagonal sweep for the whole (Nx + 1, m) field, each pinned
-inflow entry an identity row that holds its data.  Its node blocks are
-filled from the same stencil and sine table, so memory grows with one
-half-rank carry per node (velocities by the next node's v < 0 entries)
-instead of a sparse LU fill.  One step of iterative refinement follows
-if the sweep misses the gate, and the better of the two iterates is
-kept.  Only the reference matrix numbers the free entries apart.
+Each stencil is written once, in ``_stencil``.  On the node-major
+(Nx + 1, m) field, with an identity row on each pinned entry, each of its
+legs is one diagonal of the matrix (``_diagonals``).  ``central`` is one
+forward march of banded solves from the inflow data of both ends
+(``_central_march``): A(x) is odd and the mesh mirror symmetric, so the
+discrete period map is the identity.  The one-sided schemes, and a march
+that misses the gate, go through a block tridiagonal sweep over the whole
+field (``_block_sweep``), its node blocks written from the diagonals, and
+one refinement step if it misses the gate.  Every solve is gated on the
+residual of ``assemble``'s system, evaluated from the stencil and the sine
+table without the matrix (``_residual``).  ``LinearProblem.matrix`` and
+``rhs`` are cut from the diagonals only when read, as a reference.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 from dataclasses import dataclass
@@ -83,10 +78,10 @@ class LinearProblem:
     the field that holds the inflow data there and zero elsewhere.
     ``rhs_norm`` is |b| of the reduced system, from b = -R(pinval).  The
     solvers read only these.  ``matrix`` and ``rhs``, the reduced sparse
-    system over the non-pinned unknowns, are built on first access and
-    kept.  ``free`` flags, in node-major (node, velocity) order, which
-    entries of the full field are unknowns; the reduced vector lists them
-    in ascending order of that flat index.
+    system over the non-pinned unknowns, are cut from the diagonals on
+    first access and kept.  ``free`` flags, in node-major (node, velocity)
+    order, which entries of the full field are unknowns; the reduced
+    vector lists them in ascending order of that flat index.
     """
 
     system: WignerSystem
@@ -134,15 +129,6 @@ class DiscreteSolution:
     residual: float
 
 
-def _pinned_mask_and_values(system: WignerSystem):
-    """Flags and values of the pinned inflow entries of the (Nx + 1, m) field."""
-    v = system.grid.velocities
-    pinned = np.zeros((system.mesh.Nx + 1, v.size), dtype=bool)
-    pinned[0] = v > 0
-    pinned[-1] = v < 0
-    return pinned, np.where(pinned, system.boundary.values, 0.0)
-
-
 # Forward difference (f_j - f_{j-1}) / dx as transport legs (dj, c).
 _ONE_SIDED = ((0, 1.0), (-1, -1.0))
 
@@ -166,51 +152,47 @@ def _stencil(scheme: Scheme, Nx: int) -> list:
     ]
 
 
-def _entries(system: WignerSystem, scheme: Scheme, sines: np.ndarray, j0: int, j1: int):
-    """Stencil entries of the rows at mesh nodes j0 .. j1 - 1.
+def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
+    """Rows of mesh nodes j0 .. j1 - 1 of the whole-field matrix, by diagonal.
 
-    ``sines`` is the sine table on the mesh nodes.  Returns (rows, cols,
-    values) in flat node-major indexing, pinned columns included, scaled
-    by dx / |v| of the row: (c v / dx) dx / |v| for a transport leg (dj, c)
-    on column (k, j + dj), and -+w a_n sin(2 n kappa x) dx / |v| for a
-    coupling leg (dj, w) on columns (k -+ n, j + dj), with x at the
-    column's node.  Rows of v < 0 mirror those of v > 0 (see
-    ``_stencil``).  Each row's entries come in its leg order: transport
-    legs, then for each coupling leg and harmonic n the column k - n
-    before k + n.  A leg that would leave the channel window is dropped.
+    The whole-field matrix has ``assemble``'s equation, pinned columns
+    included, on each free entry of the node-major (Nx + 1, m) field and an
+    identity row on each pinned one.  Returns {offset: coef}, coef[j - j0, k]
+    being the entry of row (j, k) in the column of flat index j m + k +
+    offset.  Scaled by dx / |v| of the row, a transport leg (dj, c) puts
+    (c v / dx) dx / |v|, c to rounding (ROADMAP item 6), on offset dj m, and a
+    coupling leg (dj, w) puts -+w a_n sin(2 n kappa x) dx / |v|, x at node
+    j + dj, on offsets dj m -+ n where channel k -+ n lies in the window.
+    Rows of v < 0 mirror those of v > 0 (see ``_stencil``).  No two legs
+    meet on one entry.
     """
+    system = problem.system
     m = system.grid.size
     Nx = system.mesh.Nx
     v = system.grid.velocities
     vdx = v / system.mesh.dx
     scale = system.mesh.dx / np.abs(v)
     coeffs = system.potential.coeffs
-    out = []
-
-    def emit(J, K, cJ, cK, coef):
-        # coef broadcasts over (J, K): per channel, or per node as a column
-        out.append(((J[:, None] * m + K).ravel(), (cJ[:, None] * m + cK).ravel(),
-                    np.broadcast_to(coef * scale[K], (J.size, K.size)).ravel()))
-
-    for nodes, transport, coupling in _stencil(scheme, Nx):
-        for K, J, sign in ((np.flatnonzero(v > 0), nodes, 1), (np.flatnonzero(v < 0), Nx - nodes, -1)):
-            J = J[(J >= j0) & (J < j1)]
-            if J.size == 0 or K.size == 0:
+    diagonals = collections.defaultdict(lambda: np.zeros((j1 - j0, m)))
+    diagonals[0][problem.pinned[j0:j1]] = 1.0
+    neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
+    for sign, K in ((1, slice(neg, m)), (-1, slice(0, neg))):
+        for nodes, transport, coupling in _stencil(problem.scheme, Nx):
+            # rows of v < 0 mirror those of v > 0: nodes Nx - j, offsets -dj
+            first = int(nodes[0]) if sign > 0 else Nx - int(nodes[-1])
+            lo, hi = max(first, j0), min(first + nodes.size, j1)
+            if lo >= hi:
                 continue
+            rows = slice(lo - j0, hi - j0)
             for dj, c in transport:
-                emit(J, K, J + sign * dj, K, c * sign * vdx[K])
+                diagonals[sign * dj * m][rows, K] += c * sign * vdx[K] * scale[K]
             for dj, w in coupling:
-                cJ = J + sign * dj
-                for n in range(1, sines.shape[0] + 1):
-                    if coeffs[n] == 0.0:
-                        continue
-                    s = (w * coeffs[n] * sines[n - 1, cJ])[:, None]
-                    down, up = K[K - n >= 0], K[K + n <= m - 1]
-                    if down.size:
-                        emit(J, down, cJ, down - n, -s)
-                    if up.size:
-                        emit(J, up, cJ, up + n, s)
-    return tuple(np.concatenate(part) for part in zip(*out))
+                for n in (np.flatnonzero(coeffs[1:m]) + 1).tolist():
+                    s = (w * coeffs[n] * problem.sines[n - 1, lo + sign * dj:hi + sign * dj])[:, None]
+                    down, up = slice(max(K.start, n), K.stop), slice(K.start, min(K.stop, m - n))
+                    diagonals[sign * dj * m - n][rows, down] -= s * scale[down]
+                    diagonals[sign * dj * m + n][rows, up] += s * scale[up]
+    return diagonals
 
 
 def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
@@ -222,38 +204,34 @@ def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
     is order one and the right-hand side stays bounded as the mesh is
     refined, which keeps the relative residual meaningful at large Nx.
     This builds the sine table, the inflow entries and |b|; the sparse
-    matrix is built only when the problem's ``matrix`` or ``rhs`` is read.
+    matrix is cut from the diagonals of the whole-field matrix (see
+    ``_diagonals``) only when the problem's ``matrix`` or ``rhs`` is read.
     Raises ValueError for an unknown scheme.
     """
     scheme = Scheme(scheme)
     sines = _sine_table(system.potential, system.mesh.nodes)
-    pinned, pinval = _pinned_mask_and_values(system)
+    v = system.grid.velocities
+    pinned = np.zeros((system.mesh.Nx + 1, v.size), dtype=bool)
+    pinned[0], pinned[-1] = v > 0, v < 0
+    pinval = np.where(pinned, system.boundary.values, 0.0)
     rhs_norm = float(np.linalg.norm(_residual(system, scheme, sines, pinval)))
     return LinearProblem(system, scheme, sines, pinned, pinval, rhs_norm)
 
 
 def _assemble_csr(problem: LinearProblem):
-    """The reduced sparse system (matrix, rhs) of a linear problem."""
-    system = problem.system
-    rows, cols, data = _entries(system, problem.scheme, problem.sines, 0, system.mesh.Nx + 1)
-    pinned = problem.pinned.ravel()
-    pinval = problem.pinval.ravel()
-    N = pinned.size
-    unknown = np.full(N, -1, dtype=np.int64)       # reduced index of each free entry
-    free = ~pinned
-    n_unknowns = int(free.sum())
-    unknown[free] = np.arange(n_unknowns)
+    """The reduced sparse system (matrix, rhs) of a linear problem.
 
-    rr = unknown[rows]
-    rhs = np.zeros(n_unknowns)
-    hit_pin = pinned[cols]
-    if hit_pin.any():
-        np.add.at(rhs, rr[hit_pin], -data[hit_pin] * pinval[cols[hit_pin]])
-    keep = ~hit_pin
-    matrix = sp.coo_matrix(
-        (data[keep], (rr[keep], unknown[cols[keep]])), shape=(n_unknowns, n_unknowns)
-    ).tocsr()
-    return matrix, rhs
+    The free rows of the whole-field matrix: their free columns, and their
+    pinned ones times the inflow data.  Zero entries are dropped.
+    """
+    N = problem.pinned.size
+    diagonals = _diagonals(problem, 0, problem.system.mesh.Nx + 1)
+    # diagonal d holds the rows max(-d, 0) .. N - max(d, 0) - 1
+    whole = sp.diags([coef.ravel()[max(-d, 0):N - max(d, 0)] for d, coef in diagonals.items()],
+                     list(diagonals), shape=(N, N), format="csr")
+    free = problem.free
+    rows = whole[free]
+    return rows[:, free], -(rows[:, ~free] @ problem.pinval.ravel()[~free])
 
 
 def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
@@ -310,102 +288,92 @@ def _gate(problem: LinearProblem, field: np.ndarray):
     return R, float(np.linalg.norm(R) / max(problem.rhs_norm, _NORM_FLOOR))
 
 
-# mesh nodes whose stencil entries the sweep generates at once
+# mesh nodes whose diagonals the sweep builds at once
 _RUN_NODES = 64
 
 
 def _node_blocks(problem: LinearProblem):
-    """The block sweep's node blocks, filled from the stencil and sine table.
+    """The block sweep's node blocks, written from the whole-field matrix's diagonals.
 
-    The system is the one for the whole node-major field: each free entry's
-    row is ``assemble``'s equation, pinned columns included, and each
-    pinned inflow entry's row is an identity row.  The field is cut into
-    blocks of reach m rows, reach being the largest leg offset of the
-    stencil (one node for upwind1 and central, node pairs for upwind2,
-    whose last block is one node when Nx + 1 is odd), so each block
-    couples only to its two neighbours and the pinned rows lie in the
-    first and last blocks.  The stencil entries are generated for runs of
-    ``_RUN_NODES`` nodes, so the entries held at any time do not grow with
-    the mesh.
+    Blocks have reach m rows, reach being the farthest leg of the stencil
+    (one node for upwind1 and central, node pairs for upwind2, whose last
+    block is one node when Nx + 1 is odd), so each couples only to its two
+    neighbours and the pinned rows lie in the first and last.  The
+    diagonals are built for one run of ``_RUN_NODES`` nodes at a time and
+    written into each block by strided writes.  The rows of L_t and the
+    columns J_t of U_t follow from the legs and the channel signs.
 
-    Returns (edges, read, blocks): the flat indices at the block
-    boundaries; flags on every entry that a row of the block before it
-    reads, so that J_t, the columns of U_t, is the flagged part of block
-    t + 1; and an iterator that yields, for each block t in order,
-    (block, coupled).  ``block`` holds the rows of block t over the
-    columns of blocks t - 1 .. t + 1 and ``coupled`` the rows of L_t with
-    entries.
+    Returns (edges, widths, blocks): the flat indices at the block
+    boundaries, the size of each J_t, and an iterator that yields, for each
+    block t in order, (block, rows of L_t, J_t): the rows of block t over
+    the columns of blocks t - 1 .. t + 1, and J_t within block t + 1 (None
+    for the last block).
     """
     Nx = problem.system.mesh.Nx
     m = problem.system.grid.size
-    reach = max(abs(dj) for _, transport, coupling in _stencil(problem.scheme, Nx)
-                for dj, _ in (*transport, *coupling))
-    pinned = problem.pinned.ravel()
-    edges = np.append(np.arange(0, pinned.size, reach * m), pinned.size)
-    n_blocks = edges.size - 1
+    v = problem.system.grid.velocities
+    coeffs = problem.system.potential.coeffs
+    legs = _stencil(problem.scheme, Nx)
+    reach = max(abs(dj) for _, transport, coupling in legs for dj, _ in (*transport, *coupling))
+    N = problem.pinned.size
+    edges = np.append(np.arange(0, N, reach * m), N)
+    sizes = np.diff(edges)
+    spread = np.zeros(m, dtype=bool)           # channels a coupling leg reads from v < 0 rows
+    for n in np.flatnonzero(coeffs[1:m]) + 1:
+        spread[n:] |= v[:-n] < 0
+        spread[:-n] |= v[n:] < 0
+    # a leg (dj, .) of a v < 0 row reads -dj nodes ahead, so the block before
+    # reads into the first -dj nodes of a block; the farthest leg reaches
+    # reach nodes back, so every v > 0 row reads the block before
+    carried = np.zeros((reach, m), dtype=bool)
+    for _, transport, coupling in legs:
+        for dj, cols in [(dj, v < 0) for dj, _ in transport] + [(dj, spread) for dj, _ in coupling]:
+            carried[:-dj] |= cols
+    coupled, carried = np.tile(v > 0, reach), carried.ravel()
+    cut = {size: (_span(np.flatnonzero(coupled[:size])), _span(np.flatnonzero(carried[:size])))
+           for size in {sizes[0], sizes[-1]}}
     run = reach * max(_RUN_NODES // reach, 1)
-    runs = [(j0, min(j0 + run, Nx + 1)) for j0 in range(0, Nx + 1, run)]
-
-    # only block t reads block t + 1, so every column read past the end of
-    # its row's block is in J_t
-    read = np.zeros(pinned.size, dtype=bool)
-    for j0, j1 in runs:
-        rows, cols, _ = _entries(problem.system, problem.scheme, problem.sines, j0, j1)
-        read[cols[cols // (m * reach) > rows // (m * reach)]] = True
 
     def blocks():
-        for j0, j1 in runs:
-            rows, cols, vals = _entries(problem.system, problem.scheme, problem.sines, j0, j1)
-            # group by block
-            at = rows // (m * reach)
-            order = np.argsort(at, kind="stable")
-            rows, cols, vals, at = rows[order], cols[order], vals[order], at[order]
-            # each entry's place in its block, row-major over the columns
-            # of the blocks beside it, and the rows of L_t (the columns
-            # before the block) that have entries
-            first, lo = edges[at], edges[np.maximum(at - 1, 0)]
-            col = cols - lo
-            spot = (rows - first) * (edges[np.minimum(at + 2, n_blocks)] - lo) + col
-            base = j0 * m
-            lower = np.zeros((j1 - j0) * m, dtype=bool)
-            lower[rows[col < first - lo] - base] = True
-            ts = np.arange(j0 // reach, -(-j1 // reach) + 1)
-            bounds = np.searchsorted(at, ts)
-            for i, t in enumerate(ts[:-1]):
+        for j0 in range(0, Nx + 1, run):
+            j1 = min(j0 + run, Nx + 1)
+            diagonals = {d: coef.ravel() for d, coef in _diagonals(problem, j0, j1).items()}
+            for t in range(j0 // reach, -(-j1 // reach)):
                 a, b = edges[t], edges[t + 1]
-                lo = edges[max(t - 1, 0)]
-                block = np.zeros((b - a, edges[min(t + 2, n_blocks)] - lo))
-                np.put(block, spot[bounds[i]:bounds[i + 1]], vals[bounds[i]:bounds[i + 1]])
-                if t == 0 or t == n_blocks - 1:
-                    pin = np.flatnonzero(pinned[a:b])
-                    block[pin, a - lo + pin] = 1.0
-                yield block, _span(lower[a - base:b - base].nonzero()[0])
+                lo, hi = edges[max(t - 1, 0)], edges[min(t + 2, len(sizes))]
+                block = np.zeros((b - a, hi - lo))
+                # entry (r, r + d) of the matrix is block[r - a, r + d - lo]:
+                # a diagonal of the block, stride hi - lo + 1 in its flat view
+                flat, step = block.reshape(-1), hi - lo + 1
+                for d, coef in diagonals.items():
+                    ra, rb = max(a, lo - d), min(b, hi - d)
+                    if ra < rb:
+                        start = (ra - a) * step + a + d - lo
+                        flat[start:start + (rb - ra - 1) * step + 1:step] = coef[ra - j0 * m:rb - j0 * m]
+                L_rows = cut[sizes[t]][0] if t > 0 else slice(0, 0)
+                yield block, L_rows, cut[sizes[t + 1]][1] if t + 1 < len(sizes) else None
 
-    return edges, read, blocks()
+    return edges, np.cumsum(carried)[sizes[1:] - 1], blocks()
 
 
 def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.ndarray:
     """Solve M F = rhs for the (Nx + 1, m) field F by block tridiagonal elimination.
 
-    M is the system of the whole field, which is not built: ``assemble``'s
-    equations on the free entries and an identity row on each pinned
-    inflow entry, in the node blocks of ``_node_blocks``.  With rhs None
-    the right-hand side is ``problem.pinval``, so the free entries solve
-    ``assemble``'s reduced system and the pinned ones hold the inflow data
-    to rounding (partial pivoting may mix an identity row with the
-    equations of its block).  U_t, the coupling of block t to block t + 1,
-    is nonzero only in the column set J_t (about the v < 0 entries of the
-    next block, half of them), so the carry kept per block is the
-    half-rank C_t = D'_t^-1 U_t[:, J_t].  The Schur update touches only
-    D_{t+1}[:, J_t], on the rows where L_{t+1} has entries, and back
-    substitution reads x_t = p_t - C_t x_{t+1}[J_t].  LAPACK getrf/getrs
-    are fetched once.
+    M is the whole-field matrix of ``_diagonals``, in the node blocks of
+    ``_node_blocks``; it is not built.  With rhs None the right-hand side
+    is ``problem.pinval``, so the free entries solve ``assemble``'s reduced
+    system and the pinned ones hold the inflow data to rounding (partial
+    pivoting may mix an identity row with the equations of its block).
+    U_t, the coupling of block t to block t + 1, is nonzero only in the
+    columns J_t (about the v < 0 half of the next block), so the carry kept
+    per block is the half-rank C_t = D'_t^-1 U_t[:, J_t].  The Schur update
+    touches only D_{t+1}[:, J_t], on the rows of L_{t+1}, and back
+    substitution reads x_t = p_t - C_t x_{t+1}[J_t].
 
     Raises:
         SolverError: a block is not finite or is exactly singular.
     """
-    edges, read, blocks = _node_blocks(problem)
-    n_blocks = edges.size - 1
+    edges, widths, blocks = _node_blocks(problem)
     m = problem.system.grid.size
     rhs = (problem.pinval if rhs is None else rhs).ravel()
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (problem.pinval,))
@@ -419,23 +387,21 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     # solutions p_t live in x until back substitution overwrites them, so
     # the sweep's lasting memory is two large arrays, returned whole when
     # it ends instead of thousands of small ones left in the heap
-    widths = np.add.reduceat(read, edges[1:-1])
     offsets = np.concatenate([[0], np.cumsum(np.diff(edges[:-1]) * widths)])
     carry_buffer = np.empty(offsets[-1])
     carries, reads = [], []
     x = np.empty(edges[-1])
-    for t, (block, coupled) in enumerate(blocks):
+    for t, (block, coupled, J) in enumerate(blocks):
         a, b = edges[t], edges[t + 1]
         lo = edges[max(t - 1, 0)]
         D = np.array(block[:, a - lo:b - lo], order="F")
         r = rhs[a:b].copy()
         if t > 0:
             L = block[coupled, :a - lo]
-            J = reads[t - 1]
-            if isinstance(coupled, slice) or isinstance(J, slice):
-                D[coupled, J] -= L @ carries[t - 1]
+            if isinstance(coupled, slice) or isinstance(reads[-1], slice):
+                D[coupled, reads[-1]] -= L @ carries[-1]
             else:
-                D[np.ix_(coupled, J)] -= L @ carries[t - 1]
+                D[np.ix_(coupled, reads[-1])] -= L @ carries[-1]
             r[coupled] -= L @ x[lo:a]
         if not np.isfinite(D).all():
             raise fail(t, "the block is not finite")
@@ -445,15 +411,14 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             raise fail(t, f"the block is singular, zero pivot {info} of {b - a} "
                           f"(node {j}, velocity index {k})")
         x[a:b] = getrs(lu, piv, r, overwrite_b=True)[0]
-        if t + 1 < n_blocks:
-            J = _span(read[b:edges[t + 2]].nonzero()[0])
+        if J is not None:
             reads.append(J)
             # Fortran-ordered view of this block's share of the buffer
             carry = carry_buffer[offsets[t]:offsets[t + 1]].reshape(widths[t], b - a).T
             carry[...] = getrs(lu, piv, block[:, b - lo:][:, J], overwrite_b=True)[0]
             carries.append(carry)
 
-    for t in range(n_blocks - 2, -1, -1):
+    for t in range(len(carries) - 1, -1, -1):
         x[edges[t]:edges[t + 1]] -= carries[t] @ x[edges[t + 1]:edges[t + 2]][reads[t]]
     return x.reshape(problem.pinned.shape)
 
@@ -487,6 +452,11 @@ def _central_march(system: WignerSystem, sines: np.ndarray) -> np.ndarray:
     # are gbsv's fill-in workspace and need not be set
     ab = np.zeros((3 * nb + 1, m), order="F")
     gbsv = get_lapack_funcs("gbsv", (ab,))
+    # the right-hand side h/2 (A_{c-1} + A_c) f_{c-1} in _apply_sines's
+    # order of operations, from sine rows summed once for every cell
+    pair = sines[:, :-1] + sines[:, 1:]
+    harmonics = [n for n in range(1, nb + 1) if coeffs[n] != 0.0]
+    rhs = np.empty(m)
     for c in range(1, Nx + 1):
         # band of V - h/2 A(x_c); every entry inside the band is rewritten
         # after gbsv overwrote it with its factors, the corners are never read
@@ -496,7 +466,12 @@ def _central_march(system: WignerSystem, sines: np.ndarray) -> np.ndarray:
             ab[2 * nb - n, n:] = w
             ab[2 * nb + n, :-n] = -w
         prev = field[c - 1]
-        rhs = half_h * _apply_sines(coeffs, sines[:, c - 1] + sines[:, c], prev)
+        rhs.fill(0.0)
+        for n in harmonics:
+            w = coeffs[n] * pair[n - 1, c - 1]
+            rhs[n:] += w * prev[:-n]
+            rhs[:-n] -= w * prev[n:]
+        rhs *= half_h
         _, _, step, info = gbsv(nb, nb, ab, rhs, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise SolverError(f"central march: cell {c} matrix is singular: zero pivot {info} of {m}")
@@ -532,21 +507,16 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
 
     ``central`` is solved by one forward march over the period (see
     ``_central_march``).  The one-sided schemes, and a central march that
-    misses rel_tol, go through a block elimination sweep over mesh nodes
-    at every size, which needs no global fill; it solves for the whole
-    field, the inflow entries as identity rows, and the inflow entries
-    are then reset to the data exactly.  If the sweep misses
-    rel_tol, one step of iterative refinement follows and the iterate
-    with the lower residual is kept (see ``_global_solve``).
+    misses rel_tol, go through the block sweep over the whole field, whose
+    inflow entries are then reset to the data exactly, plus one step of
+    iterative refinement if it misses rel_tol (see ``_global_solve``).
 
     Every result is gated on the relative residual |M x - b| / |b| of the
     linear system ``assemble`` sets up, computed from the stencil and the
     sine table without the matrix (see ``_residual``).  It matches
-    ``residual_norm`` of the assembled system to rounding, not to the
-    bit: on the flagship system at Nx 100 to 12800 the two differ by at
-    most 6e-14 (upwind2 at Nx=12800: 3.75e-13 against 3.20e-13), far
-    below the default rel_tol.  The sine table is built once per solve
-    and serves the march, the gate and the sweep's node blocks.
+    ``residual_norm`` of the assembled system to rounding, not to the bit.
+    The sine table is built once per solve and serves the march, the gate
+    and the sweep's node blocks.
 
     Args:
         system: the transport problem.

@@ -61,37 +61,55 @@ def test_assemble_counts_unknowns():
     assert problem.free.size == m * 11
 
 
-def test_assemble_rows_match_apply_coupling():
-    """An interior equation must use exactly the operator apply_coupling applies.
+def _equations(system, scheme, F):
+    """assemble's equations on the node-major field F, written out from apply_coupling.
 
-    Build the full dense residual of a manufactured field under the
-    upwind1 stencil and compare row blocks against direct evaluation.
+    Rows of v > 0 difference toward -l/2 on nodes 1..Nx and rows of v < 0
+    toward +l/2 on nodes 0..Nx-1; upwind2 is first order where its second
+    node back leaves the mesh.  Each equation is scaled by dx / |v|.
+    Returns them in (node, velocity) order with the pinned entries left out.
     """
-    system = make_system(8)
-    m = system.grid.size
-    mesh = system.mesh
     v = system.grid.velocities
-    problem = assemble(system, Scheme.UPWIND1)
-    rng = np.random.default_rng(5)
-    F = rng.standard_normal((m, mesh.Nx + 1))
-    # impose the pinned values so the reduced system sees a consistent field
-    bvals = system.boundary.values
-    F[v > 0, 0] = bvals[v > 0]
-    F[v < 0, mesh.Nx] = bvals[v < 0]
-    flat = F.T.ravel()
-    resid = problem.matrix @ flat[problem.free] - problem.rhs
-    # reconstruct the same residual channel-wise from the stencil definition
-    scale = mesh.dx / np.abs(v)
-    expected = []
-    for j in range(mesh.Nx + 1):
-        g = apply_coupling(system.potential, float(mesh.nodes[j]), F[:, j])
-        for k in range(m):
-            if v[k] > 0 and j >= 1:
-                expected.append(scale[k] * (v[k] * (F[k, j] - F[k, j - 1]) / mesh.dx - g[k]))
-            elif v[k] < 0 and j <= mesh.Nx - 1:
-                expected.append(scale[k] * (v[k] * (F[k, j + 1] - F[k, j]) / mesh.dx - g[k]))
-    # expected is ordered (j, k) with pinned rows skipped, same as the matrix
-    assert resid == pytest.approx(np.array(expected), abs=1e-12)
+    dx = system.mesh.dx
+    Nx = system.mesh.Nx
+    G = np.array([apply_coupling(system.potential, float(x), f) for x, f in zip(system.mesh.nodes, F)])
+    R = np.full(F.shape, np.nan)
+    for sign, K in ((1, v > 0), (-1, v < 0)):
+        for j in range(Nx + 1):
+            back, back2 = j - sign, j - 2 * sign
+            if not 0 <= back <= Nx:
+                continue
+            if scheme is Scheme.UPWIND2 and 0 <= back2 <= Nx:
+                fx = sign * (1.5 * F[j, K] - 2.0 * F[back, K] + 0.5 * F[back2, K]) / dx
+            else:
+                fx = sign * (F[j, K] - F[back, K]) / dx
+            coupling = 0.5 * (G[j, K] + G[back, K]) if scheme is Scheme.CENTRAL else G[j, K]
+            R[j, K] = dx / np.abs(v[K]) * (v[K] * fx - coupling)
+    return R[~np.isnan(R)]
+
+
+def test_assemble_rows_match_apply_coupling():
+    """Every equation must use exactly the operator apply_coupling applies.
+
+    The residual of a random field through the assembled matrix against the
+    equations written out per scheme, on the flagship and on seeded random
+    systems with several harmonics and off-half shifts, so upwind2's
+    second-order legs and fallback node and central's two coupling legs
+    are all covered.
+    """
+    rng = np.random.default_rng(13)
+    systems = [make_system(8)] + [random_system(rng, max_harmonics=4, max_M=12) for _ in range(6)]
+    assert any(s.potential.coeffs.size > 3 and s.grid.s != 0.5 * s.grid.kappa for s in systems)
+    for system in systems:
+        F = rng.standard_normal((system.mesh.Nx + 1, system.grid.size))
+        for scheme in Scheme:
+            problem = assemble(system, scheme)
+            # the pinned values, so the reduced system sees a consistent field
+            F = np.where(problem.pinned, problem.pinval, F)
+            resid = problem.matrix @ F.ravel()[problem.free] - problem.rhs
+            expected = _equations(system, scheme, F)
+            assert resid.shape == expected.shape
+            assert np.abs(resid - expected).max() <= 1e-12
 
 
 def test_residual_norm_examples():
@@ -160,49 +178,48 @@ def _sample_systems(rng):
 
 
 def _cut_blocks(problem, edges):
-    """The assembled matrix cut at the field's block edges: (block, rhs, coupled rows, read flags).
+    """The assembled matrix cut at the field's block edges: (block, rhs, coupled rows).
 
     ``block`` holds the free rows of block t over the free columns of the
     blocks beside it and ``rhs`` the same rows of the assembled rhs.  The
-    coupled rows count from the block's first field entry, and ``read``
-    flags the field entries of the free columns that a row of an earlier
-    block reads.  Each block's rows must have no entry outside the columns
-    of the blocks beside it.
+    coupled rows count from the block's first field entry.  Each block's
+    rows must have no entry outside the columns of the blocks beside it.
     """
     matrix = problem.matrix
     unknowns = np.flatnonzero(problem.free)           # field entry of each unknown
     cuts = np.searchsorted(unknowns, edges)
-    read = np.zeros(problem.free.size, dtype=bool)
     cut = []
     for t in range(edges.size - 1):
         a, b = cuts[t], cuts[t + 1]
         lo, hi = cuts[max(t - 1, 0)], cuts[min(t + 2, edges.size - 1)]
         rows = matrix[a:b]
         assert rows.nnz == rows[:, lo:hi].nnz
-        read[unknowns[rows.indices[rows.indices >= b]]] = True
         lower = np.repeat(np.arange(a, b), np.diff(rows.indptr))[rows.indices < a]
         cut.append((rows[:, lo:hi].toarray(), problem.rhs[a:b], unknowns[np.unique(lower)] - edges[t]))
-    return cut, read
+    return cut
 
 
 def test_node_blocks_match_the_assembled_matrix():
-    # the stencil-built blocks over the free rows and columns are the blocks
-    # of the assembled system to the bit, on every scheme; pinned rows are
-    # identity rows, and the pinned columns give the assembled rhs.  Nx + 1
-    # nodes always leave upwind2 an unpaired last node
+    # the blocks written from the diagonals, over the free rows and columns,
+    # are the blocks of the assembled system to the bit, on every scheme;
+    # pinned rows are identity rows, and the pinned columns give the
+    # assembled rhs.  L_t holds the rows with entries before the block, and
+    # J_t every column of block t + 1 that U_t has an entry in: the same
+    # columns for every block, cut to the size of the last.  Nx + 1 nodes
+    # always leave upwind2 an unpaired last node
     rng = np.random.default_rng(29)
     eps = np.finfo(float).eps
     for system in _sample_systems(rng):
         m = system.grid.size
         for scheme in Scheme:
             problem = assemble(system, scheme)
-            edges, read, blocks = fd._node_blocks(problem)
+            edges, widths, blocks = fd._node_blocks(problem)
             blocks = list(blocks)
-            cut, cut_read = _cut_blocks(problem, edges)
+            cut = _cut_blocks(problem, edges)
             assert len(blocks) == len(cut)
             free, pinval = problem.free, problem.pinval.ravel()
-            pin_read = np.zeros_like(read)
-            for t, ((block, coupled), (cut_block, cut_rhs, cut_coupled)) in enumerate(zip(blocks, cut)):
+            carried, read = [], set()
+            for t, ((block, coupled, J), (cut_block, cut_rhs, cut_coupled)) in enumerate(zip(blocks, cut)):
                 a, b = edges[t], edges[t + 1]
                 lo, hi = edges[max(t - 1, 0)], edges[min(t + 2, len(blocks))]
                 rows, cols = free[a:b], free[lo:hi]
@@ -215,8 +232,18 @@ def test_node_blocks_match_the_assembled_matrix():
                 pinned_before = block[:, :a - lo][:, ~free[lo:a]].any(axis=1)
                 expected = np.union1d(cut_coupled, np.flatnonzero(pinned_before))
                 assert np.array_equal(np.arange(b - a)[coupled], expected)
-                pin_read[b + np.flatnonzero(block[:, b - lo:].any(axis=0) & ~free[b:hi])] = True
-            assert np.array_equal(read, cut_read | pin_read)
+                if J is None:
+                    assert t == len(blocks) - 1
+                    continue
+                J = np.arange(hi - b)[J]
+                touched = np.flatnonzero(block[:, b - lo:].any(axis=0))
+                assert np.isin(touched, J).all()
+                carried.append(J)
+                read.update(touched)
+            read = np.array(sorted(read))
+            for t, J in enumerate(carried):
+                assert np.array_equal(J, read[read < edges[t + 2] - edges[t + 1]])
+            assert np.array_equal(widths, [J.size for J in carried])
             reach = 2 if scheme is Scheme.UPWIND2 else 1
             assert np.all(np.diff(edges)[:-1] == reach * m)
             if scheme is Scheme.UPWIND2:
@@ -249,18 +276,18 @@ def _zero_node_block(monkeypatch, node, value=0.0):
     node_blocks = fd._node_blocks
 
     def altered(op):
-        edges, read, blocks = node_blocks(op)
+        edges, widths, blocks = node_blocks(op)
         m = op.system.grid.size
         a, b = node * m, (node + 1) * m
 
         def patched():
-            for t, (block, coupled) in enumerate(blocks):
+            for t, (block, *rest) in enumerate(blocks):
                 if edges[t] <= a < edges[t + 1]:
                     lo = edges[max(t - 1, 0)]
                     block[a - edges[t]:b - edges[t], a - lo:b - lo] = value
-                yield block, coupled
+                yield block, *rest
 
-        return edges, read, patched()
+        return edges, widths, patched()
 
     monkeypatch.setattr(fd, "_node_blocks", altered)
 
@@ -301,7 +328,7 @@ def test_block_sweep_carries_half_rank():
     assert peak < 0.65 * (system.mesh.Nx + 1) * system.grid.size ** 2 * 8
 
 
-def test_solve_bvp_sweeps_above_direct_limit(monkeypatch):
+def test_solve_bvp_never_calls_superlu(monkeypatch):
     # SuperLU is a test-side reference only: solve_bvp never calls it
     system = make_system(20)
     direct = {}

@@ -171,6 +171,11 @@ def test_period_identity_over_random_inputs():
         sol = solve_bvp_shooting(system)
         # the residual is the marched end gap: the period identity on the solution
         assert sol.residual <= 1e-12
+        # and the left inflow comes out at +l/2 as it went in; f_{v<0}(-l/2)
+        # = b_right holds by construction of the march's start state
+        b = system.boundary.values
+        pos = system.grid.velocities > 0
+        assert np.abs(sol.values[pos, -1] - b[pos]).max() <= 1e-12 * np.abs(b).max()
         assert symmetry_error(sol) <= 1e-10
         # same fixed point as a per-cell chain of picard_propagate
         nodes = system.mesh.nodes
