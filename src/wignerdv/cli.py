@@ -195,6 +195,8 @@ def parse_config(path: str) -> dict:
     else:
         cfg["rel_tol"] = _DEFAULTS["rel_tol"]
     cfg["out_dir"] = raw.get("out_dir", _DEFAULTS["out_dir"]).strip()
+    if not cfg["out_dir"]:
+        raise ConfigError("config key 'out_dir': expected a directory, got an empty value")
     if "emit" in raw:
         tokens = tuple(t.strip() for t in raw["emit"].split(",") if t.strip())
         for t in tokens:
@@ -240,6 +242,8 @@ def _load_config(args) -> dict:
     if args.tol is not None:
         cfg["rel_tol"] = _checked_rel_tol("--tol", args.tol)
     if getattr(args, "out", None) is not None:
+        if not args.out:
+            raise ConfigError("--out: expected a directory, got an empty value")
         cfg["out_dir"] = args.out
     if getattr(args, "scheme", None) is not None:
         cfg["scheme"] = args.scheme
@@ -296,6 +300,9 @@ def _parse_int_list(raw: str, flag: str) -> list:
 def cmd_study(args) -> int:
     cfg = _load_config(args)
     nx_list = _parse_int_list(args.nx, "--nx")
+    for nx in nx_list:
+        if nx < 2 or nx % 2 != 0:
+            raise ConfigError(f"--nx: mesh size {nx} must be an even integer >= 2")
     schemes = [s.strip() for chunk in args.schemes.split(",") for s in chunk.split() if s.strip()]
     if not schemes:
         raise ConfigError("--schemes: list must not be empty")

@@ -14,15 +14,15 @@ provided:
 Each stencil is written once, in ``_stencil``.  On the node-major
 (Nx + 1, m) field, with an identity row on each pinned entry, each of its
 legs is one diagonal of the matrix (``_diagonals``).  ``central`` is one
-forward march of banded solves from the inflow data of both ends
-(``_central_march``): A(x) is odd and the mesh mirror symmetric, so the
-discrete period map is the identity.  The one-sided schemes, and a march
-that misses the gate, go through a block tridiagonal sweep over the whole
-field (``_block_sweep``), its node blocks written from the diagonals, and
-one refinement step if it misses the gate.  Every solve is gated on the
-residual of ``assemble``'s system, evaluated from the stencil and the sine
-table without the matrix (``_residual``).  ``LinearProblem.matrix`` and
-``rhs`` are cut from the diagonals only when read, as a reference.
+forward march of banded cell solves read from those diagonals, from the
+inflow data of both ends (``_central_march``): A(x) is odd and the mesh
+mirror symmetric, so the discrete period map is the identity.  The
+one-sided schemes, and a march that misses the gate, go through a block
+tridiagonal sweep over the whole field (``_block_sweep``), its node blocks
+written from the diagonals, and one refinement step if it misses the gate.
+Every solve is gated on the residual of ``assemble``'s system, evaluated
+from the stencil and the sine table without the matrix (``_residual``).
+The reference ``LinearProblem.matrix`` and ``rhs`` are cut on first read.
 """
 
 from __future__ import annotations
@@ -288,8 +288,8 @@ def _gate(problem: LinearProblem, field: np.ndarray):
     return R, float(np.linalg.norm(R) / max(problem.rhs_norm, _NORM_FLOOR))
 
 
-# mesh nodes whose diagonals the sweep builds at once
-_RUN_NODES = 64
+# mesh nodes (sweep) or cells (march) whose diagonals are built at once
+_RUN_NODES = 512
 
 
 def _node_blocks(problem: LinearProblem):
@@ -423,59 +423,59 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     return x.reshape(problem.pinned.shape)
 
 
-def _central_march(system: WignerSystem, sines: np.ndarray) -> np.ndarray:
+def _central_march(problem: LinearProblem) -> np.ndarray:
     """Central field on the mesh by one forward march, shape (Nx + 1, m).
 
-    Cell c of the central stencil reads (V - h/2 A_c) f_c = (V + h/2 A_{c-1}) f_{c-1}
-    for every channel, with V = diag(v) and A_c = A(x_c), from the sine
-    table ``sines`` on the mesh nodes.  The table is odd to the bit on the
-    mirror-symmetric mesh, so A_{Nx-c} = -A_c and the cell map of cell
-    Nx + 1 - c is the inverse of that of cell c: the product over the
-    period is the identity.  Starting from the inflow data of both ends
-    therefore meets the right-end inflow again at +l/2.  Each step solves
-    the banded system (V - h/2 A_c) d = h/2 (A_{c-1} + A_c) f_{c-1} for
-    the increment d = f_c - f_{c-1}.  The end state is returned as
-    marched, not pinned.
+    Cell c is the v > 0 rows of node c and the v < 0 rows of node c - 1 of
+    the whole-field matrix, read from ``_diagonals`` for one run of
+    ``_RUN_NODES`` cells at a time: a banded matrix B on the node-c columns
+    and R on the node-(c - 1) ones.  Rows unscaled, with V = diag(v), they
+    read (V - h/2 A_c) f_c = (V + h/2 A_{c-1}) f_{c-1}.  The sine table is
+    odd to the bit on the mirrored mesh, so A_{Nx-c} = -A_c and the map of
+    cell Nx + 1 - c inverts that of cell c: the period map is I, and a march
+    from the inflow data of both ends meets the right-end inflow at +l/2.
+    Each step solves B d = -(B + R) f_{c-1}, whose transport entries cancel
+    exactly, for d = f_c - f_{c-1}.  The end state is marched, not pinned.
 
     Raises:
-        SolverError: a cell matrix is singular.
+        SolverError: a cell matrix is not finite or is singular.
     """
-    coeffs = system.potential.coeffs
-    v = system.grid.velocities
+    v = problem.system.grid.velocities
     m = v.size
-    Nx = system.mesh.Nx
-    half_h = 0.5 * system.mesh.dx
-    nb = min(sines.shape[0], m - 1)                  # bandwidth
-    field = np.empty((Nx + 1, m))
-    field[0] = system.boundary.values
-    # LAPACK gbsv band layout, ab[2 nb + i - j, j] = B[i, j]; rows 0..nb-1
-    # are gbsv's fill-in workspace and need not be set
-    ab = np.zeros((3 * nb + 1, m), order="F")
-    gbsv = get_lapack_funcs("gbsv", (ab,))
-    # the right-hand side h/2 (A_{c-1} + A_c) f_{c-1} in _apply_sines's
-    # order of operations, from sine rows summed once for every cell
-    pair = sines[:, :-1] + sines[:, 1:]
-    harmonics = [n for n in range(1, nb + 1) if coeffs[n] != 0.0]
-    rhs = np.empty(m)
-    for c in range(1, Nx + 1):
-        # band of V - h/2 A(x_c); every entry inside the band is rewritten
-        # after gbsv overwrote it with its factors, the corners are never read
-        ab[2 * nb] = v
-        for n in range(1, nb + 1):
-            w = half_h * coeffs[n] * sines[n - 1, c]
-            ab[2 * nb - n, n:] = w
-            ab[2 * nb + n, :-n] = -w
-        prev = field[c - 1]
-        rhs.fill(0.0)
-        for n in harmonics:
-            w = coeffs[n] * pair[n - 1, c - 1]
-            rhs[n:] += w * prev[:-n]
-            rhs[:-n] -= w * prev[n:]
-        rhs *= half_h
-        _, _, step, info = gbsv(nb, nb, ab, rhs, overwrite_ab=True, overwrite_b=True)
-        if info > 0:
-            raise SolverError(f"central march: cell {c} matrix is singular: zero pivot {info} of {m}")
-        field[c] = prev + step
+    nb = int(max(np.flatnonzero(problem.system.potential.coeffs[1:m]) + 1, default=0))   # bandwidth
+    neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
+    # the field padded with nb zero channels on each side; f_j[k + e] is window[j, k, nb + e]
+    padded = np.zeros((problem.system.mesh.Nx + 1, m + 2 * nb))
+    field = padded[:, nb:nb + m]
+    field[0] = problem.system.boundary.values
+    window = np.lib.stride_tricks.sliding_window_view(padded, 2 * nb + 1, axis=1)
+    gbsv = get_lapack_funcs("gbsv", (padded,))
+    for c0 in range(1, len(field), _RUN_NODES):
+        c1 = min(c0 + _RUN_NODES, len(field))
+        # band[i].T is B of cell c0 + i in LAPACK's gbsv layout, ab[2 nb + k - j, j]
+        # = B[k, j], rows 0..nb-1 being fill-in workspace; span[i, k, nb + e] = -(B + R)[k, k + e]
+        band = np.zeros((c1 - c0, m, 3 * nb + 1))
+        span = np.zeros((c1 - c0, m, 2 * nb + 1))
+        for d, coef in _diagonals(problem, c0 - 1, c1).items():
+            # row k of cell c, on node c - back, reads channel k + e of node c - back + ahead:
+            # e, ahead = r, q below channel m - r and r - m, q + 1 above, so a key can hold both nodes
+            q, r = divmod(d, m)
+            for lo, hi, back in ((0, neg, 1), (neg, m, 0)):
+                rows = coef[1 - back:len(coef) - back]
+                for a, b, e, ahead in ((lo, min(hi, m - r), r, q), (max(lo, m - r), hi, r - m, q + 1)):
+                    if a < b and abs(e) <= nb and back - 1 <= ahead <= back:
+                        if ahead == back:
+                            band[:, a + e:b + e, 2 * nb - e] = rows[:, a:b]
+                        span[:, a:b, nb + e] -= rows[:, a:b]
+        finite = np.isfinite(band).all(axis=(1, 2)) & np.isfinite(span).all(axis=(1, 2))
+        if not finite.all():
+            raise SolverError(f"central march: cell {c0 + int(np.argmin(finite))} matrix is not finite")
+        for c in range(c0, c1):
+            rhs = np.vecdot(span[c - c0], window[c - 1])
+            _, _, step, info = gbsv(nb, nb, band[c - c0].T, rhs, overwrite_ab=True, overwrite_b=True)
+            if info > 0:
+                raise SolverError(f"central march: cell {c} matrix is singular: zero pivot {info} of {m}")
+            np.add(field[c - 1], step, out=field[c])
     return field
 
 
@@ -515,8 +515,8 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     linear system ``assemble`` sets up, computed from the stencil and the
     sine table without the matrix (see ``_residual``).  It matches
     ``residual_norm`` of the assembled system to rounding, not to the bit.
-    The sine table is built once per solve and serves the march, the gate
-    and the sweep's node blocks.
+    The sine table is built once per solve and serves the gate and the
+    diagonals that the march and the sweep's node blocks are read from.
 
     Args:
         system: the transport problem.
@@ -542,7 +542,7 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     field = None
     if scheme is Scheme.CENTRAL:
         try:
-            field = _central_march(system, problem.sines)
+            field = _central_march(problem)
         except SolverError as exc:
             march_note = f"; {exc}"
         else:

@@ -141,6 +141,14 @@ def test_solve_bad_config_exits_2(tmp_path, capsys):
     status = main(["solve", path])
     assert status == 2
     assert "bogus" in capsys.readouterr().err
+    # an empty output directory is named before anything is solved
+    path = _write(tmp_path, BASE_CONFIG + "\nout_dir =\n")
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert "out_dir" in captured.err and "scheme=" not in captured.out
+    assert main(["solve", _write(tmp_path, BASE_CONFIG, "good.cfg"), "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "scheme=" not in captured.out
 
 
 def test_solve_missing_file_exits_1(tmp_path, capsys):
@@ -178,6 +186,15 @@ def test_study_rejects_bad_flags(config_file, capsys):
     assert main(["study", config_file, "--nx", "10", "--schemes", "magic"]) == 2
     # missing required flag is a usage error
     assert main(["study", config_file, "--nx", "10"]) == 2
+    capsys.readouterr()
+    # an odd mesh size and an empty output directory are named before any
+    # mesh is solved
+    assert main(["study", config_file, "--nx", "100,3", "--schemes", "central"]) == 2
+    captured = capsys.readouterr()
+    assert "--nx: mesh size 3" in captured.err and "scheme=" not in captured.out
+    assert main(["study", config_file, "--nx", "10", "--schemes", "central", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err and "scheme=" not in captured.out
 
 
 def test_verify_passes_on_flagship(tmp_path, capsys):

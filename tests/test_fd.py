@@ -427,11 +427,16 @@ def test_refinement_keeps_the_better_iterate(monkeypatch):
 
 
 def test_central_march_period_map_is_identity_over_random_inputs():
-    rng = np.random.default_rng(3101)
-    for _ in range(12):
-        system = random_system(rng, max_harmonics=4, max_M=30)
+    # the last six draws put up to 12 harmonics on at most 16 channels; a
+    # harmonic n >= m/2 makes one diagonal of the whole-field matrix hold
+    # entries of both nodes of a cell
+    rng, wide = np.random.default_rng(3101), np.random.default_rng(5)
+    systems = [random_system(rng, max_harmonics=4, max_M=30) for _ in range(12)]
+    systems += [random_system(wide, max_harmonics=12, max_M=8) for _ in range(6)]
+    assert any(len(s.potential.coeffs) - 1 >= s.grid.size / 2 for s in systems[12:])
+    for system in systems:
         problem = assemble(system, Scheme.CENTRAL)
-        field = fd._central_march(system, _sine_table(system.potential, system.mesh.nodes))
+        field = fd._central_march(problem)
         x = field.ravel()[problem.free]
         assert residual_norm(problem, x) <= 1e-12
         direct = spla.splu(problem.matrix.tocsc()).solve(problem.rhs)
@@ -508,13 +513,34 @@ def test_global_solve_of_central_reflects_nothing_over_random_inputs():
 
 
 def test_central_march_names_a_singular_cell():
-    # a resting channel without coupling makes every cell matrix singular
+    # a resting channel breaks the velocity grid's invariant: its rows of
+    # the whole-field matrix are scaled by dx / |v| = inf
     system = make_system(10, coeffs=(0.0,))
     v = system.grid.velocities.copy()
     v[3] = 0.0
     system = dataclasses.replace(system, grid=dataclasses.replace(system.grid, velocities=v))
-    with pytest.raises(SolverError, match="central march: cell 1 matrix is singular"):
-        fd._central_march(system, _sine_table(system.potential, system.mesh.nodes))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        problem = assemble(system, Scheme.CENTRAL)
+        with pytest.raises(SolverError, match="central march: cell 1 matrix is not finite"):
+            fd._central_march(problem)
+
+
+def test_central_march_names_a_zero_pivot(monkeypatch):
+    # rows of node 3 set to zero: the v > 0 half of cell 3 is empty, so the
+    # first v > 0 column of its band finds no pivot
+    problem = assemble(make_system(10), Scheme.CENTRAL)
+    diagonals = fd._diagonals
+
+    def zero_node_rows(op, j0, j1):
+        out = diagonals(op, j0, j1)
+        if j0 <= 3 < j1:
+            for coef in out.values():
+                coef[3 - j0] = 0.0
+        return out
+
+    monkeypatch.setattr(fd, "_diagonals", zero_node_rows)
+    with pytest.raises(SolverError, match="central march: cell 3 matrix is singular: zero pivot 41 of 80"):
+        fd._central_march(problem)
 
 
 def test_free_streaming_is_exact_for_all_schemes():
@@ -546,7 +572,7 @@ def test_central_current_balance_over_random_inputs():
         swept, res = fd._global_solve(op, 1e-12)
         assert res <= 1e-12
         v = system.grid.velocities
-        for field in (fd._central_march(system, op.sines), swept):
+        for field in (fd._central_march(op), swept):
             Af = np.array([apply_coupling(system.potential, xj, f) for xj, f in zip(system.mesh.nodes, field)])
             gain = 0.5 * system.mesh.dx * (Af[1:] + Af[:-1]).sum(axis=1)
             scale = np.abs(field * v).sum(axis=1).max()
