@@ -195,8 +195,6 @@ def parse_config(path: str) -> dict:
     else:
         cfg["rel_tol"] = _DEFAULTS["rel_tol"]
     cfg["out_dir"] = raw.get("out_dir", _DEFAULTS["out_dir"]).strip()
-    if not cfg["out_dir"]:
-        raise ConfigError("config key 'out_dir': expected a directory, got an empty value")
     if "emit" in raw:
         tokens = tuple(t.strip() for t in raw["emit"].split(",") if t.strip())
         for t in tokens:
@@ -242,9 +240,11 @@ def _load_config(args) -> dict:
     if args.tol is not None:
         cfg["rel_tol"] = _checked_rel_tol("--tol", args.tol)
     if getattr(args, "out", None) is not None:
-        if not args.out:
-            raise ConfigError("--out: expected a directory, got an empty value")
         cfg["out_dir"] = args.out
+    # only the subcommands that write files take --out
+    if hasattr(args, "out") and not cfg["out_dir"]:
+        where = "config key 'out_dir'" if args.out is None else "--out"
+        raise ConfigError(f"{where}: expected a directory, got an empty value")
     if getattr(args, "scheme", None) is not None:
         cfg["scheme"] = args.scheme
     return cfg
@@ -300,9 +300,6 @@ def _parse_int_list(raw: str, flag: str) -> list:
 def cmd_study(args) -> int:
     cfg = _load_config(args)
     nx_list = _parse_int_list(args.nx, "--nx")
-    for nx in nx_list:
-        if nx < 2 or nx % 2 != 0:
-            raise ConfigError(f"--nx: mesh size {nx} must be an even integer >= 2")
     schemes = [s.strip() for chunk in args.schemes.split(",") for s in chunk.split() if s.strip()]
     if not schemes:
         raise ConfigError("--schemes: list must not be empty")
@@ -312,6 +309,11 @@ def cmd_study(args) -> int:
                 f"--schemes: expected tokens from {', '.join(_SCHEMES)}, got {s!r}"
             )
     system = _system_from_config(cfg)
+    for nx in nx_list:
+        try:
+            build_mesh(cfg["period_l"], nx)
+        except ValueError as exc:
+            raise ConfigError(f"--nx: {exc}")
     rows = []
     for scheme in schemes:
         report = convergence_study(system, scheme, nx_list, rel_tol=cfg["rel_tol"])

@@ -164,7 +164,7 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
     coupling leg (dj, w) puts -+w a_n sin(2 n kappa x) dx / |v|, x at node
     j + dj, on offsets dj m -+ n where channel k -+ n lies in the window.
     Rows of v < 0 mirror those of v > 0 (see ``_stencil``).  No two legs
-    meet on one entry.
+    meet on one entry, so each leg writes its entries in place.
     """
     system = problem.system
     m = system.grid.size
@@ -185,13 +185,13 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
                 continue
             rows = slice(lo - j0, hi - j0)
             for dj, c in transport:
-                diagonals[sign * dj * m][rows, K] += c * sign * vdx[K] * scale[K]
+                diagonals[sign * dj * m][rows, K] = c * sign * vdx[K] * scale[K]
             for dj, w in coupling:
                 for n in (np.flatnonzero(coeffs[1:m]) + 1).tolist():
                     s = (w * coeffs[n] * problem.sines[n - 1, lo + sign * dj:hi + sign * dj])[:, None]
                     down, up = slice(max(K.start, n), K.stop), slice(K.start, min(K.stop, m - n))
-                    diagonals[sign * dj * m - n][rows, down] -= s * scale[down]
-                    diagonals[sign * dj * m + n][rows, up] += s * scale[up]
+                    np.multiply(-s, scale[down], out=diagonals[sign * dj * m - n][rows, down])
+                    np.multiply(s, scale[up], out=diagonals[sign * dj * m + n][rows, up])
     return diagonals
 
 
@@ -289,7 +289,7 @@ def _gate(problem: LinearProblem, field: np.ndarray):
 
 
 # mesh nodes (sweep) or cells (march) whose diagonals are built at once
-_RUN_NODES = 512
+_RUN_NODES = 128
 
 
 def _node_blocks(problem: LinearProblem):
@@ -427,36 +427,36 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
     """Central field on the mesh by one forward march, shape (Nx + 1, m).
 
     Cell c is the v > 0 rows of node c and the v < 0 rows of node c - 1 of
-    the whole-field matrix, read from ``_diagonals`` for one run of
-    ``_RUN_NODES`` cells at a time: a banded matrix B on the node-c columns
-    and R on the node-(c - 1) ones.  Rows unscaled, with V = diag(v), they
-    read (V - h/2 A_c) f_c = (V + h/2 A_{c-1}) f_{c-1}.  The sine table is
-    odd to the bit on the mirrored mesh, so A_{Nx-c} = -A_c and the map of
-    cell Nx + 1 - c inverts that of cell c: the period map is I, and a march
-    from the inflow data of both ends meets the right-end inflow at +l/2.
-    Each step solves B d = -(B + R) f_{c-1}, whose transport entries cancel
-    exactly, for d = f_c - f_{c-1}.  The end state is marched, not pinned.
+    the whole-field matrix, read from ``_diagonals`` a run of ``_RUN_NODES``
+    cells at a time: a band B on the node-c columns, R on the node-(c - 1)
+    ones.  Unscaled they read (V - h/2 A_c) f_c = (V + h/2 A_{c-1}) f_{c-1},
+    V = diag(v).  The sine table is odd to the bit on the mirrored mesh, so
+    A_{Nx-c} = -A_c, cell Nx + 1 - c inverts cell c and the period map is I:
+    a march from the inflow data of both ends meets the right-end inflow at
+    +l/2.  Each step solves B d = -(B + R) f_{c-1} for d = f_c - f_{c-1}
+    (the transport entries cancel exactly); the end is marched, not pinned.
 
     Raises:
         SolverError: a cell matrix is not finite or is singular.
     """
     v = problem.system.grid.velocities
     m = v.size
-    nb = int(max(np.flatnonzero(problem.system.potential.coeffs[1:m]) + 1, default=0))   # bandwidth
+    nb = min(len(problem.sines), m - 1)               # bandwidth: the sine table capped by the window
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
-    # the field padded with nb zero channels on each side; f_j[k + e] is window[j, k, nb + e]
+    # the field padded with nb zero channels on each side; f_j[k + e] is window[j, nb + e, k]
     padded = np.zeros((problem.system.mesh.Nx + 1, m + 2 * nb))
     field = padded[:, nb:nb + m]
     field[0] = problem.system.boundary.values
-    window = np.lib.stride_tricks.sliding_window_view(padded, 2 * nb + 1, axis=1)
+    window = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)
     gbsv = get_lapack_funcs("gbsv", (padded,))
-    for c0 in range(1, len(field), _RUN_NODES):
-        c1 = min(c0 + _RUN_NODES, len(field))
-        # band[i].T is B of cell c0 + i in LAPACK's gbsv layout, ab[2 nb + k - j, j]
-        # = B[k, j], rows 0..nb-1 being fill-in workspace; span[i, k, nb + e] = -(B + R)[k, k + e]
-        band = np.zeros((c1 - c0, m, 3 * nb + 1))
-        span = np.zeros((c1 - c0, m, 2 * nb + 1))
-        for d, coef in _diagonals(problem, c0 - 1, c1).items():
+    # band[i].T is B of cell c0 + i as gbsv's ab[2 nb + k - j, j] = B[k, j] (rows < nb: fill-in);
+    # span[i, nb + e, k] = -(B + R)[k, k + e] holds every entry of B too, so only it is checked
+    run = min(_RUN_NODES, len(field) - 1)
+    band, span = np.empty((run, m, 3 * nb + 1)), np.empty((run, 2 * nb + 1, m))
+    for c0 in range(1, len(field), run):
+        cells = min(run, len(field) - c0)
+        band[:cells] = span[:cells] = 0.0
+        for d, coef in _diagonals(problem, c0 - 1, c0 + cells).items():
             # row k of cell c, on node c - back, reads channel k + e of node c - back + ahead:
             # e, ahead = r, q below channel m - r and r - m, q + 1 above, so a key can hold both nodes
             q, r = divmod(d, m)
@@ -465,17 +465,17 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
                 for a, b, e, ahead in ((lo, min(hi, m - r), r, q), (max(lo, m - r), hi, r - m, q + 1)):
                     if a < b and abs(e) <= nb and back - 1 <= ahead <= back:
                         if ahead == back:
-                            band[:, a + e:b + e, 2 * nb - e] = rows[:, a:b]
-                        span[:, a:b, nb + e] -= rows[:, a:b]
-        finite = np.isfinite(band).all(axis=(1, 2)) & np.isfinite(span).all(axis=(1, 2))
+                            band[:cells, a + e:b + e, 2 * nb - e] = rows[:, a:b]
+                        span[:cells, nb + e, a:b] -= rows[:, a:b]
+        finite = np.isfinite(span[:cells]).all(axis=(1, 2))
         if not finite.all():
             raise SolverError(f"central march: cell {c0 + int(np.argmin(finite))} matrix is not finite")
-        for c in range(c0, c1):
-            rhs = np.vecdot(span[c - c0], window[c - 1])
-            _, _, step, info = gbsv(nb, nb, band[c - c0].T, rhs, overwrite_ab=True, overwrite_b=True)
+        for i in range(cells):
+            rhs = (span[i] * window[c0 + i - 1]).sum(axis=0)
+            _, _, step, info = gbsv(nb, nb, band[i].T, rhs, overwrite_ab=True, overwrite_b=True)
             if info > 0:
-                raise SolverError(f"central march: cell {c} matrix is singular: zero pivot {info} of {m}")
-            np.add(field[c - 1], step, out=field[c])
+                raise SolverError(f"central march: cell {c0 + i} matrix is singular: zero pivot {info} of {m}")
+            np.add(field[c0 + i - 1], step, out=field[c0 + i])
     return field
 
 

@@ -146,6 +146,10 @@ def test_solve_bad_config_exits_2(tmp_path, capsys):
     assert main(["solve", path]) == 2
     captured = capsys.readouterr()
     assert "out_dir" in captured.err and "scheme=" not in captured.out
+    # --out replaces the empty value before it is checked
+    assert main(["solve", path, "--out", str(tmp_path / "results")]) == 0
+    assert (tmp_path / "results" / "solution.csv").exists()
+    capsys.readouterr()
     assert main(["solve", _write(tmp_path, BASE_CONFIG, "good.cfg"), "--out", ""]) == 2
     captured = capsys.readouterr()
     assert "--out" in captured.err and "scheme=" not in captured.out
@@ -191,7 +195,8 @@ def test_study_rejects_bad_flags(config_file, capsys):
     # mesh is solved
     assert main(["study", config_file, "--nx", "100,3", "--schemes", "central"]) == 2
     captured = capsys.readouterr()
-    assert "--nx: mesh size 3" in captured.err and "scheme=" not in captured.out
+    assert "--nx: Nx must be an even integer >= 2, got 3" in captured.err
+    assert "scheme=" not in captured.out
     assert main(["study", config_file, "--nx", "10", "--schemes", "central", "--out", ""]) == 2
     captured = capsys.readouterr()
     assert "--out" in captured.err and "scheme=" not in captured.out
