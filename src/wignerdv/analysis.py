@@ -123,16 +123,13 @@ def convergence_study(system: WignerSystem, scheme, Nx_list, rel_tol: float = 1e
     Raises:
         ValueError: empty Nx_list or an invalid mesh size.
     """
-    nx_values = [int(n) for n in Nx_list]
-    if not nx_values:
+    meshes = [build_mesh(system.potential.period_l, int(n)) for n in Nx_list]
+    if not meshes:
         raise ValueError("Nx_list must not be empty")
-    for nx in nx_values:
-        if nx < 2 or nx % 2 != 0:
-            raise ValueError(f"mesh size Nx={nx} must be an even integer >= 2")
     scheme_tag = "oracle" if scheme == "oracle" else Scheme(scheme).value
     rows = []
-    for nx in nx_values:
-        sys_n = replace(system, mesh=build_mesh(system.potential.period_l, nx))
+    for mesh in meshes:
+        sys_n = replace(system, mesh=mesh)
         t0 = time.perf_counter()
         try:
             sol = _solve(sys_n, scheme_tag, rel_tol)
@@ -142,7 +139,7 @@ def convergence_study(system: WignerSystem, scheme, Nx_list, rel_tol: float = 1e
         rows.append(
             StudyRow(
                 scheme=scheme_tag,
-                Nx=nx,
+                Nx=mesh.Nx,
                 symmetry_error=float("nan") if sol is None else symmetry_error(sol),
                 runtime_s=runtime,
                 residual=residual if sol is None else sol.residual,

@@ -20,8 +20,8 @@ mirror symmetric, so the discrete period map is the identity.  The
 one-sided schemes, and a march that misses the gate, go through a block
 tridiagonal sweep over the whole field (``_block_sweep``), its node blocks
 written from the diagonals, and one refinement step if it misses the gate.
-Every solve is gated on the residual of ``assemble``'s system, evaluated
-from the stencil and the sine table without the matrix (``_residual``).
+Every solve is gated on the residual of ``assemble``'s system, a product
+with the same diagonals (``_residual``).
 The reference ``LinearProblem.matrix`` and ``rhs`` are cut on first read.
 """
 
@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 from .kinetic import WignerSystem
-from .potential import _apply_sines, _sine_table
+from .potential import _sine_table
 
 __all__ = [
     "Scheme",
@@ -77,11 +77,11 @@ class LinearProblem:
     inflow entries of the node-major (Nx + 1, m) field, and ``pinval`` is
     the field that holds the inflow data there and zero elsewhere.
     ``rhs_norm`` is |b| of the reduced system, from b = -R(pinval).  The
-    solvers read only these.  ``matrix`` and ``rhs``, the reduced sparse
-    system over the non-pinned unknowns, are cut from the diagonals on
-    first access and kept.  ``free`` flags, in node-major (node, velocity)
-    order, which entries of the full field are unknowns; the reduced
-    vector lists them in ascending order of that flat index.
+    solvers read only these.  It, ``matrix`` and ``rhs``, the reduced sparse
+    system over the non-pinned unknowns, are computed on first access and
+    kept.  ``free`` flags, in node-major (node, velocity) order, which
+    entries of the full field are unknowns; the reduced vector lists them
+    in ascending order of that flat index.
     """
 
     system: WignerSystem
@@ -89,11 +89,18 @@ class LinearProblem:
     sines: np.ndarray
     pinned: np.ndarray
     pinval: np.ndarray
-    rhs_norm: float
 
     @property
     def free(self) -> np.ndarray:
         return ~self.pinned.ravel()
+
+    @functools.cached_property
+    def rhs_norm(self) -> float:
+        # pinval is zero off nodes 0 and Nx, so R(pinval) is zero off the rows within reach of them
+        Nx = self.system.mesh.Nx
+        first = min(_reach(_stencil(self.scheme, Nx)) + 1, Nx + 1)      # past the rows of nodes 0 .. reach
+        ends = ((0, first), (max(Nx + 1 - first, first), Nx + 1))
+        return float(np.linalg.norm(np.concatenate([_residual(self, self.pinval, *end) for end in ends])))
 
     @functools.cached_property
     def _reduced(self):
@@ -117,9 +124,9 @@ class DiscreteSolution:
         system: the system that was solved.
         scheme: stencil tag, one of the Scheme values or "oracle".
         residual: for a finite-difference scheme, the relative residual
-            |M x - b| / |b| of the linear system ``assemble`` sets up,
-            evaluated from the stencil without the matrix (it matches
-            ``residual_norm`` to rounding, not to the bit); for the oracle,
+            |M x - b| / |b| of the linear system ``assemble`` sets up, read
+            from the diagonals of M (it differs from ``residual_norm`` only
+            in the order of summation); for the oracle,
             the marched end gap |f_{v<0}(+l/2) - right inflow| / |inflow|.
     """
 
@@ -152,6 +159,15 @@ def _stencil(scheme: Scheme, Nx: int) -> list:
     ]
 
 
+# mesh nodes (sweep, gate) or cells (march) whose diagonals are built at once
+_RUN_NODES = 128
+
+
+def _reach(legs) -> int:
+    """How many nodes the farthest leg of a stencil lies from its row."""
+    return max(abs(dj) for _, transport, coupling in legs for dj, _ in (*transport, *coupling))
+
+
 def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
     """Rows of mesh nodes j0 .. j1 - 1 of the whole-field matrix, by diagonal.
 
@@ -160,7 +176,7 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
     identity row on each pinned one.  Returns {offset: coef}, coef[j - j0, k]
     being the entry of row (j, k) in the column of flat index j m + k +
     offset.  Scaled by dx / |v| of the row, a transport leg (dj, c) puts
-    (c v / dx) dx / |v|, c to rounding (ROADMAP item 6), on offset dj m, and a
+    (c v / dx) dx / |v|, c to rounding (ROADMAP item 4), on offset dj m, and a
     coupling leg (dj, w) puts -+w a_n sin(2 n kappa x) dx / |v|, x at node
     j + dj, on offsets dj m -+ n where channel k -+ n lies in the window.
     Rows of v < 0 mirror those of v > 0 (see ``_stencil``).  No two legs
@@ -203,9 +219,9 @@ def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
     side.  Every equation is scaled by dx / |v| so the transport diagonal
     is order one and the right-hand side stays bounded as the mesh is
     refined, which keeps the relative residual meaningful at large Nx.
-    This builds the sine table, the inflow entries and |b|; the sparse
-    matrix is cut from the diagonals of the whole-field matrix (see
-    ``_diagonals``) only when the problem's ``matrix`` or ``rhs`` is read.
+    This builds the sine table and the inflow entries only; ``rhs_norm``,
+    ``matrix`` and ``rhs`` are read from the diagonals of the whole-field
+    matrix (see ``_diagonals``) on first access.
     Raises ValueError for an unknown scheme.
     """
     scheme = Scheme(scheme)
@@ -213,9 +229,7 @@ def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
     v = system.grid.velocities
     pinned = np.zeros((system.mesh.Nx + 1, v.size), dtype=bool)
     pinned[0], pinned[-1] = v > 0, v < 0
-    pinval = np.where(pinned, system.boundary.values, 0.0)
-    rhs_norm = float(np.linalg.norm(_residual(system, scheme, sines, pinval)))
-    return LinearProblem(system, scheme, sines, pinned, pinval, rhs_norm)
+    return LinearProblem(system, scheme, sines, pinned, np.where(pinned, system.boundary.values, 0.0))
 
 
 def _assemble_csr(problem: LinearProblem):
@@ -252,44 +266,31 @@ def _span(idx: np.ndarray):
     return idx
 
 
-def _residual(system: WignerSystem, scheme: Scheme, sines: np.ndarray, field: np.ndarray) -> np.ndarray:
-    """R(F) = M x - b of a full node-major field F of shape (Nx + 1, m).
+def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np.ndarray:
+    """Rows of mesh nodes j0 .. j1 - 1 of R(F) = M F - pinval, shape (j1 - j0, m).
 
-    F holds the inflow data at its pinned entries and x is the rest of it.
-    Each entry of R is ``assemble``'s equation of that unknown, scaled by
-    dx / |v|; pinned entries have no equation and read 0.  Scaled, a
-    transport leg (dj, c) is c f_{j+dj} for either sign of v, so F is
-    differenced before anything is scaled, and the coupling legs read A F
-    on every node from one ``_apply_sines``.  That rounds differently from
-    a product with the assembled matrix, whose entries are scaled one by
-    one, so R matches it to rounding but not to the bit.
+    F is a full node-major (Nx + 1, m) field and M the whole-field matrix,
+    read from ``_diagonals``.  R is ``assemble``'s M x - b on the free
+    entries (x those of F) and F - pinval on the pinned ones; a product with
+    the assembled matrix sums the same terms in another order.
     """
-    Nx = system.mesh.Nx
-    v = system.grid.velocities
-    coupled = _apply_sines(system.potential.coeffs, sines[:, :, None], field, axis=1)
-    R = np.zeros(field.shape)
-    for K, sign in ((_span(np.flatnonzero(v > 0)), 1), (_span(np.flatnonzero(v < 0)), -1)):
-        scale = system.mesh.dx / np.abs(v[K])
-        for nodes, transport, coupling in _stencil(scheme, Nx):
-            # rows of v < 0 mirror those of v > 0: nodes Nx - j, offsets -dj
-            lo = int(nodes[0]) if sign > 0 else Nx - int(nodes[-1])
-
-            def at(dj):
-                return slice(lo + sign * dj, lo + sign * dj + nodes.size)
-
-            R[at(0), K] = (sum(c * field[at(dj), K] for dj, c in transport)
-                           - scale * sum(w * coupled[at(dj), K] for dj, w in coupling))
-    return R
+    m, flat = field.shape[1], field.ravel()
+    R = -problem.pinval[j0:j1].ravel()
+    for d, coef in _diagonals(problem, j0, j1).items():
+        # row r reads column r + d, which lies in the field for -d <= r < N - d
+        a, b = max(j0 * m, -d) - j0 * m, min(j1 * m, flat.size - d) - j0 * m
+        coef = coef.reshape(-1)[a:b]
+        R[a:b] += np.multiply(coef, flat[j0 * m + a + d:j0 * m + b + d], out=coef)
+    return R.reshape(j1 - j0, m)
 
 
 def _gate(problem: LinearProblem, field: np.ndarray):
-    """R(F), 0 at the pinned entries, and the relative residual |M x - b| / max(|b|, tiny)."""
-    R = _residual(problem.system, problem.scheme, problem.sines, field)
+    """R(F) = M F - pinval, a run of ``_RUN_NODES`` nodes at a time, and |R| / max(|b|, tiny)."""
+    field = np.ascontiguousarray(field)               # so that each run's ravel is a view
+    R = np.empty(field.shape)
+    for j0 in range(0, len(field), _RUN_NODES):
+        R[j0:j0 + _RUN_NODES] = _residual(problem, field, j0, min(j0 + _RUN_NODES, len(field)))
     return R, float(np.linalg.norm(R) / max(problem.rhs_norm, _NORM_FLOOR))
-
-
-# mesh nodes (sweep) or cells (march) whose diagonals are built at once
-_RUN_NODES = 128
 
 
 def _node_blocks(problem: LinearProblem):
@@ -314,7 +315,7 @@ def _node_blocks(problem: LinearProblem):
     v = problem.system.grid.velocities
     coeffs = problem.system.potential.coeffs
     legs = _stencil(problem.scheme, Nx)
-    reach = max(abs(dj) for _, transport, coupling in legs for dj, _ in (*transport, *coupling))
+    reach = _reach(legs)
     N = problem.pinned.size
     edges = np.append(np.arange(0, N, reach * m), N)
     sizes = np.diff(edges)
@@ -512,11 +513,10 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     iterative refinement if it misses rel_tol (see ``_global_solve``).
 
     Every result is gated on the relative residual |M x - b| / |b| of the
-    linear system ``assemble`` sets up, computed from the stencil and the
-    sine table without the matrix (see ``_residual``).  It matches
-    ``residual_norm`` of the assembled system to rounding, not to the bit.
-    The sine table is built once per solve and serves the gate and the
-    diagonals that the march and the sweep's node blocks are read from.
+    linear system ``assemble`` sets up, a product with the diagonals of M
+    that the march and the sweep's node blocks read too (see ``_residual``).
+    It differs from ``residual_norm`` of the assembled system only in the
+    order of summation.
 
     Args:
         system: the transport problem.

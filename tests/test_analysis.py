@@ -130,11 +130,20 @@ def test_convergence_study_zero_potential():
         assert row.residual <= 1e-12
 
 
-def test_convergence_study_rejects_bad_requests():
+def test_convergence_study_rejects_bad_requests(monkeypatch):
+    # every mesh is built before the first solve, so a bad size late in the
+    # list is rejected before any mesh is solved
+    import wignerdv.analysis as analysis_mod
+
+    calls = []
+    monkeypatch.setattr(analysis_mod, "solve_bvp", lambda *args, **kw: calls.append(args))
     with pytest.raises(ValueError):
         convergence_study(make_system(4), Scheme.UPWIND1, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="even integer >= 2, got 7"):
         convergence_study(make_system(4), Scheme.UPWIND1, [4, 7])
+    with pytest.raises(ValueError, match="even integer >= 2, got 0"):
+        convergence_study(make_system(4), Scheme.UPWIND1, [4, 8, 0])
+    assert calls == []
 
 
 def test_convergence_study_records_failures_per_row(monkeypatch):
