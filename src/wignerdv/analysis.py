@@ -123,7 +123,7 @@ def convergence_study(system: WignerSystem, scheme, Nx_list, rel_tol: float = 1e
     Raises:
         ValueError: empty Nx_list or an invalid mesh size.
     """
-    meshes = [build_mesh(system.potential.period_l, int(n)) for n in Nx_list]
+    meshes = [build_mesh(system.potential.period_l, n) for n in Nx_list]
     if not meshes:
         raise ValueError("Nx_list must not be empty")
     scheme_tag = "oracle" if scheme == "oracle" else Scheme(scheme).value

@@ -1,22 +1,11 @@
 """Command-line front end: solve, study, verify.
 
-Configs are flat ``key = value`` text files; ``#`` starts a comment.
-Recognized keys (defaults in brackets):
-
-  period_l      positive real, spatial period                  (required)
-  coeffs        cosine coefficients a_0, a_1, ... as a list    (required)
-  s_over_kappa  velocity lattice shift as a fraction of kappa  [0.5]
-  M             velocity truncation half-width                 [40]
-  symmetric     use the sign-symmetric window at half shift    [true]
-  Nx            number of mesh cells, even                     (required)
-  boundary      "mono:<i0>" or "table:<i>=<val>,<i>=<val>,..." (required)
-  scheme        upwind1 | upwind2 | central | oracle           [central]
-  rel_tol       linear-solver residual tolerance in (0, 1e-6]  [1e-12]
-  out_dir       output directory                               [.]
-  emit          subset of solution,density,current,report      [solution,density,current]
-
-Unknown keys are rejected by name.  Exit status: 0 on success, 2 for
-config or usage errors, 1 for solver or I/O failures.
+Configs are flat ``key = value`` text files in UTF-8; ``#`` starts a
+comment.  ``_KEYS`` below lists each recognized key with its parser, what it
+expects and its default; a list value splits on commas and/or whitespace.
+Unknown, repeated and missing required keys are rejected by name.  Exit
+status: 0 on success, 2 for config or usage errors, 1 for solver or I/O
+failures.
 """
 
 from __future__ import annotations
@@ -37,7 +26,7 @@ from .analysis import (
     symmetry_error,
     write_csv,
 )
-from .fd import SolverError
+from .fd import _REL_TOL_RANGE, SolverError, _valid_rel_tol
 from .kinetic import (
     build_mesh,
     build_system,
@@ -52,159 +41,134 @@ from .verify import run_all_checks
 __all__ = ["ConfigError", "parse_config", "main"]
 
 _EMIT_TOKENS = ("solution", "density", "current", "report")
-
-_REQUIRED_KEYS = ("period_l", "coeffs", "Nx", "boundary")
-_DEFAULTS = {
-    "s_over_kappa": 0.5,
-    "M": 40,
-    "symmetric": True,
-    "scheme": "central",
-    "rel_tol": 1e-12,
-    "out_dir": ".",
-    "emit": ("solution", "density", "current"),
-}
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
 
 
 class ConfigError(ValueError):
     """Invalid or missing configuration; the message names the key."""
 
 
-def _parse_bool(key: str, raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"config key '{key}': expected a boolean, got {raw!r}")
+def _split(raw: str) -> list:
+    """The items of a list value, separated by commas and/or whitespace."""
+    return raw.replace(",", " ").split()
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _check(ok, parse):
+    """Parser that applies ``parse``, then rejects a value failing ``ok``."""
+    def read(raw: str):
+        value = parse(raw)
+        if not ok(value):
+            raise ValueError(raw)
+        return value
+    return read
+
+
+def _list(item, kind=list):
+    """Parser of a list value whose items ``item`` parses."""
+    return lambda raw: kind(map(item, _split(raw)))
+
+
+def _one_of(choices):
+    """Parser of one token out of ``choices``."""
+    return _check(lambda token: token in choices, str)
+
+
+def _boundary(raw: str):
+    """("mono", i0) or ("table", {i: value}); a repeated index is an error."""
+    kind, _, body = raw.partition(":")
+    if kind == "mono":
+        return ("mono", int(body))
+    if kind != "table":
+        raise ValueError(raw)
+    table = {}
+    for item in filter(str.strip, body.split(",")):
+        index, _, value = item.partition("=")
+        if int(index) in table:
+            raise ValueError(raw)
+        table[int(index)] = float(value)
+    if not table:
+        raise ValueError(raw)
+    return ("table", table)
+
+
+# key: (parser of the value text, what it expects, default text or _REQUIRED).
+# parse_config reads every key through it, and --tol, --nx and --schemes
+# read their values through the entries of rel_tol, Nx and scheme.
+_REQUIRED = None
+_KEYS = {
+    "period_l": (float, "a real number", _REQUIRED),  # spatial period
+    # cosine coefficients a_0, a_1, ... of the potential
+    "coeffs": (_check(bool, _list(float)), "a non-empty list of reals", _REQUIRED),
+    "Nx": (int, "an integer", _REQUIRED),  # number of mesh cells, even
+    # inflow: unit injection into channel i0, or a value per channel index
+    "boundary": (_boundary, "'mono:<i0>' or 'table:<i>=<val>,...' with distinct indices <i>",
+                 _REQUIRED),
+    # velocity lattice shift as a fraction of kappa
+    "s_over_kappa": (_check(lambda x: 0.0 < x < 1.0, float), "a real number strictly between 0 and 1", "0.5"),
+    "M": (int, "an integer", "40"),  # velocity truncation half-width
+    # use the sign-symmetric window [-M, M-1] at half shift
+    "symmetric": (lambda raw: _BOOLS[raw.lower()], "a boolean", "true"),
+    "scheme": (_one_of(_SCHEMES), f"one of {', '.join(_SCHEMES)}", "central"),
+    # the solver's residual acceptance threshold
+    "rel_tol": (lambda raw: _valid_rel_tol(float(raw)), f"a real number in {_REL_TOL_RANGE}", "1e-12"),
+    "out_dir": (str, "a directory", "."),  # where solve and study write
+    # the CSV files solve writes
+    "emit": (_list(_one_of(_EMIT_TOKENS), tuple), f"tokens from {', '.join(_EMIT_TOKENS)}",
+             "solution,density,current"),
+}
+
+
+def _read(source: str, key: str, raw: str):
+    """Parse ``raw`` by the table entry of ``key``; an error names ``source``."""
+    parse, what, _ = _KEYS[key]
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"config key '{key}': expected a real number, got {raw!r}")
+        return parse(raw)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{source}: expected {what}, got {raw!r}") from None
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"config key '{key}': expected an integer, got {raw!r}")
-
-
-def _parse_list(key: str, raw: str) -> list:
-    parts = [p for chunk in raw.split(",") for p in chunk.split()]
-    if not parts:
-        raise ConfigError(f"config key '{key}': expected a non-empty list")
-    try:
-        return [float(p) for p in parts]
-    except ValueError:
-        raise ConfigError(f"config key '{key}': expected a list of reals, got {raw!r}")
-
-
-def _parse_boundary(raw: str):
-    text = raw.strip()
-    if text.startswith("mono:"):
-        try:
-            return ("mono", int(text[len("mono:"):]))
-        except ValueError:
-            raise ConfigError(f"config key 'boundary': bad channel index in {raw!r}")
-    if text.startswith("table:"):
-        body = text[len("table:"):]
-        table = {}
-        for item in body.split(","):
-            item = item.strip()
-            if not item:
-                continue
-            if "=" not in item:
-                raise ConfigError(f"config key 'boundary': bad table entry {item!r}")
-            k, _, val = item.partition("=")
-            try:
-                table[int(k)] = float(val)
-            except ValueError:
-                raise ConfigError(f"config key 'boundary': bad table entry {item!r}")
-        if not table:
-            raise ConfigError("config key 'boundary': table has no entries")
-        return ("table", table)
-    raise ConfigError(
-        f"config key 'boundary': expected 'mono:<i0>' or 'table:<i>=<val>,...', got {raw!r}"
-    )
-
-
-def _checked_rel_tol(source: str, value: float) -> float:
-    if not (0.0 < value <= 1e-6):
-        raise ConfigError(f"{source}: rel_tol must lie in (0, 1e-6], got {value!r}")
-    return value
+def _read_items(flag: str, key: str, raw: str) -> list:
+    """Each item of a list flag, parsed by the table entry of ``key``."""
+    items = _split(raw)
+    if not items:
+        raise ConfigError(f"{flag}: expected a non-empty list, got {raw!r}")
+    return [_read(flag, key, item) for item in items]
 
 
 def parse_config(path: str) -> dict:
     """Read and validate a config file; returns a dict with defaults filled.
 
     Raises:
-        ConfigError: unknown/missing/invalid keys (named in the message).
+        ConfigError: unknown/missing/invalid keys (named in the message), or
+            a file that is not UTF-8 text.
         OSError: unreadable file.
     """
     raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in raw:
-                raise ConfigError(f"config key '{key}': given more than once")
-            raw[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                if "=" not in text:
+                    raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+                key, _, value = text.partition("=")
+                key = key.strip()
+                if key in raw:
+                    raise ConfigError(f"config key '{key}': given more than once")
+                raw[key] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path!r}: not UTF-8 text ({exc})") from None
 
-    known = set(_REQUIRED_KEYS) | set(_DEFAULTS)
     for key in raw:
-        if key not in known:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key '{key}'")
-    for key in _REQUIRED_KEYS:
-        if key not in raw:
-            raise ConfigError(f"missing required config key '{key}'")
-
     cfg = {}
-    cfg["period_l"] = _parse_float("period_l", raw["period_l"])
-    cfg["coeffs"] = _parse_list("coeffs", raw["coeffs"])
-    cfg["Nx"] = _parse_int("Nx", raw["Nx"])
-    cfg["boundary"] = _parse_boundary(raw["boundary"])
-    cfg["s_over_kappa"] = (
-        _parse_float("s_over_kappa", raw["s_over_kappa"])
-        if "s_over_kappa" in raw
-        else _DEFAULTS["s_over_kappa"]
-    )
-    if not (0.0 < cfg["s_over_kappa"] < 1.0):
-        raise ConfigError(
-            f"config key 's_over_kappa': must lie strictly between 0 and 1, got {cfg['s_over_kappa']!r}"
-        )
-    cfg["M"] = _parse_int("M", raw["M"]) if "M" in raw else _DEFAULTS["M"]
-    cfg["symmetric"] = (
-        _parse_bool("symmetric", raw["symmetric"]) if "symmetric" in raw else _DEFAULTS["symmetric"]
-    )
-    cfg["scheme"] = raw.get("scheme", _DEFAULTS["scheme"]).strip()
-    if cfg["scheme"] not in _SCHEMES:
-        raise ConfigError(
-            f"config key 'scheme': expected one of {', '.join(_SCHEMES)}, got {cfg['scheme']!r}"
-        )
-    if "rel_tol" in raw:
-        cfg["rel_tol"] = _checked_rel_tol("config key 'rel_tol'", _parse_float("rel_tol", raw["rel_tol"]))
-    else:
-        cfg["rel_tol"] = _DEFAULTS["rel_tol"]
-    cfg["out_dir"] = raw.get("out_dir", _DEFAULTS["out_dir"]).strip()
-    if "emit" in raw:
-        tokens = tuple(t.strip() for t in raw["emit"].split(",") if t.strip())
-        for t in tokens:
-            if t not in _EMIT_TOKENS:
-                raise ConfigError(
-                    f"config key 'emit': expected tokens from {', '.join(_EMIT_TOKENS)}, got {t!r}"
-                )
-        cfg["emit"] = tokens
-    else:
-        cfg["emit"] = _DEFAULTS["emit"]
+    for key, (_, _, default) in _KEYS.items():
+        if key not in raw and default is _REQUIRED:
+            raise ConfigError(f"missing required config key '{key}'")
+        cfg[key] = _read(f"config key '{key}'", key, raw.get(key, default))
     return cfg
 
 
@@ -238,7 +202,7 @@ def _load_config(args) -> dict:
     """parse_config plus the command-line overrides a subcommand offers."""
     cfg = parse_config(args.config)
     if args.tol is not None:
-        cfg["rel_tol"] = _checked_rel_tol("--tol", args.tol)
+        cfg["rel_tol"] = _read("--tol", "rel_tol", args.tol)
     if getattr(args, "out", None) is not None:
         cfg["out_dir"] = args.out
     # only the subcommands that write files take --out
@@ -261,53 +225,31 @@ def cmd_solve(args) -> int:
         f"scheme={sol.scheme} Nx={system.mesh.Nx} symmetry_error={e_sym:.6e} "
         f"residual={sol.residual:.6e} runtime_s={runtime:.3f}"
     )
+    nodes = system.mesh.nodes
+    row = StudyRow(
+        scheme=sol.scheme, Nx=system.mesh.Nx, symmetry_error=e_sym, runtime_s=runtime, residual=sol.residual
+    )
+    # emit token -> what write_csv receives, built only for the tokens emitted
+    outputs = {
+        "solution": lambda: sol,
+        "density": lambda: (nodes, density(sol)),
+        "current": lambda: (nodes, current(sol)),
+        "report": lambda: StudyReport(rows=(row,)),
+    }
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    emitted = []
-    for token in cfg["emit"]:
-        path = os.path.join(out_dir, f"{token}.csv")
-        if token == "solution":
-            write_csv(sol, path)
-        elif token == "density":
-            write_csv((system.mesh.nodes, density(sol)), path)
-        elif token == "current":
-            write_csv((system.mesh.nodes, current(sol)), path)
-        elif token == "report":
-            row = StudyRow(
-                scheme=sol.scheme,
-                Nx=system.mesh.Nx,
-                symmetry_error=e_sym,
-                runtime_s=runtime,
-                residual=sol.residual,
-            )
-            write_csv(StudyReport(rows=(row,)), path)
-        emitted.append(path)
+    emitted = [os.path.join(out_dir, f"{token}.csv") for token in cfg["emit"]]
+    for token, path in zip(cfg["emit"], emitted):
+        write_csv(outputs[token](), path)
     for path in emitted:
         print(f"wrote {path}")
     return 0
 
 
-def _parse_int_list(raw: str, flag: str) -> list:
-    try:
-        values = [int(p) for chunk in raw.split(",") for p in chunk.split() if p]
-    except ValueError:
-        raise ConfigError(f"{flag}: expected a comma-separated list of integers, got {raw!r}")
-    if not values:
-        raise ConfigError(f"{flag}: list must not be empty")
-    return values
-
-
 def cmd_study(args) -> int:
     cfg = _load_config(args)
-    nx_list = _parse_int_list(args.nx, "--nx")
-    schemes = [s.strip() for chunk in args.schemes.split(",") for s in chunk.split() if s.strip()]
-    if not schemes:
-        raise ConfigError("--schemes: list must not be empty")
-    for s in schemes:
-        if s not in _SCHEMES:
-            raise ConfigError(
-                f"--schemes: expected tokens from {', '.join(_SCHEMES)}, got {s!r}"
-            )
+    nx_list = _read_items("--nx", "Nx", args.nx)
+    schemes = _read_items("--schemes", "scheme", args.schemes)
     system = _system_from_config(cfg)
     for nx in nx_list:
         try:
@@ -349,25 +291,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Discrete-velocity solvers for a stationary transport boundary value problem",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every subcommand reads a config and may override its rel_tol
+    reads = argparse.ArgumentParser(add_help=False)
+    reads.add_argument("config", help="path to a key = value config file")
+    reads.add_argument("--tol", help="residual tolerance (overrides config rel_tol)")
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", help="output directory (overrides config out_dir)")
 
-    p_solve = sub.add_parser("solve", help="solve one configuration and write CSV outputs")
-    p_solve.add_argument("config", help="path to a key = value config file")
-    p_solve.add_argument("--out", help="output directory (overrides config out_dir)")
-    p_solve.add_argument("--tol", type=float, help="residual tolerance (overrides config rel_tol)")
+    p_solve = sub.add_parser(
+        "solve", parents=[reads, writes], help="solve one configuration and write CSV outputs"
+    )
     p_solve.add_argument("--scheme", choices=_SCHEMES, help="override the config scheme")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_study = sub.add_parser("study", help="mesh-refinement study across schemes")
-    p_study.add_argument("config", help="path to a key = value config file")
+    p_study = sub.add_parser("study", parents=[reads, writes], help="mesh-refinement study across schemes")
     p_study.add_argument("--nx", required=True, help="comma-separated mesh sizes")
     p_study.add_argument("--schemes", required=True, help="comma-separated scheme names")
-    p_study.add_argument("--out", help="output directory (overrides config out_dir)")
-    p_study.add_argument("--tol", type=float, help="residual tolerance (overrides config rel_tol)")
     p_study.set_defaults(func=cmd_study)
 
-    p_verify = sub.add_parser("verify", help="run the structural property checks")
-    p_verify.add_argument("config", help="path to a key = value config file")
-    p_verify.add_argument("--tol", type=float, help="residual tolerance (overrides config rel_tol)")
+    p_verify = sub.add_parser("verify", parents=[reads], help="run the structural property checks")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -386,10 +328,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, PropagatorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SolverError, PropagatorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

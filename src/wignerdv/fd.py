@@ -52,6 +52,9 @@ __all__ = [
 # Guard against division by a zero right-hand-side norm.
 _NORM_FLOOR = 1e-300
 
+# The accepted range of rel_tol, as ``_valid_rel_tol`` checks it.
+_REL_TOL_RANGE = "(0, 1e-6]"
+
 
 class Scheme(str, enum.Enum):
     """Finite-difference stencil selector."""
@@ -59,6 +62,13 @@ class Scheme(str, enum.Enum):
     UPWIND1 = "upwind1"
     UPWIND2 = "upwind2"
     CENTRAL = "central"
+
+
+def _valid_rel_tol(rel_tol: float) -> float:
+    """rel_tol itself if it lies in (0, 1e-6] (NaN does not); else ValueError."""
+    if not (0.0 < rel_tol <= 1e-6):
+        raise ValueError(f"rel_tol must lie in {_REL_TOL_RANGE}, got {rel_tol!r}")
+    return rel_tol
 
 
 class SolverError(RuntimeError):
@@ -534,8 +544,7 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
             rejected field, which sets an ill-conditioned truncation apart
             from a bug, and for ``central`` also the march residual.
     """
-    if not (0.0 < rel_tol <= 1e-6):
-        raise ValueError(f"rel_tol must lie in (0, 1e-6], got {rel_tol!r}")
+    _valid_rel_tol(rel_tol)
     problem = assemble(system, scheme)
     scheme = problem.scheme
     march_note = ""

@@ -9,6 +9,7 @@ Inflow boundary data pins f at x = -l/2 for v > 0 and at x = +l/2 for v < 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,14 +129,16 @@ def build_velocity_grid(kappa: float, s: float, M: int, symmetric: bool = True) 
     window is i in [-M, M].
 
     Raises:
-        ValueError: if s is outside (0, kappa) or M < 1.
+        ValueError: if s is outside (0, kappa) or M is not an integer >= 1
+            (int or NumPy integer; a float is rejected however integral).
     """
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     if not (math.isfinite(s) and 0.0 < s < kappa):
         raise ValueError(f"shift s must lie strictly inside (0, kappa), got s={s!r}")
-    if M < 1:
-        raise ValueError(f"M must be at least 1, got {M}")
+    if not (isinstance(M, numbers.Integral) and M >= 1):
+        raise ValueError(f"M must be an integer >= 1, got {M!r}")
+    M = int(M)
     half_shift = abs(s - 0.5 * kappa) <= _HALF_SHIFT_RTOL * kappa
     i_min, i_max = (-M, M - 1) if (symmetric and half_shift) else (-M, M)
     velocities = np.arange(i_min, i_max + 1) * kappa + s
@@ -150,11 +153,12 @@ def build_mesh(period_l: float, Nx: int) -> SpatialMesh:
     exact floating-point negation of nodes[j] and nodes[Nx // 2] is 0.0.
 
     Raises:
-        ValueError: if period_l is not positive or Nx is odd or < 2.
+        ValueError: if period_l is not positive or Nx is not an even
+            integer >= 2 (int or NumPy integer; a float is rejected).
     """
     if not (math.isfinite(period_l) and period_l > 0):
         raise ValueError(f"period_l must be positive, got {period_l!r}")
-    if Nx < 2 or Nx % 2 != 0:
+    if not (isinstance(Nx, numbers.Integral) and Nx >= 2 and Nx % 2 == 0):
         raise ValueError(f"Nx must be an even integer >= 2, got {Nx}")
     dx = period_l / Nx
     half = Nx // 2

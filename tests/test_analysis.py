@@ -146,6 +146,19 @@ def test_convergence_study_rejects_bad_requests(monkeypatch):
     assert calls == []
 
 
+def test_convergence_study_rejects_non_integer_sizes(monkeypatch):
+    import wignerdv.analysis as analysis_mod
+
+    calls = []
+    monkeypatch.setattr(analysis_mod, "solve_bvp", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match="even integer >= 2, got 10.5"):
+        convergence_study(make_system(4), "central", [10.5, 6.9])
+    assert calls == []
+    monkeypatch.undo()
+    report = convergence_study(make_system(4), Scheme.UPWIND1, np.array([2, 4]))
+    assert [row.Nx for row in report.rows] == [2, 4]
+
+
 def test_convergence_study_records_failures_per_row(monkeypatch):
     # a solver failure on one mesh must not abort the others
     import wignerdv.analysis as analysis_mod

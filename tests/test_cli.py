@@ -235,3 +235,45 @@ def test_bundled_flagship_config_parses():
 def test_usage_error_exits_2():
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BASE_CONFIG.encode() + b"# caf\xe9\n")
+    with pytest.raises(ConfigError, match="latin1.cfg.*UTF-8"):
+        parse_config(str(path))
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "latin1.cfg" in captured.err and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_parse_config_rejects_repeated_table_index(tmp_path):
+    path = _write(tmp_path, "period_l = 1\ncoeffs = 1\nNx = 10\nboundary = table:0=1,0=2\n")
+    with pytest.raises(ConfigError, match="boundary"):
+        parse_config(path)
+
+
+def test_lists_split_on_commas_and_whitespace(tmp_path):
+    path = _write(tmp_path, BASE_CONFIG + "\nemit = density current,report\n")
+    assert parse_config(path)["emit"] == ("density", "current", "report")
+
+
+@pytest.mark.parametrize(
+    "flags, flag",
+    [
+        (["--tol", "abc"], "--tol"),
+        (["--nx", "10,x"], "--nx"),
+        (["--schemes", "central,magic"], "--schemes"),
+    ],
+)
+def test_study_flag_errors_name_the_flag(flags, flag, config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    args = {"--nx": "10", "--schemes": "central", "--out": str(out)}
+    args.update(zip(flags[::2], flags[1::2]))
+    argv = ["study", config_file] + [t for pair in args.items() for t in pair]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag}: expected" in captured.err
+    assert "scheme=" not in captured.out
+    assert not out.exists()

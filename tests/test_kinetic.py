@@ -161,3 +161,18 @@ def test_weighted_norm_rejects_bad_input():
         weighted_norm(g, np.zeros(3), "unit")
     with pytest.raises(ValueError):
         weighted_norm(g, np.zeros(2), "banana")
+
+
+def test_grid_and_mesh_sizes_must_be_integers():
+    # a half-integer M would put a channel at v = 0, which the solvers exclude
+    for M in (2.5, 2.0):
+        with pytest.raises(ValueError, match="M must be an integer"):
+            build_velocity_grid(KAPPA, 0.5 * KAPPA, M)
+    for nx in (10.5, 10.0):
+        with pytest.raises(ValueError, match="Nx must be an even integer"):
+            build_mesh(1.0, nx)
+    g = build_velocity_grid(KAPPA, 0.5 * KAPPA, np.int64(2), True)
+    assert (g.i_min, g.i_max) == (-2, 1) and type(g.i_min) is int
+    assert np.all(g.velocities != 0.0)
+    mesh = build_mesh(1.0, np.int32(10))
+    assert mesh.Nx == 10 and type(mesh.Nx) is int
