@@ -8,95 +8,24 @@ three finite-difference schemes for that boundary value problem, an
 integral-equation propagator that serves as a scheme-independent
 reference, mirror-symmetry diagnostics, and a CLI for solving, refining
 and self-checking.
+
+The public names are those each module lists in its ``__all__``.
 """
 
-from .analysis import (
-    StudyReport,
-    StudyRow,
-    convergence_study,
-    current,
-    density,
-    scheme_difference,
-    symmetry_error,
-    write_csv,
-)
-from .fd import (
-    DiscreteSolution,
-    LinearProblem,
-    Scheme,
-    SolverError,
-    assemble,
-    residual_norm,
-    solve_bvp,
-)
-from .kinetic import (
-    BoundaryData,
-    SpatialMesh,
-    VelocityGrid,
-    WignerSystem,
-    build_mesh,
-    build_system,
-    build_velocity_grid,
-    mono_energetic_boundary,
-    tabulated_boundary,
-    weighted_norm,
-)
-from .potential import (
-    FourierPotential,
-    apply_coupling,
-    coupling_bound,
-    eval_potential,
-    new_potential,
-)
-from .propagator import (
-    PropagatorError,
-    PropagatorMatrix,
-    PropagatorOptions,
-    contraction_step,
-    picard_propagate,
-    propagator_matrix,
-    solve_bvp_shooting,
-)
+from . import analysis, fd, kinetic, potential, propagator
+from .analysis import *  # noqa: F401,F403
+from .fd import *  # noqa: F401,F403
+from .kinetic import *  # noqa: F401,F403
+from .potential import *  # noqa: F401,F403
+from .propagator import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FourierPotential",
-    "new_potential",
-    "eval_potential",
-    "apply_coupling",
-    "coupling_bound",
-    "VelocityGrid",
-    "SpatialMesh",
-    "BoundaryData",
-    "WignerSystem",
-    "build_velocity_grid",
-    "build_mesh",
-    "mono_energetic_boundary",
-    "tabulated_boundary",
-    "build_system",
-    "weighted_norm",
-    "Scheme",
-    "LinearProblem",
-    "DiscreteSolution",
-    "SolverError",
-    "assemble",
-    "residual_norm",
-    "solve_bvp",
-    "PropagatorOptions",
-    "PropagatorMatrix",
-    "PropagatorError",
-    "contraction_step",
-    "picard_propagate",
-    "propagator_matrix",
-    "solve_bvp_shooting",
-    "density",
-    "current",
-    "symmetry_error",
-    "scheme_difference",
-    "StudyRow",
-    "StudyReport",
-    "convergence_study",
-    "write_csv",
+    *potential.__all__,
+    *kinetic.__all__,
+    *fd.__all__,
+    *propagator.__all__,
+    *analysis.__all__,
     "__version__",
 ]

@@ -4,8 +4,8 @@ Configs are flat ``key = value`` text files in UTF-8; ``#`` starts a
 comment.  ``_KEYS`` below lists each recognized key with its parser, what it
 expects and its default; a list value splits on commas and/or whitespace.
 Unknown, repeated and missing required keys are rejected by name.  Exit
-status: 0 on success, 2 for config or usage errors, 1 for solver or I/O
-failures.
+status: 0 on success, 2 for config or usage errors, 1 for solver, I/O or
+out-of-memory failures.
 """
 
 from __future__ import annotations
@@ -113,9 +113,9 @@ _KEYS = {
     # the solver's residual acceptance threshold
     "rel_tol": (lambda raw: _valid_rel_tol(float(raw)), f"a real number in {_REL_TOL_RANGE}", "1e-12"),
     "out_dir": (str, "a directory", "."),  # where solve and study write
-    # the CSV files solve writes
-    "emit": (_list(_one_of(_EMIT_TOKENS), tuple), f"tokens from {', '.join(_EMIT_TOKENS)}",
-             "solution,density,current"),
+    # the CSV files solve writes, each named once
+    "emit": (_check(lambda tokens: len(set(tokens)) == len(tokens), _list(_one_of(_EMIT_TOKENS), tuple)),
+             f"distinct tokens from {', '.join(_EMIT_TOKENS)}", "solution,density,current"),
 }
 
 
@@ -330,6 +330,9 @@ def main(argv=None) -> int:
         return 2
     except (SolverError, PropagatorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -11,11 +11,12 @@ provided:
            with the average of the coupling term at the two cell ends,
            which is second-order accurate and mirror-consistent.
 
-Each stencil is written once, in ``_stencil``.  On the node-major
-(Nx + 1, m) field, with an identity row on each pinned entry, each of its
-legs is one diagonal of the matrix (``_diagonals``).  ``central`` is one
-forward march of banded cell solves read from those diagonals, from the
-inflow data of both ends (``_central_march``): A(x) is odd and the mesh
+Each stencil is written once, in ``_stencil``, and A(x) is read as the
+channel bands of ``potential._bands`` on the mesh nodes.  On the node-major
+(Nx + 1, m) field, with an identity row on each pinned entry, each transport
+leg, and each coupling leg on each band, is one diagonal of the matrix
+(``_diagonals``).  ``central`` is one forward march of banded cell solves
+read from those diagonals, from the inflow data of both ends (``_central_march``): A(x) is odd and the mesh
 mirror symmetric, so the discrete period map is the identity.  The
 one-sided schemes, and a march that misses the gate, go through a block
 tridiagonal sweep over the whole field (``_block_sweep``), its node blocks
@@ -36,8 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
-from .kinetic import WignerSystem
-from .potential import _sine_table
+from .kinetic import WignerSystem, _unit_scaled
+from .potential import _bands
 
 __all__ = [
     "Scheme",
@@ -83,9 +84,10 @@ class SolverError(RuntimeError):
 class LinearProblem:
     """One scheme's linear system on one system, held without its matrix.
 
-    ``sines`` is the sine table on the mesh nodes.  ``pinned`` flags the
-    inflow entries of the node-major (Nx + 1, m) field, and ``pinval`` is
-    the field that holds the inflow data there and zero elsewhere.
+    ``bands`` is A(x) on the mesh nodes as channel diagonals (see
+    ``potential._bands``).  ``pinned`` flags the inflow entries of the
+    node-major (Nx + 1, m) field, and ``pinval`` is the field that holds
+    the inflow data there and zero elsewhere.
     ``rhs_norm`` is |b| of the reduced system, from b = -R(pinval).  The
     solvers read only these.  It, ``matrix`` and ``rhs``, the reduced sparse
     system over the non-pinned unknowns, are computed on first access and
@@ -96,7 +98,7 @@ class LinearProblem:
 
     system: WignerSystem
     scheme: Scheme
-    sines: np.ndarray
+    bands: list
     pinned: np.ndarray
     pinval: np.ndarray
 
@@ -187,10 +189,10 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
     being the entry of row (j, k) in the column of flat index j m + k +
     offset.  Scaled by dx / |v| of the row, a transport leg (dj, c) puts
     (c v / dx) dx / |v|, c to rounding (ROADMAP item 4), on offset dj m, and a
-    coupling leg (dj, w) puts -+w a_n sin(2 n kappa x) dx / |v|, x at node
-    j + dj, on offsets dj m -+ n where channel k -+ n lies in the window.
-    Rows of v < 0 mirror those of v > 0 (see ``_stencil``).  No two legs
-    meet on one entry, so each leg writes its entries in place.
+    coupling leg (dj, w) puts -w coef dx / |v| of each band of A(x), x at
+    node j + dj, on offset dj m + (cols.start - rows.start) over the band's
+    rows.  Rows of v < 0 mirror those of v > 0 (see ``_stencil``).  No two
+    legs meet on one entry, so each leg writes its entries in place.
     """
     system = problem.system
     m = system.grid.size
@@ -198,7 +200,6 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
     v = system.grid.velocities
     vdx = v / system.mesh.dx
     scale = system.mesh.dx / np.abs(v)
-    coeffs = system.potential.coeffs
     diagonals = collections.defaultdict(lambda: np.zeros((j1 - j0, m)))
     diagonals[0][problem.pinned[j0:j1]] = 1.0
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
@@ -213,11 +214,11 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
             for dj, c in transport:
                 diagonals[sign * dj * m][rows, K] = c * sign * vdx[K] * scale[K]
             for dj, w in coupling:
-                for n in (np.flatnonzero(coeffs[1:m]) + 1).tolist():
-                    s = (w * coeffs[n] * problem.sines[n - 1, lo + sign * dj:hi + sign * dj])[:, None]
-                    down, up = slice(max(K.start, n), K.stop), slice(K.start, min(K.stop, m - n))
-                    np.multiply(-s, scale[down], out=diagonals[sign * dj * m - n][rows, down])
-                    np.multiply(s, scale[up], out=diagonals[sign * dj * m + n][rows, up])
+                for band, cols, coef in problem.bands:
+                    s = (-w * coef[lo + sign * dj:hi + sign * dj])[:, None]
+                    half = slice(max(K.start, band.start), min(K.stop, band.stop))
+                    offset = sign * dj * m + cols.start - band.start
+                    np.multiply(s, scale[half], out=diagonals[offset][rows, half])
     return diagonals
 
 
@@ -229,17 +230,17 @@ def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
     side.  Every equation is scaled by dx / |v| so the transport diagonal
     is order one and the right-hand side stays bounded as the mesh is
     refined, which keeps the relative residual meaningful at large Nx.
-    This builds the sine table and the inflow entries only; ``rhs_norm``,
+    This builds A(x) on the nodes and the inflow entries only; ``rhs_norm``,
     ``matrix`` and ``rhs`` are read from the diagonals of the whole-field
     matrix (see ``_diagonals``) on first access.
     Raises ValueError for an unknown scheme.
     """
     scheme = Scheme(scheme)
-    sines = _sine_table(system.potential, system.mesh.nodes)
     v = system.grid.velocities
+    bands = _bands(system.potential, system.mesh.nodes, v.size)
     pinned = np.zeros((system.mesh.Nx + 1, v.size), dtype=bool)
     pinned[0], pinned[-1] = v > 0, v < 0
-    return LinearProblem(system, scheme, sines, pinned, np.where(pinned, system.boundary.values, 0.0))
+    return LinearProblem(system, scheme, bands, pinned, np.where(pinned, system.boundary.values, 0.0))
 
 
 def _assemble_csr(problem: LinearProblem):
@@ -323,16 +324,14 @@ def _node_blocks(problem: LinearProblem):
     Nx = problem.system.mesh.Nx
     m = problem.system.grid.size
     v = problem.system.grid.velocities
-    coeffs = problem.system.potential.coeffs
     legs = _stencil(problem.scheme, Nx)
     reach = _reach(legs)
     N = problem.pinned.size
     edges = np.append(np.arange(0, N, reach * m), N)
     sizes = np.diff(edges)
     spread = np.zeros(m, dtype=bool)           # channels a coupling leg reads from v < 0 rows
-    for n in np.flatnonzero(coeffs[1:m]) + 1:
-        spread[n:] |= v[:-n] < 0
-        spread[:-n] |= v[n:] < 0
+    for rows, cols, _ in problem.bands:
+        spread[rows] |= v[cols] < 0
     # a leg (dj, .) of a v < 0 row reads -dj nodes ahead, so the block before
     # reads into the first -dj nodes of a block; the farthest leg reaches
     # reach nodes back, so every v > 0 row reads the block before
@@ -440,8 +439,9 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
     Cell c is the v > 0 rows of node c and the v < 0 rows of node c - 1 of
     the whole-field matrix, read from ``_diagonals`` a run of ``_RUN_NODES``
     cells at a time: a band B on the node-c columns, R on the node-(c - 1)
-    ones.  Unscaled they read (V - h/2 A_c) f_c = (V + h/2 A_{c-1}) f_{c-1},
-    V = diag(v).  The sine table is odd to the bit on the mirrored mesh, so
+    ones, of bandwidth nb, the largest offset of a band of A(x).  Unscaled
+    they read (V - h/2 A_c) f_c = (V + h/2 A_{c-1}) f_{c-1}, V = diag(v).
+    The bands of A(x) are odd to the bit on the mirrored mesh, so
     A_{Nx-c} = -A_c, cell Nx + 1 - c inverts cell c and the period map is I:
     a march from the inflow data of both ends meets the right-end inflow at
     +l/2.  Each step solves B d = -(B + R) f_{c-1} for d = f_c - f_{c-1}
@@ -452,7 +452,7 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
     """
     v = problem.system.grid.velocities
     m = v.size
-    nb = min(len(problem.sines), m - 1)               # bandwidth: the sine table capped by the window
+    nb = max((cols.start - rows.start for rows, cols, _ in problem.bands), default=0)
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
     # the field padded with nb zero channels on each side; f_j[k + e] is window[j, nb + e, k]
     padded = np.zeros((problem.system.mesh.Nx + 1, m + 2 * nb))
@@ -522,11 +522,14 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     inflow entries are then reset to the data exactly, plus one step of
     iterative refinement if it misses rel_tol (see ``_global_solve``).
 
-    Every result is gated on the relative residual |M x - b| / |b| of the
-    linear system ``assemble`` sets up, a product with the diagonals of M
-    that the march and the sweep's node blocks read too (see ``_residual``).
-    It differs from ``residual_norm`` of the assembled system only in the
-    order of summation.
+    The system is solved with its inflow data divided by the power of two
+    2^k that puts their largest magnitude in [1, 2), and the field is
+    multiplied back by 2^k: exact, and safe from overflow in |b| (see
+    ``kinetic._unit_scaled``).  Every result is gated on the relative
+    residual |M x - b| / |b| of the linear system ``assemble`` sets up, a
+    product with the diagonals of M that the march and the sweep's node
+    blocks read too (see ``_residual``).  It differs from ``residual_norm``
+    of the assembled system only in the order of summation.
 
     Args:
         system: the transport problem.
@@ -539,13 +542,15 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
 
     Raises:
         ValueError: bad rel_tol or scheme.
-        SolverError: singular system or residual above rel_tol.  A missed
-            gate's message gives the growth factor max|f| / max|b| of the
-            rejected field, which sets an ill-conditioned truncation apart
-            from a bug, and for ``central`` also the march residual.
+        SolverError: singular system, residual above rel_tol or a field
+            that overflows when scaled back.  A missed gate's message gives
+            the growth factor max|f| / max|b| of the rejected field, which
+            sets an ill-conditioned truncation apart from a bug, and for
+            ``central`` also the march residual.
     """
     _valid_rel_tol(rel_tol)
-    problem = assemble(system, scheme)
+    unit, scale_back = _unit_scaled(system, SolverError)
+    problem = assemble(unit, scheme)
     scheme = problem.scheme
     march_note = ""
     field = None
@@ -564,7 +569,7 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     if field is None:
         field, res = _global_solve(problem, rel_tol)
         if not np.isfinite(res) or res > rel_tol:
-            b_max = np.abs(system.boundary.values).max()
+            b_max = np.abs(unit.boundary.values).max()
             growth = max(np.abs(field).max(), b_max) / b_max
             raise SolverError(
                 f"solver residual {res:.3e} exceeds rel_tol {rel_tol:.3e} "
@@ -573,6 +578,5 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
                 residual=res,
             )
 
-    values = np.ascontiguousarray(field.T)
-    values.flags.writeable = False
+    values = scale_back(np.ascontiguousarray(field.T))
     return DiscreteSolution(values=values, system=system, scheme=scheme.value, residual=res)

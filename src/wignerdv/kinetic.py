@@ -8,6 +8,7 @@ Inflow boundary data pins f at x = -l/2 for v > 0 and at x = +l/2 for v < 0.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -229,6 +230,39 @@ def build_system(
     ):
         raise ValueError("boundary data was built for a different velocity grid")
     return WignerSystem(potential=potential, grid=grid, mesh=mesh, boundary=boundary)
+
+
+def _unit_scaled(system: WignerSystem, error: type) -> tuple:
+    """The system with its inflow data divided by 2^k, and the map of a field back.
+
+    k puts the largest magnitude of the data in [1, 2), so a solver's
+    tolerances act on data of order one and the norms of the data neither
+    overflow nor underflow.  Scaling by a power of two is exact, so a solver
+    solves the scaled system and multiplies its (velocity, node) field by
+    2^k with the returned function; relative residuals are unchanged.  That
+    function returns the field read-only and raises ``error`` if it
+    overflows.
+    """
+    b = system.boundary.values
+    peak = float(np.abs(b).max())
+    k = math.frexp(peak)[1] - 1 if peak > 0.0 else 0
+
+    def scale_back(field: np.ndarray) -> np.ndarray:
+        if k:
+            with np.errstate(over="ignore"):
+                scaled = np.ldexp(field, k)
+            if not np.isfinite(scaled).all():
+                raise error(f"the field overflows: max|f| = {np.abs(field).max():.3e} times 2^{k} "
+                            f"for inflow data up to {peak:.3e}")
+            field = scaled
+        field.flags.writeable = False
+        return field
+
+    if k:
+        values = np.ldexp(b, -k)
+        values.flags.writeable = False
+        system = dataclasses.replace(system, boundary=dataclasses.replace(system.boundary, values=values))
+    return system, scale_back
 
 
 def weighted_norm(grid: VelocityGrid, f, weight: str = "unit") -> float:

@@ -8,6 +8,9 @@ multiples of kappa.  The coupling acts on a velocity-indexed vector f as
 
 with out-of-range indices contributing zero.  A(x) is skew-symmetric and
 odd in x, which is what makes mirror-symmetric solutions possible.
+``_bands`` writes this structure once, as channel diagonals at any points;
+the Picard propagator applies them with ``_apply`` and the
+finite-difference schemes write them into their matrix diagonals.
 """
 
 from __future__ import annotations
@@ -83,36 +86,36 @@ def eval_potential(p: FourierPotential, x) -> float | np.ndarray:
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
-def _sine_table(p: FourierPotential, x) -> np.ndarray:
-    """sin(2 n kappa x) for n = 1..N, with n along a new leading axis.
+def _bands(p: FourierPotential, x, m: int) -> list:
+    """A(x) on m channels at the points x, as channel diagonals (rows, cols, coef).
 
-    Evaluated as sign(x) sin(2 n kappa |x|), so the table at mirrored
-    points x and -x is odd to the last bit.
+    Harmonic n (1 <= n < m, a_n != 0) gives two bands: rows k >= n read
+    channel k - n with coef a_n s_n(x), and rows k < m - n read k + n with
+    coef -a_n s_n(x).  Each coef has the shape of x, so a caller that
+    reshapes x gets coefs that broadcast against its batch axes.
+    s_n(x) = sign(x) sin(2 n kappa |x|), so every coef at mirrored points
+    x and -x is odd to the last bit.
     """
     xa = np.asarray(x, dtype=float)
     nk = 2.0 * np.arange(1, len(p.coeffs)) * p.kappa
-    return np.sign(xa) * np.sin(np.multiply.outer(nk, np.abs(xa)))
+    sines = np.sign(xa) * np.sin(np.multiply.outer(nk, np.abs(xa)))
+    bands = []
+    for n in (np.flatnonzero(p.coeffs[1:m]) + 1).tolist():
+        coef = p.coeffs[n] * sines[n - 1]
+        bands += [(slice(n, m), slice(0, m - n), coef), (slice(0, m - n), slice(n, m), -coef)]
+    return bands
 
 
-def _apply_sines(coeffs: np.ndarray, sines, f: np.ndarray, axis: int = 0) -> np.ndarray:
-    """sum_{n>=1} a_n sines[n-1] (f_{k-n} - f_{k+n}) along velocity ``axis`` of f.
+def _apply(bands: list, f: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The channel diagonals ``bands`` (see ``_bands``) applied along velocity ``axis`` of f.
 
-    ``sines[n-1]`` must broadcast against ``f``; other axes of ``f`` are
-    batch axes (quadrature points, columns).
+    Each coef must broadcast against f; other axes of f are batch axes
+    (quadrature points, columns).
     """
     g = np.zeros_like(f)
-    m = f.shape[axis]
     lead = (slice(None),) * axis
-    for n in range(1, len(coeffs)):
-        a_n = coeffs[n]
-        if a_n == 0.0 or n >= m:
-            continue
-        w = a_n * sines[n - 1]
-        low = lead + (slice(None, -n),)
-        high = lead + (slice(n, None),)
-        # f_{k-n}: valid for k >= n; f_{k+n}: valid for k < m-n
-        g[high] += w * f[low]
-        g[low] -= w * f[high]
+    for rows, cols, coef in bands:
+        g[lead + (rows,)] += coef * f[lead + (cols,)]
     return g
 
 
@@ -134,7 +137,7 @@ def apply_coupling(p: FourierPotential, x: float, f) -> np.ndarray:
     fa = np.asarray(f, dtype=float)
     if fa.ndim != 1 or fa.size == 0:
         raise ValueError("f must be a non-empty one-dimensional velocity-indexed vector")
-    return _apply_sines(p.coeffs, _sine_table(p, float(x)), fa)
+    return _apply(_bands(p, float(x), fa.size), fa)
 
 
 def coupling_bound(p: FourierPotential) -> float:

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fd import _NORM_FLOOR, DiscreteSolution
-from .kinetic import WignerSystem
-from .potential import _apply_sines, _sine_table, coupling_bound
+from .kinetic import WignerSystem, _unit_scaled
+from .potential import _apply, _bands, coupling_bound
 
 __all__ = [
     "PropagatorOptions",
@@ -153,15 +153,14 @@ def _picard_run(
     (len(ys),) + F0.shape.  The caller keeps the span of ys below the
     contraction step times step_fraction (or the coupling vanishes).
     """
-    coeffs = system.potential.coeffs
     batch = (1,) * (F0.ndim - 1)
     inv_v = (1.0 / system.grid.velocities).reshape((-1,) + batch)
-    # one sine per quadrature point, broadcast over channels and columns
-    sines = _sine_table(system.potential, ys).reshape((-1, ys.size, 1) + batch)
+    # A(y) at every quadrature point, its coefs broadcast over channels and columns
+    bands = _bands(system.potential, ys.reshape((-1, 1) + batch), system.grid.size)
     F = np.broadcast_to(F0, ys.shape + F0.shape).copy()
     gap = math.inf
     for _ in range(_MAX_PICARD_ITER):
-        F_new = _cumulative_simpson(_apply_sines(coeffs, sines, F, axis=1), h)
+        F_new = _cumulative_simpson(_apply(bands, F, axis=1), h)
         F_new *= inv_v
         F_new += F0
         # F now becomes the squared change; the gap is its largest channel norm
@@ -301,19 +300,23 @@ def solve_bvp_shooting(
     scheme tag "oracle" and, as its residual, the marched end gap
     |f_{v<0}(+l/2) - right_inflow| / |inflow|: the period identity
     measured on the solution.  The pinned inflow entries are then set
-    from the boundary data exactly.
+    from the boundary data exactly.  The march carries the data divided by
+    the power of two 2^k that puts their largest magnitude in [1, 2), so
+    picard_tol acts relative to the data, and the field is multiplied back
+    by 2^k (see ``kinetic._unit_scaled``).
 
     Raises:
-        PropagatorError: a Picard run stalls; the message names its mesh nodes.
+        PropagatorError: a Picard run stalls (the message names its mesh
+            nodes), or the field overflows when scaled back.
     """
     opts = options or PropagatorOptions()
-    b = system.boundary.values
+    unit, scale_back = _unit_scaled(system, PropagatorError)
+    b = unit.boundary.values
     v = system.grid.velocities
     pos, neg = v > 0, v < 0
-    values = _march(system, b, system.mesh.nodes, opts).T.copy()
+    values = _march(unit, b, system.mesh.nodes, opts).T.copy()
     gap = np.linalg.norm(values[neg, -1] - b[neg]) / max(np.linalg.norm(b), _NORM_FLOOR)
     # pin the inflow entries to the boundary data bit-exactly
     values[pos, 0] = b[pos]
     values[neg, -1] = b[neg]
-    values.flags.writeable = False
-    return DiscreteSolution(values=values, system=system, scheme="oracle", residual=float(gap))
+    return DiscreteSolution(values=scale_back(values), system=system, scheme="oracle", residual=float(gap))

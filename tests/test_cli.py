@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wignerdv import cli
 from wignerdv.cli import ConfigError, main, parse_config
 
 BASE_CONFIG = """
@@ -252,6 +253,26 @@ def test_parse_config_rejects_repeated_table_index(tmp_path):
     path = _write(tmp_path, "period_l = 1\ncoeffs = 1\nNx = 10\nboundary = table:0=1,0=2\n")
     with pytest.raises(ConfigError, match="boundary"):
         parse_config(path)
+
+
+def test_repeated_emit_token_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, BASE_CONFIG + "\nemit = density, current density\n")
+    with pytest.raises(ConfigError, match="emit"):
+        parse_config(path)
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config key 'emit': expected distinct tokens")
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_is_one_error_line(config_file, tmp_path, monkeypatch, capsys):
+    def too_large(cfg):
+        raise MemoryError("Unable to allocate 146. TiB for an array")
+
+    monkeypatch.setattr(cli, "_system_from_config", too_large)
+    assert main(["solve", config_file, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 146. TiB for an array\n"
 
 
 def test_lists_split_on_commas_and_whitespace(tmp_path):

@@ -1,8 +1,10 @@
 """Assembly, residuals, solver dispatch and scheme behavior."""
 
 import dataclasses
+import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from wignerdv import (
     symmetry_error,
     tabulated_boundary,
 )
-from wignerdv import fd
-from wignerdv.potential import _sine_table
+from wignerdv import PropagatorError, fd
+from wignerdv.potential import _bands
 
 from conftest import make_system, random_system
 
@@ -38,16 +40,20 @@ def test_scheme_enum_round_trip():
 
 
 def test_sin_tables_are_odd_to_the_bit():
+    # the coefs of A(x)'s bands on the mesh nodes
     system = make_system(10)
-    sv = _sine_table(system.potential, system.mesh.nodes)
-    assert sv.shape == (1, 11)
-    for j in range(11):
-        assert sv[0, 10 - j] == -sv[0, j]
-    assert sv[0, 5] == 0.0
+    bands = _bands(system.potential, system.mesh.nodes, system.grid.size)
+    assert [(rows, cols) for rows, cols, _ in bands] == [(slice(1, 80), slice(0, 79)), (slice(0, 79), slice(1, 80))]
+    for _, _, coef in bands:
+        assert coef.shape == (11,)
+        for j in range(11):
+            assert coef[10 - j] == -coef[j]
+        assert coef[5] == 0.0
     # any mirrored points, several harmonics
     xs = np.random.default_rng(17).uniform(-3.0, 3.0, 200)
     p = new_potential(1.0, [0.0, 1.0, 2.0, 3.0])
-    assert np.array_equal(_sine_table(p, -xs), -_sine_table(p, xs))
+    for (_, _, plus), (_, _, minus) in zip(_bands(p, xs, 5), _bands(p, -xs, 5)):
+        assert np.array_equal(minus, -plus)
 
 
 def test_assemble_counts_unknowns():
@@ -149,6 +155,37 @@ def test_boundary_entries_are_bit_exact():
         sol = solve_bvp(system, scheme)
         assert np.all(sol.values[v > 0, 0] == system.boundary.values[v > 0])
         assert np.all(sol.values[v < 0, -1] == system.boundary.values[v < 0])
+
+
+def _solve_any(system, scheme):
+    return solve_bvp_shooting(system) if scheme == "oracle" else solve_bvp(system, scheme)
+
+
+@pytest.mark.parametrize("scheme", ["upwind1", "upwind2", "central", "oracle"])
+def test_solutions_scale_exactly_with_the_inflow_data(scheme):
+    # two-sided inflow of seeded values below 1, and the same data times 2^+-600:
+    # beyond 2^+-512 the square of |b| leaves the float range
+    grid = make_system(40).grid
+    rng = np.random.default_rng(2718)
+    table = {int(i): float(rng.uniform(0.1, 1.0)) for i in rng.choice(grid.indices, 6, replace=False)}
+    system = dataclasses.replace(make_system(40), boundary=tabulated_boundary(grid, table))
+    base = _solve_any(system, scheme)
+    assert base.residual <= 1e-12
+    for k in (600, -600):
+        data = tabulated_boundary(grid, {i: math.ldexp(value, k) for i, value in table.items()})
+        sol = _solve_any(dataclasses.replace(system, boundary=data), scheme)
+        assert np.array_equal(sol.values, np.ldexp(base.values, k))
+        assert sol.residual == base.residual
+
+
+@pytest.mark.parametrize("scheme, error", [("central", SolverError), ("oracle", PropagatorError)])
+def test_a_field_that_overflows_is_named(scheme, error):
+    system = make_system(10)
+    huge = dataclasses.replace(system, boundary=tabulated_boundary(system.grid, {0: 1e308, 1: 1e308}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="the field overflows"):
+            _solve_any(huge, scheme)
 
 
 def test_solution_metadata():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wignerdv import apply_coupling, coupling_bound, eval_potential, new_potential
-from wignerdv.potential import _apply_sines, _sine_table
+from wignerdv.potential import _apply, _bands
 
 
 def test_new_potential_basic_fields():
@@ -135,7 +135,36 @@ def test_batched_apply_matches_apply_coupling():
     rng = np.random.default_rng(13)
     ys = rng.uniform(-0.5, 0.5, 5)
     F = rng.standard_normal((5, 7, 3))
-    G = _apply_sines(p.coeffs, _sine_table(p, ys)[:, :, None, None], F, axis=1)
+    G = _apply(_bands(p, ys[:, None, None], 7), F, axis=1)
     for t, y in enumerate(ys):
         for c in range(3):
             assert G[t, :, c] == pytest.approx(apply_coupling(p, float(y), F[t, :, c]), abs=1e-14)
+
+
+def _dense_coupling(p, x, m):
+    """A(x) on m channels, entry by entry from the module docstring's formula."""
+    A = np.zeros((m, m))
+    for k in range(m):
+        for n in range(1, len(p.coeffs)):
+            w = p.coeffs[n] * math.sin(2 * n * p.kappa * x)
+            if k - n >= 0:
+                A[k, k - n] += w
+            if k + n < m:
+                A[k, k + n] -= w
+    return A
+
+
+def test_apply_coupling_matches_the_dense_operator():
+    # random potentials with up to 12 harmonics, some beyond the channel
+    # window (n >= m) and some zero, on random channel counts and points
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        coeffs = rng.uniform(-20.0, 20.0, int(rng.integers(1, 14)))
+        coeffs[rng.random(coeffs.size) < 0.25] = 0.0
+        p = new_potential(float(rng.uniform(0.5, 2.0)), coeffs)
+        m = int(rng.integers(1, 16))
+        x = float(rng.uniform(-p.period_l, p.period_l))
+        A = np.column_stack([apply_coupling(p, x, e) for e in np.eye(m)])
+        A_minus = np.column_stack([apply_coupling(p, -x, e) for e in np.eye(m)])
+        assert A == pytest.approx(_dense_coupling(p, x, m), abs=1e-12 * max(1.0, np.abs(coeffs).sum()))
+        assert np.array_equal(A_minus, -A)

@@ -163,7 +163,7 @@ def test_period_identity_over_random_inputs():
         P = propagator_matrix(system, -0.5, 0.5).matrix
         assert np.abs(P - np.eye(m)).max() <= 1e-12
         # A is odd, so marching down from the center equals marching up, to
-        # the bit: the sine table is odd and the cuts and points negate exactly
+        # the bit: the band coefs are odd and the cuts and points negate exactly
         upper = system.mesh.nodes[system.mesh.Nx // 2 :]
         up = propagator._march(system, np.ones(m), upper, PropagatorOptions())
         down = propagator._march(system, np.ones(m), -upper, PropagatorOptions())
