@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fd import DiscreteSolution, Scheme, SolverError, solve_bvp
-from .kinetic import WignerSystem, build_mesh
+from .kinetic import WignerSystem, _unit_exponent, build_mesh
 from .propagator import PropagatorError, solve_bvp_shooting
 
 # Scheme tags: the finite-difference stencils, then the Picard oracle.
@@ -54,9 +54,7 @@ def symmetry_error(sol: DiscreteSolution) -> float:
     exactly -x_j and no interpolation is involved.
     """
     F = sol.values
-    defect = np.abs(F - F[:, ::-1]).sum()
-    dv = sol.system.grid.kappa
-    return float(0.5 * dv * sol.system.mesh.dx * defect)
+    return _l1_distance(F, F[:, ::-1], 0.5 * sol.system.grid.kappa * sol.system.mesh.dx)
 
 
 def scheme_difference(a: DiscreteSolution, b: DiscreteSolution) -> float:
@@ -78,9 +76,22 @@ def scheme_difference(a: DiscreteSolution, b: DiscreteSolution) -> float:
     if n_f % n_c != 0:
         raise ValueError(f"meshes with Nx={n_c} and Nx={n_f} do not nest")
     stride = n_f // n_c
-    diff = np.abs(coarse.values - fine.values[:, ::stride]).sum()
-    dv = ga.kappa
-    return float(0.5 * dv * coarse.system.mesh.dx * diff)
+    return _l1_distance(coarse.values, fine.values[:, ::stride], 0.5 * ga.kappa * coarse.system.mesh.dx)
+
+
+def _l1_distance(F: np.ndarray, G: np.ndarray, measure: float) -> float:
+    """measure * sum |F - G|, exact, and inf past the float range.
+
+    The sum runs on F and G times 2^-k (k as in ``kinetic._unit_scaled``, at
+    least -1022 so 2^-k is finite; a product, as ldexp is slow on a mirrored
+    view) and is multiplied back by 2^k after the measure.
+    """
+    k = max(_unit_exponent(max(float(np.abs(F).max()), float(np.abs(G).max()))), -1022)
+    scale = math.ldexp(1.0, -k)
+    D = F * scale
+    D -= G * scale
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(measure * np.abs(D, out=D).sum(), k))
 
 
 def _solve(system: WignerSystem, scheme: str, rel_tol: float) -> DiscreteSolution:

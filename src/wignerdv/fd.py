@@ -15,14 +15,16 @@ Each stencil is written once, in ``_stencil``, and A(x) is read as the
 channel bands of ``potential._bands`` on the mesh nodes.  On the node-major
 (Nx + 1, m) field, with an identity row on each pinned entry, each transport
 leg, and each coupling leg on each band, is one diagonal of the matrix
-(``_diagonals``).  ``central`` is one forward march of banded cell solves
-read from those diagonals, from the inflow data of both ends (``_central_march``): A(x) is odd and the mesh
-mirror symmetric, so the discrete period map is the identity.  The
-one-sided schemes, and a march that misses the gate, go through a block
-tridiagonal sweep over the whole field (``_block_sweep``), its node blocks
-written from the diagonals, and one refinement step if it misses the gate.
-Every solve is gated on the residual of ``assemble``'s system, a product
-with the same diagonals (``_residual``).
+(``_diagonals``).  Every scheme is solved by one flow (``solve_bvp``): a
+first iterate, the gate, and at most one refinement sweep.  For ``central``
+the first iterate is one forward march of banded cell solves read from
+those diagonals, from the inflow data of both ends (``_central_march``):
+A(x) is odd and the mesh mirror symmetric, so the discrete period map is
+the identity.  For the one-sided schemes it is a block tridiagonal sweep
+over the whole field (``_block_sweep``), its node blocks written from the
+diagonals; the same sweep, on the gate's residual, is the refinement step
+of every scheme.  The gate is the residual of ``assemble``'s system, a
+product with the same diagonals (``_residual``).
 The reference ``LinearProblem.matrix`` and ``rhs`` are cut on first read.
 """
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 import collections
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -490,37 +492,18 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
     return field
 
 
-def _global_solve(problem: LinearProblem, rel_tol: float):
-    """Solve the scheme's linear system by the block sweep.
-
-    Each swept field has its inflow entries reset to the data exactly
-    before it is gated.  If the sweep misses rel_tol, one step of
-    iterative refinement follows: the gate's residual field is the
-    right-hand side of a second sweep.  The step is not monotone on an
-    ill-conditioned system, so whichever of the two iterates has the lower
-    residual is kept.  Returns the (Nx + 1, m) field and its relative
-    residual.
-    """
-    field = _block_sweep(problem)
-    np.copyto(field, problem.pinval, where=problem.pinned)
-    r, res = _gate(problem, field)
-    if res > rel_tol:
-        refined = field + _block_sweep(problem, -r)
-        np.copyto(refined, problem.pinval, where=problem.pinned)
-        _, refined_res = _gate(problem, refined)
-        if refined_res < res:
-            field, res = refined, refined_res
-    return field, res
-
-
 def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> DiscreteSolution:
     """Solve one scheme on one system, without assembling its matrix.
 
-    ``central`` is solved by one forward march over the period (see
-    ``_central_march``).  The one-sided schemes, and a central march that
-    misses rel_tol, go through the block sweep over the whole field, whose
-    inflow entries are then reset to the data exactly, plus one step of
-    iterative refinement if it misses rel_tol (see ``_global_solve``).
+    One flow serves every scheme: a first iterate (the march of
+    ``_central_march`` for ``central``, the sweep of ``_block_sweep`` for the
+    one-sided schemes) with its inflow entries reset to the data, the gate,
+    and, if it misses rel_tol, one step of iterative refinement: a sweep on
+    the gate's residual field.  The step is not monotone on an
+    ill-conditioned system, so the better iterate is kept (NaN is the
+    worse).  An iterate with a residual of 1 or more, or a march that raises,
+    is no better than ``problem.pinval`` (the inflow data alone, residual 1),
+    so the step refines pinval instead and solves the system from the data.
 
     The system is solved with its inflow data divided by the power of two
     2^k that puts their largest magnitude in [1, 2), and the field is
@@ -545,38 +528,41 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
         SolverError: singular system, residual above rel_tol or a field
             that overflows when scaled back.  A missed gate's message gives
             the growth factor max|f| / max|b| of the rejected field, which
-            sets an ill-conditioned truncation apart from a bug, and for
-            ``central`` also the march residual.
+            sets an ill-conditioned truncation apart from a bug, and the
+            first iterate's residual, or the error the march raised.
     """
     _valid_rel_tol(rel_tol)
-    unit, scale_back = _unit_scaled(system, SolverError)
-    problem = assemble(unit, scheme)
+    b, scale_back = _unit_scaled(system.boundary.values, SolverError)
+    problem = assemble(replace(system, boundary=replace(system.boundary, values=b)), scheme)
     scheme = problem.scheme
-    march_note = ""
-    field = None
-    if scheme is Scheme.CENTRAL:
-        try:
-            field = _central_march(problem)
-        except SolverError as exc:
-            march_note = f"; {exc}"
-        else:
-            np.copyto(field, problem.pinval, where=problem.pinned)   # the end state was marched
-            _, res = _gate(problem, field)
-            if not res <= rel_tol:                # NaN fails too
-                march_note = f"; central march residual {res:.3e}"
-                field = None
-
-    if field is None:
-        field, res = _global_solve(problem, rel_tol)
-        if not np.isfinite(res) or res > rel_tol:
-            b_max = np.abs(unit.boundary.values).max()
-            growth = max(np.abs(field).max(), b_max) / b_max
-            raise SolverError(
-                f"solver residual {res:.3e} exceeds rel_tol {rel_tol:.3e} "
-                f"for scheme {scheme.value} at Nx={system.mesh.Nx}, growth factor "
-                f"max|f| / max|b| = {growth:.3e}{march_note}",
-                residual=res,
-            )
+    try:
+        field = (_central_march if scheme is Scheme.CENTRAL else _block_sweep)(problem)
+        np.copyto(field, problem.pinval, where=problem.pinned)   # marched, or swept to rounding
+        r, res = _gate(problem, field)
+        first = f"first iterate residual {res:.3e}"
+    except SolverError as exc:
+        if scheme is not Scheme.CENTRAL:
+            raise                                 # the refinement sweep would fail the same way
+        res, first = float("nan"), str(exc)
+    if not res <= rel_tol:                        # NaN fails too
+        if not res < 1.0:                         # no better than pinval: refine pinval instead
+            field = problem.pinval
+            r, res = _gate(problem, field)
+        refined = field + _block_sweep(problem, -r)
+        np.copyto(refined, problem.pinval, where=problem.pinned)
+        _, refined_res = _gate(problem, refined)
+        if refined_res < res:
+            field, res = refined, refined_res
+    if not res <= rel_tol:
+        b_max = np.abs(b).max()
+        growth = max(np.abs(field).max(), b_max) / b_max
+        raise SolverError(
+            f"solver residual {res:.3e} exceeds rel_tol {rel_tol:.3e} "
+            f"for scheme {scheme.value} at Nx={system.mesh.Nx}, growth factor "
+            f"max|f| / max|b| = {growth:.3e}; {first}",
+            residual=res,
+        )
 
     values = scale_back(np.ascontiguousarray(field.T))
+    values.flags.writeable = False
     return DiscreteSolution(values=values, system=system, scheme=scheme.value, residual=res)

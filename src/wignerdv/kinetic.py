@@ -8,7 +8,6 @@ Inflow boundary data pins f at x = -l/2 for v > 0 and at x = +l/2 for v < 0.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
@@ -232,37 +231,35 @@ def build_system(
     return WignerSystem(potential=potential, grid=grid, mesh=mesh, boundary=boundary)
 
 
-def _unit_scaled(system: WignerSystem, error: type) -> tuple:
-    """The system with its inflow data divided by 2^k, and the map of a field back.
+def _unit_exponent(peak: float) -> int:
+    """The k that puts peak in [2^k, 2^(k + 1)), or 0 if peak is 0."""
+    return math.frexp(peak)[1] - 1 if peak > 0.0 else 0
 
-    k puts the largest magnitude of the data in [1, 2), so a solver's
-    tolerances act on data of order one and the norms of the data neither
-    overflow nor underflow.  Scaling by a power of two is exact, so a solver
-    solves the scaled system and multiplies its (velocity, node) field by
-    2^k with the returned function; relative residuals are unchanged.  That
-    function returns the field read-only and raises ``error`` if it
-    overflows.
+
+def _unit_scaled(values: np.ndarray, error: type) -> tuple:
+    """values divided by 2^k, and the map of a result back.
+
+    k puts the largest magnitude of values in [1, 2) (``_unit_exponent``),
+    so a solver's tolerances act on data of order one and the norms of the
+    data neither overflow nor underflow.  Scaling by a power of two is
+    exact, so a solver works on the scaled values and multiplies its
+    result by 2^k with the returned function; relative residuals are
+    unchanged.  That function raises ``error`` if the result overflows.
     """
-    b = system.boundary.values
-    peak = float(np.abs(b).max())
-    k = math.frexp(peak)[1] - 1 if peak > 0.0 else 0
+    peak = float(np.abs(values).max())
+    k = _unit_exponent(peak)
 
     def scale_back(field: np.ndarray) -> np.ndarray:
-        if k:
-            with np.errstate(over="ignore"):
-                scaled = np.ldexp(field, k)
-            if not np.isfinite(scaled).all():
-                raise error(f"the field overflows: max|f| = {np.abs(field).max():.3e} times 2^{k} "
-                            f"for inflow data up to {peak:.3e}")
-            field = scaled
-        field.flags.writeable = False
-        return field
+        if not k:
+            return field
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(field, k)
+        if not np.isfinite(scaled).all():
+            raise error(f"the field overflows: max|f| = {np.abs(field).max():.3e} times 2^{k} "
+                        f"for data up to {peak:.3e}")
+        return scaled
 
-    if k:
-        values = np.ldexp(b, -k)
-        values.flags.writeable = False
-        system = dataclasses.replace(system, boundary=dataclasses.replace(system.boundary, values=values))
-    return system, scale_back
+    return (np.ldexp(values, -k) if k else values), scale_back
 
 
 def weighted_norm(grid: VelocityGrid, f, weight: str = "unit") -> float:

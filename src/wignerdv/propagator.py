@@ -246,6 +246,9 @@ def picard_propagate(
 ) -> np.ndarray:
     """Propagate a channel vector from x1 to x2 (either direction).
 
+    The vector is propagated scaled to order one by a power of two, so
+    picard_tol acts relative to it (see ``kinetic._unit_scaled``).
+
     Args:
         system: the transport problem (boundary data is not used here).
         f_start: value of f at x1, indexed like grid.velocities.
@@ -257,7 +260,8 @@ def picard_propagate(
 
     Raises:
         ValueError: endpoints outside the period or bad vector shape.
-        PropagatorError: iteration cap hit before reaching picard_tol.
+        PropagatorError: iteration cap hit before reaching picard_tol, or
+            a result that overflows when scaled back.
     """
     opts = options or PropagatorOptions()
     fa = np.asarray(f_start, dtype=float)
@@ -265,7 +269,8 @@ def picard_propagate(
         raise ValueError(f"f_start shape {fa.shape} does not match grid size {system.grid.size}")
     _check_domain(system, float(x1), "x1")
     _check_domain(system, float(x2), "x2")
-    return _march(system, fa, [x1, x2], opts)[-1]
+    unit, scale_back = _unit_scaled(fa, PropagatorError)
+    return scale_back(_march(system, unit, [x1, x2], opts)[-1])
 
 
 def propagator_matrix(
@@ -310,13 +315,14 @@ def solve_bvp_shooting(
             nodes), or the field overflows when scaled back.
     """
     opts = options or PropagatorOptions()
-    unit, scale_back = _unit_scaled(system, PropagatorError)
-    b = unit.boundary.values
+    b, scale_back = _unit_scaled(system.boundary.values, PropagatorError)
     v = system.grid.velocities
     pos, neg = v > 0, v < 0
-    values = _march(unit, b, system.mesh.nodes, opts).T.copy()
+    values = _march(system, b, system.mesh.nodes, opts).T.copy()
     gap = np.linalg.norm(values[neg, -1] - b[neg]) / max(np.linalg.norm(b), _NORM_FLOOR)
     # pin the inflow entries to the boundary data bit-exactly
     values[pos, 0] = b[pos]
     values[neg, -1] = b[neg]
-    return DiscreteSolution(values=scale_back(values), system=system, scheme="oracle", residual=float(gap))
+    values = scale_back(values)
+    values.flags.writeable = False
+    return DiscreteSolution(values=values, system=system, scheme="oracle", residual=float(gap))

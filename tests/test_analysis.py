@@ -11,12 +11,14 @@ from wignerdv import (
     Scheme,
     StudyReport,
     StudyRow,
+    build_mesh,
     convergence_study,
     current,
     density,
     scheme_difference,
     solve_bvp,
     symmetry_error,
+    tabulated_boundary,
     write_csv,
 )
 
@@ -82,6 +84,23 @@ def test_symmetry_error_center_column_drops_out():
     F = np.zeros((m, 5))
     F[3, 2] = 7.0  # the center node mirrors onto itself
     assert symmetry_error(_hand_solution(system, F)) == 0.0
+
+
+def test_l1_measures_reach_the_float_limit_exactly():
+    # data 2^1020 puts the L1 sums past the float range, while e_sym and
+    # the scheme difference themselves fit: both are summed on the field
+    # scaled to order one, so they are 2^1020 times those of data 1
+    system = make_system(10)
+    fine = replace(system, mesh=build_mesh(system.potential.period_l, 20))
+
+    def measures(value):
+        data = {"boundary": tabulated_boundary(system.grid, {0: value, 1: value})}
+        a, b = (solve_bvp(replace(s, **data), Scheme.UPWIND1) for s in (system, fine))
+        return symmetry_error(a), scheme_difference(a, b)
+
+    unit, huge = measures(1.0), measures(2.0**1020)
+    assert huge == tuple(math.ldexp(e, 1020) for e in unit)
+    assert huge[0] == pytest.approx(3.805e307, rel=1e-3)
 
 
 def test_scheme_difference_identical_is_zero(solution_cache):

@@ -386,7 +386,7 @@ def test_solve_bvp_never_calls_superlu(monkeypatch):
 
 def test_solve_bvp_never_assembles(monkeypatch):
     # the gate and the sweep work from the stencil: no solve path builds
-    # the problem's sparse matrix, the central march's fallback included
+    # the problem's sparse matrix, the refinement of a missed central march included
     system = make_system(20)
     expected = {scheme: solve_bvp(system, scheme).values for scheme in Scheme}
 
@@ -446,11 +446,12 @@ def test_gate_matches_the_assembled_residual(solution_cache):
 
 
 def test_refinement_keeps_the_better_iterate(monkeypatch):
-    op = assemble(make_system(20), Scheme.UPWIND1)
+    system = make_system(20)
+    op = assemble(system, Scheme.UPWIND1)
     sweep = fd._block_sweep
     first = np.where(op.pinned, op.pinval, sweep(op) + 1e-9)
     first_res = fd._gate(op, first)[1]
-    assert first_res > 1e-12
+    assert 1e-12 < first_res < 1.0
     # a correction ten times too long makes the residual worse and is
     # dropped; the true correction makes it better and is kept
     for scale, kept in ((10.0, False), (1.0, True)):
@@ -461,15 +462,67 @@ def test_refinement_keeps_the_better_iterate(monkeypatch):
             return first.copy() if len(calls) == 1 else scale * sweep(op, rhs)
 
         monkeypatch.setattr(fd, "_block_sweep", off_first)
-        x, res = fd._global_solve(op, 1e-12)
+        if kept:
+            sol = solve_bvp(system, Scheme.UPWIND1)
+            assert sol.residual < 1e-12
+            assert sol.residual == fd._gate(op, sol.values.T)[1]
+        else:
+            with pytest.raises(SolverError) as info:
+                solve_bvp(system, Scheme.UPWIND1)
+            assert info.value.residual == first_res
         assert len(calls) == 2
         # the refinement's rhs is the gate's residual field of the first iterate
         assert np.array_equal(calls[1], -fd._gate(op, first)[0])
-        assert res == fd._gate(op, x)[1]
-        if kept:
-            assert res < 1e-12
-        else:
-            assert np.array_equal(x, first) and res == first_res
+
+
+def _counted_sweeps(monkeypatch):
+    """Patch fd._block_sweep to record the rhs of every call; returns that list."""
+    sweep, calls = fd._block_sweep, []
+    monkeypatch.setattr(fd, "_block_sweep", lambda op, rhs=None: calls.append(rhs) or sweep(op, rhs))
+    return calls
+
+
+def test_a_missed_march_is_refined_by_one_sweep(monkeypatch):
+    # a barrier this high makes the march alone miss the gate
+    system = make_system(100, coeffs=(0.0, 60.0))
+    op = assemble(system, Scheme.CENTRAL)
+    r, march_res = fd._gate(op, np.where(op.pinned, op.pinval, fd._central_march(op)))
+    assert 1e-12 < march_res < 1.0
+    calls = _counted_sweeps(monkeypatch)
+    sol = solve_bvp(system, Scheme.CENTRAL)
+    assert sol.residual <= 1e-12
+    assert len(calls) == 1 and np.array_equal(calls[0], -r)
+
+
+def test_a_march_worse_than_no_solution_is_refined_from_the_inflow_data(monkeypatch):
+    # the march's residual is about 3e14, far above that of pinval, the
+    # field that holds only the inflow data (1), so the one sweep refines
+    # pinval and solves the system from the data
+    system = make_system(100, coeffs=(0.0, 1000.0))
+    op = assemble(system, Scheme.CENTRAL)
+    assert fd._gate(op, np.where(op.pinned, op.pinval, fd._central_march(op)))[1] > 1.0
+    calls = _counted_sweeps(monkeypatch)
+    with pytest.raises(SolverError, match="first iterate residual") as info:
+        solve_bvp(system, Scheme.CENTRAL)
+    assert len(calls) == 1 and np.array_equal(calls[0], -fd._gate(op, op.pinval)[0])
+    growth = float(re.search(r"growth factor max\|f\| / max\|b\| = ([^;\s]+)", str(info.value))[1])
+    assert math.isfinite(growth)
+
+
+def test_a_march_that_raises_is_refined_from_the_inflow_data(monkeypatch):
+    system = make_system(20)
+    expected = solve_bvp(system, Scheme.CENTRAL)
+
+    def singular(op):
+        raise SolverError("central march: cell 3 matrix is singular: zero pivot 41 of 80")
+
+    monkeypatch.setattr(fd, "_central_march", singular)
+    calls = _counted_sweeps(monkeypatch)
+    sol = solve_bvp(system, Scheme.CENTRAL)
+    op = assemble(system, Scheme.CENTRAL)
+    assert len(calls) == 1 and np.array_equal(calls[0], -fd._gate(op, op.pinval)[0])
+    assert sol.residual <= 1e-12
+    assert np.abs(sol.values - expected.values).max() <= 1e-11
 
 
 def test_central_march_period_map_is_identity_over_random_inputs():
@@ -512,7 +565,7 @@ def test_central_falls_back_when_march_misses_gate(monkeypatch):
     monkeypatch.setattr(fd, "_block_sweep", counted_sweep)
     sol = solve_bvp(system, Scheme.CENTRAL)
     assert sol.residual <= 1e-12
-    # exactly one sweep: the fallback passes the gate without refinement
+    # exactly one sweep: the refinement of the missed march passes the gate
     assert len(sweeps) == 1
     x = sol.values.T.ravel()[problem.free]
     swept = swept.ravel()[problem.free]
@@ -525,7 +578,7 @@ def test_central_gate_failure_names_march_and_global_residuals():
     with pytest.raises(SolverError) as info:
         solve_bvp(make_system(1600, coeffs=(0.0, 300.0)), Scheme.CENTRAL)
     message = str(info.value)
-    assert "central march residual" in message
+    assert "first iterate residual" in message
     assert "solver residual" in message
     assert info.value.residual > 1e-12
     # the growth factor reads as conditioning, not as a bug
@@ -535,23 +588,29 @@ def test_central_gate_failure_names_march_and_global_residuals():
 
 def test_large_central_solve_marches_without_global_solver(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("central fell back to a global solve")
+        raise AssertionError("central called the block sweep")
 
-    monkeypatch.setattr(fd, "_global_solve", refuse)
     monkeypatch.setattr(fd, "_block_sweep", refuse)
     sol = solve_bvp(make_system(12800), Scheme.CENTRAL)
     assert sol.residual <= 1e-12
 
 
+def _swept(op):
+    """The block sweep's field with its inflow entries reset, and its gate residual."""
+    field = fd._block_sweep(op)
+    np.copyto(field, op.pinval, where=op.pinned)
+    return field, fd._gate(op, field)[1]
+
+
 def test_global_solve_of_central_reflects_nothing_over_random_inputs():
-    # unlike the march, the global solve does not start from the inflow
+    # unlike the march, the block sweep does not start from the inflow
     # data, so f_{v<0}(-l/2) = b_right (the period map is the identity)
     # is a property of its solution, not of its start
     rng = np.random.default_rng(7)
     for _ in range(12):
         system = random_system(rng, max_harmonics=4, max_M=30)
         op = assemble(system, Scheme.CENTRAL)
-        field, res = fd._global_solve(op, 1e-12)
+        field, res = _swept(op)
         assert res <= 1e-12
         b = system.boundary.values
         neg = system.grid.velocities < 0
@@ -615,7 +674,7 @@ def test_central_current_balance_over_random_inputs():
     for _ in range(12):
         system = random_system(rng, max_harmonics=4, max_M=30)
         op = assemble(system, Scheme.CENTRAL)
-        swept, res = fd._global_solve(op, 1e-12)
+        swept, res = _swept(op)
         assert res <= 1e-12
         v = system.grid.velocities
         for field in (fd._central_march(op), swept):

@@ -86,6 +86,15 @@ def test_propagation_inverts():
     assert back == pytest.approx(f, abs=1e-9)
 
 
+def test_small_start_vectors_propagate_to_the_bit():
+    # picard_tol acts on the start vector scaled to order one, so a small
+    # vector is propagated as accurately as a unit one
+    system = make_system(100)
+    e = np.eye(system.grid.size)[40]
+    small = picard_propagate(system, math.ldexp(1.0, -40) * e, -0.5, 0.2)
+    assert np.array_equal(small, np.ldexp(picard_propagate(system, e, -0.5, 0.2), -40))
+
+
 def test_propagator_matrix_mirror_symmetry():
     system = make_system(4)
     Pp = propagator_matrix(system, 0.0, 0.25).matrix
