@@ -16,15 +16,18 @@ channel bands of ``potential._bands`` on the mesh nodes.  On the node-major
 (Nx + 1, m) field, with an identity row on each pinned entry, each transport
 leg, and each coupling leg on each band, is one diagonal of the matrix
 (``_diagonals``).  Every scheme is solved by one flow (``solve_bvp``): a
-first iterate, the gate, and at most one refinement sweep.  For ``central``
-the first iterate is one forward march of banded cell solves read from
-those diagonals, from the inflow data of both ends (``_central_march``):
-A(x) is odd and the mesh mirror symmetric, so the discrete period map is
-the identity.  For the one-sided schemes it is a block tridiagonal sweep
-over the whole field (``_block_sweep``), its node blocks written from the
-diagonals; the same sweep, on the gate's residual, is the refinement step
-of every scheme.  The gate is the residual of ``assemble``'s system, a
-product with the same diagonals (``_residual``).
+first iterate, the gate, and at most one refinement sweep.  ``central`` and
+``upwind1`` march: their cells touch two nodes each, and one march
+(``_march``) reads them from those diagonals.  ``central`` marches once from
+the inflow data of both ends (``_central_march``): A(x) is odd and the mesh
+mirror symmetric, so the discrete period map is the identity.  ``upwind1``
+marches by multiple shooting (``_upwind1_march``): transfer matrices over
+segments, a banded solve for the segment states, and a march from them.
+``upwind2`` sweeps: block tridiagonal elimination over the whole field
+(``_block_sweep``), its node blocks written from the diagonals; the same
+sweep, on the gate's residual, is the refinement step of every scheme.  The
+gate is the residual of ``assemble``'s system, a product with the same
+diagonals (``_residual``), summed a run of nodes at a time.
 The reference ``LinearProblem.matrix`` and ``rhs`` are cut on first read.
 """
 
@@ -297,13 +300,23 @@ def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np
     return R.reshape(j1 - j0, m)
 
 
-def _gate(problem: LinearProblem, field: np.ndarray):
-    """R(F) = M F - pinval, a run of ``_RUN_NODES`` nodes at a time, and |R| / max(|b|, tiny)."""
+def _residual_field(problem: LinearProblem, field: np.ndarray) -> np.ndarray:
+    """R(F) = M F - pinval on the whole field, a run of ``_RUN_NODES`` nodes at a time."""
     field = np.ascontiguousarray(field)               # so that each run's ravel is a view
     R = np.empty(field.shape)
     for j0 in range(0, len(field), _RUN_NODES):
         R[j0:j0 + _RUN_NODES] = _residual(problem, field, j0, min(j0 + _RUN_NODES, len(field)))
-    return R, float(np.linalg.norm(R) / max(problem.rhs_norm, _NORM_FLOOR))
+    return R
+
+
+def _gate(problem: LinearProblem, field: np.ndarray) -> float:
+    """|R(F)| / max(|b|, tiny), R = M F - pinval summed a run of ``_RUN_NODES`` nodes at a time and not kept."""
+    field = np.ascontiguousarray(field)
+    squares = 0.0
+    for j0 in range(0, len(field), _RUN_NODES):
+        r = _residual(problem, field, j0, min(j0 + _RUN_NODES, len(field))).ravel()
+        squares += r @ r
+    return float(np.sqrt(squares) / max(problem.rhs_norm, _NORM_FLOOR))
 
 
 def _node_blocks(problem: LinearProblem):
@@ -435,39 +448,58 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     return x.reshape(problem.pinned.shape)
 
 
-def _central_march(problem: LinearProblem) -> np.ndarray:
-    """Central field on the mesh by one forward march, shape (Nx + 1, m).
+# an upwind1 segment ends once the largest entry of its transfer matrix passes
+# _SEGMENT_GROWTH, or after _SEGMENT_CELLS cells (measured in CHANGES.md)
+_SEGMENT_GROWTH = 10.0
+_SEGMENT_CELLS = 800
+
+
+def _march(problem: LinearProblem, starts: np.ndarray, edges=None):
+    """March states over the mesh cells from given states at segment starts.
 
     Cell c is the v > 0 rows of node c and the v < 0 rows of node c - 1 of
-    the whole-field matrix, read from ``_diagonals`` a run of ``_RUN_NODES``
-    cells at a time: a band B on the node-c columns, R on the node-(c - 1)
-    ones, of bandwidth nb, the largest offset of a band of A(x).  Unscaled
-    they read (V - h/2 A_c) f_c = (V + h/2 A_{c-1}) f_{c-1}, V = diag(v).
-    The bands of A(x) are odd to the bit on the mirrored mesh, so
-    A_{Nx-c} = -A_c, cell Nx + 1 - c inverts cell c and the period map is I:
-    a march from the inflow data of both ends meets the right-end inflow at
-    +l/2.  Each step solves B d = -(B + R) f_{c-1} for d = f_c - f_{c-1}
-    (the transport entries cancel exactly); the end is marched, not pinned.
+    the whole-field matrix; in ``central`` and ``upwind1`` they touch only
+    nodes c - 1 and c.  They are read from ``_diagonals`` a run of
+    ``_RUN_NODES`` cells at a time: a band B on the node-c columns, R on the
+    node-(c - 1) ones, of bandwidth nb, the largest offset of a band of A(x).
+    Each step solves B d = -(B + R) f_{c-1} for d = f_c - f_{c-1}, for w
+    states at once (the transport entries cancel in B + R exactly).
+
+    starts, shape (S, w, m), holds the w states of each segment at its
+    first node.  With edges, the nodes 0 = n_0 < ... < n_S = Nx that bound
+    the segments, w is 1 and the march fills the (Nx + 1, m) field: node
+    n_s holds starts[s], in place of the marched end of segment s - 1, and
+    node Nx is marched, not pinned.  Without edges, every segment starts from starts[0], and it ends
+    once max|state| passes ``_SEGMENT_GROWTH`` or after ``_SEGMENT_CELLS``
+    cells; the march returns (edges, end states), the latter of shape
+    (S, w, m).
 
     Raises:
         SolverError: a cell matrix is not finite or is singular.
     """
     v = problem.system.grid.velocities
-    m = v.size
+    m, Nx, w = v.size, problem.system.mesh.Nx, starts.shape[1]
+    tag = f"{problem.scheme.value} march"
     nb = max((cols.start - rows.start for rows, cols, _ in problem.bands), default=0)
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
-    # the field padded with nb zero channels on each side; f_j[k + e] is window[j, nb + e, k]
-    padded = np.zeros((problem.system.mesh.Nx + 1, m + 2 * nb))
-    field = padded[:, nb:nb + m]
-    field[0] = problem.system.boundary.values
+    field = edges is not None
+    # upwind1's v < 0 rows of B are its transport diagonal alone: d^- is explicit, and only
+    # the v > 0 rows, a band of m - neg, need a solve (for one state the whole band is faster)
+    explicit = problem.scheme is Scheme.UPWIND1 and w > 1
+    # the states padded with nb zero channels on each side, one node per row for the
+    # field; channel k + e of row j is window[j, nb + e, k]
+    padded = np.zeros((Nx + 1 if field else w, m + 2 * nb))
+    states = padded[:, nb:nb + m]
+    states[:w] = starts[0]
     window = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)
     gbsv = get_lapack_funcs("gbsv", (padded,))
+    edges, ends, s = list(edges) if field else [0], [], 0
     # band[i].T is B of cell c0 + i as gbsv's ab[2 nb + k - j, j] = B[k, j] (rows < nb: fill-in);
     # span[i, nb + e, k] = -(B + R)[k, k + e] holds every entry of B too, so only it is checked
-    run = min(_RUN_NODES, len(field) - 1)
+    run = min(_RUN_NODES, Nx)
     band, span = np.empty((run, m, 3 * nb + 1)), np.empty((run, 2 * nb + 1, m))
-    for c0 in range(1, len(field), run):
-        cells = min(run, len(field) - c0)
+    for c0 in range(1, Nx + 1, run):
+        cells = min(run, Nx + 1 - c0)
         band[:cells] = span[:cells] = 0.0
         for d, coef in _diagonals(problem, c0 - 1, c0 + cells).items():
             # row k of cell c, on node c - back, reads channel k + e of node c - back + ahead:
@@ -482,35 +514,113 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
                         span[:cells, nb + e, a:b] -= rows[:, a:b]
         finite = np.isfinite(span[:cells]).all(axis=(1, 2))
         if not finite.all():
-            raise SolverError(f"central march: cell {c0 + int(np.argmin(finite))} matrix is not finite")
+            raise SolverError(f"{tag}: cell {c0 + int(np.argmin(finite))} matrix is not finite")
         for i in range(cells):
-            rhs = (span[i] * window[c0 + i - 1]).sum(axis=0)
-            _, _, step, info = gbsv(nb, nb, band[i].T, rhs, overwrite_ab=True, overwrite_b=True)
+            c = c0 + i
+            src, dst = (slice(c - 1, c), slice(c, c + 1)) if field else (slice(None), slice(None))
+            step = (span[i] * window[src]).sum(axis=1)
+            if explicit:
+                minus, plus = step[:, :neg] / band[i, :neg, 2 * nb], step[:, neg:].copy()
+                for e in range(1, nb + 1):                  # B[k, k - e] d_{k-e}, k >= neg > k - e
+                    a, b = max(neg - e, 0), min(neg, m - e)
+                    plus[:, a + e - neg:b + e - neg] -= band[i, a:b, 2 * nb + e] * minus[:, a:b]
+                _, _, plus, info = gbsv(nb, nb, band[i, neg:].T, plus.T, overwrite_ab=True, overwrite_b=True)
+                step, info = np.concatenate((minus, plus.T), axis=1), info + neg * (info > 0)
+            else:
+                _, _, step, info = gbsv(nb, nb, band[i].T, step.T, overwrite_ab=True, overwrite_b=True)
+                step = step.T
             if info > 0:
-                raise SolverError(f"central march: cell {c0 + i} matrix is singular: zero pivot {info} of {m}")
-            np.add(field[c0 + i - 1], step, out=field[c0 + i])
-    return field
+                raise SolverError(f"{tag}: cell {c} matrix is singular: zero pivot {info} of {m}")
+            np.add(states[src], step, out=states[dst])
+            if field:
+                end = c == edges[s + 1]
+            else:
+                end = c - edges[-1] == _SEGMENT_CELLS or c == Nx or np.abs(states).max() > _SEGMENT_GROWTH
+                if end:
+                    edges.append(c)
+                    ends.append(states.copy())
+            if end and c < Nx:
+                s += 1
+                states[dst] = starts[s if field else 0]
+    return states if field else (edges, np.array(ends))
+
+
+def _central_march(problem: LinearProblem) -> np.ndarray:
+    """Central field on the mesh by one forward march, shape (Nx + 1, m).
+
+    Unscaled, cell c of ``_march`` reads (V - h/2 A_c) f_c =
+    (V + h/2 A_{c-1}) f_{c-1}, V = diag(v).  The bands of A(x) are odd to
+    the bit on the mirrored mesh, so A_{Nx-c} = -A_c, cell Nx + 1 - c
+    inverts cell c and the period map is I: one segment marched from the
+    inflow data of both ends meets the right-end inflow at +l/2.
+
+    Raises:
+        SolverError: a cell matrix is not finite or is singular.
+    """
+    return _march(problem, problem.system.boundary.values[None, None], (0, problem.system.mesh.Nx))
+
+
+def _upwind1_march(problem: LinearProblem) -> np.ndarray:
+    """Upwind1 field on the mesh by multiple shooting, shape (Nx + 1, m).
+
+    After Ascher, Mattheij & Russell (SIAM 1995, ch. 4).  ``_march`` marches
+    the identity over each segment to its transfer matrix Phi_s; the segment
+    states y_s at the nodes n_s then solve y_{s+1} = Phi_s y_s with
+    y_0^+ = b_left and y_S^- = b_right, and a second march from the y_s fills
+    the field.  The segment system is block bidiagonal, so one banded
+    ``gbsv`` solves it in O(S m^2) memory.
+
+    Raises:
+        SolverError: a cell matrix is not finite or is singular, or the
+            segment system is singular.
+    """
+    v, b = problem.system.grid.velocities, problem.system.boundary.values
+    m = v.size
+    neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
+    pos = m - neg
+    edges, transfers = _march(problem, np.eye(m)[None])
+    S = len(transfers)
+    # unknowns y_0 .. y_S; rows y_0^+ = b_left, then Phi_s y_s - y_{s+1} = 0 for each s,
+    # then y_S^- = b_right; entry (row, col) sits at ab[kl + ku + row - col, col]
+    kl, ku = m + pos - 1, neg
+    ab = np.zeros((2 * kl + ku + 1, (S + 1) * m))
+    rhs = np.zeros((S + 1) * m)
+    ab[kl, neg:m] = 1.0
+    rhs[:pos] = b[neg:]
+    i, j = np.indices((m, m))
+    # transfers[s] holds the marched states, so Phi_s[i, j] = transfers[s, j, i]
+    ab[kl + ku + pos + i - j, np.arange(S)[:, None, None] * m + j] = transfers.transpose(0, 2, 1)
+    ab[kl, m:] = -1.0
+    ab[kl + ku + pos, S * m:S * m + neg] = 1.0
+    rhs[pos + S * m:] = b[:neg]
+    gbsv = get_lapack_funcs("gbsv", (ab,))
+    _, _, y, info = gbsv(kl, ku, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise SolverError(f"upwind1 march: the segment system of {S} segments is singular")
+    return _march(problem, y.reshape(S + 1, 1, m)[:S], edges)
 
 
 def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> DiscreteSolution:
     """Solve one scheme on one system, without assembling its matrix.
 
     One flow serves every scheme: a first iterate (the march of
-    ``_central_march`` for ``central``, the sweep of ``_block_sweep`` for the
-    one-sided schemes) with its inflow entries reset to the data, the gate,
-    and, if it misses rel_tol, one step of iterative refinement: a sweep on
-    the gate's residual field.  The step is not monotone on an
-    ill-conditioned system, so the better iterate is kept (NaN is the
-    worse).  An iterate with a residual of 1 or more, or a march that raises,
-    is no better than ``problem.pinval`` (the inflow data alone, residual 1),
-    so the step refines pinval instead and solves the system from the data.
+    ``_central_march`` for ``central`` and of ``_upwind1_march`` for
+    ``upwind1``, the sweep of ``_block_sweep`` for ``upwind2``) with its
+    inflow entries reset to the data, the gate, and, if it misses rel_tol,
+    one step of iterative refinement: a sweep on the residual field, which
+    is built only then.  The step is not monotone on an ill-conditioned
+    system, so the better iterate is kept (NaN is the worse).  An iterate
+    with a residual of 1 or more, or a march that raises, is no better than
+    ``problem.pinval`` (the inflow data alone, residual 1), so the step
+    refines pinval instead and solves the system from the data.  A sweep
+    that raises is not refined: the refinement would fail the same way.
 
     The system is solved with its inflow data divided by the power of two
     2^k that puts their largest magnitude in [1, 2), and the field is
     multiplied back by 2^k: exact, and safe from overflow in |b| (see
     ``kinetic._unit_scaled``).  Every result is gated on the relative
     residual |M x - b| / |b| of the linear system ``assemble`` sets up, a
-    product with the diagonals of M that the march and the sweep's node
+    product with the diagonals of M that the marches and the sweep's node
     blocks read too (see ``_residual``).  It differs from ``residual_norm``
     of the assembled system only in the order of summation.
 
@@ -535,22 +645,23 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     b, scale_back = _unit_scaled(system.boundary.values, SolverError)
     problem = assemble(replace(system, boundary=replace(system.boundary, values=b)), scheme)
     scheme = problem.scheme
+    march = {Scheme.CENTRAL: _central_march, Scheme.UPWIND1: _upwind1_march}.get(scheme)
     try:
-        field = (_central_march if scheme is Scheme.CENTRAL else _block_sweep)(problem)
+        field = (march or _block_sweep)(problem)
         np.copyto(field, problem.pinval, where=problem.pinned)   # marched, or swept to rounding
-        r, res = _gate(problem, field)
+        res = _gate(problem, field)
         first = f"first iterate residual {res:.3e}"
     except SolverError as exc:
-        if scheme is not Scheme.CENTRAL:
+        if march is None:
             raise                                 # the refinement sweep would fail the same way
         res, first = float("nan"), str(exc)
     if not res <= rel_tol:                        # NaN fails too
         if not res < 1.0:                         # no better than pinval: refine pinval instead
             field = problem.pinval
-            r, res = _gate(problem, field)
-        refined = field + _block_sweep(problem, -r)
+            res = _gate(problem, field)
+        refined = field + _block_sweep(problem, -_residual_field(problem, field))
         np.copyto(refined, problem.pinval, where=problem.pinned)
-        _, refined_res = _gate(problem, refined)
+        refined_res = _gate(problem, refined)
         if refined_res < res:
             field, res = refined, refined_res
     if not res <= rel_tol:

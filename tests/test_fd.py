@@ -432,13 +432,13 @@ def test_gate_matches_the_assembled_residual(solution_cache):
         x = rng.standard_normal(problem.rhs.size)
         field = op.pinval.copy()
         field[free] = x
-        r, res = fd._gate(op, field)
+        r, res = fd._residual_field(op, field), fd._gate(op, field)
         assert np.all(r[op.pinned] == 0.0)
         assert np.abs(r[free] - (problem.matrix @ x - problem.rhs)).max() <= 1e-14 * np.abs(r).max()
         assert res == pytest.approx(residual_norm(problem, x), rel=1e-14)
         # a solved field: both gates pass and agree to rounding
         x = sol.values.T[free]
-        assert sol.residual == fd._gate(op, sol.values.T)[1]
+        assert sol.residual == fd._gate(op, sol.values.T)
         assert max(sol.residual, residual_norm(problem, x)) <= 1e-12
         assert abs(sol.residual - residual_norm(problem, x)) <= 5e-14
         if system == 1600:
@@ -446,11 +446,12 @@ def test_gate_matches_the_assembled_residual(solution_cache):
 
 
 def test_refinement_keeps_the_better_iterate(monkeypatch):
+    # upwind2's first iterate is the sweep, so one patched sweep plays both steps
     system = make_system(20)
-    op = assemble(system, Scheme.UPWIND1)
+    op = assemble(system, Scheme.UPWIND2)
     sweep = fd._block_sweep
     first = np.where(op.pinned, op.pinval, sweep(op) + 1e-9)
-    first_res = fd._gate(op, first)[1]
+    first_res = fd._gate(op, first)
     assert 1e-12 < first_res < 1.0
     # a correction ten times too long makes the residual worse and is
     # dropped; the true correction makes it better and is kept
@@ -463,16 +464,16 @@ def test_refinement_keeps_the_better_iterate(monkeypatch):
 
         monkeypatch.setattr(fd, "_block_sweep", off_first)
         if kept:
-            sol = solve_bvp(system, Scheme.UPWIND1)
+            sol = solve_bvp(system, Scheme.UPWIND2)
             assert sol.residual < 1e-12
-            assert sol.residual == fd._gate(op, sol.values.T)[1]
+            assert sol.residual == fd._gate(op, sol.values.T)
         else:
             with pytest.raises(SolverError) as info:
-                solve_bvp(system, Scheme.UPWIND1)
+                solve_bvp(system, Scheme.UPWIND2)
             assert info.value.residual == first_res
         assert len(calls) == 2
         # the refinement's rhs is the gate's residual field of the first iterate
-        assert np.array_equal(calls[1], -fd._gate(op, first)[0])
+        assert np.array_equal(calls[1], -fd._residual_field(op, first))
 
 
 def _counted_sweeps(monkeypatch):
@@ -486,7 +487,8 @@ def test_a_missed_march_is_refined_by_one_sweep(monkeypatch):
     # a barrier this high makes the march alone miss the gate
     system = make_system(100, coeffs=(0.0, 60.0))
     op = assemble(system, Scheme.CENTRAL)
-    r, march_res = fd._gate(op, np.where(op.pinned, op.pinval, fd._central_march(op)))
+    march = np.where(op.pinned, op.pinval, fd._central_march(op))
+    r, march_res = fd._residual_field(op, march), fd._gate(op, march)
     assert 1e-12 < march_res < 1.0
     calls = _counted_sweeps(monkeypatch)
     sol = solve_bvp(system, Scheme.CENTRAL)
@@ -500,29 +502,47 @@ def test_a_march_worse_than_no_solution_is_refined_from_the_inflow_data(monkeypa
     # pinval and solves the system from the data
     system = make_system(100, coeffs=(0.0, 1000.0))
     op = assemble(system, Scheme.CENTRAL)
-    assert fd._gate(op, np.where(op.pinned, op.pinval, fd._central_march(op)))[1] > 1.0
+    assert fd._gate(op, np.where(op.pinned, op.pinval, fd._central_march(op))) > 1.0
     calls = _counted_sweeps(monkeypatch)
     with pytest.raises(SolverError, match="first iterate residual") as info:
         solve_bvp(system, Scheme.CENTRAL)
-    assert len(calls) == 1 and np.array_equal(calls[0], -fd._gate(op, op.pinval)[0])
+    assert len(calls) == 1 and np.array_equal(calls[0], -fd._residual_field(op, op.pinval))
     growth = float(re.search(r"growth factor max\|f\| / max\|b\| = ([^;\s]+)", str(info.value))[1])
     assert math.isfinite(growth)
 
 
 def test_a_march_that_raises_is_refined_from_the_inflow_data(monkeypatch):
+    # both marches follow one rule: the refinement sweep solves from pinval
     system = make_system(20)
-    expected = solve_bvp(system, Scheme.CENTRAL)
+    sweep = fd._block_sweep
+    for scheme in (Scheme.CENTRAL, Scheme.UPWIND1):
+        expected = solve_bvp(system, scheme)
+        error = f"{scheme.value} march: cell 3 matrix is singular: zero pivot 41 of 80"
 
-    def singular(op):
-        raise SolverError("central march: cell 3 matrix is singular: zero pivot 41 of 80")
+        def singular(op):
+            raise SolverError(error)
 
-    monkeypatch.setattr(fd, "_central_march", singular)
+        with monkeypatch.context() as patch:
+            patch.setattr(fd, f"_{scheme.value}_march", singular)
+            calls = _counted_sweeps(patch)
+            sol = solve_bvp(system, scheme)
+            op = assemble(system, scheme)
+            assert len(calls) == 1 and np.array_equal(calls[0], -fd._residual_field(op, op.pinval))
+            assert sol.residual <= 1e-12
+            assert np.abs(sol.values - expected.values).max() <= 1e-11
+            # a refinement that falls short names the march's error
+            patch.setattr(fd, "_block_sweep", lambda op, rhs=None: 0.5 * sweep(op, rhs))
+            with pytest.raises(SolverError, match=error):
+                solve_bvp(system, scheme)
+
+
+def test_a_sweep_that_raises_is_not_refined(monkeypatch):
+    # upwind2's first iterate is the sweep, which a refinement would repeat
+    _zero_node_block(monkeypatch, 3)
     calls = _counted_sweeps(monkeypatch)
-    sol = solve_bvp(system, Scheme.CENTRAL)
-    op = assemble(system, Scheme.CENTRAL)
-    assert len(calls) == 1 and np.array_equal(calls[0], -fd._gate(op, op.pinval)[0])
-    assert sol.residual <= 1e-12
-    assert np.abs(sol.values - expected.values).max() <= 1e-11
+    with pytest.raises(SolverError, match="block elimination failed at mesh nodes 2-3"):
+        solve_bvp(make_system(10), Scheme.UPWIND2)
+    assert len(calls) == 1
 
 
 def test_central_march_period_map_is_identity_over_random_inputs():
@@ -595,11 +615,52 @@ def test_large_central_solve_marches_without_global_solver(monkeypatch):
     assert sol.residual <= 1e-12
 
 
+def test_upwind1_marches_without_global_solver_over_random_inputs(monkeypatch):
+    # the march alone meets the gate, and it agrees with the sweep to the
+    # conditioning of the system
+    rng = np.random.default_rng(41)
+    systems = [random_system(rng, max_harmonics=4, max_M=30) for _ in range(12)]
+    swept = [fd._block_sweep(assemble(system, Scheme.UPWIND1)) for system in systems]
+    calls = _counted_sweeps(monkeypatch)
+    for system, reference in zip(systems, swept):
+        sol = solve_bvp(system, Scheme.UPWIND1)
+        assert sol.residual <= 1e-12
+        assert np.abs(sol.values.T - reference).max() <= 1e-9 * np.abs(reference).max()
+    assert calls == []
+
+
+@pytest.mark.parametrize("Nx, barrier", [(100, 60.0), (400, 100.0), (1600, 100.0), (400, 300.0), (1600, 300.0)])
+def test_upwind1_march_cuts_segments_where_the_field_grows(monkeypatch, Nx, barrier):
+    # over one segment the transfer matrix reaches 2.4e4 (0, 60 at Nx=100)
+    # to 9.6e13 (0, 300 at Nx=400), and the field misses the gate
+    system = make_system(Nx, coeffs=(0.0, barrier))
+    op = assemble(system, Scheme.UPWIND1)
+    edges = fd._march(op, np.eye(system.grid.size)[None])[0]
+    assert len(edges) > 2 and edges[0] == 0 and edges[-1] == Nx
+    assert np.all(np.diff(edges) <= fd._SEGMENT_CELLS)
+    calls = _counted_sweeps(monkeypatch)
+    assert solve_bvp(system, Scheme.UPWIND1).residual <= 1e-12
+    assert calls == []
+
+
+def test_upwind1_solve_memory_is_bounded():
+    # the march keeps a transfer matrix per segment, not a carry per node:
+    # the block sweep's solve peaks at about 170 MB here
+    system = make_system(6400)
+    tracemalloc.start()
+    try:
+        solve_bvp(system, Scheme.UPWIND1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def _swept(op):
     """The block sweep's field with its inflow entries reset, and its gate residual."""
     field = fd._block_sweep(op)
     np.copyto(field, op.pinval, where=op.pinned)
-    return field, fd._gate(op, field)[1]
+    return field, fd._gate(op, field)
 
 
 def test_global_solve_of_central_reflects_nothing_over_random_inputs():
@@ -630,22 +691,36 @@ def test_central_march_names_a_singular_cell():
             fd._central_march(problem)
 
 
-def test_central_march_names_a_zero_pivot(monkeypatch):
-    # rows of node 3 set to zero: the v > 0 half of cell 3 is empty, so the
-    # first v > 0 column of its band finds no pivot
-    problem = assemble(make_system(10), Scheme.CENTRAL)
+def _zero_node_rows(monkeypatch, node):
+    """Make every reader of the whole-field matrix's diagonals see the node's rows set to zero."""
     diagonals = fd._diagonals
 
     def zero_node_rows(op, j0, j1):
         out = diagonals(op, j0, j1)
-        if j0 <= 3 < j1:
+        if j0 <= node < j1:
             for coef in out.values():
-                coef[3 - j0] = 0.0
+                coef[node - j0] = 0.0
         return out
 
     monkeypatch.setattr(fd, "_diagonals", zero_node_rows)
+
+
+def test_central_march_names_a_zero_pivot(monkeypatch):
+    # rows of node 3 set to zero: the v > 0 half of cell 3 is empty, so the
+    # first v > 0 column of its band finds no pivot
+    problem = assemble(make_system(10), Scheme.CENTRAL)
+    _zero_node_rows(monkeypatch, 3)
     with pytest.raises(SolverError, match="central march: cell 3 matrix is singular: zero pivot 41 of 80"):
         fd._central_march(problem)
+
+
+def test_upwind1_march_names_a_zero_pivot(monkeypatch):
+    # as for central; upwind1 solves only the v > 0 rows of a cell, and the
+    # pivot still counts from its first channel
+    problem = assemble(make_system(10), Scheme.UPWIND1)
+    _zero_node_rows(monkeypatch, 3)
+    with pytest.raises(SolverError, match="upwind1 march: cell 3 matrix is singular: zero pivot 41 of 80"):
+        fd._upwind1_march(problem)
 
 
 def test_free_streaming_is_exact_for_all_schemes():
