@@ -21,8 +21,10 @@ first iterate, the gate, and at most one refinement sweep.  ``central`` and
 (``_march``) reads them from those diagonals.  ``central`` marches once from
 the inflow data of both ends (``_central_march``): A(x) is odd and the mesh
 mirror symmetric, so the discrete period map is the identity.  ``upwind1``
-marches by multiple shooting (``_upwind1_march``): transfer matrices over
-segments, a banded solve for the segment states, and a march from them.
+marches stabilized (``_upwind1_march``, after Ascher, Mattheij & Russell,
+ch. 4.4): n + 2 columns for its n v < 0 channels, re-orthonormalized by a
+QR at each segment end, a triangular back-recurrence for the segment
+states, and a march of one column from them.
 ``upwind2`` sweeps: block tridiagonal elimination over the whole field
 (``_block_sweep``), its node blocks written from the diagonals; the same
 sweep, on the gate's residual, is the refinement step of every scheme.  The
@@ -193,7 +195,7 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
     identity row on each pinned one.  Returns {offset: coef}, coef[j - j0, k]
     being the entry of row (j, k) in the column of flat index j m + k +
     offset.  Scaled by dx / |v| of the row, a transport leg (dj, c) puts
-    (c v / dx) dx / |v|, c to rounding (ROADMAP item 4), on offset dj m, and a
+    (c v / dx) dx / |v|, c to rounding (ROADMAP item 6), on offset dj m, and a
     coupling leg (dj, w) puts -w coef dx / |v| of each band of A(x), x at
     node j + dj, on offset dj m + (cols.start - rows.start) over the band's
     rows.  Rows of v < 0 mirror those of v > 0 (see ``_stencil``).  No two
@@ -448,13 +450,13 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     return x.reshape(problem.pinned.shape)
 
 
-# an upwind1 segment ends once the largest entry of its transfer matrix passes
+# an upwind1 segment ends once the largest entry of its marched states passes
 # _SEGMENT_GROWTH, or after _SEGMENT_CELLS cells (measured in CHANGES.md)
 _SEGMENT_GROWTH = 10.0
 _SEGMENT_CELLS = 800
 
 
-def _march(problem: LinearProblem, starts: np.ndarray, edges=None):
+def _march(problem: LinearProblem, starts: np.ndarray, edges=None, restart=None):
     """March states over the mesh cells from given states at segment starts.
 
     Cell c is the v > 0 rows of node c and the v < 0 rows of node c - 1 of
@@ -463,16 +465,19 @@ def _march(problem: LinearProblem, starts: np.ndarray, edges=None):
     ``_RUN_NODES`` cells at a time: a band B on the node-c columns, R on the
     node-(c - 1) ones, of bandwidth nb, the largest offset of a band of A(x).
     Each step solves B d = -(B + R) f_{c-1} for d = f_c - f_{c-1}, for w
-    states at once (the transport entries cancel in B + R exactly).
+    states at once (the transport entries cancel in B + R exactly), in
+    buffers allocated once per march.
 
     starts, shape (S, w, m), holds the w states of each segment at its
     first node.  With edges, the nodes 0 = n_0 < ... < n_S = Nx that bound
     the segments, w is 1 and the march fills the (Nx + 1, m) field: node
     n_s holds starts[s], in place of the marched end of segment s - 1, and
-    node Nx is marched, not pinned.  Without edges, every segment starts from starts[0], and it ends
-    once max|state| passes ``_SEGMENT_GROWTH`` or after ``_SEGMENT_CELLS``
-    cells; the march returns (edges, end states), the latter of shape
-    (S, w, m).
+    node Nx is marched, not pinned.  Without edges, the march starts from
+    starts[0]; a segment ends once max|state| passes ``_SEGMENT_GROWTH`` or
+    after ``_SEGMENT_CELLS`` cells, and restart, called with the (w, m)
+    states at each segment end, returns the next segment's start states
+    (at Nx, where none follows, its return is unused).  The march returns
+    the edges.
 
     Raises:
         SolverError: a cell matrix is not finite or is singular.
@@ -493,11 +498,44 @@ def _march(problem: LinearProblem, starts: np.ndarray, edges=None):
     states[:w] = starts[0]
     window = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)
     gbsv = get_lapack_funcs("gbsv", (padded,))
-    edges, ends, s = list(edges) if field else [0], [], 0
+    edges, s = list(edges) if field else [0], 0
     # band[i].T is B of cell c0 + i as gbsv's ab[2 nb + k - j, j] = B[k, j] (rows < nb: fill-in);
     # span[i, nb + e, k] = -(B + R)[k, k + e] holds every entry of B too, so only it is checked
     run = min(_RUN_NODES, Nx)
     band, span = np.empty((run, m, 3 * nb + 1)), np.empty((run, 2 * nb + 1, m))
+    # one cell's product -(B + R) f_{c-1} by offset, its step d with views of d^- and d^+,
+    # d^+ packed contiguous for gbsv, and |f_c|, all made once per march
+    product, step = np.empty((w, 2 * nb + 1, m)), np.empty((w, m))
+    packed, magnitude = np.empty((w, m - neg)), np.empty((w, m))
+    minus, plus = step[:, :neg], step[:, neg:]
+
+    # a cell step is a function of its own: tracemalloc looks up the line of each allocation,
+    # which Python finds by scanning the function's line table from its start, so each of a
+    # step's allocations would cost several times more deep inside _march
+    def advance(i, c):
+        """March the states over cell c, the i-th of its run; max|f_c| if they are not a field."""
+        if field:
+            read, last, now = window[c - 1:c], states[c - 1:c], states[c:c + 1]
+        else:
+            read, last, now = window, states, states
+        np.multiply(span[i], read, out=product)
+        product.sum(axis=1, out=step)
+        if explicit:
+            np.divide(minus, band[i, :neg, 2 * nb], out=minus)
+            np.copyto(packed, plus)
+            for e in range(1, nb + 1):                  # B[k, k - e] d_{k-e}, k >= neg > k - e
+                a, b = max(neg - e, 0), min(neg, m - e)
+                packed[:, a + e - neg:b + e - neg] -= band[i, a:b, 2 * nb + e] * minus[:, a:b]
+            _, _, solved, info = gbsv(nb, nb, band[i, neg:].T, packed.T, overwrite_ab=True, overwrite_b=True)
+            np.copyto(plus, solved.T)
+            solved, info = step.T, info + neg * (info > 0)
+        else:
+            _, _, solved, info = gbsv(nb, nb, band[i].T, step.T, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            raise SolverError(f"{tag}: cell {c} matrix is singular: zero pivot {info} of {m}")
+        np.add(last, solved.T, out=now)
+        return None if field else np.abs(states, out=magnitude).max()
+
     for c0 in range(1, Nx + 1, run):
         cells = min(run, Nx + 1 - c0)
         band[:cells] = span[:cells] = 0.0
@@ -517,32 +555,15 @@ def _march(problem: LinearProblem, starts: np.ndarray, edges=None):
             raise SolverError(f"{tag}: cell {c0 + int(np.argmin(finite))} matrix is not finite")
         for i in range(cells):
             c = c0 + i
-            src, dst = (slice(c - 1, c), slice(c, c + 1)) if field else (slice(None), slice(None))
-            step = (span[i] * window[src]).sum(axis=1)
-            if explicit:
-                minus, plus = step[:, :neg] / band[i, :neg, 2 * nb], step[:, neg:].copy()
-                for e in range(1, nb + 1):                  # B[k, k - e] d_{k-e}, k >= neg > k - e
-                    a, b = max(neg - e, 0), min(neg, m - e)
-                    plus[:, a + e - neg:b + e - neg] -= band[i, a:b, 2 * nb + e] * minus[:, a:b]
-                _, _, plus, info = gbsv(nb, nb, band[i, neg:].T, plus.T, overwrite_ab=True, overwrite_b=True)
-                step, info = np.concatenate((minus, plus.T), axis=1), info + neg * (info > 0)
-            else:
-                _, _, step, info = gbsv(nb, nb, band[i].T, step.T, overwrite_ab=True, overwrite_b=True)
-                step = step.T
-            if info > 0:
-                raise SolverError(f"{tag}: cell {c} matrix is singular: zero pivot {info} of {m}")
-            np.add(states[src], step, out=states[dst])
+            grown = advance(i, c)
             if field:
-                end = c == edges[s + 1]
-            else:
-                end = c - edges[-1] == _SEGMENT_CELLS or c == Nx or np.abs(states).max() > _SEGMENT_GROWTH
-                if end:
-                    edges.append(c)
-                    ends.append(states.copy())
-            if end and c < Nx:
-                s += 1
-                states[dst] = starts[s if field else 0]
-    return states if field else (edges, np.array(ends))
+                if c == edges[s + 1] and c < Nx:
+                    s += 1
+                    states[c] = starts[s, 0]
+            elif c - edges[-1] == _SEGMENT_CELLS or c == Nx or grown > _SEGMENT_GROWTH:
+                edges.append(c)
+                states[...] = restart(states)
+    return states if field else edges
 
 
 def _central_march(problem: LinearProblem) -> np.ndarray:
@@ -561,43 +582,65 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
 
 
 def _upwind1_march(problem: LinearProblem) -> np.ndarray:
-    """Upwind1 field on the mesh by multiple shooting, shape (Nx + 1, m).
+    """Upwind1 field on the mesh by a stabilized march, shape (Nx + 1, m).
 
-    After Ascher, Mattheij & Russell (SIAM 1995, ch. 4).  ``_march`` marches
-    the identity over each segment to its transfer matrix Phi_s; the segment
-    states y_s at the nodes n_s then solve y_{s+1} = Phi_s y_s with
-    y_0^+ = b_left and y_S^- = b_right, and a second march from the y_s fills
-    the field.  The segment system is block bidiagonal, so one banded
-    ``gbsv`` solves it in O(S m^2) memory.
+    After Ascher, Mattheij & Russell (SIAM 1995, ch. 4.4).  The inflow
+    conditions are separated, so the state at the start n_s of segment s
+    is y_s = Q_s c_s + p_s: the neg columns of Q_s are orthonormal, and
+    y_0 = [c_0; b_left] with Q_0 the unit vectors of the neg v < 0
+    channels.  ``_march`` carries neg + 2 columns over each segment: Q_s,
+    p_s / max|p_s|, and a probe, a fixed generic state that is marched only
+    so that a segment ends wherever any direction grows (the rounding of
+    y_s then stays small in the march that fills the field).  At each
+    segment end the QR Y = Q_{s+1} R_s of the marched Q_s and the marched
+    p_s, z_s, give g_s = Q_{s+1}^T z_s and p_{s+1} = z_s - Q_{s+1} g_s, so
+    c_{s+1} = R_s c_s + g_s, and the next segment starts from Q_{s+1},
+    p_{s+1} and the probe.  At +l/2 the neg x neg system
+    (Q_S c_S + p_S)^- = b_right gives c_S, the back-recurrence
+    c_s = R_s^-1 (c_{s+1} - g_s) the segment states, and a march of one
+    column from them fills the field.  The back-recurrence is stable as the
+    problem is well posed: |diag R_s| stays near 1 (CHANGES.md).  Memory
+    is O(S m neg) for S segments, plus the field.
 
     Raises:
-        SolverError: a cell matrix is not finite or is singular, or the
-            segment system is singular.
+        SolverError: a cell matrix is not finite or is singular, or the end
+            system or an R_s is singular.
     """
     v, b = problem.system.grid.velocities, problem.system.boundary.values
     m = v.size
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
-    pos = m - neg
-    edges, transfers = _march(problem, np.eye(m)[None])
-    S = len(transfers)
-    # unknowns y_0 .. y_S; rows y_0^+ = b_left, then Phi_s y_s - y_{s+1} = 0 for each s,
-    # then y_S^- = b_right; entry (row, col) sits at ab[kl + ku + row - col, col]
-    kl, ku = m + pos - 1, neg
-    ab = np.zeros((2 * kl + ku + 1, (S + 1) * m))
-    rhs = np.zeros((S + 1) * m)
-    ab[kl, neg:m] = 1.0
-    rhs[:pos] = b[neg:]
-    i, j = np.indices((m, m))
-    # transfers[s] holds the marched states, so Phi_s[i, j] = transfers[s, j, i]
-    ab[kl + ku + pos + i - j, np.arange(S)[:, None, None] * m + j] = transfers.transpose(0, 2, 1)
-    ab[kl, m:] = -1.0
-    ab[kl + ku + pos, S * m:S * m + neg] = 1.0
-    rhs[pos + S * m:] = b[:neg]
-    gbsv = get_lapack_funcs("gbsv", (ab,))
-    _, _, y, info = gbsv(kl, ku, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    probe = np.random.default_rng(0).standard_normal(m)
+    probe /= np.abs(probe).max()
+    Q, R, g, p, scale = [np.eye(m)[:, :neg]], [], [], [np.concatenate((np.zeros(neg), b[neg:]))], []
+
+    def start():
+        """The states the next segment starts from: Q_s, p_s / max|p_s| and the probe."""
+        scale.append(np.abs(p[-1]).max() or 1.0)          # p_s = 0 only if no data enters at -l/2
+        return np.vstack((Q[-1].T, p[-1] / scale[-1], probe))
+
+    def restart(states):
+        """Q_{s+1}, R_s, g_s and p_{s+1} from the states at the end of segment s; the next start."""
+        q, r = np.linalg.qr(states[:neg].T)
+        z = states[neg] * scale[-1]
+        Q.append(q)
+        R.append(r)
+        g.append(q.T @ z)
+        p.append(z - q @ g[-1])
+        return start()
+
+    edges = _march(problem, start()[None], restart=restart)
+    S = len(R)
+    gesv, trtrs = get_lapack_funcs(("gesv", "trtrs"), (Q[-1],))
+    _, _, c, info = gesv(Q[S][:neg], b[:neg] - p[S][:neg])
     if info > 0:
-        raise SolverError(f"upwind1 march: the segment system of {S} segments is singular")
-    return _march(problem, y.reshape(S + 1, 1, m)[:S], edges)
+        raise SolverError(f"upwind1 march: the end system at +l/2 is singular (segments: {S})")
+    y = np.empty((S, 1, m))
+    for s in range(S - 1, -1, -1):
+        c, info = trtrs(R[s], c - g[s])
+        if info > 0:
+            raise SolverError(f"upwind1 march: R of segment {s} is singular")
+        y[s, 0] = Q[s] @ c + p[s]
+    return _march(problem, y, edges)
 
 
 def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> DiscreteSolution:

@@ -18,6 +18,7 @@ from wignerdv import (
     build_mesh,
     build_system,
     build_velocity_grid,
+    mono_energetic_boundary,
     new_potential,
     residual_norm,
     solve_bvp,
@@ -629,23 +630,85 @@ def test_upwind1_marches_without_global_solver_over_random_inputs(monkeypatch):
     assert calls == []
 
 
+def _transfer_marches(monkeypatch):
+    """Patch fd._march to record (columns, edges) of every transfer march; returns that list."""
+    march, calls = fd._march, []
+
+    def spy(op, starts, edges=None, restart=None):
+        out = march(op, starts, edges, restart)
+        if edges is None:
+            calls.append((starts.shape[1], out))
+        return out
+
+    monkeypatch.setattr(fd, "_march", spy)
+    return calls
+
+
 @pytest.mark.parametrize("Nx, barrier", [(100, 60.0), (400, 100.0), (1600, 100.0), (400, 300.0), (1600, 300.0)])
 def test_upwind1_march_cuts_segments_where_the_field_grows(monkeypatch, Nx, barrier):
-    # over one segment the transfer matrix reaches 2.4e4 (0, 60 at Nx=100)
-    # to 9.6e13 (0, 300 at Nx=400), and the field misses the gate
+    # marched uncut, the period's transfer matrix reaches 2.4e4 (0, 60 at
+    # Nx=100) to 9.6e13 (0, 300 at Nx=400) and the field misses the gate;
+    # the march cuts a segment where any of its columns grows
     system = make_system(Nx, coeffs=(0.0, barrier))
-    op = assemble(system, Scheme.UPWIND1)
-    edges = fd._march(op, np.eye(system.grid.size)[None])[0]
-    assert len(edges) > 2 and edges[0] == 0 and edges[-1] == Nx
-    assert np.all(np.diff(edges) <= fd._SEGMENT_CELLS)
-    calls = _counted_sweeps(monkeypatch)
+    marches, calls = _transfer_marches(monkeypatch), _counted_sweeps(monkeypatch)
     assert solve_bvp(system, Scheme.UPWIND1).residual <= 1e-12
     assert calls == []
+    [(_, edges)] = marches
+    assert len(edges) > 2 and edges[0] == 0 and edges[-1] == Nx
+    assert np.all(np.diff(edges) <= fd._SEGMENT_CELLS)
+
+
+def _asymmetric_system(Nx):
+    """The flagship on the lattice s = 0.3 kappa: 40 v<0 and 41 v>0 channels."""
+    system = make_system(Nx)
+    kappa = system.potential.kappa
+    grid = build_velocity_grid(kappa, 0.3 * kappa, 40, True)
+    return build_system(system.potential, grid, system.mesh, mono_energetic_boundary(grid, 0))
+
+
+def test_upwind1_transfer_march_carries_neg_plus_two_columns(monkeypatch):
+    # the v<0 unknowns, the particular column and the probe, not the identity;
+    # with data only at +l/2 the particular column starts at zero
+    flagship = make_system(400)
+    right_only = dataclasses.replace(flagship, boundary=tabulated_boundary(flagship.grid, {-1: 1.0}))
+    for system in (flagship, right_only, _asymmetric_system(400)):
+        v = system.grid.velocities
+        neg = int((v < 0).sum())
+        swept = fd._block_sweep(assemble(system, Scheme.UPWIND1))
+        with monkeypatch.context() as patch:
+            marches, calls = _transfer_marches(patch), _counted_sweeps(patch)
+            sol = solve_bvp(system, Scheme.UPWIND1)
+        assert [columns for columns, _ in marches] == [neg + 2]
+        assert calls == [] and sol.residual <= 1e-12
+        assert np.abs(sol.values.T - swept).max() <= 1e-9 * np.abs(swept).max()
+    assert (neg, v.size - neg) == (40, 41)
+
+
+def test_upwind1_march_names_a_singular_end_system(monkeypatch):
+    # with the v<0 entries of the marched homogeneous states zeroed at each
+    # segment end, no state of Q_S can meet the right-end inflow at +l/2
+    problem = assemble(make_system(10), Scheme.UPWIND1)
+    neg = int((problem.system.grid.velocities < 0).sum())
+    march = fd._march
+
+    def flattened(op, starts, edges=None, restart=None):
+        if restart is None:
+            return march(op, starts, edges)
+
+        def zeroed(states):
+            states[:neg, :neg] = 0.0
+            return restart(states)
+
+        return march(op, starts, restart=zeroed)
+
+    monkeypatch.setattr(fd, "_march", flattened)
+    with pytest.raises(SolverError, match=r"upwind1 march: the end system at \+l/2 is singular"):
+        fd._upwind1_march(problem)
 
 
 def test_upwind1_solve_memory_is_bounded():
-    # the march keeps a transfer matrix per segment, not a carry per node:
-    # the block sweep's solve peaks at about 170 MB here
+    # the march keeps Q_s and R_s per segment, not a carry per node: the
+    # block sweep's solve peaks at about 170 MB here
     system = make_system(6400)
     tracemalloc.start()
     try:
