@@ -25,9 +25,13 @@ marches stabilized (``_upwind1_march``, after Ascher, Mattheij & Russell,
 ch. 4.4): n + 2 columns for its n v < 0 channels, re-orthonormalized by a
 QR at each segment end, a triangular back-recurrence for the segment
 states, and a march of one column from them.
-``upwind2`` sweeps: block tridiagonal elimination over the whole field
-(``_block_sweep``), its node blocks written from the diagonals; the same
-sweep, on the gate's residual, is the refinement step of every scheme.  The
+``upwind2`` sweeps: block tridiagonal elimination from both inflow ends
+toward a middle block at x = 0 (``_block_sweep``), its node blocks written
+from the diagonals.  The arm from +l/2 is the arm from -l/2 run on the
+reversed flat order, (x, v) -> (-x, -v); on an antisymmetric velocity set
+that reversal maps the matrix onto itself, and one factored arm serves
+both.  The same sweep, on the gate's residual, is the refinement step of
+every scheme.  The
 gate is the residual of ``assemble``'s system, a product with the same
 diagonals (``_residual``), summed a run of nodes at a time.
 The reference ``LinearProblem.matrix`` and ``rhs`` are cut on first read.
@@ -321,132 +325,210 @@ def _gate(problem: LinearProblem, field: np.ndarray) -> float:
     return float(np.sqrt(squares) / max(problem.rhs_norm, _NORM_FLOOR))
 
 
-def _node_blocks(problem: LinearProblem):
-    """The block sweep's node blocks, written from the whole-field matrix's diagonals.
+def _mirror_invariant(problem: LinearProblem) -> bool:
+    """Whether the whole-field matrix is its own image under the reversed flat order.
 
-    Blocks have reach m rows, reach being the farthest leg of the stencil
-    (one node for upwind1 and central, node pairs for upwind2, whose last
-    block is one node when Nx + 1 is odd), so each couples only to its two
-    neighbours and the pinned rows lie in the first and last.  The
-    diagonals are built for one run of ``_RUN_NODES`` nodes at a time and
-    written into each block by strided writes.  The rows of L_t and the
-    columns J_t of U_t follow from the legs and the channel signs.
+    Reversing the node-major flat index maps entry (j, k) to (Nx - j, m - 1 - k),
+    that is (x, v) to (-x, -v).  The mesh is mirror symmetric and A(x) odd to
+    the bit on it (``kinetic.build_mesh``, ``potential._bands``), so the
+    reversal maps the matrix onto itself to the bit exactly when the velocity
+    set is antisymmetric to the bit.
+    """
+    v = problem.system.grid.velocities
+    return bool(np.array_equal(v, -v[::-1]))
 
-    Returns (edges, widths, blocks): the flat indices at the block
-    boundaries, the size of each J_t, and an iterator that yields, for each
-    block t in order, (block, rows of L_t, J_t): the rows of block t over
-    the columns of blocks t - 1 .. t + 1, and J_t within block t + 1 (None
-    for the last block).
+
+def _node_blocks(problem: LinearProblem, mirrored: bool = False):
+    """One arm of the two-arm block sweep, written from the whole-field matrix's diagonals.
+
+    The sweep cuts the flat field into two arms of T node blocks each, one
+    from each inflow end, and a middle block around node Nx / 2.  An arm
+    block has reach m rows, reach being the farthest leg of the stencil (one
+    node for upwind1 and central, node pairs for upwind2), so each block
+    couples only to its two neighbours and the pinned rows lie in the first.
+    The middle block holds the reach to 3 reach - 1 nodes left over, so the
+    last block of each arm couples only to it.  The arm from -l/2 reads the
+    matrix as it is.  The arm from +l/2 (mirrored) reads it in reversed
+    flat order, (j, k) -> (Nx - j, m - 1 - k): that is the matrix of the
+    mirrored problem, velocities -v[::-1], so the code that sweeps one arm
+    sweeps both.  The diagonals are built for one run of ``_RUN_NODES`` nodes
+    at a time and written into each block by strided writes.  The rows of
+    L_t and the columns J_t of U_t follow from the legs and the channel
+    signs of the arm's own order, and are the same for every block.
+
+    Returns (edges, coupled, J, blocks), all in the arm's flat order:
+    edges 0, reach m, ..., c, N - c bound the T arm blocks and the middle
+    block; coupled are the rows of L_t and J the columns J_t within block
+    t + 1 (the middle, for the last arm block).  blocks yields, for each arm
+    block t in order, its rows over the columns of blocks t - 1 .. t + 1, and
+    then the middle block's rows over the columns of the last block of both
+    arms.
     """
     Nx = problem.system.mesh.Nx
     m = problem.system.grid.size
     v = problem.system.grid.velocities
+    u = -v[::-1] if mirrored else v                  # the velocities in the arm's order
     legs = _stencil(problem.scheme, Nx)
     reach = _reach(legs)
     N = problem.pinned.size
-    edges = np.append(np.arange(0, N, reach * m), N)
-    sizes = np.diff(edges)
-    spread = np.zeros(m, dtype=bool)           # channels a coupling leg reads from v < 0 rows
+    T = (Nx + 1 - reach) // (2 * reach)
+    c = T * reach * m
+    edges = np.append(np.arange(0, c + 1, reach * m), N - c)
+    spread = np.zeros(m, dtype=bool)             # channels the coupling legs of u < 0 rows read
     for rows, cols, _ in problem.bands:
-        spread[rows] |= v[cols] < 0
-    # a leg (dj, .) of a v < 0 row reads -dj nodes ahead, so the block before
+        spread[cols] |= v[rows] > 0 if mirrored else v[rows] < 0
+    spread = spread[::-1] if mirrored else spread
+    # a leg (dj, .) of a u < 0 row reads -dj nodes ahead, so the block before
     # reads into the first -dj nodes of a block; the farthest leg reaches
-    # reach nodes back, so every v > 0 row reads the block before
+    # reach nodes back, so every u > 0 row reads the block before
     carried = np.zeros((reach, m), dtype=bool)
     for _, transport, coupling in legs:
-        for dj, cols in [(dj, v < 0) for dj, _ in transport] + [(dj, spread) for dj, _ in coupling]:
+        for dj, cols in [(dj, u < 0) for dj, _ in transport] + [(dj, spread) for dj, _ in coupling]:
             carried[:-dj] |= cols
-    coupled, carried = np.tile(v > 0, reach), carried.ravel()
-    cut = {size: (_span(np.flatnonzero(coupled[:size])), _span(np.flatnonzero(carried[:size])))
-           for size in {sizes[0], sizes[-1]}}
+    coupled, J = _span(np.flatnonzero(np.tile(u > 0, reach))), _span(np.flatnonzero(carried))
     run = reach * max(_RUN_NODES // reach, 1)
 
-    def blocks():
-        for j0 in range(0, Nx + 1, run):
-            j1 = min(j0 + run, Nx + 1)
-            diagonals = {d: coef.ravel() for d, coef in _diagonals(problem, j0, j1).items()}
-            for t in range(j0 // reach, -(-j1 // reach)):
-                a, b = edges[t], edges[t + 1]
-                lo, hi = edges[max(t - 1, 0)], edges[min(t + 2, len(sizes))]
-                block = np.zeros((b - a, hi - lo))
-                # entry (r, r + d) of the matrix is block[r - a, r + d - lo]:
-                # a diagonal of the block, stride hi - lo + 1 in its flat view
-                flat, step = block.reshape(-1), hi - lo + 1
-                for d, coef in diagonals.items():
-                    ra, rb = max(a, lo - d), min(b, hi - d)
-                    if ra < rb:
-                        start = (ra - a) * step + a + d - lo
-                        flat[start:start + (rb - ra - 1) * step + 1:step] = coef[ra - j0 * m:rb - j0 * m]
-                L_rows = cut[sizes[t]][0] if t > 0 else slice(0, 0)
-                yield block, L_rows, cut[sizes[t + 1]][1] if t + 1 < len(sizes) else None
+    def diagonals(j0, j1):
+        """The diagonals of the arm's nodes j0 .. j1 - 1, flat, and the flat row they start at."""
+        n0, n1 = (Nx + 1 - j1, Nx + 1 - j0) if mirrored else (j0, j1)
+        return {d: coef.ravel() for d, coef in _diagonals(problem, n0, n1).items()}, n0 * m
 
-    return edges, np.cumsum(carried)[sizes[1:] - 1], blocks()
+    def block(loaded, rows, cols):
+        """The arm's rows a .. b - 1 over its columns lo .. hi - 1, from loaded diagonals."""
+        (a, b), (lo, hi) = rows, cols
+        out = np.zeros((b - a, hi - lo))
+        flat, (coefs, base) = out.reshape(-1), loaded
+        if mirrored:                     # the reversed flat view reads the block in natural order
+            flat, (a, b), (lo, hi) = flat[::-1], (N - b, N - a), (N - hi, N - lo)
+        # entry (r, r + d) of the matrix is flat[(r - a) (hi - lo) + r + d - lo]:
+        # a diagonal of the block, stride hi - lo + 1
+        step = hi - lo + 1
+        for d, coef in coefs.items():
+            ra, rb = max(a, lo - d), min(b, hi - d)
+            if ra < rb:
+                start = (ra - a) * step + a + d - lo
+                flat[start:start + (rb - ra - 1) * step + 1:step] = coef[ra - base:rb - base]
+        return out
+
+    def blocks():
+        for j0 in range(0, c // m, run):
+            loaded = diagonals(j0, min(j0 + run, c // m))
+            for t in range(j0 // reach, min(j0 + run, c // m) // reach):
+                yield block(loaded, edges[t:t + 2], (edges[max(t - 1, 0)], edges[t + 2]))
+        lo = edges[max(T - 1, 0)]
+        yield block(diagonals(c // m, (N - c) // m), (c, N - c), (lo, N - lo))
+
+    return edges, coupled, J, blocks()
 
 
 def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.ndarray:
-    """Solve M F = rhs for the (Nx + 1, m) field F by block tridiagonal elimination.
+    """Solve M F = rhs for the (Nx + 1, m) field F by two-arm block elimination.
 
-    M is the whole-field matrix of ``_diagonals``, in the node blocks of
-    ``_node_blocks``; it is not built.  With rhs None the right-hand side
-    is ``problem.pinval``, so the free entries solve ``assemble``'s reduced
-    system and the pinned ones hold the inflow data to rounding (partial
-    pivoting may mix an identity row with the equations of its block).
-    U_t, the coupling of block t to block t + 1, is nonzero only in the
-    columns J_t (about the v < 0 half of the next block), so the carry kept
-    per block is the half-rank C_t = D'_t^-1 U_t[:, J_t].  The Schur update
-    touches only D_{t+1}[:, J_t], on the rows of L_{t+1}, and back
-    substitution reads x_t = p_t - C_t x_{t+1}[J_t].
+    M is the whole-field matrix of ``_diagonals``; it is not built.  With
+    rhs None the right-hand side is ``problem.pinval``, so the free entries
+    solve ``assemble``'s reduced system and the pinned ones hold the inflow
+    data to rounding (partial pivoting may mix an identity row with the
+    equations of its block).  Two arms, one from each inflow end, eliminate
+    their node blocks (``_node_blocks``) toward the middle block around node
+    Nx / 2.  U_t, the coupling of arm block t to block t + 1, is nonzero
+    only in the columns J_t (about the channels of the next block that flow
+    toward the arm's own end), so the carry kept per block is the half-rank
+    C_t = D'_t^-1 U_t[:, J_t].
+    The Schur update touches only D_{t+1}[:, J_t], on the rows of L_{t+1}.
+    The middle block takes the update of the last block of both arms and is
+    solved once; back substitution then reads x_t = p_t - C_t x_{t+1}[J_t]
+    down each arm.  The arm from +l/2 is the arm from -l/2 run on the
+    reversed flat order, its right-hand side and field reversed too.  Where
+    that reversal maps M onto itself (``_mirror_invariant``: the velocity
+    set is antisymmetric), the two arms' blocks are equal to the bit, so
+    one arm is factored and carries both right-hand sides, its own and the
+    reversed one; each is solved one column at a time, as a second arm
+    would, so the field is the one two factored arms give, to the bit.
 
     Raises:
         SolverError: a block is not finite or is exactly singular.
     """
-    edges, widths, blocks = _node_blocks(problem)
-    m = problem.system.grid.size
+    m, N = problem.system.grid.size, problem.pinned.size
     rhs = (problem.pinval if rhs is None else rhs).ravel()
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (problem.pinval,))
+    shared = _mirror_invariant(problem)
+    x = np.empty(N)
+    # each side of the field as its arm reads it: (right-hand side, solution)
+    sides = ((rhs, x), (rhs[::-1], x[::-1]))
 
-    def fail(t, why):
-        first, last = edges[t] // m, (edges[t + 1] - 1) // m
-        where = f"mesh node {first}" if first == last else f"mesh nodes {first}-{last}"
+    def fail(a, b, mirrored, why):
+        """SolverError naming the mesh nodes of the arm's flat rows a .. b - 1."""
+        def nodes(a, b):
+            first, last = a // m, (b - 1) // m
+            return f"mesh node {first}" if first == last else f"mesh nodes {first}-{last}"
+        where = nodes(N - b, N - a) if mirrored else nodes(a, b)
+        if shared and a + b != N:                     # a shared arm block stands for its mirror too
+            where += f" and, mirrored, {nodes(N - b, N - a)}"
         return SolverError(f"block elimination failed at {where}: {why}")
 
-    # the carries share one buffer of exactly their size, and the partial
-    # solutions p_t live in x until back substitution overwrites them, so
-    # the sweep's lasting memory is two large arrays, returned whole when
-    # it ends instead of thousands of small ones left in the heap
-    offsets = np.concatenate([[0], np.cumsum(np.diff(edges[:-1]) * widths)])
-    carry_buffer = np.empty(offsets[-1])
-    carries, reads = [], []
-    x = np.empty(edges[-1])
-    for t, (block, coupled, J) in enumerate(blocks):
-        a, b = edges[t], edges[t + 1]
-        lo = edges[max(t - 1, 0)]
-        D = np.array(block[:, a - lo:b - lo], order="F")
-        r = rhs[a:b].copy()
-        if t > 0:
-            L = block[coupled, :a - lo]
-            if isinstance(coupled, slice) or isinstance(reads[-1], slice):
-                D[coupled, reads[-1]] -= L @ carries[-1]
-            else:
-                D[np.ix_(coupled, reads[-1])] -= L @ carries[-1]
-            r[coupled] -= L @ x[lo:a]
+    def factor(D, a, b, mirrored):
+        """getrf of D, the block of the arm's flat rows a .. b - 1."""
         if not np.isfinite(D).all():
-            raise fail(t, "the block is not finite")
+            raise fail(a, b, mirrored, "the block is not finite")
         lu, piv, info = getrf(D, overwrite_a=True)
         if info > 0:
-            j, k = divmod(int(a + info - 1), m)
-            raise fail(t, f"the block is singular, zero pivot {info} of {b - a} "
-                          f"(node {j}, velocity index {k})")
-        x[a:b] = getrs(lu, piv, r, overwrite_b=True)[0]
-        if J is not None:
-            reads.append(J)
-            # Fortran-ordered view of this block's share of the buffer
-            carry = carry_buffer[offsets[t]:offsets[t + 1]].reshape(widths[t], b - a).T
-            carry[...] = getrs(lu, piv, block[:, b - lo:][:, J], overwrite_b=True)[0]
-            carries.append(carry)
+            flat = a + info - 1
+            j, k = divmod(int(N - 1 - flat if mirrored else flat), m)
+            raise fail(a, b, mirrored, f"the block is singular, zero pivot {info} of {b - a} "
+                                       f"(node {j}, velocity index {k})")
+        return lu, piv
 
-    for t in range(len(carries) - 1, -1, -1):
-        x[edges[t]:edges[t + 1]] -= carries[t] @ x[edges[t + 1]:edges[t + 2]][reads[t]]
+    def eliminate(mirrored, columns):
+        """Forward elimination of one arm over its T blocks, for the (rhs, x) columns it serves.
+
+        Leaves the partial solutions p_t in x.  Returns the columns, the
+        arm's edges, the rows of L_t, the Schur update's index into D_{t+1},
+        J, the carries, and the blocks, which yield the middle block next.
+        """
+        edges, coupled, J, blocks = _node_blocks(problem, mirrored)
+        T = len(edges) - 2
+        schur = (coupled, J) if isinstance(coupled, slice) or isinstance(J, slice) else np.ix_(coupled, J)
+        size, width = edges[1] if T else 0, np.arange(edges[-1] - edges[-2])[J].size
+        # the carries share one buffer of exactly their size, each a
+        # Fortran-ordered (size, width) view
+        carries = np.empty((T, width, size)).transpose(0, 2, 1)
+        for t, block in zip(range(T), blocks):
+            a, b = edges[t], edges[t + 1]
+            lo = edges[max(t - 1, 0)]
+            D = np.array(block[:, a - lo:b - lo], order="F")
+            if t > 0:
+                L = block[coupled, :a - lo]
+                D[schur] -= L @ carries[t - 1]
+            lu, piv = factor(D, a, b, mirrored)
+            for r, y in columns:
+                p = r[a:b].copy()
+                if t > 0:
+                    p[coupled] -= L @ y[lo:a]
+                y[a:b] = getrs(lu, piv, p, overwrite_b=True)[0]
+            carries[t] = getrs(lu, piv, block[:, b - lo:][:, J], overwrite_b=True)[0]
+        return columns, edges, coupled, schur, J, carries, blocks
+
+    left = eliminate(False, sides if shared else sides[:1])
+    right = left if shared else eliminate(True, sides[1:])
+    _, edges, *_, blocks = left
+    T, c = len(edges) - 2, edges[-2]
+    lo = edges[max(T - 1, 0)]
+    middle = next(blocks)                             # rows c .. N - c - 1 over columns lo .. N - lo - 1
+    D = np.array(middle[:, c - lo:N - c - lo], order="F")
+    r = rhs[c:N - c].copy()
+    if T:
+        # the update of the last block of each arm, seen in its arm's order
+        for (_, _, coupled, schur, _, carries, _), block, D_arm, r_arm, y in (
+                (left, middle, D, r, x), (right, middle[::-1, ::-1], D[::-1, ::-1], r[::-1], x[::-1])):
+            L = block[coupled, :c - lo]
+            D_arm[schur] -= L @ carries[-1]
+            r_arm[coupled] -= L @ y[lo:c]
+    lu, piv = factor(D, c, N - c, False)
+    x[c:N - c] = getrs(lu, piv, r, overwrite_b=True)[0]
+    for columns, edges, _, _, J, carries, _ in (left,) if shared else (left, right):
+        for _, y in columns:
+            for t in range(T - 1, -1, -1):
+                y[edges[t]:edges[t + 1]] -= carries[t] @ y[edges[t + 1]:edges[t + 2]][J]
     return x.reshape(problem.pinned.shape)
 
 

@@ -125,8 +125,9 @@ def build_velocity_grid(kappa: float, s: float, M: int, symmetric: bool = True) 
     """Truncate the velocity lattice to a window of about 2M + 1 indices.
 
     With ``symmetric`` set and s = kappa/2 the window is i in [-M, M-1], which
-    makes the velocity set exactly symmetric under v -> -v.  Otherwise the
-    window is i in [-M, M].
+    makes the velocity set symmetric under v -> -v: the v > 0 half is built
+    and negated, as ``build_mesh`` builds the nodes, so v == -v[::-1] holds
+    to the bit.  Otherwise the window is i in [-M, M].
 
     Raises:
         ValueError: if s is outside (0, kappa) or M is not an integer >= 1
@@ -140,8 +141,13 @@ def build_velocity_grid(kappa: float, s: float, M: int, symmetric: bool = True) 
         raise ValueError(f"M must be an integer >= 1, got {M!r}")
     M = int(M)
     half_shift = abs(s - 0.5 * kappa) <= _HALF_SHIFT_RTOL * kappa
-    i_min, i_max = (-M, M - 1) if (symmetric and half_shift) else (-M, M)
-    velocities = np.arange(i_min, i_max + 1) * kappa + s
+    if symmetric and half_shift:
+        i_min, i_max = -M, M - 1
+        upper = np.arange(M) * kappa + s
+        velocities = np.concatenate([-upper[::-1], upper])
+    else:
+        i_min, i_max = -M, M
+        velocities = np.arange(i_min, i_max + 1) * kappa + s
     velocities.flags.writeable = False
     return VelocityGrid(s=float(s), kappa=float(kappa), i_min=i_min, i_max=i_max, velocities=velocities)
 

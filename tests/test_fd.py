@@ -215,77 +215,120 @@ def _sample_systems(rng):
     return systems + [_small_system(rng, Nx) for Nx in (4, 12)]
 
 
-def _cut_blocks(problem, edges):
-    """The assembled matrix cut at the field's block edges: (block, rhs, coupled rows).
+def _check_arm_block(problem, block, rows, cols, mirrored):
+    """An arm's block read back in mesh order against the assembled system.
 
-    ``block`` holds the free rows of block t over the free columns of the
-    blocks beside it and ``rhs`` the same rows of the assembled rhs.  The
-    coupled rows count from the block's first field entry.  Each block's
-    rows must have no entry outside the columns of the blocks beside it.
+    rows and cols are the block's (start, stop) in the arm's flat order,
+    which the arm from +l/2 reverses.  Over the free rows and columns the
+    block is the assembled matrix's to the bit, pinned rows are identity
+    rows, the pinned columns give the assembled rhs, and the rows have no
+    entry outside the block's columns.
     """
-    matrix = problem.matrix
-    unknowns = np.flatnonzero(problem.free)           # field entry of each unknown
-    cuts = np.searchsorted(unknowns, edges)
-    cut = []
-    for t in range(edges.size - 1):
-        a, b = cuts[t], cuts[t + 1]
-        lo, hi = cuts[max(t - 1, 0)], cuts[min(t + 2, edges.size - 1)]
-        rows = matrix[a:b]
-        assert rows.nnz == rows[:, lo:hi].nnz
-        lower = np.repeat(np.arange(a, b), np.diff(rows.indptr))[rows.indices < a]
-        cut.append((rows[:, lo:hi].toarray(), problem.rhs[a:b], unknowns[np.unique(lower)] - edges[t]))
-    return cut
+    N = problem.pinned.size
+    (a, b), (lo, hi) = rows, cols
+    if mirrored:
+        block, (a, b), (lo, hi) = block[::-1, ::-1], (N - b, N - a), (N - hi, N - lo)
+    free, pinval = problem.free, problem.pinval.ravel()
+    unknowns = np.flatnonzero(free)                   # field entry of each unknown
+    ra, rb, ca, cb = np.searchsorted(unknowns, (a, b, lo, hi))
+    rows_free, cols_free = free[a:b], free[lo:hi]
+    matrix = problem.matrix[ra:rb]
+    assert matrix.nnz == matrix[:, ca:cb].nnz
+    assert np.array_equal(block[rows_free][:, cols_free], matrix[:, ca:cb].toarray())
+    assert np.array_equal(block[~rows_free], np.eye(hi - lo)[a - lo:b - lo][~rows_free])
+    # the rhs sums the same products, in another order
+    terms = -block[rows_free][:, ~cols_free] * pinval[lo:hi][~cols_free]
+    bound = 2 * (~cols_free).sum() * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    assert np.all(np.abs(terms.sum(axis=1) - problem.rhs[ra:rb]) <= bound)
 
 
 def test_node_blocks_match_the_assembled_matrix():
-    # the blocks written from the diagonals, over the free rows and columns,
-    # are the blocks of the assembled system to the bit, on every scheme;
-    # pinned rows are identity rows, and the pinned columns give the
-    # assembled rhs.  L_t holds the rows with entries before the block, and
-    # J_t every column of block t + 1 that U_t has an entry in: the same
-    # columns for every block, cut to the size of the last.  Nx + 1 nodes
-    # always leave upwind2 an unpaired last node
+    # each arm's blocks are the assembled system's (``_check_arm_block``),
+    # on every scheme.  Both arms have T blocks of reach nodes and leave the
+    # middle reach to 3 reach - 1 nodes.  L_t holds exactly the rows with
+    # entries in the block before, and J_t every column of the next block
+    # that any U_t has an entry in: the same for every block.  The middle
+    # block's rows over the other arm's last block are that arm's L rows,
+    # reversed
     rng = np.random.default_rng(29)
-    eps = np.finfo(float).eps
     for system in _sample_systems(rng):
-        m = system.grid.size
+        m, Nx = system.grid.size, system.mesh.Nx
         for scheme in Scheme:
             problem = assemble(system, scheme)
-            edges, widths, blocks = fd._node_blocks(problem)
-            blocks = list(blocks)
-            cut = _cut_blocks(problem, edges)
-            assert len(blocks) == len(cut)
-            free, pinval = problem.free, problem.pinval.ravel()
-            carried, read = [], set()
-            for t, ((block, coupled, J), (cut_block, cut_rhs, cut_coupled)) in enumerate(zip(blocks, cut)):
-                a, b = edges[t], edges[t + 1]
-                lo, hi = edges[max(t - 1, 0)], edges[min(t + 2, len(blocks))]
-                rows, cols = free[a:b], free[lo:hi]
-                assert np.array_equal(block[rows][:, cols], cut_block)
-                assert np.array_equal(block[~rows], np.eye(hi - lo)[a - lo:b - lo][~rows])
-                # the rhs sums the same products, in another order
-                terms = -block[rows][:, ~cols] * pinval[lo:hi][~cols]
-                bound = 2 * (~cols).sum() * eps * np.abs(terms).sum(axis=1)
-                assert np.all(np.abs(terms.sum(axis=1) - cut_rhs) <= bound)
-                pinned_before = block[:, :a - lo][:, ~free[lo:a]].any(axis=1)
-                expected = np.union1d(cut_coupled, np.flatnonzero(pinned_before))
-                assert np.array_equal(np.arange(b - a)[coupled], expected)
-                if J is None:
-                    assert t == len(blocks) - 1
-                    continue
-                J = np.arange(hi - b)[J]
-                touched = np.flatnonzero(block[:, b - lo:].any(axis=0))
-                assert np.isin(touched, J).all()
-                carried.append(J)
-                read.update(touched)
-            read = np.array(sorted(read))
-            for t, J in enumerate(carried):
-                assert np.array_equal(J, read[read < edges[t + 2] - edges[t + 1]])
-            assert np.array_equal(widths, [J.size for J in carried])
+            N = problem.pinned.size
             reach = 2 if scheme is Scheme.UPWIND2 else 1
-            assert np.all(np.diff(edges)[:-1] == reach * m)
-            if scheme is Scheme.UPWIND2:
-                assert edges[-1] - edges[-2] == m
+            arms = [fd._node_blocks(problem, mirrored) for mirrored in (False, True)]
+            for mirrored, (edges, coupled, J, blocks) in zip((False, True), arms):
+                blocks = list(blocks)
+                T, c = len(edges) - 2, edges[-2]
+                assert len(blocks) == T + 1
+                assert np.all(np.diff(edges)[:-1] == reach * m) and edges[-1] == N - c
+                assert reach <= Nx + 1 - 2 * T * reach < 3 * reach
+                read = set()
+                for t, block in enumerate(blocks):
+                    a, b = edges[t], edges[t + 1]
+                    lo = edges[max(t - 1, 0)]
+                    hi = N - lo if t == T else edges[t + 2]
+                    _check_arm_block(problem, block, (a, b), (lo, hi), mirrored)
+                    if t > 0:
+                        before = np.flatnonzero(block[:, :a - lo].any(axis=1))
+                        assert np.array_equal(before, np.arange(b - a)[coupled])
+                    if t < T:
+                        touched = np.flatnonzero(block[:, b - lo:].any(axis=0))
+                        assert np.isin(touched, np.arange(hi - b)[J]).all()
+                        read.update(touched)
+                # one block may leave a column of J unread: at Nx = 2 the
+                # lone arm block reads A(x) only at x = 0, where it is 0
+                if T > 1:
+                    assert np.array_equal(sorted(read), np.arange(edges[-1] - c)[J])
+                if T:
+                    _, other, _, _ = arms[not mirrored]
+                    after = np.flatnonzero(blocks[T][:, N - c - lo:].any(axis=1))
+                    assert np.array_equal(after, (N - 2 * c - 1 - np.arange(N - 2 * c)[other])[::-1])
+
+
+def _symmetric_systems(rng):
+    """The flagship from the smallest meshes, and random systems on the half-shift lattice."""
+    systems = [make_system(Nx) for Nx in (2, 4, 6, 60)]
+    return systems + [random_system(rng, max_harmonics=4, max_M=30, off_half=(0.5, 0.5)) for _ in range(6)]
+
+
+def test_diagonals_are_mirror_invariant_to_the_bit():
+    # on an antisymmetric velocity set, reversing the flat order, (j, k) ->
+    # (Nx - j, m - 1 - k), maps the whole-field matrix onto itself: diagonal
+    # d read backwards is diagonal -d, on every scheme
+    for system in _symmetric_systems(np.random.default_rng(37)):
+        for scheme in Scheme:
+            problem = assemble(system, scheme)
+            assert fd._mirror_invariant(problem)
+            diagonals = fd._diagonals(problem, 0, system.mesh.Nx + 1)
+            assert set(diagonals) == {-d for d in diagonals}
+            for d, coef in diagonals.items():
+                assert np.array_equal(coef.ravel(), diagonals[-d].ravel()[::-1])
+    assert not fd._mirror_invariant(assemble(_asymmetric_system(10), Scheme.UPWIND2))
+
+
+def test_shared_arm_matches_two_factored_arms_to_the_bit(monkeypatch):
+    # on a mirror-invariant system one arm is factored and carries both
+    # right-hand sides; with both arms factored the field is the same to
+    # the bit, for the inflow data and for a generic rhs as refinement sees
+    rng = np.random.default_rng(41)
+    cases = [(system, scheme) for system in _symmetric_systems(rng) for scheme in Scheme]
+    node_blocks, arms = fd._node_blocks, []
+    monkeypatch.setattr(fd, "_node_blocks", lambda op, mirrored=False: arms.append(mirrored) or node_blocks(op, mirrored))
+    for system, scheme in cases + [(make_system(1600), Scheme.UPWIND2)]:
+        problem = assemble(system, scheme)
+        generic = np.zeros(problem.pinned.shape)
+        generic[~problem.pinned] = rng.standard_normal(problem.rhs.size)
+        for rhs in (None, generic):
+            arms.clear()
+            shared = fd._block_sweep(problem, rhs)
+            assert arms == [False]
+            with monkeypatch.context() as patch:
+                patch.setattr(fd, "_mirror_invariant", lambda op: False)
+                both = fd._block_sweep(problem, rhs)
+            assert arms == [False, False, True]
+            assert np.array_equal(shared, both)
 
 
 def test_block_path_matches_direct_path():
@@ -309,52 +352,92 @@ def test_block_path_matches_direct_path():
                 assert pin_gap < 1e-11 * np.abs(direct).max()
 
 
-def _zero_node_block(monkeypatch, node, value=0.0):
-    """Make the sweep see the node's own block of the matrix set to value."""
+def _zero_node_block(monkeypatch, node, value=0.0, whole_rows=False):
+    """Make the sweep see the node's own block of the matrix set to value.
+
+    With whole_rows, the node's rows over every column of the block.
+
+    The arm from +l/2 reads node Nx - j as its j-th node.  On a
+    mirror-invariant system the arm from -l/2 is factored for both sides,
+    so a node right of the middle is set there, at its mirror image.
+    """
     node_blocks = fd._node_blocks
 
-    def altered(op):
-        edges, widths, blocks = node_blocks(op)
-        m = op.system.grid.size
-        a, b = node * m, (node + 1) * m
+    def altered(op, mirrored=False):
+        edges, coupled, J, blocks = node_blocks(op, mirrored)
+        Nx, m = op.system.mesh.Nx, op.system.grid.size
+        a = m * (Nx - node if mirrored or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
 
         def patched():
-            for t, (block, *rest) in enumerate(blocks):
+            for t, block in enumerate(blocks):
                 if edges[t] <= a < edges[t + 1]:
                     lo = edges[max(t - 1, 0)]
-                    block[a - edges[t]:b - edges[t], a - lo:b - lo] = value
-                yield block, *rest
+                    cols = slice(None) if whole_rows else slice(a - lo, a - lo + m)
+                    block[a - edges[t]:a - edges[t] + m, cols] = value
+                yield block
 
-        return edges, widths, patched()
+        return edges, coupled, J, patched()
 
     monkeypatch.setattr(fd, "_node_blocks", altered)
 
 
+def _asymmetric_system(Nx):
+    """The flagship on the lattice s = 0.3 kappa: 40 v<0 and 41 v>0 channels."""
+    system = make_system(Nx)
+    kappa = system.potential.kappa
+    grid = build_velocity_grid(kappa, 0.3 * kappa, 40, True)
+    return build_system(system.potential, grid, system.mesh, mono_energetic_boundary(grid, 0))
+
+
+# (system, scheme, node, where, pivot) on Nx = 10: nodes 0-4 and 6-10 are the
+# arms of upwind1, nodes 0-3 and 7-10 those of upwind2.  In an arm block the
+# carry of the block before fills the inflow columns, so the first zero pivot
+# is the first column past their rank; on the flagship one arm is factored
+# for both sides and the error names both
+_SINGULAR_BLOCKS = [
+    (make_system, Scheme.UPWIND1, 3, "mesh node 3 and, mirrored, mesh node 7:", "41 of 80 (node 3, velocity index 40)"),
+    (make_system, Scheme.UPWIND1, 7, "mesh node 3 and, mirrored, mesh node 7:", "41 of 80 (node 3, velocity index 40)"),
+    (make_system, Scheme.UPWIND2, 3, "mesh nodes 2-3 and, mirrored, mesh nodes 7-8:",
+     "121 of 160 (node 3, velocity index 40)"),
+    (make_system, Scheme.UPWIND2, 7, "mesh nodes 2-3 and, mirrored, mesh nodes 7-8:",
+     "121 of 160 (node 3, velocity index 40)"),
+    (_asymmetric_system, Scheme.UPWIND1, 3, "mesh node 3:", "41 of 81 (node 3, velocity index 40)"),
+    (_asymmetric_system, Scheme.UPWIND1, 7, "mesh node 7:", "41 of 81 (node 7, velocity index 40)"),
+    (_asymmetric_system, Scheme.UPWIND2, 3, "mesh nodes 2-3:", "122 of 162 (node 3, velocity index 40)"),
+    (_asymmetric_system, Scheme.UPWIND2, 7, "mesh nodes 7-8:", "122 of 162 (node 7, velocity index 40)"),
+    # the middle block: the Schur updates of both arms keep it regular with
+    # the node's own block zeroed, so the node's rows are zeroed whole
+    (make_system, Scheme.UPWIND1, 5, "mesh node 5:", "1 of 80 (node 5, velocity index 0)"),
+    (make_system, Scheme.UPWIND2, 5, "mesh nodes 4-6:", "161 of 240 (node 6, velocity index 0)"),
+    (_asymmetric_system, Scheme.UPWIND1, 5, "mesh node 5:", "1 of 81 (node 5, velocity index 0)"),
+    (_asymmetric_system, Scheme.UPWIND2, 5, "mesh nodes 4-6:", "163 of 243 (node 6, velocity index 0)"),
+]
+
+
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 def test_block_sweep_names_a_singular_node_block(monkeypatch):
-    # the previous node's carry fills the v < 0 columns, so the first zero
-    # pivot is the first v > 0 channel of node 3
-    for scheme, where, pivot in ((Scheme.UPWIND1, "mesh node 3:", "41 of 80"),
-                                 (Scheme.UPWIND2, "mesh nodes 2-3:", "121 of 160")):
-        op = assemble(make_system(10), scheme)
+    for make, scheme, node, where, pivot in _SINGULAR_BLOCKS:
+        op = assemble(make(10), scheme)
         with monkeypatch.context() as patch:
-            _zero_node_block(patch, 3)
+            _zero_node_block(patch, node, whole_rows=node == 5)
             with pytest.raises(SolverError, match="singular") as info:
                 fd._block_sweep(op)
-        assert where in str(info.value)
-        assert f"zero pivot {pivot} (node 3, velocity index 40)" in str(info.value)
+        assert f"block elimination failed at {where} the block is singular, zero pivot {pivot}" in str(info.value)
 
 
 def test_block_sweep_rejects_a_non_finite_block(monkeypatch):
-    op = assemble(make_system(10), Scheme.UPWIND1)
-    _zero_node_block(monkeypatch, 4, np.nan)
-    with pytest.raises(SolverError, match="mesh node 4: the block is not finite"):
-        fd._block_sweep(op)
+    for make, scheme, node, where, _ in _SINGULAR_BLOCKS:
+        op = assemble(make(10), scheme)
+        with monkeypatch.context() as patch:
+            _zero_node_block(patch, node, np.nan)
+            with pytest.raises(SolverError, match=re.escape(f"block elimination failed at {where} the block is not finite")):
+                fd._block_sweep(op)
 
 
 def test_block_sweep_carries_half_rank():
     # a dense velocity-by-velocity carry per node alone would take
-    # n_nodes * m^2 doubles; the half-rank carry takes about half of that
+    # n_nodes * m^2 doubles; the half-rank carry takes about half of that,
+    # and on the flagship one arm of them is kept (a quarter)
     system = make_system(800)
     op = assemble(system, Scheme.UPWIND1)
     tracemalloc.start()
@@ -658,14 +741,6 @@ def test_upwind1_march_cuts_segments_where_the_field_grows(monkeypatch, Nx, barr
     assert np.all(np.diff(edges) <= fd._SEGMENT_CELLS)
 
 
-def _asymmetric_system(Nx):
-    """The flagship on the lattice s = 0.3 kappa: 40 v<0 and 41 v>0 channels."""
-    system = make_system(Nx)
-    kappa = system.potential.kappa
-    grid = build_velocity_grid(kappa, 0.3 * kappa, 40, True)
-    return build_system(system.potential, grid, system.mesh, mono_energetic_boundary(grid, 0))
-
-
 def test_upwind1_transfer_march_carries_neg_plus_two_columns(monkeypatch):
     # the v<0 unknowns, the particular column and the probe, not the identity;
     # with data only at +l/2 the particular column starts at zero
@@ -706,9 +781,41 @@ def test_upwind1_march_names_a_singular_end_system(monkeypatch):
         fd._upwind1_march(problem)
 
 
+def test_upwind2_sweep_memory_is_bounded():
+    # a one-arm sweep of the whole field keeps a carry of |J| columns for
+    # every block but the last.  On the flagship one factored arm keeps half
+    # of that (traced peak 0.56 of it here: the carries, the field and the
+    # five-node middle block).  On the lattice s = 0.3 kappa both arms are
+    # factored: the traced peak is 1.07 of it, 89.0 MB against 86.3 MB for
+    # the one-arm sweep this replaced
+    for make, bound in ((make_system, 0.6), (_asymmetric_system, 1.1)):
+        op = assemble(make(1600), Scheme.UPWIND2)
+        edges, _, J, _ = fd._node_blocks(op)
+        one_arm = 8 * np.arange(edges[-1] - edges[-2])[J].size * (op.pinned.size - (edges[1] - edges[0]))
+        tracemalloc.start()
+        try:
+            fd._block_sweep(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * one_arm
+
+
+def test_upwind1_march_probe_keeps_the_first_march_inside_the_gate():
+    # the probe is marched only to end a segment wherever any direction
+    # grows.  Here the first march's gate reads 1.0e-13 with the seeded
+    # probe, and 1.6e-12, above the 1e-12 gate, with the probe dropped
+    # (neg + 1 columns) or all ones (mutation runs): the bound lies a
+    # factor 4 from both
+    op = assemble(make_system(1600, coeffs=(0.0, 100.0)), Scheme.UPWIND1)
+    field = fd._upwind1_march(op)
+    np.copyto(field, op.pinval, where=op.pinned)
+    assert fd._gate(op, field) <= 4e-13
+
+
 def test_upwind1_solve_memory_is_bounded():
     # the march keeps Q_s and R_s per segment, not a carry per node: the
-    # block sweep's solve peaks at about 170 MB here
+    # block sweep alone peaks at about 87 MB here
     system = make_system(6400)
     tracemalloc.start()
     try:

@@ -40,8 +40,19 @@ def test_flagship_grid_has_80_channels():
     assert g.size == 80
     assert np.abs(g.velocities).min() == pytest.approx(0.5 * KAPPA)
     # exactly symmetric under v -> -v
-    assert np.allclose(np.sort(-g.velocities), g.velocities, atol=0.0)
+    assert np.array_equal(-g.velocities[::-1], g.velocities)
     assert np.all(np.diff(g.velocities) > 0)
+
+
+def test_half_shift_window_is_antisymmetric_to_the_bit():
+    # the v > 0 half negated, as the mesh nodes are: i kappa + kappa / 2
+    # computed for i < 0 would leave about half the entries 1 ulp off
+    for kappa in (KAPPA, 2 * math.pi, 0.1, 3.7, 1e3):
+        for M in (1, 7, 40, 200):
+            v = build_velocity_grid(kappa, 0.5 * kappa, M, True).velocities
+            assert v.size == 2 * M
+            assert np.array_equal(v, -v[::-1])
+            assert np.array_equal(v[M:], np.arange(M) * kappa + 0.5 * kappa)
 
 
 def test_velocity_grid_rejects_bad_shift():
