@@ -22,14 +22,16 @@ first iterate, the gate, and at most one refinement sweep.  ``central`` and
 the inflow data of both ends (``_central_march``): A(x) is odd and the mesh
 mirror symmetric, so the discrete period map is the identity.  ``upwind1``
 marches stabilized (``_upwind1_march``, after Ascher, Mattheij & Russell,
-ch. 4.4): n + 2 columns for its n v < 0 channels, re-orthonormalized by a
-QR at each segment end, a triangular back-recurrence for the segment
-states, and a march of one column from them.
-``upwind2`` sweeps: block tridiagonal elimination from both inflow ends
-toward a middle block at x = 0 (``_block_sweep``), its node blocks written
-from the diagonals.  The arm from +l/2 is the arm from -l/2 run on the
-reversed flat order, (x, v) -> (-x, -v); on an antisymmetric velocity set
-that reversal maps the matrix onto itself, and one factored arm serves
+ch. 4.4) from both inflow ends to x = 0: in each arm n + 2 columns for its
+n v < 0 channels, re-orthonormalized by a QR at each segment end, then a
+square solve that matches the two arms at x = 0, a triangular
+back-recurrence for the segment states, and a march of one column from
+them.  ``upwind2`` sweeps: block tridiagonal elimination from both inflow
+ends toward a middle block at x = 0 (``_block_sweep``), its node blocks
+written from the diagonals.  In the march and in the sweep, the arm from
++l/2 is the arm from -l/2 run on the reversed flat order,
+(x, v) -> (-x, -v); on an antisymmetric velocity set that reversal maps
+the matrix onto itself, and one arm, marched or factored once, serves
 both.  The same sweep, on the gate's residual, is the refinement step of
 every scheme.  The
 gate is the residual of ``assemble``'s system, a product with the same
@@ -532,14 +534,14 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     return x.reshape(problem.pinned.shape)
 
 
-# an upwind1 segment ends once the largest entry of its marched states passes
-# _SEGMENT_GROWTH, or after _SEGMENT_CELLS cells (measured in CHANGES.md)
+# an upwind1 segment ends once the largest entry of its marched homogeneous states
+# and probe passes _SEGMENT_GROWTH, or after _SEGMENT_CELLS cells (measured in CHANGES.md)
 _SEGMENT_GROWTH = 10.0
 _SEGMENT_CELLS = 800
 
 
-def _march(problem: LinearProblem, starts: np.ndarray, edges=None, restart=None):
-    """March states over the mesh cells from given states at segment starts.
+def _march(problem: LinearProblem, starts: np.ndarray, cells: int, arms=(False,), edges=None, out=(), restart=None):
+    """March states over the first cells mesh cells of an arm from given states at segment starts.
 
     Cell c is the v > 0 rows of node c and the v < 0 rows of node c - 1 of
     the whole-field matrix; in ``central`` and ``upwind1`` they touch only
@@ -548,48 +550,76 @@ def _march(problem: LinearProblem, starts: np.ndarray, edges=None, restart=None)
     node-(c - 1) ones, of bandwidth nb, the largest offset of a band of A(x).
     Each step solves B d = -(B + R) f_{c-1} for d = f_c - f_{c-1}, for w
     states at once (the transport entries cancel in B + R exactly), in
-    buffers allocated once per march.
+    buffers allocated once per march.  ``upwind1``'s v < 0 rows of B are its
+    transport diagonal alone, so their half of d is explicit and only the
+    v > 0 rows, a band of m - neg, are solved.
+
+    arms are the arms the cells stand for, each a flag mirrored: (False,)
+    the arm from -l/2 (for ``central``, the whole period), (True,) the arm
+    from +l/2 and (False, True) both.  The arm from +l/2 reads the matrix in
+    reversed flat order, (j, k) -> (Nx - j, m - 1 - k): the matrix of the
+    mirrored problem, velocities -v[::-1], whose cell c is cell Nx + 1 - c;
+    its states are in that reversed channel order.  Both arms are served by
+    one march where that reversal maps the matrix onto itself
+    (``_mirror_invariant``), and it reads the cells of the arm from -l/2.
 
     starts, shape (S, w, m), holds the w states of each segment at its
-    first node.  With edges, the nodes 0 = n_0 < ... < n_S = Nx that bound
-    the segments, w is 1 and the march fills the (Nx + 1, m) field: node
-    n_s holds starts[s], in place of the marched end of segment s - 1, and
-    node Nx is marched, not pinned.  Without edges, the march starts from
-    starts[0]; a segment ends once max|state| passes ``_SEGMENT_GROWTH`` or
-    after ``_SEGMENT_CELLS`` cells, and restart, called with the (w, m)
-    states at each segment end, returns the next segment's start states
-    (at Nx, where none follows, its return is unused).  The march returns
-    the edges.
+    first node.  With edges, the nodes 0 = n_0 < ... < n_S = cells that
+    bound the segments, the march writes state i at node j into out[i][j],
+    for the nodes j of the arm that out[i] has rows for, a run of nodes at a
+    time: node n_s holds starts[s], in place of the marched end of segment
+    s - 1, and node cells is marched.  Without edges, the march starts from
+    starts[0]; a segment ends once max|state| over the first neg + 1 states
+    passes ``_SEGMENT_GROWTH`` or after ``_SEGMENT_CELLS`` cells, and
+    restart, called with the (w, m) states at each segment end, returns the
+    next segment's start states (at node cells, where none follows, its
+    return is unused).  The march returns the edges.
 
     Raises:
-        SolverError: a cell matrix is not finite or is singular.
+        SolverError: a cell matrix is not finite or is singular.  The message
+            names the cell of the original matrix for each arm the march
+            serves; a zero pivot counts the cell's rows in the arm's order.
     """
+    mirrored = arms[0]
     v = problem.system.grid.velocities
+    v = -v[::-1] if mirrored else v                    # the velocities in the arm's order
     m, Nx, w = v.size, problem.system.mesh.Nx, starts.shape[1]
-    tag = f"{problem.scheme.value} march"
     nb = max((cols.start - rows.start for rows, cols, _ in problem.bands), default=0)
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
     field = edges is not None
-    # upwind1's v < 0 rows of B are its transport diagonal alone: d^- is explicit, and only
-    # the v > 0 rows, a band of m - neg, need a solve (for one state the whole band is faster)
-    explicit = problem.scheme is Scheme.UPWIND1 and w > 1
-    # the states padded with nb zero channels on each side, one node per row for the
-    # field; channel k + e of row j is window[j, nb + e, k]
-    padded = np.zeros((Nx + 1 if field else w, m + 2 * nb))
-    states = padded[:, nb:nb + m]
-    states[:w] = starts[0]
-    window = np.lib.stride_tricks.sliding_window_view(padded, m, axis=1)
+    explicit = problem.scheme is Scheme.UPWIND1
+    run = min(_RUN_NODES, cells)
+    # the states padded with nb zero channels on each side, for the field one node per row
+    # from node c0 - 1 of the run on; channel k + e of state i on row j is window[j, i, nb + e, k]
+    padded = np.zeros((run + 1 if field else 1, w, m + 2 * nb))
+    states = padded[..., nb:nb + m]
+    states[0] = starts[0]
+    for target, state in zip(out, starts[0]):
+        target[0] = state
+    window = np.lib.stride_tricks.sliding_window_view(padded, m, axis=2)
     gbsv = get_lapack_funcs("gbsv", (padded,))
     edges, s = list(edges) if field else [0], 0
     # band[i].T is B of cell c0 + i as gbsv's ab[2 nb + k - j, j] = B[k, j] (rows < nb: fill-in);
     # span[i, nb + e, k] = -(B + R)[k, k + e] holds every entry of B too, so only it is checked
-    run = min(_RUN_NODES, Nx)
     band, span = np.empty((run, m, 3 * nb + 1)), np.empty((run, 2 * nb + 1, m))
     # one cell's product -(B + R) f_{c-1} by offset, its step d with views of d^- and d^+,
-    # d^+ packed contiguous for gbsv, and |f_c|, all made once per march
+    # d^+ packed contiguous for gbsv, and |f_c| of the first neg + 1 states, all made once per march
     product, step = np.empty((w, 2 * nb + 1, m)), np.empty((w, m))
-    packed, magnitude = np.empty((w, m - neg)), np.empty((w, m))
+    packed, magnitude = np.empty((w, m - neg)), np.empty((neg + 1, m))
     minus, plus = step[:, :neg], step[:, neg:]
+
+    def fail(c, why):
+        """SolverError naming cell c of the arm as the cell of the original matrix in each arm served."""
+        where = f"cell {Nx + 1 - c if mirrored else c}"
+        if len(arms) > 1:                              # a shared arm's cell stands for its mirror too
+            where += f" (and, mirrored, cell {Nx + 1 - c})"
+        return SolverError(f"{problem.scheme.value} march: {where} matrix {why}")
+
+    def diagonals(j0, j1):
+        """``_diagonals`` of the arm's nodes j0 .. j1 - 1, in the arm's order."""
+        if not mirrored:
+            return _diagonals(problem, j0, j1)
+        return {-d: coef[::-1, ::-1] for d, coef in _diagonals(problem, Nx + 1 - j1, Nx + 1 - j0).items()}
 
     # a cell step is a function of its own: tracemalloc looks up the line of each allocation,
     # which Python finds by scanning the function's line table from its start, so each of a
@@ -597,9 +627,9 @@ def _march(problem: LinearProblem, starts: np.ndarray, edges=None, restart=None)
     def advance(i, c):
         """March the states over cell c, the i-th of its run; max|f_c| if they are not a field."""
         if field:
-            read, last, now = window[c - 1:c], states[c - 1:c], states[c:c + 1]
+            read, last, now = window[i], states[i], states[i + 1]
         else:
-            read, last, now = window, states, states
+            read, last, now = window[0], states[0], states[0]
         np.multiply(span[i], read, out=product)
         product.sum(axis=1, out=step)
         if explicit:
@@ -614,14 +644,14 @@ def _march(problem: LinearProblem, starts: np.ndarray, edges=None, restart=None)
         else:
             _, _, solved, info = gbsv(nb, nb, band[i].T, step.T, overwrite_ab=True, overwrite_b=True)
         if info > 0:
-            raise SolverError(f"{tag}: cell {c} matrix is singular: zero pivot {info} of {m}")
+            raise fail(c, f"is singular: zero pivot {info} of {m}")
         np.add(last, solved.T, out=now)
-        return None if field else np.abs(states, out=magnitude).max()
+        return None if field else np.abs(now[:neg + 1], out=magnitude).max()
 
-    for c0 in range(1, Nx + 1, run):
-        cells = min(run, Nx + 1 - c0)
-        band[:cells] = span[:cells] = 0.0
-        for d, coef in _diagonals(problem, c0 - 1, c0 + cells).items():
+    for c0 in range(1, cells + 1, run):
+        count = min(run, cells + 1 - c0)
+        band[:count] = span[:count] = 0.0
+        for d, coef in diagonals(c0 - 1, c0 + count).items():
             # row k of cell c, on node c - back, reads channel k + e of node c - back + ahead:
             # e, ahead = r, q below channel m - r and r - m, q + 1 above, so a key can hold both nodes
             q, r = divmod(d, m)
@@ -630,22 +660,27 @@ def _march(problem: LinearProblem, starts: np.ndarray, edges=None, restart=None)
                 for a, b, e, ahead in ((lo, min(hi, m - r), r, q), (max(lo, m - r), hi, r - m, q + 1)):
                     if a < b and abs(e) <= nb and back - 1 <= ahead <= back:
                         if ahead == back:
-                            band[:cells, a + e:b + e, 2 * nb - e] = rows[:, a:b]
-                        span[:cells, nb + e, a:b] -= rows[:, a:b]
-        finite = np.isfinite(span[:cells]).all(axis=(1, 2))
+                            band[:count, a + e:b + e, 2 * nb - e] = rows[:, a:b]
+                        span[:count, nb + e, a:b] -= rows[:, a:b]
+        finite = np.isfinite(span[:count]).all(axis=(1, 2))
         if not finite.all():
-            raise SolverError(f"{tag}: cell {c0 + int(np.argmin(finite))} matrix is not finite")
-        for i in range(cells):
+            raise fail(c0 + int(np.argmin(finite)), "is not finite")
+        for i in range(count):
             c = c0 + i
             grown = advance(i, c)
             if field:
-                if c == edges[s + 1] and c < Nx:
+                if c == edges[s + 1] and c < cells:
                     s += 1
-                    states[c] = starts[s, 0]
-            elif c - edges[-1] == _SEGMENT_CELLS or c == Nx or grown > _SEGMENT_GROWTH:
+                    states[i + 1] = starts[s]
+            elif c - edges[-1] == _SEGMENT_CELLS or c == cells or grown > _SEGMENT_GROWTH:
                 edges.append(c)
-                states[...] = restart(states)
-    return states if field else edges
+                states[0] = restart(states[0])
+        if field:
+            for target, column in zip(out, states.transpose(1, 0, 2)):
+                rows = target[c0:c0 + count]               # the run's nodes that target has rows for
+                rows[...] = column[1:len(rows) + 1]
+            states[0] = states[count]
+    return None if field else edges
 
 
 def _central_march(problem: LinearProblem) -> np.ndarray:
@@ -660,69 +695,103 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
     Raises:
         SolverError: a cell matrix is not finite or is singular.
     """
-    return _march(problem, problem.system.boundary.values[None, None], (0, problem.system.mesh.Nx))
+    Nx = problem.system.mesh.Nx
+    field = np.empty(problem.pinned.shape)
+    _march(problem, problem.system.boundary.values[None, None], Nx, edges=(0, Nx), out=(field,))
+    return field
 
 
 def _upwind1_march(problem: LinearProblem) -> np.ndarray:
-    """Upwind1 field on the mesh by a stabilized march, shape (Nx + 1, m).
+    """Upwind1 field on the mesh by a stabilized march from both inflow ends, shape (Nx + 1, m).
 
-    After Ascher, Mattheij & Russell (SIAM 1995, ch. 4.4).  The inflow
-    conditions are separated, so the state at the start n_s of segment s
-    is y_s = Q_s c_s + p_s: the neg columns of Q_s are orthonormal, and
-    y_0 = [c_0; b_left] with Q_0 the unit vectors of the neg v < 0
-    channels.  ``_march`` carries neg + 2 columns over each segment: Q_s,
-    p_s / max|p_s|, and a probe, a fixed generic state that is marched only
-    so that a segment ends wherever any direction grows (the rounding of
-    y_s then stays small in the march that fills the field).  At each
-    segment end the QR Y = Q_{s+1} R_s of the marched Q_s and the marched
-    p_s, z_s, give g_s = Q_{s+1}^T z_s and p_{s+1} = z_s - Q_{s+1} g_s, so
-    c_{s+1} = R_s c_s + g_s, and the next segment starts from Q_{s+1},
-    p_{s+1} and the probe.  At +l/2 the neg x neg system
-    (Q_S c_S + p_S)^- = b_right gives c_S, the back-recurrence
-    c_s = R_s^-1 (c_{s+1} - g_s) the segment states, and a march of one
-    column from them fills the field.  The back-recurrence is stable as the
-    problem is well posed: |diag R_s| stays near 1 (CHANGES.md).  Memory
-    is O(S m neg) for S segments, plus the field.
+    After Ascher, Mattheij & Russell (SIAM 1995, ch. 4.4).  Two arms march
+    to node Nx / 2, x = 0 (``build_mesh`` takes only even Nx): the arm from
+    -l/2 over cells 1 .. Nx / 2, and the arm from +l/2, the same march on
+    the reversed flat order (see ``_march``), over cells Nx .. Nx / 2 + 1
+    from the inflow data b[::-1].  The inflow conditions are separated, so
+    in an arm with n channels of velocity < 0, in its order, the state at
+    the start n_s of segment s is y_s = Q_s c_s + p_s: the n columns of Q_s
+    are orthonormal, and y_0 = [c_0; the arm's inflow data] with Q_0 the
+    unit vectors of those n channels.  ``_march`` carries n + 2 columns
+    over each segment: Q_s, a probe and p_s.  The probe is a fixed generic
+    state, marched only so that a segment ends wherever any direction grows
+    (the rounding of y_s then stays small in the march that fills the
+    field).  At each segment end the QR Y = Q_{s+1} R_s of the marched Q_s
+    and the marched p_s, z_s, give g_s = Q_{s+1}^T z_s and
+    p_{s+1} = z_s - Q_{s+1} g_s, so c_{s+1} = R_s c_s + g_s, and the next
+    segment starts from Q_{s+1}, the probe and p_{s+1}.  At x = 0 the
+    square system Q_L c_L + p_L = reverse(Q_R c_R + p_R), of the last
+    segment of each arm, gives both arms' c_S.  In each arm the
+    back-recurrence c_s = R_s^-1 (c_{s+1} - g_s) gives the segment states,
+    and a march of one column from them fills its half of the field (node
+    Nx / 2 from the arm from -l/2).
+
+    Where the reversal maps the matrix onto itself (``_mirror_invariant``),
+    the cells of the two arms are equal to the bit, so Q_s, R_s and the
+    probe are marched once, with the particular states of both arms (n + 3
+    columns), and the field march carries both arms' columns.  Segment ends
+    depend only on Q_s and the probe, and each column is marched as it
+    would be alone, so the field is the one two marched arms give, to the
+    bit.  The back-recurrence is stable as the problem is well posed:
+    |diag R_s| stays near 1 (CHANGES.md).  Memory is O(S m n) for S
+    segments, plus the field.
 
     Raises:
-        SolverError: a cell matrix is not finite or is singular, or the end
-            system or an R_s is singular.
+        SolverError: a cell matrix is not finite or is singular, or the
+            matching system or an R_s is singular.
     """
-    v, b = problem.system.grid.velocities, problem.system.boundary.values
-    m = v.size
-    neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
+    Nx, v, b = problem.system.mesh.Nx, problem.system.grid.velocities, problem.system.boundary.values
+    m, half = v.size, Nx // 2
     probe = np.random.default_rng(0).standard_normal(m)
     probe /= np.abs(probe).max()
-    Q, R, g, p, scale = [np.eye(m)[:, :neg]], [], [], [np.concatenate((np.zeros(neg), b[neg:]))], []
+    # an arm is the sides it stands for, each a flag mirrored (see _march)
+    arms = ((False, True),) if _mirror_invariant(problem) else ((False,), (True,))
 
-    def start():
-        """The states the next segment starts from: Q_s, p_s / max|p_s| and the probe."""
-        scale.append(np.abs(p[-1]).max() or 1.0)          # p_s = 0 only if no data enters at -l/2
-        return np.vstack((Q[-1].T, p[-1] / scale[-1], probe))
+    def transfer(arm):
+        """The edges, Q_s and R_s of an arm, and g_s and p_s of each side it serves, by side."""
+        neg = int(np.searchsorted(-v[::-1] if arm[0] else v, 0.0))
+        Q, R = [np.eye(m)[:, :neg]], []
+        g = {side: [] for side in arm}
+        p = {side: [np.concatenate((np.zeros(neg), (b[::-1] if side else b)[neg:]))] for side in arm}
 
-    def restart(states):
-        """Q_{s+1}, R_s, g_s and p_{s+1} from the states at the end of segment s; the next start."""
-        q, r = np.linalg.qr(states[:neg].T)
-        z = states[neg] * scale[-1]
-        Q.append(q)
-        R.append(r)
-        g.append(q.T @ z)
-        p.append(z - q @ g[-1])
-        return start()
+        def start():
+            """The states the next segment starts from: Q_s, the probe and each side's p_s."""
+            return np.vstack((Q[-1].T, probe, *(p[side][-1] for side in arm)))
 
-    edges = _march(problem, start()[None], restart=restart)
-    S = len(R)
-    gesv, trtrs = get_lapack_funcs(("gesv", "trtrs"), (Q[-1],))
-    _, _, c, info = gesv(Q[S][:neg], b[:neg] - p[S][:neg])
+        def restart(states):
+            """Q_{s+1}, R_s, g_s and p_{s+1} from the states at the end of segment s; the next start."""
+            q, r = np.linalg.qr(states[:neg].T)
+            Q.append(q)
+            R.append(r)
+            for side, z in zip(arm, states[neg + 1:]):
+                g[side].append(q.T @ z)
+                p[side].append(z - q @ g[side][-1])
+            return start()
+
+        return _march(problem, start()[None], half, arm, restart=restart), Q, R, g, p
+
+    marched = [transfer(arm) for arm in arms]
+    ends = {side: (Q[-1], p[side][-1]) for _, Q, _, _, p in marched for side in p}
+    (QL, pL), (QR, pR) = ends[False], ends[True]
+    gesv, trtrs = get_lapack_funcs(("gesv", "trtrs"), (QL,))
+    _, _, c, info = gesv(np.hstack((QL, -QR[::-1])), pR[::-1] - pL)
     if info > 0:
-        raise SolverError(f"upwind1 march: the end system at +l/2 is singular (segments: {S})")
-    y = np.empty((S, 1, m))
-    for s in range(S - 1, -1, -1):
-        c, info = trtrs(R[s], c - g[s])
-        if info > 0:
-            raise SolverError(f"upwind1 march: R of segment {s} is singular")
-        y[s, 0] = Q[s] @ c + p[s]
-    return _march(problem, y, edges)
+        raise SolverError(f"upwind1 march: the matching system at x = 0 is singular "
+                          f"(segments per arm: {', '.join(str(len(R)) for _, _, R, _, _ in marched)})")
+    c = {False: c[:QL.shape[1]], True: c[QL.shape[1]:]}
+    field = np.empty((Nx + 1, m))
+    halves = {False: field[:half + 1], True: field[::-1, ::-1][:half]}
+    for arm, (edges, Q, R, g, p) in zip(arms, marched):
+        y = np.empty((len(R), len(arm), m))
+        for i, side in enumerate(arm):
+            cs = c[side]
+            for s in range(len(R) - 1, -1, -1):
+                cs, info = trtrs(R[s], cs - g[side][s])
+                if info > 0:
+                    raise SolverError(f"upwind1 march: R of segment {s} from {'+' if side else '-'}l/2 is singular")
+                y[s, i] = Q[s] @ cs + p[side][s]
+        _march(problem, y, half, arm, edges, [halves[side] for side in arm])
+    return field
 
 
 def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> DiscreteSolution:

@@ -701,10 +701,14 @@ def test_large_central_solve_marches_without_global_solver(monkeypatch):
 
 def test_upwind1_marches_without_global_solver_over_random_inputs(monkeypatch):
     # the march alone meets the gate, and it agrees with the sweep to the
-    # conditioning of the system
+    # conditioning of the system; the draws off the half-shift lattice march
+    # two arms, some with a different number of v<0 channels in each
     rng = np.random.default_rng(41)
     systems = [random_system(rng, max_harmonics=4, max_M=30) for _ in range(12)]
-    swept = [fd._block_sweep(assemble(system, Scheme.UPWIND1)) for system in systems]
+    problems = [assemble(system, Scheme.UPWIND1) for system in systems]
+    assert any((system.grid.velocities < 0).sum() * 2 != system.grid.size for system in systems)
+    assert sum(not fd._mirror_invariant(problem) for problem in problems) >= 3
+    swept = [fd._block_sweep(problem) for problem in problems]
     calls = _counted_sweeps(monkeypatch)
     for system, reference in zip(systems, swept):
         sol = solve_bvp(system, Scheme.UPWIND1)
@@ -713,15 +717,27 @@ def test_upwind1_marches_without_global_solver_over_random_inputs(monkeypatch):
     assert calls == []
 
 
+def test_upwind1_solves_the_smallest_meshes(monkeypatch):
+    # at Nx = 2 and 4 each arm of the march is one or two cells
+    systems = [make(Nx) for Nx in (2, 4) for make in (make_system, _asymmetric_system)]
+    swept = [fd._block_sweep(assemble(system, Scheme.UPWIND1)) for system in systems]
+    calls = _counted_sweeps(monkeypatch)
+    for system, reference in zip(systems, swept):
+        sol = solve_bvp(system, Scheme.UPWIND1)
+        assert sol.residual <= 1e-12
+        assert np.abs(sol.values.T - reference).max() <= 1e-12 * np.abs(reference).max()
+    assert calls == []
+
+
 def _transfer_marches(monkeypatch):
-    """Patch fd._march to record (columns, edges) of every transfer march; returns that list."""
+    """Patch fd._march to record (columns, cells, arms, edges) of every transfer march; returns that list."""
     march, calls = fd._march, []
 
-    def spy(op, starts, edges=None, restart=None):
-        out = march(op, starts, edges, restart)
+    def spy(op, starts, cells, arms=(False,), edges=None, out=(), restart=None):
+        result = march(op, starts, cells, arms, edges, out, restart)
         if edges is None:
-            calls.append((starts.shape[1], out))
-        return out
+            calls.append((starts.shape[1], cells, arms, result))
+        return result
 
     monkeypatch.setattr(fd, "_march", spy)
     return calls
@@ -729,56 +745,83 @@ def _transfer_marches(monkeypatch):
 
 @pytest.mark.parametrize("Nx, barrier", [(100, 60.0), (400, 100.0), (1600, 100.0), (400, 300.0), (1600, 300.0)])
 def test_upwind1_march_cuts_segments_where_the_field_grows(monkeypatch, Nx, barrier):
-    # marched uncut, the period's transfer matrix reaches 2.4e4 (0, 60 at
-    # Nx=100) to 9.6e13 (0, 300 at Nx=400) and the field misses the gate;
-    # the march cuts a segment where any of its columns grows
+    # marched uncut over half the period, the homogeneous states reach 4.7e2
+    # (0, 60 at Nx=100) to 4.1e7 (0, 300 at Nx=1600), and but for the first
+    # case the field misses the gate (4.8e-12 to 3.3e-6); the march cuts a
+    # segment where any of those states or the probe grows.  One arm, to
+    # x = 0, serves both sides
     system = make_system(Nx, coeffs=(0.0, barrier))
     marches, calls = _transfer_marches(monkeypatch), _counted_sweeps(monkeypatch)
     assert solve_bvp(system, Scheme.UPWIND1).residual <= 1e-12
     assert calls == []
-    [(_, edges)] = marches
-    assert len(edges) > 2 and edges[0] == 0 and edges[-1] == Nx
+    [(_, cells, arms, edges)] = marches
+    assert cells == Nx // 2 and arms == (False, True)
+    assert len(edges) > 2 and edges[0] == 0 and edges[-1] == Nx // 2
     assert np.all(np.diff(edges) <= fd._SEGMENT_CELLS)
 
 
 def test_upwind1_transfer_march_carries_neg_plus_two_columns(monkeypatch):
-    # the v<0 unknowns, the particular column and the probe, not the identity;
-    # with data only at +l/2 the particular column starts at zero
+    # each arm marches its v<0 unknowns, the probe and its particular column,
+    # not the identity, over half the cells.  On the flagship one arm serves
+    # both sides and carries the other side's particular column too; with
+    # data only at +l/2 the particular column of the side at -l/2 is zero.
+    # On the lattice s = 0.3 kappa both arms are marched, and the arm from
+    # +l/2 has 41 v<0 channels in its own order, -v[::-1]
     flagship = make_system(400)
     right_only = dataclasses.replace(flagship, boundary=tabulated_boundary(flagship.grid, {-1: 1.0}))
-    for system in (flagship, right_only, _asymmetric_system(400)):
-        v = system.grid.velocities
-        neg = int((v < 0).sum())
+    shared = [(40 + 3, 200, (False, True))]
+    for system, expected in ((flagship, shared), (right_only, shared),
+                             (_asymmetric_system(400), [(40 + 2, 200, (False,)), (41 + 2, 200, (True,))])):
         swept = fd._block_sweep(assemble(system, Scheme.UPWIND1))
         with monkeypatch.context() as patch:
             marches, calls = _transfer_marches(patch), _counted_sweeps(patch)
             sol = solve_bvp(system, Scheme.UPWIND1)
-        assert [columns for columns, _ in marches] == [neg + 2]
+        assert [(columns, cells, arms) for columns, cells, arms, _ in marches] == expected
         assert calls == [] and sol.residual <= 1e-12
         assert np.abs(sol.values.T - swept).max() <= 1e-9 * np.abs(swept).max()
-    assert (neg, v.size - neg) == (40, 41)
+
+
+def test_shared_upwind1_arm_matches_two_marched_arms_to_the_bit(monkeypatch):
+    # on a mirror-invariant system one arm is marched for both sides; with
+    # both arms marched the edges and the field are the same to the bit.
+    # With data of 100 entering at +l/2 alone, segment ends that read the
+    # particular states would differ between the two
+    flagship = make_system(1600)
+    right_only = dataclasses.replace(flagship, boundary=tabulated_boundary(flagship.grid, {-1: 100.0}))
+    marches = _transfer_marches(monkeypatch)
+    for system in _symmetric_systems(np.random.default_rng(43)) + [flagship, right_only]:
+        problem = assemble(system, Scheme.UPWIND1)
+        marches.clear()
+        shared = fd._upwind1_march(problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(fd, "_mirror_invariant", lambda op: False)
+            both = fd._upwind1_march(problem)
+        assert [arms for _, _, arms, _ in marches] == [(False, True), (False,), (True,)]
+        assert marches[0][3] == marches[1][3] == marches[2][3]
+        assert np.array_equal(shared, both)
 
 
 def test_upwind1_march_names_a_singular_end_system(monkeypatch):
-    # with the v<0 entries of the marched homogeneous states zeroed at each
-    # segment end, no state of Q_S can meet the right-end inflow at +l/2
-    problem = assemble(make_system(10), Scheme.UPWIND1)
-    neg = int((problem.system.grid.velocities < 0).sum())
+    # with the marched states replaced at each segment end by the unit
+    # vectors of channels 1, 2, ..., no state of either arm's Q_S has an
+    # entry in channel 0, nor, reversed, in channel m - 1, so row 0 of the
+    # matching system at x = 0 is zero
     march = fd._march
 
-    def flattened(op, starts, edges=None, restart=None):
+    def flattened(op, starts, cells, arms=(False,), edges=None, out=(), restart=None):
         if restart is None:
-            return march(op, starts, edges)
+            return march(op, starts, cells, arms, edges, out)
 
-        def zeroed(states):
-            states[:neg, :neg] = 0.0
+        def replaced(states):
+            states[...] = np.eye(*states.shape, 1)
             return restart(states)
 
-        return march(op, starts, restart=zeroed)
+        return march(op, starts, cells, arms, restart=replaced)
 
     monkeypatch.setattr(fd, "_march", flattened)
-    with pytest.raises(SolverError, match=r"upwind1 march: the end system at \+l/2 is singular"):
-        fd._upwind1_march(problem)
+    for make in (make_system, _asymmetric_system):
+        with pytest.raises(SolverError, match=re.escape("upwind1 march: the matching system at x = 0 is singular")):
+            fd._upwind1_march(assemble(make(10), Scheme.UPWIND1))
 
 
 def test_upwind2_sweep_memory_is_bounded():
@@ -803,10 +846,12 @@ def test_upwind2_sweep_memory_is_bounded():
 
 def test_upwind1_march_probe_keeps_the_first_march_inside_the_gate():
     # the probe is marched only to end a segment wherever any direction
-    # grows.  Here the first march's gate reads 1.0e-13 with the seeded
-    # probe, and 1.6e-12, above the 1e-12 gate, with the probe dropped
-    # (neg + 1 columns) or all ones (mutation runs): the bound lies a
-    # factor 4 from both
+    # grows.  Marching half the period from each end, the first march's gate
+    # here reads 1.9e-14 with the seeded probe and the same with the probe
+    # dropped or all ones (mutation runs): the homogeneous states end every
+    # segment the probe would.  No sampled barrier, mesh or lattice showed
+    # the probe lowering a gate by more than a factor 3, so this now checks
+    # the gate on a strong barrier, a factor 20 from the bound
     op = assemble(make_system(1600, coeffs=(0.0, 100.0)), Scheme.UPWIND1)
     field = fd._upwind1_march(op)
     np.copyto(field, op.pinval, where=op.pinned)
@@ -861,15 +906,15 @@ def test_central_march_names_a_singular_cell():
             fd._central_march(problem)
 
 
-def _zero_node_rows(monkeypatch, node):
-    """Make every reader of the whole-field matrix's diagonals see the node's rows set to zero."""
+def _zero_node_rows(monkeypatch, node, value=0.0):
+    """Make every reader of the whole-field matrix's diagonals see the node's rows set to value."""
     diagonals = fd._diagonals
 
     def zero_node_rows(op, j0, j1):
         out = diagonals(op, j0, j1)
         if j0 <= node < j1:
             for coef in out.values():
-                coef[node - j0] = 0.0
+                coef[node - j0] = value
         return out
 
     monkeypatch.setattr(fd, "_diagonals", zero_node_rows)
@@ -884,13 +929,36 @@ def test_central_march_names_a_zero_pivot(monkeypatch):
         fd._central_march(problem)
 
 
+# (system, node, cell) on Nx = 10: on the flagship one arm is marched for
+# both sides over cells 1-5, so a cell is named with its mirror; on the
+# lattice s = 0.3 kappa node 8 lies in the arm from +l/2 alone, whose second
+# cell is cell 9 (the v>0 rows of node 9, the v<0 rows of node 8)
+_BROKEN_CELLS = [
+    (make_system, 3, "cell 3 (and, mirrored, cell 8)"),
+    (_asymmetric_system, 8, "cell 9"),
+]
+
+
 def test_upwind1_march_names_a_zero_pivot(monkeypatch):
     # as for central; upwind1 solves only the v > 0 rows of a cell, and the
-    # pivot still counts from its first channel
-    problem = assemble(make_system(10), Scheme.UPWIND1)
-    _zero_node_rows(monkeypatch, 3)
-    with pytest.raises(SolverError, match="upwind1 march: cell 3 matrix is singular: zero pivot 41 of 80"):
-        fd._upwind1_march(problem)
+    # pivot still counts from its first channel, in the arm's order: the arm
+    # from +l/2 reads the 40 v<0 rows of node 8 as its v>0 channels, after
+    # its 41 v<0 ones
+    for (make, node, cell), pivot in zip(_BROKEN_CELLS, ("41 of 80", "42 of 81")):
+        problem = assemble(make(10), Scheme.UPWIND1)
+        with monkeypatch.context() as patch:
+            _zero_node_rows(patch, node)
+            with pytest.raises(SolverError, match=re.escape(f"upwind1 march: {cell} matrix is singular: zero pivot {pivot}")):
+                fd._upwind1_march(problem)
+
+
+def test_upwind1_march_names_a_non_finite_cell(monkeypatch):
+    for make, node, cell in _BROKEN_CELLS:
+        problem = assemble(make(10), Scheme.UPWIND1)
+        with monkeypatch.context() as patch:
+            _zero_node_rows(patch, node, np.nan)
+            with pytest.raises(SolverError, match=re.escape(f"upwind1 march: {cell} matrix is not finite")):
+                fd._upwind1_march(problem)
 
 
 def test_free_streaming_is_exact_for_all_schemes():
