@@ -22,7 +22,7 @@ first iterate, the gate, and at most one refinement sweep.  ``central`` and
 the inflow data of both ends (``_central_march``): A(x) is odd and the mesh
 mirror symmetric, so the discrete period map is the identity.  ``upwind1``
 marches stabilized (``_upwind1_march``, after Ascher, Mattheij & Russell,
-ch. 4.4) from both inflow ends to x = 0: in each arm n + 2 columns for its
+ch. 4.4) from both inflow ends to x = 0: in each arm n + 1 columns for its
 n v < 0 channels, re-orthonormalized by a QR at each segment end, then a
 square solve that matches the two arms at x = 0, a triangular
 back-recurrence for the segment states, and a march of one column from
@@ -535,7 +535,10 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
 
 
 # an upwind1 segment ends once the largest entry of its marched homogeneous states
-# and probe passes _SEGMENT_GROWTH, or after _SEGMENT_CELLS cells (measured in CHANGES.md)
+# passes _SEGMENT_GROWTH, or after _SEGMENT_CELLS cells (measured in CHANGES.md).  The
+# cell cap stays although growth ends most segments: without it, first-march gates
+# rose up to 3.4 times (5.0e-14 to 1.7e-13 on coeffs 0, 30, 60, 30 at Nx=12800), and
+# a growth bound of 3 or 5 did not win that back
 _SEGMENT_GROWTH = 10.0
 _SEGMENT_CELLS = 800
 
@@ -569,7 +572,7 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, arms=(False,)
     for the nodes j of the arm that out[i] has rows for, a run of nodes at a
     time: node n_s holds starts[s], in place of the marched end of segment
     s - 1, and node cells is marched.  Without edges, the march starts from
-    starts[0]; a segment ends once max|state| over the first neg + 1 states
+    starts[0]; a segment ends once max|state| over the first neg states
     passes ``_SEGMENT_GROWTH`` or after ``_SEGMENT_CELLS`` cells, and
     restart, called with the (w, m) states at each segment end, returns the
     next segment's start states (at node cells, where none follows, its
@@ -603,9 +606,9 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, arms=(False,)
     # span[i, nb + e, k] = -(B + R)[k, k + e] holds every entry of B too, so only it is checked
     band, span = np.empty((run, m, 3 * nb + 1)), np.empty((run, 2 * nb + 1, m))
     # one cell's product -(B + R) f_{c-1} by offset, its step d with views of d^- and d^+,
-    # d^+ packed contiguous for gbsv, and |f_c| of the first neg + 1 states, all made once per march
+    # d^+ packed contiguous for gbsv, and |f_c| of the first neg states, all made once per march
     product, step = np.empty((w, 2 * nb + 1, m)), np.empty((w, m))
-    packed, magnitude = np.empty((w, m - neg)), np.empty((neg + 1, m))
+    packed, magnitude = np.empty((w, m - neg)), np.empty((neg, m))
     minus, plus = step[:, :neg], step[:, neg:]
 
     def fail(c, why):
@@ -646,7 +649,7 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, arms=(False,)
         if info > 0:
             raise fail(c, f"is singular: zero pivot {info} of {m}")
         np.add(last, solved.T, out=now)
-        return None if field else np.abs(now[:neg + 1], out=magnitude).max()
+        return None if field else np.abs(now[:neg], out=magnitude).max()
 
     for c0 in range(1, cells + 1, run):
         count = min(run, cells + 1 - c0)
@@ -712,14 +715,13 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
     in an arm with n channels of velocity < 0, in its order, the state at
     the start n_s of segment s is y_s = Q_s c_s + p_s: the n columns of Q_s
     are orthonormal, and y_0 = [c_0; the arm's inflow data] with Q_0 the
-    unit vectors of those n channels.  ``_march`` carries n + 2 columns
-    over each segment: Q_s, a probe and p_s.  The probe is a fixed generic
-    state, marched only so that a segment ends wherever any direction grows
-    (the rounding of y_s then stays small in the march that fills the
-    field).  At each segment end the QR Y = Q_{s+1} R_s of the marched Q_s
-    and the marched p_s, z_s, give g_s = Q_{s+1}^T z_s and
+    unit vectors of those n channels.  ``_march`` carries n + 1 columns
+    over each segment, Q_s and p_s, and ends a segment where Q_s grows (the
+    rounding of y_s then stays small in the march that fills the field).
+    At each segment end the QR Y = Q_{s+1} R_s of the marched Q_s and the
+    marched p_s, z_s, give g_s = Q_{s+1}^T z_s and
     p_{s+1} = z_s - Q_{s+1} g_s, so c_{s+1} = R_s c_s + g_s, and the next
-    segment starts from Q_{s+1}, the probe and p_{s+1}.  At x = 0 the
+    segment starts from Q_{s+1} and p_{s+1}.  At x = 0 the
     square system Q_L c_L + p_L = reverse(Q_R c_R + p_R), of the last
     segment of each arm, gives both arms' c_S.  In each arm the
     back-recurrence c_s = R_s^-1 (c_{s+1} - g_s) gives the segment states,
@@ -727,10 +729,10 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
     Nx / 2 from the arm from -l/2).
 
     Where the reversal maps the matrix onto itself (``_mirror_invariant``),
-    the cells of the two arms are equal to the bit, so Q_s, R_s and the
-    probe are marched once, with the particular states of both arms (n + 3
-    columns), and the field march carries both arms' columns.  Segment ends
-    depend only on Q_s and the probe, and each column is marched as it
+    the cells of the two arms are equal to the bit, so Q_s and R_s are
+    marched once, with the particular states of both arms (n + 2 columns),
+    and the field march carries both arms' columns.  Segment ends depend
+    only on Q_s, and each column is marched as it
     would be alone, so the field is the one two marched arms give, to the
     bit.  The back-recurrence is stable as the problem is well posed:
     |diag R_s| stays near 1 (CHANGES.md).  Memory is O(S m n) for S
@@ -742,8 +744,6 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
     """
     Nx, v, b = problem.system.mesh.Nx, problem.system.grid.velocities, problem.system.boundary.values
     m, half = v.size, Nx // 2
-    probe = np.random.default_rng(0).standard_normal(m)
-    probe /= np.abs(probe).max()
     # an arm is the sides it stands for, each a flag mirrored (see _march)
     arms = ((False, True),) if _mirror_invariant(problem) else ((False,), (True,))
 
@@ -755,15 +755,15 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
         p = {side: [np.concatenate((np.zeros(neg), (b[::-1] if side else b)[neg:]))] for side in arm}
 
         def start():
-            """The states the next segment starts from: Q_s, the probe and each side's p_s."""
-            return np.vstack((Q[-1].T, probe, *(p[side][-1] for side in arm)))
+            """The states the next segment starts from: Q_s and each side's p_s."""
+            return np.vstack((Q[-1].T, *(p[side][-1] for side in arm)))
 
         def restart(states):
             """Q_{s+1}, R_s, g_s and p_{s+1} from the states at the end of segment s; the next start."""
             q, r = np.linalg.qr(states[:neg].T)
             Q.append(q)
             R.append(r)
-            for side, z in zip(arm, states[neg + 1:]):
+            for side, z in zip(arm, states[neg:]):
                 g[side].append(q.T @ z)
                 p[side].append(z - q @ g[side][-1])
             return start()

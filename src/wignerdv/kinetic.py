@@ -26,7 +26,6 @@ __all__ = [
     "mono_energetic_boundary",
     "tabulated_boundary",
     "build_system",
-    "weighted_norm",
 ]
 
 # Relative slack for the s = kappa/2 half-shift detection.
@@ -266,22 +265,3 @@ def _unit_scaled(values: np.ndarray, error: type) -> tuple:
         return scaled
 
     return (np.ldexp(values, -k) if k else values), scale_back
-
-
-def weighted_norm(grid: VelocityGrid, f, weight: str = "unit") -> float:
-    """Norm of a velocity-indexed vector.
-
-    ``unit`` gives the Euclidean norm; ``velocity`` weights each channel by
-    |v_i|, i.e. (sum_i |v_i| |f_i|^2)^(1/2).
-
-    Raises:
-        ValueError: on unknown weight or length mismatch with the grid.
-    """
-    fa = np.asarray(f, dtype=float)
-    if fa.shape != (grid.size,):
-        raise ValueError(f"vector length {fa.shape} does not match grid size {grid.size}")
-    if weight == "unit":
-        return float(np.linalg.norm(fa))
-    if weight == "velocity":
-        return float(math.sqrt(float(np.sum(np.abs(grid.velocities) * fa * fa))))
-    raise ValueError(f"unknown weight {weight!r}; expected 'unit' or 'velocity'")

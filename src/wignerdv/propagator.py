@@ -8,8 +8,9 @@ equivalent on a subinterval [x_a, x] to
 a fixed-point problem whose Picard iteration contracts whenever the
 subinterval is shorter than delta = min_i |v_i| / C with C the coupling
 norm bound.  Longer hops are split into subintervals of at most
-step_fraction * delta.  The integral is evaluated with composite Simpson
-quadrature on a fixed panel count per subinterval.
+``_STEP_FRACTION`` * delta.  The integral is evaluated with composite
+Simpson quadrature on ``_QUAD_PANELS`` panels per subinterval, and the
+iteration stops once successive iterates differ by at most ``_PICARD_TOL``.
 
 This gives a scheme-independent reference ("oracle"): propagator matrices
 over arbitrary subintervals and a solver for the same inflow boundary
@@ -30,7 +31,6 @@ two endpoints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ from .kinetic import WignerSystem, _unit_scaled
 from .potential import _apply, _bands, coupling_bound
 
 __all__ = [
-    "PropagatorOptions",
-    "PropagatorMatrix",
     "PropagatorError",
     "contraction_step",
     "picard_propagate",
@@ -48,6 +46,13 @@ __all__ = [
     "solve_bvp_shooting",
 ]
 
+# Subinterval length as a fraction of the contraction step, in (0, 1).
+_STEP_FRACTION = 0.5
+# Stop when successive iterates differ by at most this in the channel-space
+# Euclidean norm, uniformly over the quadrature points.
+_PICARD_TOL = 1e-13
+# Simpson panels per subinterval (2 * _QUAD_PANELS + 1 quadrature points).
+_QUAD_PANELS = 8
 # Hard cap on Picard sweeps per subinterval.
 _MAX_PICARD_ITER = 200
 
@@ -61,42 +66,6 @@ class PropagatorError(RuntimeError):
     def __init__(self, message: str, gap: float = float("nan")):
         super().__init__(message)
         self.gap = gap
-
-
-@dataclass(frozen=True)
-class PropagatorOptions:
-    """Tuning knobs for the Picard propagation.
-
-    Attributes:
-        step_fraction: subinterval length as a fraction of the contraction
-            step, strictly between 0 and 1.
-        picard_tol: stop when successive iterates differ by less than this
-            in the channel-space Euclidean norm, uniformly over the
-            quadrature points.
-        quad_panels: Simpson panels per subinterval (2 * quad_panels + 1
-            quadrature points).
-    """
-
-    step_fraction: float = 0.5
-    picard_tol: float = 1e-13
-    quad_panels: int = 8
-
-    def __post_init__(self):
-        if not (0.0 < self.step_fraction < 1.0):
-            raise ValueError(f"step_fraction must lie in (0, 1), got {self.step_fraction!r}")
-        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0.0):
-            raise ValueError(f"picard_tol must be positive, got {self.picard_tol!r}")
-        if int(self.quad_panels) != self.quad_panels or self.quad_panels < 1:
-            raise ValueError(f"quad_panels must be a positive integer, got {self.quad_panels!r}")
-
-
-@dataclass(frozen=True)
-class PropagatorMatrix:
-    """Linear map f(x1) -> f(x2) for the transport system."""
-
-    matrix: np.ndarray
-    x1: float
-    x2: float
 
 
 def contraction_step(system: WignerSystem) -> float:
@@ -142,16 +111,14 @@ def _cumulative_simpson(g: np.ndarray, h) -> np.ndarray:
     return out
 
 
-def _picard_run(
-    system: WignerSystem, F0: np.ndarray, ys: np.ndarray, h, options: PropagatorOptions
-) -> np.ndarray:
+def _picard_run(system: WignerSystem, F0: np.ndarray, ys: np.ndarray, h) -> np.ndarray:
     """Picard iteration for f(y) = F0 + integral_{ys[0]}^{y} T^{-1} A f on the points ys.
 
     ``ys`` are the 2P + 1 points of P Simpson panels with spacing ``h``
     (one value or one per panel); ``F0`` is f(ys[0]), a channel vector or
     a matrix of channel columns.  Returns f at every point, shape
     (len(ys),) + F0.shape.  The caller keeps the span of ys below the
-    contraction step times step_fraction (or the coupling vanishes).
+    contraction step times _STEP_FRACTION (or the coupling vanishes).
     """
     batch = (1,) * (F0.ndim - 1)
     inv_v = (1.0 / system.grid.velocities).reshape((-1,) + batch)
@@ -168,10 +135,10 @@ def _picard_run(
         F *= F
         gap = math.sqrt(float(F.sum(axis=1).max()))
         F = F_new
-        if gap <= options.picard_tol:
+        if gap <= _PICARD_TOL:
             return F
     raise PropagatorError(
-        f"Picard iteration stalled at gap {gap:.3e} (tol {options.picard_tol:.3e}) "
+        f"Picard iteration stalled at gap {gap:.3e} (tol {_PICARD_TOL:.3e}) "
         f"on [{ys[0]!r}, {ys[-1]!r}]",
         gap=gap,
     )
@@ -188,15 +155,13 @@ def _check_domain(system: WignerSystem, x: float, name: str):
         raise ValueError(f"{name}={x!r} lies outside the period [{-half}, {half}]")
 
 
-def _march(
-    system: WignerSystem, F0: np.ndarray, points, options: PropagatorOptions
-) -> np.ndarray:
+def _march(system: WignerSystem, F0: np.ndarray, points) -> np.ndarray:
     """F marched from F0 at points[0] through monotone points, shape (len(points),) + F0.shape.
 
     ``points`` ascend or descend; ``F0`` is a channel vector or a matrix
     of channel columns.  Every interval between consecutive points is cut
     into the fewest equal pieces no longer than the Picard step, each with
-    quad_panels Simpson panels, so the quadrature and the discrete fixed
+    _QUAD_PANELS Simpson panels, so the quadrature and the discrete fixed
     point are those of a per-interval chain.  Consecutive pieces are
     grouped into runs no longer than the step (whole mesh cells on a fine
     mesh, one piece of a long interval otherwise) and each run is one
@@ -208,8 +173,8 @@ def _march(
             ``points`` around it as mesh nodes.
     """
     points = np.asarray(points, dtype=float)
-    panels = int(options.quad_panels)
-    step = options.step_fraction * contraction_step(system)
+    panels = _QUAD_PANELS
+    step = _STEP_FRACTION * contraction_step(system)
     # piece ends, and the position of every point among them
     pieces = [_cuts(float(a), float(b), step)[1:] for a, b in zip(points[:-1], points[1:])]
     xs = np.concatenate([points[:1]] + pieces)
@@ -227,7 +192,7 @@ def _march(
         a, width = xs[s:e], np.diff(xs[s : e + 1])
         ys = np.append((a[:, None] + width[:, None] * offsets).ravel(), xs[e])
         try:
-            F = _picard_run(system, state, ys, np.repeat(width / (2 * panels), panels), options)
+            F = _picard_run(system, state, ys, np.repeat(width / (2 * panels), panels))
         except PropagatorError as exc:
             last = int(np.searchsorted(at_point, e))
             raise PropagatorError(f"{exc}, between mesh nodes {lo - 1} and {last}", gap=exc.gap) from exc
@@ -237,63 +202,46 @@ def _march(
     return field
 
 
-def picard_propagate(
-    system: WignerSystem,
-    f_start,
-    x1: float,
-    x2: float,
-    options: PropagatorOptions | None = None,
-) -> np.ndarray:
+def picard_propagate(system: WignerSystem, f_start, x1: float, x2: float) -> np.ndarray:
     """Propagate a channel vector from x1 to x2 (either direction).
 
     The vector is propagated scaled to order one by a power of two, so
-    picard_tol acts relative to it (see ``kinetic._unit_scaled``).
+    _PICARD_TOL acts relative to it (see ``kinetic._unit_scaled``).
 
     Args:
         system: the transport problem (boundary data is not used here).
         f_start: value of f at x1, indexed like grid.velocities.
         x1, x2: endpoints inside [-l/2, l/2].
-        options: Picard tuning; defaults to PropagatorOptions().
 
     Returns:
         f(x2) as a new array.
 
     Raises:
         ValueError: endpoints outside the period or bad vector shape.
-        PropagatorError: iteration cap hit before reaching picard_tol, or
+        PropagatorError: iteration cap hit before reaching _PICARD_TOL, or
             a result that overflows when scaled back.
     """
-    opts = options or PropagatorOptions()
     fa = np.asarray(f_start, dtype=float)
     if fa.shape != (system.grid.size,):
         raise ValueError(f"f_start shape {fa.shape} does not match grid size {system.grid.size}")
     _check_domain(system, float(x1), "x1")
     _check_domain(system, float(x2), "x2")
     unit, scale_back = _unit_scaled(fa, PropagatorError)
-    return scale_back(_march(system, unit, [x1, x2], opts)[-1])
+    return scale_back(_march(system, unit, [x1, x2])[-1])
 
 
-def propagator_matrix(
-    system: WignerSystem,
-    x1: float,
-    x2: float,
-    options: PropagatorOptions | None = None,
-) -> PropagatorMatrix:
+def propagator_matrix(system: WignerSystem, x1: float, x2: float) -> np.ndarray:
     """Matrix of the map f(x1) -> f(x2), built by propagating a basis.
 
     All channel basis vectors propagate together, so the cost matches a
     single batched Picard run.  Same errors as picard_propagate.
     """
-    opts = options or PropagatorOptions()
     _check_domain(system, float(x1), "x1")
     _check_domain(system, float(x2), "x2")
-    P = _march(system, np.eye(system.grid.size), [x1, x2], opts)[-1]
-    return PropagatorMatrix(matrix=P, x1=float(x1), x2=float(x2))
+    return _march(system, np.eye(system.grid.size), [x1, x2])[-1]
 
 
-def solve_bvp_shooting(
-    system: WignerSystem, options: PropagatorOptions | None = None
-) -> DiscreteSolution:
+def solve_bvp_shooting(system: WignerSystem) -> DiscreteSolution:
     """Solve the inflow boundary value problem by one march across the period.
 
     A(x) is odd, so the propagator over one period is the identity and
@@ -307,18 +255,17 @@ def solve_bvp_shooting(
     measured on the solution.  The pinned inflow entries are then set
     from the boundary data exactly.  The march carries the data divided by
     the power of two 2^k that puts their largest magnitude in [1, 2), so
-    picard_tol acts relative to the data, and the field is multiplied back
+    _PICARD_TOL acts relative to the data, and the field is multiplied back
     by 2^k (see ``kinetic._unit_scaled``).
 
     Raises:
         PropagatorError: a Picard run stalls (the message names its mesh
             nodes), or the field overflows when scaled back.
     """
-    opts = options or PropagatorOptions()
     b, scale_back = _unit_scaled(system.boundary.values, PropagatorError)
     v = system.grid.velocities
     pos, neg = v > 0, v < 0
-    values = _march(system, b, system.mesh.nodes, opts).T.copy()
+    values = _march(system, b, system.mesh.nodes).T.copy()
     gap = np.linalg.norm(values[neg, -1] - b[neg]) / max(np.linalg.norm(b), _NORM_FLOOR)
     # pin the inflow entries to the boundary data bit-exactly
     values[pos, 0] = b[pos]

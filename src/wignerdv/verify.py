@@ -25,7 +25,7 @@ from .analysis import _SCHEMES, _solve, current
 from .fd import Scheme, solve_bvp
 from .kinetic import WignerSystem, build_mesh, build_system, mono_energetic_boundary
 from .potential import apply_coupling, coupling_bound, new_potential
-from .propagator import PropagatorOptions, _march, propagator_matrix
+from .propagator import _march, propagator_matrix
 
 __all__ = [
     "CheckResult",
@@ -37,6 +37,9 @@ __all__ = [
     "run_all_checks",
 ]
 
+# Random unit vectors at each of the random points of the coupling-bound check.
+_COUPLING_VECTORS = 100
+_COUPLING_POINTS = 10
 # Points of the mirror check, as fractions of the half period.
 _MIRROR_FRACTIONS = (0.1, 0.3, 0.5, 0.9)
 # Tolerance on propagator matrix entries (mirror, period, inversion).
@@ -58,17 +61,15 @@ class CheckResult:
     detail: str
 
 
-def check_coupling_bound(
-    system: WignerSystem, rng: np.random.Generator, n_vectors: int = 100, n_points: int = 10
-) -> CheckResult:
+def check_coupling_bound(system: WignerSystem, rng: np.random.Generator) -> CheckResult:
     """Random unit vectors never get amplified past the coupling bound."""
     p = system.potential
     C = coupling_bound(p)
     m = system.grid.size
     half = 0.5 * p.period_l
     worst = 0.0
-    for x in rng.uniform(-half, half, size=n_points):
-        for _ in range(n_vectors):
+    for x in rng.uniform(-half, half, size=_COUPLING_POINTS):
+        for _ in range(_COUPLING_VECTORS):
             f = rng.standard_normal(m)
             f /= np.linalg.norm(f)
             worst = max(worst, float(np.linalg.norm(apply_coupling(p, float(x), f))))
@@ -89,9 +90,8 @@ def check_propagator_mirror(system: WignerSystem) -> CheckResult:
     half = 0.5 * system.potential.period_l
     eye = np.eye(system.grid.size)
     xs = np.array([0.0] + sorted(frac * half for frac in _MIRROR_FRACTIONS))
-    opts = PropagatorOptions()
-    worst = float(np.abs(_march(system, eye, xs, opts) - _march(system, eye, -xs, opts)).max())
-    period = float(np.abs(propagator_matrix(system, -half, half).matrix - eye).max())
+    worst = float(np.abs(_march(system, eye, xs) - _march(system, eye, -xs)).max())
+    period = float(np.abs(propagator_matrix(system, -half, half) - eye).max())
     return CheckResult(
         name="propagator-mirror",
         passed=worst <= _PROPAGATOR_TOL and period <= _PROPAGATOR_TOL,
@@ -112,8 +112,8 @@ def check_propagator_inversion(system: WignerSystem, rng: np.random.Generator) -
         length = rng.uniform(0.0, _INVERSION_MAX_LENGTH)
         a = rng.uniform(-half, half - length)
         b = a + length
-        F = propagator_matrix(system, a, b).matrix
-        B = propagator_matrix(system, b, a).matrix
+        F = propagator_matrix(system, a, b)
+        B = propagator_matrix(system, b, a)
         worst = max(worst, float(np.abs(B @ F - eye).max()))
     return CheckResult(
         name="propagator-inversion",

@@ -748,8 +748,8 @@ def test_upwind1_march_cuts_segments_where_the_field_grows(monkeypatch, Nx, barr
     # marched uncut over half the period, the homogeneous states reach 4.7e2
     # (0, 60 at Nx=100) to 4.1e7 (0, 300 at Nx=1600), and but for the first
     # case the field misses the gate (4.8e-12 to 3.3e-6); the march cuts a
-    # segment where any of those states or the probe grows.  One arm, to
-    # x = 0, serves both sides
+    # segment where any of those states grows.  One arm, to x = 0, serves
+    # both sides
     system = make_system(Nx, coeffs=(0.0, barrier))
     marches, calls = _transfer_marches(monkeypatch), _counted_sweeps(monkeypatch)
     assert solve_bvp(system, Scheme.UPWIND1).residual <= 1e-12
@@ -760,18 +760,18 @@ def test_upwind1_march_cuts_segments_where_the_field_grows(monkeypatch, Nx, barr
     assert np.all(np.diff(edges) <= fd._SEGMENT_CELLS)
 
 
-def test_upwind1_transfer_march_carries_neg_plus_two_columns(monkeypatch):
-    # each arm marches its v<0 unknowns, the probe and its particular column,
-    # not the identity, over half the cells.  On the flagship one arm serves
+def test_upwind1_transfer_march_carries_neg_plus_one_column_per_side(monkeypatch):
+    # each arm marches its v<0 unknowns and its particular column, not the
+    # identity, over half the cells.  On the flagship one arm serves
     # both sides and carries the other side's particular column too; with
     # data only at +l/2 the particular column of the side at -l/2 is zero.
     # On the lattice s = 0.3 kappa both arms are marched, and the arm from
     # +l/2 has 41 v<0 channels in its own order, -v[::-1]
     flagship = make_system(400)
     right_only = dataclasses.replace(flagship, boundary=tabulated_boundary(flagship.grid, {-1: 1.0}))
-    shared = [(40 + 3, 200, (False, True))]
+    shared = [(40 + 2, 200, (False, True))]
     for system, expected in ((flagship, shared), (right_only, shared),
-                             (_asymmetric_system(400), [(40 + 2, 200, (False,)), (41 + 2, 200, (True,))])):
+                             (_asymmetric_system(400), [(40 + 1, 200, (False,)), (41 + 1, 200, (True,))])):
         swept = fd._block_sweep(assemble(system, Scheme.UPWIND1))
         with monkeypatch.context() as patch:
             marches, calls = _transfer_marches(patch), _counted_sweeps(patch)
@@ -824,6 +824,35 @@ def test_upwind1_march_names_a_singular_end_system(monkeypatch):
             fd._upwind1_march(assemble(make(10), Scheme.UPWIND1))
 
 
+
+@pytest.mark.parametrize("system, arm, end", [
+    (make_system(10), (False, True), "-"),
+    (make_system(400, coeffs=(0.0, 100.0)), (False, True), "-"),
+    (_asymmetric_system(10), (False,), "-"),
+    (_asymmetric_system(400), (True,), "+"),
+], ids=["flagship-10", "barrier-400", "s0.3-from-left", "s0.3-from-right"])
+def test_upwind1_march_names_a_singular_segment_system(monkeypatch, system, arm, end):
+    # a homogeneous state zeroed at the first segment end of one arm gives
+    # R_0 of that arm a zero column, so its back-recurrence meets a zero
+    # pivot; a shared arm runs the side from -l/2 first
+    march = fd._march
+
+    def zeroed(op, starts, cells, arms=(False,), edges=None, out=(), restart=None):
+        if restart is None or arms != arm:
+            return march(op, starts, cells, arms, edges, out, restart)
+        first = iter((True,))
+
+        def replaced(states):
+            if next(first, False):
+                states[0] = 0.0
+            return restart(states)
+
+        return march(op, starts, cells, arms, restart=replaced)
+
+    monkeypatch.setattr(fd, "_march", zeroed)
+    with pytest.raises(SolverError, match=re.escape(f"upwind1 march: R of segment 0 from {end}l/2 is singular")):
+        fd._upwind1_march(assemble(system, Scheme.UPWIND1))
+
 def test_upwind2_sweep_memory_is_bounded():
     # a one-arm sweep of the whole field keeps a carry of |J| columns for
     # every block but the last.  On the flagship one factored arm keeps half
@@ -844,14 +873,10 @@ def test_upwind2_sweep_memory_is_bounded():
         assert peak < bound * one_arm
 
 
-def test_upwind1_march_probe_keeps_the_first_march_inside_the_gate():
-    # the probe is marched only to end a segment wherever any direction
-    # grows.  Marching half the period from each end, the first march's gate
-    # here reads 1.9e-14 with the seeded probe and the same with the probe
-    # dropped or all ones (mutation runs): the homogeneous states end every
-    # segment the probe would.  No sampled barrier, mesh or lattice showed
-    # the probe lowering a gate by more than a factor 3, so this now checks
-    # the gate on a strong barrier, a factor 20 from the bound
+def test_upwind1_first_march_meets_the_gate_on_a_strong_barrier():
+    # marching half the period from each end, with segments cut where the
+    # homogeneous states grow, the first march's gate here reads 1.9e-14,
+    # a factor 20 from the bound
     op = assemble(make_system(1600, coeffs=(0.0, 100.0)), Scheme.UPWIND1)
     field = fd._upwind1_march(op)
     np.copyto(field, op.pinval, where=op.pinned)

@@ -1,4 +1,4 @@
-"""Velocity grid, mesh, boundary data and norms."""
+"""Velocity grid, mesh and boundary data."""
 
 import math
 
@@ -12,7 +12,6 @@ from wignerdv import (
     mono_energetic_boundary,
     new_potential,
     tabulated_boundary,
-    weighted_norm,
 )
 
 
@@ -156,22 +155,6 @@ def test_build_system_cross_checks():
     other_bnd = mono_energetic_boundary(build_velocity_grid(pot.kappa, 0.5 * pot.kappa, 6, True), 0)
     with pytest.raises(ValueError):
         build_system(pot, grid, mesh, other_bnd)
-
-
-def test_weighted_norm_values():
-    g = build_velocity_grid(KAPPA, 0.5 * KAPPA, 1, True)  # v = -kappa/2, +kappa/2
-    f = np.array([3.0, 4.0])
-    assert weighted_norm(g, f, "unit") == pytest.approx(5.0)
-    assert weighted_norm(g, f, "velocity") == pytest.approx(math.sqrt(0.5 * KAPPA * 25.0))
-    assert weighted_norm(g, np.zeros(2), "velocity") == 0.0
-
-
-def test_weighted_norm_rejects_bad_input():
-    g = build_velocity_grid(KAPPA, 0.5 * KAPPA, 1, True)
-    with pytest.raises(ValueError):
-        weighted_norm(g, np.zeros(3), "unit")
-    with pytest.raises(ValueError):
-        weighted_norm(g, np.zeros(2), "banana")
 
 
 def test_grid_and_mesh_sizes_must_be_integers():

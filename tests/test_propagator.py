@@ -9,7 +9,6 @@ import pytest
 
 from wignerdv import (
     PropagatorError,
-    PropagatorOptions,
     contraction_step,
     picard_propagate,
     propagator_matrix,
@@ -20,18 +19,6 @@ from wignerdv import (
 from wignerdv import propagator, verify
 
 from conftest import make_system, random_system
-
-
-def test_options_validation():
-    PropagatorOptions()  # defaults are valid
-    with pytest.raises(ValueError):
-        PropagatorOptions(step_fraction=0.0)
-    with pytest.raises(ValueError):
-        PropagatorOptions(step_fraction=1.0)
-    with pytest.raises(ValueError):
-        PropagatorOptions(picard_tol=0.0)
-    with pytest.raises(ValueError):
-        PropagatorOptions(quad_panels=0)
 
 
 def test_contraction_step_values():
@@ -57,7 +44,7 @@ def test_zero_potential_propagates_unchanged():
     f = np.linspace(-1.0, 1.0, system.grid.size)
     out = picard_propagate(system, f, -0.5, 0.3)
     assert out == pytest.approx(f, abs=0.0)
-    P = propagator_matrix(system, -0.4, 0.4).matrix
+    P = propagator_matrix(system, -0.4, 0.4)
     assert np.all(P == np.eye(system.grid.size))
 
 
@@ -97,16 +84,16 @@ def test_small_start_vectors_propagate_to_the_bit():
 
 def test_propagator_matrix_mirror_symmetry():
     system = make_system(4)
-    Pp = propagator_matrix(system, 0.0, 0.25).matrix
-    Pm = propagator_matrix(system, 0.0, -0.25).matrix
+    Pp = propagator_matrix(system, 0.0, 0.25)
+    Pm = propagator_matrix(system, 0.0, -0.25)
     assert np.abs(Pp - Pm).max() < 1e-8
 
 
 def test_propagator_composition():
     system = make_system(4)
-    P_whole = propagator_matrix(system, -0.1, 0.1).matrix
-    P_a = propagator_matrix(system, -0.1, 0.0).matrix
-    P_b = propagator_matrix(system, 0.0, 0.1).matrix
+    P_whole = propagator_matrix(system, -0.1, 0.1)
+    P_a = propagator_matrix(system, -0.1, 0.0)
+    P_b = propagator_matrix(system, 0.0, 0.1)
     assert np.abs(P_b @ P_a - P_whole).max() < 1e-10
 
 
@@ -114,18 +101,19 @@ def test_propagator_matrix_matches_vector_propagation():
     system = make_system(4)
     rng = np.random.default_rng(9)
     f = rng.standard_normal(system.grid.size)
-    P = propagator_matrix(system, -0.3, 0.2).matrix
+    P = propagator_matrix(system, -0.3, 0.2)
     direct = picard_propagate(system, f, -0.3, 0.2)
     assert P @ f == pytest.approx(direct, abs=1e-10)
 
 
-def test_quadrature_refinement_is_converged():
-    # doubling the Simpson panels must not move the result at picard_tol
+def test_quadrature_refinement_is_converged(monkeypatch):
+    # doubling the Simpson panels must not move the result at _PICARD_TOL
     system = make_system(4)
     f = np.zeros(system.grid.size)
     f[system.grid.position_of(0)] = 1.0
-    coarse = picard_propagate(system, f, -0.5, 0.5, PropagatorOptions(quad_panels=8))
-    fine = picard_propagate(system, f, -0.5, 0.5, PropagatorOptions(quad_panels=16))
+    coarse = picard_propagate(system, f, -0.5, 0.5)
+    monkeypatch.setattr(propagator, "_QUAD_PANELS", 2 * propagator._QUAD_PANELS)
+    fine = picard_propagate(system, f, -0.5, 0.5)
     assert np.abs(coarse - fine).max() < 1e-12
 
 
@@ -135,11 +123,10 @@ def test_picard_cap_raises_on_non_contractive_interval():
     # the guaranteed contraction length, where the iteration diverges
     system = make_system(4, coeffs=(0.0, 4000.0))
     F0 = np.ones((system.grid.size, 1))
-    opts = PropagatorOptions()
-    ys = np.linspace(-0.5, 0.5, 2 * opts.quad_panels + 1)
+    ys = np.linspace(-0.5, 0.5, 2 * propagator._QUAD_PANELS + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PropagatorError):
-            propagator._picard_run(system, F0, ys, ys[1] - ys[0], opts)
+            propagator._picard_run(system, F0, ys, ys[1] - ys[0])
 
 
 def test_shooting_free_streaming():
@@ -169,13 +156,13 @@ def test_period_identity_over_random_inputs():
     for _ in range(8):
         system = random_system(rng, max_harmonics=3, max_M=20, off_half=(0.2, 0.8))
         m = system.grid.size
-        P = propagator_matrix(system, -0.5, 0.5).matrix
+        P = propagator_matrix(system, -0.5, 0.5)
         assert np.abs(P - np.eye(m)).max() <= 1e-12
         # A is odd, so marching down from the center equals marching up, to
         # the bit: the band coefs are odd and the cuts and points negate exactly
         upper = system.mesh.nodes[system.mesh.Nx // 2 :]
-        up = propagator._march(system, np.ones(m), upper, PropagatorOptions())
-        down = propagator._march(system, np.ones(m), -upper, PropagatorOptions())
+        up = propagator._march(system, np.ones(m), upper)
+        down = propagator._march(system, np.ones(m), -upper)
         assert np.array_equal(up, down)
         sol = solve_bvp_shooting(system)
         # the residual is the marched end gap: the period identity on the solution
@@ -204,7 +191,7 @@ def test_picard_stall_in_the_march_names_its_mesh_nodes(monkeypatch, Nx, nodes):
     monkeypatch.setattr(propagator, "_MAX_PICARD_ITER", 1)
     with pytest.raises(PropagatorError, match=f"between mesh nodes {nodes}") as info:
         solve_bvp_shooting(make_system(Nx))
-    assert info.value.gap > PropagatorOptions().picard_tol
+    assert info.value.gap > propagator._PICARD_TOL
 
 
 def test_oracle_needs_no_period_matrix(monkeypatch):
@@ -227,8 +214,8 @@ def test_oracle_residual_sees_a_wrong_start_state(monkeypatch):
     assert solve_bvp_shooting(system).residual <= 1e-12
     march = propagator._march
 
-    def no_outgoing(system, F0, points, options):
-        return march(system, np.where(neg, 0.0, F0), points, options)
+    def no_outgoing(system, F0, points):
+        return march(system, np.where(neg, 0.0, F0), points)
 
     monkeypatch.setattr(propagator, "_march", no_outgoing)
     assert solve_bvp_shooting(system).residual > 0.1
@@ -243,10 +230,10 @@ def test_mirror_check_measures_the_period_propagator(monkeypatch):
     # a period map off the identity fails the check although the mirror holds
     exact = verify.propagator_matrix
 
-    def skewed(system, x1, x2, options=None):
-        P = exact(system, x1, x2, options)
+    def skewed(system, x1, x2):
+        P = exact(system, x1, x2)
         if (x1, x2) == (-0.5, 0.5):
-            return dataclasses.replace(P, matrix=P.matrix + 1e-6)
+            return P + 1e-6
         return P
 
     monkeypatch.setattr(verify, "propagator_matrix", skewed)
