@@ -28,7 +28,13 @@ square solve that matches the two arms at x = 0, a triangular
 back-recurrence for the segment states, and a march of one column from
 them.  ``upwind2`` sweeps: block tridiagonal elimination from both inflow
 ends toward a middle block at x = 0 (``_block_sweep``), its node blocks
-written from the diagonals.  In the march and in the sweep, the arm from
+written from the diagonals.  Each block keeps only the rows of its carry
+that the next block's Schur update reads (for upwind2 half of them: the
+entries whose velocity points away from the arm's inflow end);
+back substitution recovers the rest of the block's field from the
+block's own rows there, rebuilt from the diagonals: a small system,
+c0 I - w H A(x) on each node's entries, that is nonsingular because A(x)
+is skew.  In the march and in the sweep, the arm from
 +l/2 is the arm from -l/2 run on the reversed flat order,
 (x, v) -> (-x, -v); on an antisymmetric velocity set that reversal maps
 the matrix onto itself, and one arm, marched or factored once, serves
@@ -283,11 +289,14 @@ def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
     return float(np.linalg.norm(r) / max(np.linalg.norm(problem.rhs), _NORM_FLOOR))
 
 
-def _span(idx: np.ndarray):
-    """Sorted indices as a slice when they form one contiguous run."""
-    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
+def _runs(mask: np.ndarray) -> tuple:
+    """The runs of True in a mask, each as (slice of the mask, slice of its True entries packed)."""
+    bounds = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    runs, packed = [], 0
+    for lo, hi in zip(bounds[::2].tolist(), bounds[1::2].tolist()):
+        runs.append((slice(lo, hi), slice(packed, packed + hi - lo)))
+        packed += hi - lo
+    return tuple(runs)
 
 
 def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np.ndarray:
@@ -355,16 +364,28 @@ def _node_blocks(problem: LinearProblem, mirrored: bool = False):
     mirrored problem, velocities -v[::-1], so the code that sweeps one arm
     sweeps both.  The diagonals are built for one run of ``_RUN_NODES`` nodes
     at a time and written into each block by strided writes.  The rows of
-    L_t and the columns J_t of U_t follow from the legs and the channel
-    signs of the arm's own order, and are the same for every block.
+    L_t, the columns of block t - 1 that L_t reads and the columns J_t of
+    U_t follow from the legs and the channel signs of the arm's own order,
+    as do the columns that the coupling legs reach (the band spread), and
+    are the same for every block.  A block's rows of u < 0 read only their
+    own block and the next one, and its rows of u > 0 (the rows of L) only
+    their own block and the one before.
 
-    Returns (edges, coupled, J, blocks), all in the arm's flat order:
-    edges 0, reach m, ..., c, N - c bound the T arm blocks and the middle
-    block; coupled are the rows of L_t and J the columns J_t within block
-    t + 1 (the middle, for the last arm block).  blocks yields, for each arm
-    block t in order, its rows over the columns of blocks t - 1 .. t + 1, and
-    then the middle block's rows over the columns of the last block of both
-    arms.
+    Returns (edges, coupled, kept, J, blocks, recovery), all in the arm's
+    flat order: edges 0, reach m, ..., c, N - c bound the T arm blocks and
+    the middle block; coupled, kept and J are masks over the reach m
+    entries of a block: coupled the rows of L_t, kept the columns of block
+    t - 1 that L_t reads together with the rows of L, which carry Schur
+    fill (for every stencil here the u > 0 entries, and for central the
+    band spread of their coupling legs too), and J the columns J_t within
+    block t + 1 (the middle, for the last arm block).  blocks yields, for
+    each arm block t in order, its rows over the columns of blocks
+    t - 1 .. t + 1, and then the middle block's rows over the columns of
+    the last block of both arms, Fortran-ordered so that the sweep factors
+    a block's own columns in place.  recovery
+    yields, for each arm block t from T - 1 down to 0, its rows off kept
+    over the columns of blocks t and t + 1, rebuilt from the diagonals a
+    run at a time.
     """
     Nx = problem.system.mesh.Nx
     m = problem.system.grid.size
@@ -375,19 +396,26 @@ def _node_blocks(problem: LinearProblem, mirrored: bool = False):
     N = problem.pinned.size
     T = (Nx + 1 - reach) // (2 * reach)
     c = T * reach * m
-    edges = np.append(np.arange(0, c + 1, reach * m), N - c)
-    spread = np.zeros(m, dtype=bool)             # channels the coupling legs of u < 0 rows read
-    for rows, cols, _ in problem.bands:
-        spread[cols] |= v[rows] > 0 if mirrored else v[rows] < 0
-    spread = spread[::-1] if mirrored else spread
+    size = reach * m
+    edges = np.append(np.arange(0, c + 1, size), N - c)
+    spread = {}                                  # by the sign of u: the channels their rows' coupling legs read
+    for sign in (1, -1):
+        channels = np.zeros(m, dtype=bool)
+        for rows, cols, _ in problem.bands:
+            channels[cols] |= sign * (-v[rows] if mirrored else v[rows]) > 0
+        spread[sign] = channels[::-1] if mirrored else channels
     # a leg (dj, .) of a u < 0 row reads -dj nodes ahead, so the block before
     # reads into the first -dj nodes of a block; the farthest leg reaches
-    # reach nodes back, so every u > 0 row reads the block before
-    carried = np.zeros((reach, m), dtype=bool)
+    # reach nodes back, so every u > 0 row reads the block before, and a leg
+    # (dj, .) of a u > 0 row reads the last -dj nodes of the block before
+    carried, behind = np.zeros((2, reach, m), dtype=bool)
     for _, transport, coupling in legs:
-        for dj, cols in [(dj, u < 0) for dj, _ in transport] + [(dj, spread) for dj, _ in coupling]:
-            carried[:-dj] |= cols
-    coupled, J = _span(np.flatnonzero(np.tile(u > 0, reach))), _span(np.flatnonzero(carried))
+        reads = [(dj, u < 0, u > 0) for dj, _ in transport] + [(dj, spread[-1], spread[1]) for dj, _ in coupling]
+        for dj, ahead, back in reads:
+            carried[:-dj] |= ahead
+            behind[reach + dj:] |= back
+    coupled = np.tile(u > 0, reach)
+    kept, J = behind.ravel() | coupled, carried.ravel()
     run = reach * max(_RUN_NODES // reach, 1)
 
     def diagonals(j0, j1):
@@ -395,21 +423,25 @@ def _node_blocks(problem: LinearProblem, mirrored: bool = False):
         n0, n1 = (Nx + 1 - j1, Nx + 1 - j0) if mirrored else (j0, j1)
         return {d: coef.ravel() for d, coef in _diagonals(problem, n0, n1).items()}, n0 * m
 
-    def block(loaded, rows, cols):
-        """The arm's rows a .. b - 1 over its columns lo .. hi - 1, from loaded diagonals."""
+    def block(loaded, rows, cols, out=None):
+        """The arm's rows a .. b - 1 over its columns lo .. hi - 1, from loaded diagonals.
+
+        Written into out, zero and contiguous in either order, or else into
+        a new Fortran-ordered block.
+        """
         (a, b), (lo, hi) = rows, cols
-        out = np.zeros((b - a, hi - lo))
-        flat, (coefs, base) = out.reshape(-1), loaded
+        out = np.zeros((hi - lo, b - a)).T if out is None else out
+        flat, (coefs, base) = out.ravel(order="K"), loaded
         if mirrored:                     # the reversed flat view reads the block in natural order
             flat, (a, b), (lo, hi) = flat[::-1], (N - b, N - a), (N - hi, N - lo)
-        # entry (r, r + d) of the matrix is flat[(r - a) (hi - lo) + r + d - lo]:
-        # a diagonal of the block, stride hi - lo + 1
-        step = hi - lo + 1
+        # entry (r, r + d) of the matrix is flat[(r - a) sr + (r + d - lo) sc],
+        # sr and sc the strides of out: a diagonal of the block, stride sr + sc
+        sr, sc = (stride // out.itemsize for stride in out.strides)
         for d, coef in coefs.items():
             ra, rb = max(a, lo - d), min(b, hi - d)
             if ra < rb:
-                start = (ra - a) * step + a + d - lo
-                flat[start:start + (rb - ra - 1) * step + 1:step] = coef[ra - base:rb - base]
+                start = (ra - a) * sr + (ra + d - lo) * sc
+                flat[start:start + (rb - ra - 1) * (sr + sc) + 1:sr + sc] = coef[ra - base:rb - base]
         return out
 
     def blocks():
@@ -420,7 +452,22 @@ def _node_blocks(problem: LinearProblem, mirrored: bool = False):
         lo = edges[max(T - 1, 0)]
         yield block(diagonals(c // m, (N - c) // m), (c, N - c), (lo, N - lo))
 
-    return edges, coupled, J, blocks()
+    def recovery():
+        recovered, count = _runs(~kept), size - kept.sum()
+        for j0 in range((c // m - 1) // run * run, -1, -run):
+            loaded = diagonals(j0, min(j0 + run, c // m))
+            for t in range(min(j0 + run, c // m) // reach - 1, j0 // reach - 1, -1):
+                out = np.zeros((count, 2 * size))
+                for rows, packed in recovered:
+                    block(loaded, (edges[t] + rows.start, edges[t] + rows.stop),
+                          (edges[t], edges[t] + 2 * size), out[packed])
+                yield out
+
+    return edges, coupled, kept, J, blocks(), recovery()
+
+
+# one arm of the block sweep as ``_block_sweep`` carries it from the forward pass to back substitution
+_Arm = collections.namedtuple("_Arm", "mirrored columns edges coupled kept J Q carries blocks recovery")
 
 
 def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -434,21 +481,41 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     their node blocks (``_node_blocks``) toward the middle block around node
     Nx / 2.  U_t, the coupling of arm block t to block t + 1, is nonzero
     only in the columns J_t (about the channels of the next block that flow
-    toward the arm's own end), so the carry kept per block is the half-rank
-    C_t = D'_t^-1 U_t[:, J_t].
-    The Schur update touches only D_{t+1}[:, J_t], on the rows of L_{t+1}.
+    toward the arm's own end), so the carry is the half-rank
+    C_t = D'_t^-1 U_t[:, J_t].  The Schur update touches only
+    D_{t+1}[:, J_t], on the rows of L_{t+1}, and L_{t+1} reads only the
+    kept entries of block t (the u > 0 ones), so each block keeps only
+    C_t[kept], L_{t+1}[:, kept] C_t[kept] is the update, and the other rows
+    of C_t are dropped: for upwind2 half of each carry.
     The middle block takes the update of the last block of both arms and is
-    solved once; back substitution then reads x_t = p_t - C_t x_{t+1}[J_t]
-    down each arm.  The arm from +l/2 is the arm from -l/2 run on the
-    reversed flat order, its right-hand side and field reversed too.  Where
-    that reversal maps M onto itself (``_mirror_invariant``: the velocity
-    set is antisymmetric), the two arms' blocks are equal to the bit, so
-    one arm is factored and carries both right-hand sides, its own and the
-    reversed one; each is solved one column at a time, as a second arm
-    would, so the field is the one two factored arms give, to the bit.
+    solved once; back substitution then reads
+    x_t[kept] = p_t[kept] - C_t[kept] x_{t+1}[J_t] down each arm and
+    recovers the rest, x_t[Q], from the block's own rows at Q: they carry
+    no Schur fill and no entry of L, so
+    D0[Q, Q] x_t[Q] = r_t[Q] - D0[Q, kept] x_t[kept] - U_t[Q, J_t] x_{t+1}[J_t],
+    D0 being the block as assembled, its rows at Q rebuilt from the
+    diagonals a run at a time on the way back (``_node_blocks``).  Those
+    rows read only their own node and the nodes ahead, so D0[Q, Q] is block
+    triangular over the block's nodes (a node pair for upwind2), with
+    c0 I - w H A(x) on each node: H = diag(dx / |v|) on its entries, and c0
+    and w the stencil's own-node transport and coupling weights (1.5 and 1
+    for upwind2's second-order rows, which all of Q are; 1 and 1 for
+    upwind1; 1 and 1/2 for central).  A(x) is skew, so the similarity by
+    H^(1/2) leaves c0 I plus a skew matrix, and D0[Q, Q] is nonsingular.
+    Its solve takes each right-hand side alone; a non-finite or singular
+    D0[Q, Q] raises, naming the block's mesh nodes as a forward block does.
+    Where L reads every column, Q is empty.  The arm from +l/2 is
+    the arm from -l/2 run on the reversed flat order, its right-hand side
+    and field reversed too.  Where that reversal maps M onto itself
+    (``_mirror_invariant``: the velocity set is antisymmetric), the two
+    arms' blocks are equal to the bit, so one arm is factored and carries
+    both right-hand sides, its own and the reversed one; each is solved one
+    column at a time, on the way down and back, as a second arm would, so
+    the field is the one two factored arms give, to the bit.
 
     Raises:
-        SolverError: a block is not finite or is exactly singular.
+        SolverError: a block, or a block's D0[Q, Q], is not finite or is
+            exactly singular.
     """
     m, N = problem.system.grid.size, problem.pinned.size
     rhs = (problem.pinval if rhs is None else rhs).ravel()
@@ -468,69 +535,109 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             where += f" and, mirrored, {nodes(N - b, N - a)}"
         return SolverError(f"block elimination failed at {where}: {why}")
 
-    def factor(D, a, b, mirrored):
-        """getrf of D, the block of the arm's flat rows a .. b - 1."""
+    def factor(D, a, b, mirrored, rows=None):
+        """getrf of D, the block of the arm's flat rows a .. b - 1, or their rows a + rows if given."""
+        what = "the block" if rows is None else "the block's recovery system"
         if not np.isfinite(D).all():
-            raise fail(a, b, mirrored, "the block is not finite")
+            raise fail(a, b, mirrored, f"{what} is not finite")
         lu, piv, info = getrf(D, overwrite_a=True)
         if info > 0:
-            flat = a + info - 1
+            flat = a + (info - 1 if rows is None else rows[info - 1])
             j, k = divmod(int(N - 1 - flat if mirrored else flat), m)
-            raise fail(a, b, mirrored, f"the block is singular, zero pivot {info} of {b - a} "
+            raise fail(a, b, mirrored, f"{what} is singular, zero pivot {info} of {len(D)} "
                                        f"(node {j}, velocity index {k})")
         return lu, piv
+
+    def take(M, runs):
+        """The columns of M (or entries of a vector) in the runs, packed, as a Fortran-ordered copy."""
+        out = np.empty(M.shape[:-1] + (runs[-1][1].stop if runs else 0,), order="F")
+        for src, dst in runs:
+            out[..., dst] = M[..., src]
+        return out
+
+    def update(D, block, arm, carry):
+        """D[rows of L, J] -= L[:, kept] carry, L the block's rows over the block before; returns L[:, kept]."""
+        L = np.empty((arm.coupled[-1][1].stop, carry.shape[0]))
+        for rows, packed in arm.coupled:
+            L[packed] = take(block[rows], arm.kept)
+        fill = L @ carry
+        for rows, packed in arm.coupled:
+            for cols, at in arm.J:
+                D[rows, cols] -= fill[packed, at]
+        return L
+
+    def reduce(p, L, arm, y):
+        """p[rows of L] -= L[:, kept] y[kept], y the partial solution of the block before."""
+        z = L @ take(y, arm.kept)
+        for rows, packed in arm.coupled:
+            p[rows] -= z[packed]
 
     def eliminate(mirrored, columns):
         """Forward elimination of one arm over its T blocks, for the (rhs, x) columns it serves.
 
-        Leaves the partial solutions p_t in x.  Returns the columns, the
-        arm's edges, the rows of L_t, the Schur update's index into D_{t+1},
-        J, the carries, and the blocks, which yield the middle block next.
+        Leaves the partial solutions p_t in x and returns the arm: its
+        flag, columns, edges, the runs of the rows of L, of kept and of J,
+        the recovered entries Q, the kept rows of the carries, and the
+        blocks, which yield the middle block next, and the recovery rows.
         """
-        edges, coupled, J, blocks = _node_blocks(problem, mirrored)
+        edges, coupled, kept, J, blocks, recovery = _node_blocks(problem, mirrored)
         T = len(edges) - 2
-        schur = (coupled, J) if isinstance(coupled, slice) or isinstance(J, slice) else np.ix_(coupled, J)
-        size, width = edges[1] if T else 0, np.arange(edges[-1] - edges[-2])[J].size
-        # the carries share one buffer of exactly their size, each a
-        # Fortran-ordered (size, width) view
-        carries = np.empty((T, width, size)).transpose(0, 2, 1)
+        # the kept rows of the carries share one buffer of exactly their
+        # size, each a Fortran-ordered view
+        carries = np.empty((T, J.sum(), kept.sum())).transpose(0, 2, 1)
+        arm = _Arm(mirrored, columns, edges, _runs(coupled), _runs(kept), _runs(J), np.flatnonzero(~kept),
+                   carries, blocks, recovery)
         for t, block in zip(range(T), blocks):
             a, b = edges[t], edges[t + 1]
             lo = edges[max(t - 1, 0)]
-            D = np.array(block[:, a - lo:b - lo], order="F")
+            D = block[:, a - lo:b - lo]                  # a Fortran-ordered view, factored in place
             if t > 0:
-                L = block[coupled, :a - lo]
-                D[schur] -= L @ carries[t - 1]
+                L = update(D, block, arm, carries[t - 1])
             lu, piv = factor(D, a, b, mirrored)
             for r, y in columns:
                 p = r[a:b].copy()
                 if t > 0:
-                    p[coupled] -= L @ y[lo:a]
+                    reduce(p, L, arm, y[lo:a])
                 y[a:b] = getrs(lu, piv, p, overwrite_b=True)[0]
-            carries[t] = getrs(lu, piv, block[:, b - lo:][:, J], overwrite_b=True)[0]
-        return columns, edges, coupled, schur, J, carries, blocks
+            C = getrs(lu, piv, take(block[:, b - lo:], arm.J), overwrite_b=True)[0]
+            for rows, packed in arm.kept:
+                carries[t][packed] = C[rows]
+        return arm
+
+    def recover(arm):
+        """Back substitution down one arm: x_t[kept] from the carries, then x_t[Q] from the block's rows at Q."""
+        edges, size, Q = arm.edges, arm.edges[1], arm.Q
+        for t, R in zip(range(len(edges) - 3, -1, -1), arm.recovery):
+            a, b = edges[t], edges[t + 1]
+            if Q.size:
+                lu, piv = factor(np.asfortranarray(R[:, Q]), a, b, arm.mirrored, Q)
+            for r, y in arm.columns:
+                z = arm.carries[t] @ take(y[b:b + size], arm.J)
+                for rows, packed in arm.kept:
+                    y[a:b][rows] -= z[packed]
+                if Q.size:
+                    y[a:b][Q] = 0.0
+                    q = r[a:b][Q] - R @ y[a:a + 2 * size]
+                    y[a:b][Q] = getrs(lu, piv, q, overwrite_b=True)[0]
 
     left = eliminate(False, sides if shared else sides[:1])
     right = left if shared else eliminate(True, sides[1:])
-    _, edges, *_, blocks = left
+    edges = left.edges
     T, c = len(edges) - 2, edges[-2]
     lo = edges[max(T - 1, 0)]
-    middle = next(blocks)                             # rows c .. N - c - 1 over columns lo .. N - lo - 1
-    D = np.array(middle[:, c - lo:N - c - lo], order="F")
+    middle = next(left.blocks)                        # rows c .. N - c - 1 over columns lo .. N - lo - 1
+    D = middle[:, c - lo:N - c - lo]
     r = rhs[c:N - c].copy()
     if T:
         # the update of the last block of each arm, seen in its arm's order
-        for (_, _, coupled, schur, _, carries, _), block, D_arm, r_arm, y in (
+        for arm, block, D_arm, r_arm, y in (
                 (left, middle, D, r, x), (right, middle[::-1, ::-1], D[::-1, ::-1], r[::-1], x[::-1])):
-            L = block[coupled, :c - lo]
-            D_arm[schur] -= L @ carries[-1]
-            r_arm[coupled] -= L @ y[lo:c]
+            L = update(D_arm, block[:, :c - lo], arm, arm.carries[-1])
+            reduce(r_arm, L, arm, y[lo:c])
     lu, piv = factor(D, c, N - c, False)
     x[c:N - c] = getrs(lu, piv, r, overwrite_b=True)[0]
-    for columns, edges, _, _, J, carries, _ in (left,) if shared else (left, right):
-        for _, y in columns:
-            for t in range(T - 1, -1, -1):
-                y[edges[t]:edges[t + 1]] -= carries[t] @ y[edges[t + 1]:edges[t + 2]][J]
+    for arm in (left,) if shared else (left, right):
+        recover(arm)
     return x.reshape(problem.pinned.shape)
 
 

@@ -249,7 +249,10 @@ def test_node_blocks_match_the_assembled_matrix():
     # entries in the block before, and J_t every column of the next block
     # that any U_t has an entry in: the same for every block.  The middle
     # block's rows over the other arm's last block are that arm's L rows,
-    # reversed
+    # reversed.  L_t reads only the kept columns of the block before, and
+    # the rows off kept, which back substitution recovers, read nothing
+    # before their block: the recovery yields them, last block first, over
+    # blocks t and t + 1
     rng = np.random.default_rng(29)
     for system in _sample_systems(rng):
         m, Nx = system.grid.size, system.mesh.Nx
@@ -258,10 +261,11 @@ def test_node_blocks_match_the_assembled_matrix():
             N = problem.pinned.size
             reach = 2 if scheme is Scheme.UPWIND2 else 1
             arms = [fd._node_blocks(problem, mirrored) for mirrored in (False, True)]
-            for mirrored, (edges, coupled, J, blocks) in zip((False, True), arms):
-                blocks = list(blocks)
-                T, c = len(edges) - 2, edges[-2]
-                assert len(blocks) == T + 1
+            for mirrored, (edges, coupled, kept, J, blocks, recovery) in zip((False, True), arms):
+                blocks, recovery = list(blocks), list(recovery)
+                T, c, size = len(edges) - 2, edges[-2], reach * m
+                assert len(blocks) == T + 1 and len(recovery) == T
+                assert np.all(kept[coupled])
                 assert np.all(np.diff(edges)[:-1] == reach * m) and edges[-1] == N - c
                 assert reach <= Nx + 1 - 2 * T * reach < 3 * reach
                 read = set()
@@ -272,19 +276,26 @@ def test_node_blocks_match_the_assembled_matrix():
                     _check_arm_block(problem, block, (a, b), (lo, hi), mirrored)
                     if t > 0:
                         before = np.flatnonzero(block[:, :a - lo].any(axis=1))
-                        assert np.array_equal(before, np.arange(b - a)[coupled])
+                        assert np.array_equal(before, np.flatnonzero(coupled))
+                        assert not block[:, :a - lo][:, ~kept].any()
                     if t < T:
                         touched = np.flatnonzero(block[:, b - lo:].any(axis=0))
-                        assert np.isin(touched, np.arange(hi - b)[J]).all()
+                        assert np.isin(touched, np.flatnonzero(J)).all()
                         read.update(touched)
+                        # the recovery rows are the block's rows off kept over
+                        # blocks t and t + 1, and read nothing before
+                        rows = recovery[T - 1 - t]
+                        assert np.array_equal(rows, block[~kept, a - lo:a - lo + 2 * size])
+                        assert not block[~kept, :a - lo].any()
                 # one block may leave a column of J unread: at Nx = 2 the
                 # lone arm block reads A(x) only at x = 0, where it is 0
                 if T > 1:
-                    assert np.array_equal(sorted(read), np.arange(edges[-1] - c)[J])
+                    assert np.array_equal(sorted(read), np.flatnonzero(J))
                 if T:
-                    _, other, _, _ = arms[not mirrored]
+                    other = arms[not mirrored][1]
                     after = np.flatnonzero(blocks[T][:, N - c - lo:].any(axis=1))
-                    assert np.array_equal(after, (N - 2 * c - 1 - np.arange(N - 2 * c)[other])[::-1])
+                    assert np.array_equal(after, (N - 2 * c - 1 - np.flatnonzero(other))[::-1])
+                    assert not blocks[T][:, :c - lo][:, ~kept].any()
 
 
 def _symmetric_systems(rng):
@@ -364,7 +375,7 @@ def _zero_node_block(monkeypatch, node, value=0.0, whole_rows=False):
     node_blocks = fd._node_blocks
 
     def altered(op, mirrored=False):
-        edges, coupled, J, blocks = node_blocks(op, mirrored)
+        edges, coupled, kept, J, blocks, recovery = node_blocks(op, mirrored)
         Nx, m = op.system.mesh.Nx, op.system.grid.size
         a = m * (Nx - node if mirrored or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
 
@@ -376,7 +387,7 @@ def _zero_node_block(monkeypatch, node, value=0.0, whole_rows=False):
                     block[a - edges[t]:a - edges[t] + m, cols] = value
                 yield block
 
-        return edges, coupled, J, patched()
+        return edges, coupled, kept, J, patched(), recovery
 
     monkeypatch.setattr(fd, "_node_blocks", altered)
 
@@ -432,6 +443,58 @@ def test_block_sweep_rejects_a_non_finite_block(monkeypatch):
             _zero_node_block(patch, node, np.nan)
             with pytest.raises(SolverError, match=re.escape(f"block elimination failed at {where} the block is not finite")):
                 fd._block_sweep(op)
+
+
+def _zero_recovery_rows(monkeypatch, node):
+    """Make back substitution see the node's recovered rows zero over the node's own columns.
+
+    The node is found in its arm as in ``_zero_node_block``.  The forward
+    blocks are left as they are, so only the recovery system is singular.
+    """
+    node_blocks = fd._node_blocks
+
+    def altered(op, mirrored=False):
+        edges, coupled, kept, J, blocks, recovery = node_blocks(op, mirrored)
+        Nx, m = op.system.mesh.Nx, op.system.grid.size
+        a = m * (Nx - node if mirrored or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
+        recovered = np.flatnonzero(~kept)
+
+        def patched():
+            for t, rows in zip(range(len(edges) - 3, -1, -1), recovery):
+                if edges[t] <= a < edges[t + 1]:
+                    own = a - edges[t]
+                    rows[(recovered >= own) & (recovered < own + m), own:own + m] = 0.0
+                yield rows
+
+        return edges, coupled, kept, J, blocks, patched()
+
+    monkeypatch.setattr(fd, "_node_blocks", altered)
+
+
+@pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
+def test_block_sweep_names_a_singular_recovery_system(monkeypatch):
+    # back substitution solves each block's rows off kept for the entries
+    # the carries no longer hold; their own block is block triangular over
+    # the block's nodes, so zeroing one node's rows makes the zero pivot the
+    # first of that node.  The error names the block's mesh nodes as a
+    # singular forward block does
+    shared2, shared1 = "mesh nodes 2-3 and, mirrored, mesh nodes 7-8:", "mesh node 3 and, mirrored, mesh node 7:"
+    cases = [
+        (make_system, Scheme.UPWIND2, 3, shared2, "41 of 80 (node 3, velocity index 0)"),
+        (make_system, Scheme.UPWIND2, 7, shared2, "41 of 80 (node 3, velocity index 0)"),
+        (make_system, Scheme.UPWIND1, 3, shared1, "1 of 40 (node 3, velocity index 0)"),
+        (_asymmetric_system, Scheme.UPWIND2, 3, "mesh nodes 2-3:", "41 of 80 (node 3, velocity index 0)"),
+        (_asymmetric_system, Scheme.UPWIND2, 7, "mesh nodes 7-8:", "42 of 82 (node 7, velocity index 80)"),
+        (_asymmetric_system, Scheme.UPWIND1, 7, "mesh node 7:", "1 of 41 (node 7, velocity index 80)"),
+    ]
+    for make, scheme, node, where, pivot in cases:
+        op = assemble(make(10), scheme)
+        with monkeypatch.context() as patch:
+            _zero_recovery_rows(patch, node)
+            with pytest.raises(SolverError, match="singular") as info:
+                fd._block_sweep(op)
+        assert (f"block elimination failed at {where} the block's recovery system is singular, "
+                f"zero pivot {pivot}") in str(info.value)
 
 
 def test_block_sweep_carries_half_rank():
@@ -854,16 +917,18 @@ def test_upwind1_march_names_a_singular_segment_system(monkeypatch, system, arm,
         fd._upwind1_march(assemble(system, Scheme.UPWIND1))
 
 def test_upwind2_sweep_memory_is_bounded():
-    # a one-arm sweep of the whole field keeps a carry of |J| columns for
-    # every block but the last.  On the flagship one factored arm keeps half
-    # of that (traced peak 0.56 of it here: the carries, the field and the
-    # five-node middle block).  On the lattice s = 0.3 kappa both arms are
-    # factored: the traced peak is 1.07 of it, 89.0 MB against 86.3 MB for
-    # the one-arm sweep this replaced
-    for make, bound in ((make_system, 0.6), (_asymmetric_system, 1.1)):
+    # a one-arm sweep of the whole field with whole carries would keep |J|
+    # columns for every block but the last.  Each block keeps only the
+    # carry's rows that the next block's Schur update reads, half of them
+    # for upwind2, and back substitution recovers the rest.  So on the
+    # flagship one factored arm keeps a quarter of that (traced peak 0.31
+    # of it here, 25.5 MB: the kept carries, the field and the five-node
+    # middle block).  On the lattice s = 0.3 kappa both arms are factored:
+    # the traced peak is 0.58 of it, 48.0 MB
+    for make, bound in ((make_system, 0.4), (_asymmetric_system, 0.7)):
         op = assemble(make(1600), Scheme.UPWIND2)
-        edges, _, J, _ = fd._node_blocks(op)
-        one_arm = 8 * np.arange(edges[-1] - edges[-2])[J].size * (op.pinned.size - (edges[1] - edges[0]))
+        edges, _, _, J, _, _ = fd._node_blocks(op)
+        one_arm = 8 * J.sum() * (op.pinned.size - (edges[1] - edges[0]))
         tracemalloc.start()
         try:
             fd._block_sweep(op)

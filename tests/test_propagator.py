@@ -117,6 +117,34 @@ def test_quadrature_refinement_is_converged(monkeypatch):
     assert np.abs(coarse - fine).max() < 1e-12
 
 
+def _panel_reference(g, h):
+    """``_cumulative_simpson`` written panel by panel, with the same operations in the same order."""
+    P = (len(g) - 1) // 2
+    h = np.broadcast_to(np.asarray(h, dtype=float), (P,))
+    out = np.empty_like(g)
+    out[0] = 0.0
+    for q in range(P):
+        g0, g1, g2 = g[2 * q], g[2 * q + 1], g[2 * q + 2]
+        whole = (g1 * 4.0 + g0 + g2) * (h[q] / 3.0)
+        out[2 * q + 2] = whole if q == 0 else out[2 * q] + whole
+        out[2 * q + 1] = (g1 * 8.0 - g2 + 5.0 * g0) * (h[q] / 12.0) + out[2 * q]
+    return out
+
+
+def test_cumulative_simpson_matches_a_per_panel_reference_exactly():
+    # the whole-panel totals are summed slab by slab where a point holds at
+    # least as many entries as there are panels, and by np.cumsum otherwise:
+    # both add in panel order, so each equals the per-panel reference to the
+    # bit, for matrix- and vector-shaped samples, one h or one per panel,
+    # of either sign
+    rng = np.random.default_rng(53)
+    for shape in ((8, 6, 6), (8, 5), (40, 5), (3, 4, 4), (1, 3)):
+        P, point = shape[0], shape[1:]
+        g = rng.standard_normal((2 * P + 1,) + point)
+        for h in (0.37, -0.37, rng.uniform(0.1, 1.0, P), -rng.uniform(0.1, 1.0, P)):
+            assert np.array_equal(propagator._cumulative_simpson(g, h), _panel_reference(g, h))
+
+
 def test_picard_cap_raises_on_non_contractive_interval():
     # the public entry points always split below the contraction step, so
     # drive one Picard run directly across a whole period, far beyond
