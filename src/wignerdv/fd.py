@@ -467,7 +467,7 @@ def _node_blocks(problem: LinearProblem, mirrored: bool = False):
 
 
 # one arm of the block sweep as ``_block_sweep`` carries it from the forward pass to back substitution
-_Arm = collections.namedtuple("_Arm", "mirrored columns edges coupled kept J Q carries blocks recovery")
+_Arm = collections.namedtuple("_Arm", "mirrored columns edges coupled kept J rest carries blocks recovery")
 
 
 def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -535,14 +535,17 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             where += f" and, mirrored, {nodes(N - b, N - a)}"
         return SolverError(f"block elimination failed at {where}: {why}")
 
-    def factor(D, a, b, mirrored, rows=None):
-        """getrf of D, the block of the arm's flat rows a .. b - 1, or their rows a + rows if given."""
-        what = "the block" if rows is None else "the block's recovery system"
+    def factor(D, a, b, mirrored, runs=None):
+        """getrf of D, the block of the arm's flat rows a .. b - 1, or of their rows in the runs if given."""
+        what = "the block" if runs is None else "the block's recovery system"
         if not np.isfinite(D).all():
             raise fail(a, b, mirrored, f"{what} is not finite")
         lu, piv, info = getrf(D, overwrite_a=True)
         if info > 0:
-            flat = a + (info - 1 if rows is None else rows[info - 1])
+            i = info - 1
+            if runs is not None:
+                i = next(rows.start + i - packed.start for rows, packed in runs if i < packed.stop)
+            flat = a + i
             j, k = divmod(int(N - 1 - flat if mirrored else flat), m)
             raise fail(a, b, mirrored, f"{what} is singular, zero pivot {info} of {len(D)} "
                                        f"(node {j}, velocity index {k})")
@@ -576,8 +579,8 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         """Forward elimination of one arm over its T blocks, for the (rhs, x) columns it serves.
 
         Leaves the partial solutions p_t in x and returns the arm: its
-        flag, columns, edges, the runs of the rows of L, of kept and of J,
-        the recovered entries Q, the kept rows of the carries, and the
+        flag, columns, edges, the runs of the rows of L, of kept, of J and
+        of the recovered entries, the kept rows of the carries, and the
         blocks, which yield the middle block next, and the recovery rows.
         """
         edges, coupled, kept, J, blocks, recovery = _node_blocks(problem, mirrored)
@@ -585,7 +588,7 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         # the kept rows of the carries share one buffer of exactly their
         # size, each a Fortran-ordered view
         carries = np.empty((T, J.sum(), kept.sum())).transpose(0, 2, 1)
-        arm = _Arm(mirrored, columns, edges, _runs(coupled), _runs(kept), _runs(J), np.flatnonzero(~kept),
+        arm = _Arm(mirrored, columns, edges, _runs(coupled), _runs(kept), _runs(J), _runs(~kept),
                    carries, blocks, recovery)
         for t, block in zip(range(T), blocks):
             a, b = edges[t], edges[t + 1]
@@ -606,19 +609,23 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
 
     def recover(arm):
         """Back substitution down one arm: x_t[kept] from the carries, then x_t[Q] from the block's rows at Q."""
-        edges, size, Q = arm.edges, arm.edges[1], arm.Q
+        edges, size, rest = arm.edges, arm.edges[1], arm.rest
         for t, R in zip(range(len(edges) - 3, -1, -1), arm.recovery):
             a, b = edges[t], edges[t + 1]
-            if Q.size:
-                lu, piv = factor(np.asfortranarray(R[:, Q]), a, b, arm.mirrored, Q)
+            if rest:
+                lu, piv = factor(take(R, rest), a, b, arm.mirrored, rest)
             for r, y in arm.columns:
                 z = arm.carries[t] @ take(y[b:b + size], arm.J)
+                x_t = y[a:b]
                 for rows, packed in arm.kept:
-                    y[a:b][rows] -= z[packed]
-                if Q.size:
-                    y[a:b][Q] = 0.0
-                    q = r[a:b][Q] - R @ y[a:a + 2 * size]
-                    y[a:b][Q] = getrs(lu, piv, q, overwrite_b=True)[0]
+                    x_t[rows] -= z[packed]
+                if rest:
+                    for rows, _ in rest:
+                        x_t[rows] = 0.0
+                    q = take(r[a:b], rest) - R @ y[a:a + 2 * size]
+                    q = getrs(lu, piv, q, overwrite_b=True)[0]
+                    for rows, packed in rest:
+                        x_t[rows] = q[packed]
 
     left = eliminate(False, sides if shared else sides[:1])
     right = left if shared else eliminate(True, sides[1:])

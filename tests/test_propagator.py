@@ -133,12 +133,14 @@ def _panel_reference(g, h):
 
 def test_cumulative_simpson_matches_a_per_panel_reference_exactly():
     # the whole-panel totals are summed slab by slab where a point holds at
-    # least as many entries as there are panels, and by np.cumsum otherwise:
-    # both add in panel order, so each equals the per-panel reference to the
-    # bit, for matrix- and vector-shaped samples, one h or one per panel,
-    # of either sign
+    # least _SLAB_ENTRIES entries, and by np.cumsum otherwise: both add in
+    # panel order, so each equals the per-panel reference to the bit, for
+    # matrix- and vector-shaped samples on both sides of the cut, one h or
+    # one per panel, of either sign
     rng = np.random.default_rng(53)
-    for shape in ((8, 6, 6), (8, 5), (40, 5), (3, 4, 4), (1, 3)):
+    shapes = ((8, 16, 16), (3, 20, 20), (40, 300), (8, 6, 6), (8, 5), (40, 5), (1, 3))
+    assert {np.prod(shape[1:]) >= propagator._SLAB_ENTRIES for shape in shapes} == {True, False}
+    for shape in shapes:
         P, point = shape[0], shape[1:]
         g = rng.standard_normal((2 * P + 1,) + point)
         for h in (0.37, -0.37, rng.uniform(0.1, 1.0, P), -rng.uniform(0.1, 1.0, P)):
