@@ -15,34 +15,27 @@ Each stencil is written once, in ``_stencil``, and A(x) is read as the
 channel bands of ``potential._bands`` on the mesh nodes.  On the node-major
 (Nx + 1, m) field, with an identity row on each pinned entry, each transport
 leg, and each coupling leg on each band, is one diagonal of the matrix
-(``_diagonals``).  Every scheme is solved by one flow (``solve_bvp``): a
-first iterate, the gate, and at most one refinement sweep.  ``central`` and
-``upwind1`` march: their cells touch two nodes each, and one march
-(``_march``) reads them from those diagonals.  ``central`` marches once from
-the inflow data of both ends (``_central_march``): A(x) is odd and the mesh
-mirror symmetric, so the discrete period map is the identity.  ``upwind1``
-marches stabilized (``_upwind1_march``, after Ascher, Mattheij & Russell,
-ch. 4.4) from both inflow ends to x = 0: in each arm n + 1 columns for its
-n v < 0 channels, re-orthonormalized by a QR at each segment end, then a
-square solve that matches the two arms at x = 0, a triangular
-back-recurrence for the segment states, and a march of one column from
-them.  ``upwind2`` sweeps: block tridiagonal elimination from both inflow
-ends toward a middle block at x = 0 (``_block_sweep``), its node blocks
-written from the diagonals.  Each block keeps only the rows of its carry
-that the next block's Schur update reads (for upwind2 half of them: the
-entries whose velocity points away from the arm's inflow end);
-back substitution recovers the rest of the block's field from the
-block's own rows there, rebuilt from the diagonals: a small system,
-c0 I - w H A(x) on each node's entries, that is nonsingular because A(x)
-is skew.  In the march and in the sweep, the arm from
-+l/2 is the arm from -l/2 run on the reversed flat order,
-(x, v) -> (-x, -v); on an antisymmetric velocity set that reversal maps
-the matrix onto itself, and one arm, marched or factored once, serves
-both.  The same sweep, on the gate's residual, is the refinement step of
-every scheme.  The
-gate is the residual of ``assemble``'s system, a product with the same
-diagonals (``_residual``), summed a run of nodes at a time.
-The reference ``LinearProblem.matrix`` and ``rhs`` are cut on first read.
+(``_diagonals``), which every solver reads.  Every scheme is solved by one
+flow (``solve_bvp``): a first iterate, the gate, and at most one refinement
+sweep.  ``central`` marches once from the inflow data of both ends
+(``_central_march``): A(x) is odd and the mesh mirror symmetric, so the
+discrete period map is the identity.  ``upwind1`` marches stabilized from
+both inflow ends to x = 0 (``_upwind1_march``).  ``upwind2`` sweeps: block
+tridiagonal elimination from both inflow ends toward a middle block at
+x = 0 (``_block_sweep``).  The same sweep, on the gate's residual, is the
+refinement step of every scheme.  The gate is the residual of
+``assemble``'s system, a product with the same diagonals (``_residual``),
+summed a run of nodes at a time.
+
+The arm from +l/2 of the march and of the sweep is the arm from -l/2 of
+``_mirror(problem)``, the problem on the reversed flat order,
+(x, v) -> (-x, -v), with the same bands: A(x) is Toeplitz and skew in the
+channel index, so reversing the channels negates it, and it is odd to the
+bit on the mirror-symmetric mesh, so -A(x) = A(-x).  No reader of the
+matrix knows which arm it serves.  On an antisymmetric velocity set the
+mirror's matrix is the problem's own, and one arm, marched or factored
+once, serves both (``_arms``).  The reference ``LinearProblem.matrix`` and
+``rhs`` are cut on first read.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
-from .kinetic import WignerSystem, _unit_scaled
+from .kinetic import BoundaryData, VelocityGrid, WignerSystem, _unit_scaled
 from .potential import _bands
 
 __all__ = [
@@ -207,7 +200,7 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
     identity row on each pinned one.  Returns {offset: coef}, coef[j - j0, k]
     being the entry of row (j, k) in the column of flat index j m + k +
     offset.  Scaled by dx / |v| of the row, a transport leg (dj, c) puts
-    (c v / dx) dx / |v|, c to rounding (ROADMAP item 6), on offset dj m, and a
+    (c v / dx) dx / |v|, c to rounding (CHANGES.md), on offset dj m, and a
     coupling leg (dj, w) puts -w coef dx / |v| of each band of A(x), x at
     node j + dj, on offset dj m + (cols.start - rows.start) over the band's
     rows.  Rows of v < 0 mirror those of v > 0 (see ``_stencil``).  No two
@@ -336,61 +329,95 @@ def _gate(problem: LinearProblem, field: np.ndarray) -> float:
     return float(np.sqrt(squares) / max(problem.rhs_norm, _NORM_FLOOR))
 
 
-def _mirror_invariant(problem: LinearProblem) -> bool:
-    """Whether the whole-field matrix is its own image under the reversed flat order.
+def _mirror(problem: LinearProblem) -> LinearProblem:
+    """The problem on the reversed flat order, (j, k) -> (Nx - j, m - 1 - k), that is (x, v) -> (-x, -v).
 
-    Reversing the node-major flat index maps entry (j, k) to (Nx - j, m - 1 - k),
-    that is (x, v) to (-x, -v).  The mesh is mirror symmetric and A(x) odd to
-    the bit on it (``kinetic.build_mesh``, ``potential._bands``), so the
-    reversal maps the matrix onto itself to the bit exactly when the velocity
-    set is antisymmetric to the bit.
+    Its velocities are -v[::-1], the lattice of shift kappa - s on the
+    indices -i_max - 1 .. -i_min - 1, and its inflow data, ``pinned`` and
+    ``pinval`` are the problem's reversed.  Its bands are the problem's:
+    reversing the channels gives -A(x) = A(-x) (see the module docstring),
+    so the reversed field solves u g' = A(x) g, u = -v[::-1], and the
+    mirror's whole-field matrix is the problem's in reversed flat order.
     """
+    system, grid = problem.system, problem.system.grid
+    velocities = -grid.velocities[::-1]
+    velocities.flags.writeable = False
+    mirror_grid = VelocityGrid(grid.kappa - grid.s, grid.kappa, -grid.i_max - 1, -grid.i_min - 1, velocities)
+    boundary = BoundaryData(mirror_grid, system.boundary.values[::-1])
+    return replace(problem, system=replace(system, grid=mirror_grid, boundary=boundary),
+                   pinned=problem.pinned[::-1, ::-1], pinval=problem.pinval[::-1, ::-1])
+
+
+def _mirror_invariant(problem: LinearProblem) -> bool:
+    """Whether ``_mirror(problem)`` has the problem's matrix: whether v == -v[::-1] to the bit."""
     v = problem.system.grid.velocities
     return bool(np.array_equal(v, -v[::-1]))
 
 
-def _node_blocks(problem: LinearProblem, mirrored: bool = False):
-    """One arm of the two-arm block sweep, written from the whole-field matrix's diagonals.
+def _arms(problem: LinearProblem) -> tuple:
+    """The problem of each side of a two-arm solve, and the arms that serve the sides.
+
+    Side False, from -l/2, is ``problem``; side True, from +l/2, is
+    ``_mirror(problem)``.  An arm is the tuple of the sides it serves and
+    runs on the problem of the first: one arm serves both sides where
+    ``_mirror_invariant`` holds, else each side has its own.
+    """
+    problems = (problem, _mirror(problem))
+    return problems, ((False, True),) if _mirror_invariant(problem) else ((False,), (True,))
+
+
+def _named(sides: tuple, noun: str, first: int, last: int, end: int, aside: bool = False) -> str:
+    """An arm's items first .. last (cells, mesh nodes or channels) named as the problem numbers them.
+
+    On the side from +l/2 (``_arms``) item i is the problem's end - i: end
+    is Nx + 1 for cells, Nx for nodes and m - 1 for channels.  An arm that
+    serves both sides names the mirror images too, in parentheses if aside.
+    """
+    def name(side):
+        a, b = (end - last, end - first) if side else (first, last)
+        return f"{noun} {a}" if a == b else f"{noun}s {a}-{b}"
+
+    where = name(sides[0])
+    for side in sides[1:]:
+        where += f" (and, mirrored, {name(side)})" if aside else f" and, mirrored, {name(side)}"
+    return where
+
+
+def _node_blocks(problem: LinearProblem):
+    """The arm from -l/2 of the two-arm block sweep, written from the whole-field matrix's diagonals.
 
     The sweep cuts the flat field into two arms of T node blocks each, one
-    from each inflow end, and a middle block around node Nx / 2.  An arm
+    from each inflow end, and a middle block around node Nx / 2; it reads
+    the arm from +l/2 as the arm from -l/2 of ``_mirror(problem)``.  An arm
     block has reach m rows, reach being the farthest leg of the stencil (one
     node for upwind1 and central, node pairs for upwind2), so each block
     couples only to its two neighbours and the pinned rows lie in the first.
     The middle block holds the reach to 3 reach - 1 nodes left over, so the
-    last block of each arm couples only to it.  The arm from -l/2 reads the
-    matrix as it is.  The arm from +l/2 (mirrored) reads it in reversed
-    flat order, (j, k) -> (Nx - j, m - 1 - k): that is the matrix of the
-    mirrored problem, velocities -v[::-1], so the code that sweeps one arm
-    sweeps both.  The diagonals are built for one run of ``_RUN_NODES`` nodes
-    at a time and written into each block by strided writes.  The rows of
-    L_t, the columns of block t - 1 that L_t reads and the columns J_t of
-    U_t follow from the legs and the channel signs of the arm's own order,
-    as do the columns that the coupling legs reach (the band spread), and
-    are the same for every block.  A block's rows of u < 0 read only their
-    own block and the next one, and its rows of u > 0 (the rows of L) only
-    their own block and the one before.
+    last block of each arm couples only to it.  A block's rows of v < 0 read
+    only their own block and the next one, and its rows of v > 0 (the rows
+    of L) only their own block and the one before.  The columns they read
+    follow from the legs, the channel signs and the channels that the
+    coupling legs reach (the band spread), the same for every block.  The
+    diagonals are built a run of ``_RUN_NODES`` nodes at a time and written
+    into each block by strided writes.
 
-    Returns (edges, coupled, kept, J, blocks, recovery), all in the arm's
-    flat order: edges 0, reach m, ..., c, N - c bound the T arm blocks and
-    the middle block; coupled, kept and J are masks over the reach m
-    entries of a block: coupled the rows of L_t, kept the columns of block
-    t - 1 that L_t reads together with the rows of L, which carry Schur
-    fill (for every stencil here the u > 0 entries, and for central the
-    band spread of their coupling legs too), and J the columns J_t within
-    block t + 1 (the middle, for the last arm block).  blocks yields, for
-    each arm block t in order, its rows over the columns of blocks
-    t - 1 .. t + 1, and then the middle block's rows over the columns of
-    the last block of both arms, Fortran-ordered so that the sweep factors
-    a block's own columns in place.  recovery
-    yields, for each arm block t from T - 1 down to 0, its rows off kept
-    over the columns of blocks t and t + 1, rebuilt from the diagonals a
-    run at a time.
+    Returns (edges, coupled, kept, J, blocks, recovery): edges 0, reach m,
+    ..., c, N - c bound the T arm blocks and the middle block; coupled, kept
+    and J are masks over the reach m entries of a block: coupled the rows of
+    L_t, kept the columns of block t - 1 that L_t reads together with the
+    rows of L, which carry Schur fill (for every stencil here the v > 0
+    entries, and for central the band spread of their coupling legs too),
+    and J the columns J_t within block t + 1 (the middle, for the last arm
+    block).  blocks yields, for each arm block t in order, its rows over the
+    columns of blocks t - 1 .. t + 1, and then the middle block's rows over
+    the columns of the last block of both arms, Fortran-ordered so that the
+    sweep factors a block's own columns in place.  recovery yields, for each
+    arm block t from T - 1 down to 0, its rows off kept over the columns of
+    blocks t and t + 1, rebuilt from the diagonals a run at a time.
     """
     Nx = problem.system.mesh.Nx
     m = problem.system.grid.size
     v = problem.system.grid.velocities
-    u = -v[::-1] if mirrored else v                  # the velocities in the arm's order
     legs = _stencil(problem.scheme, Nx)
     reach = _reach(legs)
     N = problem.pinned.size
@@ -398,33 +425,31 @@ def _node_blocks(problem: LinearProblem, mirrored: bool = False):
     c = T * reach * m
     size = reach * m
     edges = np.append(np.arange(0, c + 1, size), N - c)
-    spread = {}                                  # by the sign of u: the channels their rows' coupling legs read
+    spread = {}                                  # by the sign of v: the channels their rows' coupling legs read
     for sign in (1, -1):
-        channels = np.zeros(m, dtype=bool)
+        spread[sign] = np.zeros(m, dtype=bool)
         for rows, cols, _ in problem.bands:
-            channels[cols] |= sign * (-v[rows] if mirrored else v[rows]) > 0
-        spread[sign] = channels[::-1] if mirrored else channels
-    # a leg (dj, .) of a u < 0 row reads -dj nodes ahead, so the block before
+            spread[sign][cols] |= sign * v[rows] > 0
+    # a leg (dj, .) of a v < 0 row reads -dj nodes ahead, so the block before
     # reads into the first -dj nodes of a block; the farthest leg reaches
-    # reach nodes back, so every u > 0 row reads the block before, and a leg
-    # (dj, .) of a u > 0 row reads the last -dj nodes of the block before
+    # reach nodes back, so every v > 0 row reads the block before, and a leg
+    # (dj, .) of a v > 0 row reads the last -dj nodes of the block before
     carried, behind = np.zeros((2, reach, m), dtype=bool)
     for _, transport, coupling in legs:
-        reads = [(dj, u < 0, u > 0) for dj, _ in transport] + [(dj, spread[-1], spread[1]) for dj, _ in coupling]
+        reads = [(dj, v < 0, v > 0) for dj, _ in transport] + [(dj, spread[-1], spread[1]) for dj, _ in coupling]
         for dj, ahead, back in reads:
             carried[:-dj] |= ahead
             behind[reach + dj:] |= back
-    coupled = np.tile(u > 0, reach)
+    coupled = np.tile(v > 0, reach)
     kept, J = behind.ravel() | coupled, carried.ravel()
     run = reach * max(_RUN_NODES // reach, 1)
 
     def diagonals(j0, j1):
-        """The diagonals of the arm's nodes j0 .. j1 - 1, flat, and the flat row they start at."""
-        n0, n1 = (Nx + 1 - j1, Nx + 1 - j0) if mirrored else (j0, j1)
-        return {d: coef.ravel() for d, coef in _diagonals(problem, n0, n1).items()}, n0 * m
+        """The diagonals of nodes j0 .. j1 - 1, flat, and the flat row they start at."""
+        return {d: coef.ravel() for d, coef in _diagonals(problem, j0, j1).items()}, j0 * m
 
     def block(loaded, rows, cols, out=None):
-        """The arm's rows a .. b - 1 over its columns lo .. hi - 1, from loaded diagonals.
+        """Rows a .. b - 1 over columns lo .. hi - 1, from loaded diagonals.
 
         Written into out, zero and contiguous in either order, or else into
         a new Fortran-ordered block.
@@ -432,8 +457,6 @@ def _node_blocks(problem: LinearProblem, mirrored: bool = False):
         (a, b), (lo, hi) = rows, cols
         out = np.zeros((hi - lo, b - a)).T if out is None else out
         flat, (coefs, base) = out.ravel(order="K"), loaded
-        if mirrored:                     # the reversed flat view reads the block in natural order
-            flat, (a, b), (lo, hi) = flat[::-1], (N - b, N - a), (N - hi, N - lo)
         # entry (r, r + d) of the matrix is flat[(r - a) sr + (r + d - lo) sc],
         # sr and sc the strides of out: a diagonal of the block, stride sr + sc
         sr, sc = (stride // out.itemsize for stride in out.strides)
@@ -467,7 +490,7 @@ def _node_blocks(problem: LinearProblem, mirrored: bool = False):
 
 
 # one arm of the block sweep as ``_block_sweep`` carries it from the forward pass to back substitution
-_Arm = collections.namedtuple("_Arm", "mirrored columns edges coupled kept J rest carries blocks recovery")
+_Arm = collections.namedtuple("_Arm", "sides columns edges coupled kept J rest carries blocks recovery")
 
 
 def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -484,71 +507,61 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     toward the arm's own end), so the carry is the half-rank
     C_t = D'_t^-1 U_t[:, J_t].  The Schur update touches only
     D_{t+1}[:, J_t], on the rows of L_{t+1}, and L_{t+1} reads only the
-    kept entries of block t (the u > 0 ones), so each block keeps only
+    kept entries of block t (the v > 0 ones), so each block keeps only
     C_t[kept], L_{t+1}[:, kept] C_t[kept] is the update, and the other rows
     of C_t are dropped: for upwind2 half of each carry.
     The middle block takes the update of the last block of both arms and is
     solved once; back substitution then reads
     x_t[kept] = p_t[kept] - C_t[kept] x_{t+1}[J_t] down each arm and
-    recovers the rest, x_t[Q], from the block's own rows at Q: they carry
-    no Schur fill and no entry of L, so
-    D0[Q, Q] x_t[Q] = r_t[Q] - D0[Q, kept] x_t[kept] - U_t[Q, J_t] x_{t+1}[J_t],
-    D0 being the block as assembled, its rows at Q rebuilt from the
-    diagonals a run at a time on the way back (``_node_blocks``).  Those
-    rows read only their own node and the nodes ahead, so D0[Q, Q] is block
-    triangular over the block's nodes (a node pair for upwind2), with
-    c0 I - w H A(x) on each node: H = diag(dx / |v|) on its entries, and c0
-    and w the stencil's own-node transport and coupling weights (1.5 and 1
-    for upwind2's second-order rows, which all of Q are; 1 and 1 for
-    upwind1; 1 and 1/2 for central).  A(x) is skew, so the similarity by
-    H^(1/2) leaves c0 I plus a skew matrix, and D0[Q, Q] is nonsingular.
-    Its solve takes each right-hand side alone; a non-finite or singular
-    D0[Q, Q] raises, naming the block's mesh nodes as a forward block does.
-    Where L reads every column, Q is empty.  The arm from +l/2 is
-    the arm from -l/2 run on the reversed flat order, its right-hand side
-    and field reversed too.  Where that reversal maps M onto itself
-    (``_mirror_invariant``: the velocity set is antisymmetric), the two
-    arms' blocks are equal to the bit, so one arm is factored and carries
-    both right-hand sides, its own and the reversed one; each is solved one
-    column at a time, on the way down and back, as a second arm would, so
-    the field is the one two factored arms give, to the bit.
+    recovers the rest, x_t[Q], from the block's own rows at Q, rebuilt from
+    the diagonals a run at a time (``_node_blocks``): they carry no Schur
+    fill and no entry of L, so, D0 being the block as assembled,
+    D0[Q, Q] x_t[Q] = r_t[Q] - D0[Q, kept] x_t[kept] - U_t[Q, J_t] x_{t+1}[J_t].
+    Those rows read only their own node and the nodes ahead, so D0[Q, Q] is
+    block triangular over the block's nodes, with c0 I - w H A(x) on each:
+    H = diag(dx / |v|), and c0 and w the stencil's own-node transport and
+    coupling weights (1.5 and 1 for upwind2, all of whose rows at Q are
+    second order; 1 and 1 for upwind1; 1 and 1/2 for central).  A(x) is
+    skew, so the similarity by H^(1/2) leaves c0 I plus a skew matrix, and
+    D0[Q, Q] is nonsingular.  Its solve takes each right-hand side alone.
+    Where L reads every column, Q is empty.  The arm from +l/2 is the arm
+    from -l/2 of ``_mirror(problem)``, on the reversed right-hand side and
+    field.  Where ``_arms`` gives one arm for both sides, it is factored
+    once and carries both right-hand sides, each solved one column at a
+    time as a second arm would, so the field is the one two factored arms
+    give, to the bit.
 
     Raises:
         SolverError: a block, or a block's D0[Q, Q], is not finite or is
             exactly singular.
     """
-    m, N = problem.system.grid.size, problem.pinned.size
+    m, N, Nx = problem.system.grid.size, problem.pinned.size, problem.system.mesh.Nx
     rhs = (problem.pinval if rhs is None else rhs).ravel()
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (problem.pinval,))
-    shared = _mirror_invariant(problem)
+    problems, arms = _arms(problem)
     x = np.empty(N)
     # each side of the field as its arm reads it: (right-hand side, solution)
-    sides = ((rhs, x), (rhs[::-1], x[::-1]))
+    views = ((rhs, x), (rhs[::-1], x[::-1]))
 
-    def fail(a, b, mirrored, why):
-        """SolverError naming the mesh nodes of the arm's flat rows a .. b - 1."""
-        def nodes(a, b):
-            first, last = a // m, (b - 1) // m
-            return f"mesh node {first}" if first == last else f"mesh nodes {first}-{last}"
-        where = nodes(N - b, N - a) if mirrored else nodes(a, b)
-        if shared and a + b != N:                     # a shared arm block stands for its mirror too
-            where += f" and, mirrored, {nodes(N - b, N - a)}"
+    def fail(a, b, sides, why):
+        """SolverError naming the mesh nodes of flat rows a .. b - 1 of an arm serving the sides."""
+        where = _named(sides, "mesh node", a // m, (b - 1) // m, Nx)
         return SolverError(f"block elimination failed at {where}: {why}")
 
-    def factor(D, a, b, mirrored, runs=None):
-        """getrf of D, the block of the arm's flat rows a .. b - 1, or of their rows in the runs if given."""
+    def factor(D, a, b, sides, runs=None):
+        """getrf of D, the block of flat rows a .. b - 1, or of their rows in the runs if given."""
         what = "the block" if runs is None else "the block's recovery system"
         if not np.isfinite(D).all():
-            raise fail(a, b, mirrored, f"{what} is not finite")
+            raise fail(a, b, sides, f"{what} is not finite")
         lu, piv, info = getrf(D, overwrite_a=True)
         if info > 0:
             i = info - 1
             if runs is not None:
                 i = next(rows.start + i - packed.start for rows, packed in runs if i < packed.stop)
-            flat = a + i
-            j, k = divmod(int(N - 1 - flat if mirrored else flat), m)
-            raise fail(a, b, mirrored, f"{what} is singular, zero pivot {info} of {len(D)} "
-                                       f"(node {j}, velocity index {k})")
+            j, k = divmod(int(a + i), m)
+            raise fail(a, b, sides, f"{what} is singular, zero pivot {info} of {len(D)} "
+                                    f"({_named(sides[:1], 'node', j, j, Nx)}, "
+                                    f"{_named(sides[:1], 'velocity index', k, k, m - 1)})")
         return lu, piv
 
     def take(M, runs):
@@ -575,29 +588,27 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         for rows, packed in arm.coupled:
             p[rows] -= z[packed]
 
-    def eliminate(mirrored, columns):
-        """Forward elimination of one arm over its T blocks, for the (rhs, x) columns it serves.
+    def eliminate(sides):
+        """Forward elimination of the arm serving the sides over its T blocks, for their (rhs, x) columns.
 
-        Leaves the partial solutions p_t in x and returns the arm: its
-        flag, columns, edges, the runs of the rows of L, of kept, of J and
-        of the recovered entries, the kept rows of the carries, and the
-        blocks, which yield the middle block next, and the recovery rows.
+        Leaves the partial solutions p_t in x and returns the ``_Arm``, its
+        fields the runs of its masks; its blocks yield the middle block next.
         """
-        edges, coupled, kept, J, blocks, recovery = _node_blocks(problem, mirrored)
+        edges, coupled, kept, J, blocks, recovery = _node_blocks(problems[sides[0]])
         T = len(edges) - 2
         # the kept rows of the carries share one buffer of exactly their
         # size, each a Fortran-ordered view
         carries = np.empty((T, J.sum(), kept.sum())).transpose(0, 2, 1)
-        arm = _Arm(mirrored, columns, edges, _runs(coupled), _runs(kept), _runs(J), _runs(~kept),
-                   carries, blocks, recovery)
+        arm = _Arm(sides, [views[side] for side in sides], edges, _runs(coupled), _runs(kept), _runs(J),
+                   _runs(~kept), carries, blocks, recovery)
         for t, block in zip(range(T), blocks):
             a, b = edges[t], edges[t + 1]
             lo = edges[max(t - 1, 0)]
             D = block[:, a - lo:b - lo]                  # a Fortran-ordered view, factored in place
             if t > 0:
                 L = update(D, block, arm, carries[t - 1])
-            lu, piv = factor(D, a, b, mirrored)
-            for r, y in columns:
+            lu, piv = factor(D, a, b, sides)
+            for r, y in arm.columns:
                 p = r[a:b].copy()
                 if t > 0:
                     reduce(p, L, arm, y[lo:a])
@@ -613,7 +624,7 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         for t, R in zip(range(len(edges) - 3, -1, -1), arm.recovery):
             a, b = edges[t], edges[t + 1]
             if rest:
-                lu, piv = factor(take(R, rest), a, b, arm.mirrored, rest)
+                lu, piv = factor(take(R, rest), a, b, arm.sides, rest)
             for r, y in arm.columns:
                 z = arm.carries[t] @ take(y[b:b + size], arm.J)
                 x_t = y[a:b]
@@ -627,8 +638,8 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
                     for rows, packed in rest:
                         x_t[rows] = q[packed]
 
-    left = eliminate(False, sides if shared else sides[:1])
-    right = left if shared else eliminate(True, sides[1:])
+    eliminated = [eliminate(sides) for sides in arms]
+    left, right = eliminated[0], eliminated[-1]
     edges = left.edges
     T, c = len(edges) - 2, edges[-2]
     lo = edges[max(T - 1, 0)]
@@ -641,9 +652,9 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
                 (left, middle, D, r, x), (right, middle[::-1, ::-1], D[::-1, ::-1], r[::-1], x[::-1])):
             L = update(D_arm, block[:, :c - lo], arm, arm.carries[-1])
             reduce(r_arm, L, arm, y[lo:c])
-    lu, piv = factor(D, c, N - c, False)
+    lu, piv = factor(D, c, N - c, (False,))
     x[c:N - c] = getrs(lu, piv, r, overwrite_b=True)[0]
-    for arm in (left,) if shared else (left, right):
+    for arm in eliminated:
         recover(arm)
     return x.reshape(problem.pinned.shape)
 
@@ -657,8 +668,8 @@ _SEGMENT_GROWTH = 10.0
 _SEGMENT_CELLS = 800
 
 
-def _march(problem: LinearProblem, starts: np.ndarray, cells: int, arms=(False,), edges=None, out=(), restart=None):
-    """March states over the first cells mesh cells of an arm from given states at segment starts.
+def _march(problem: LinearProblem, starts: np.ndarray, cells: int, sides=(False,), edges=None, out=(), restart=None):
+    """March states over the first cells mesh cells of a problem from given states at segment starts.
 
     Cell c is the v > 0 rows of node c and the v < 0 rows of node c - 1 of
     the whole-field matrix; in ``central`` and ``upwind1`` they touch only
@@ -671,14 +682,9 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, arms=(False,)
     transport diagonal alone, so their half of d is explicit and only the
     v > 0 rows, a band of m - neg, are solved.
 
-    arms are the arms the cells stand for, each a flag mirrored: (False,)
-    the arm from -l/2 (for ``central``, the whole period), (True,) the arm
-    from +l/2 and (False, True) both.  The arm from +l/2 reads the matrix in
-    reversed flat order, (j, k) -> (Nx - j, m - 1 - k): the matrix of the
-    mirrored problem, velocities -v[::-1], whose cell c is cell Nx + 1 - c;
-    its states are in that reversed channel order.  Both arms are served by
-    one march where that reversal maps the matrix onto itself
-    (``_mirror_invariant``), and it reads the cells of the arm from -l/2.
+    sides, the sides of the period that the march serves (``_arms``; for
+    ``central``, (False,) is the whole period), only name its cells in an
+    error.
 
     starts, shape (S, w, m), holds the w states of each segment at its
     first node.  With edges, the nodes 0 = n_0 < ... < n_S = cells that
@@ -694,12 +700,10 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, arms=(False,)
 
     Raises:
         SolverError: a cell matrix is not finite or is singular.  The message
-            names the cell of the original matrix for each arm the march
-            serves; a zero pivot counts the cell's rows in the arm's order.
+            names the cell of the original matrix for each side the march
+            serves; a zero pivot counts the cell's rows in the march's order.
     """
-    mirrored = arms[0]
     v = problem.system.grid.velocities
-    v = -v[::-1] if mirrored else v                    # the velocities in the arm's order
     m, Nx, w = v.size, problem.system.mesh.Nx, starts.shape[1]
     nb = max((cols.start - rows.start for rows, cols, _ in problem.bands), default=0)
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
@@ -726,17 +730,9 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, arms=(False,)
     minus, plus = step[:, :neg], step[:, neg:]
 
     def fail(c, why):
-        """SolverError naming cell c of the arm as the cell of the original matrix in each arm served."""
-        where = f"cell {Nx + 1 - c if mirrored else c}"
-        if len(arms) > 1:                              # a shared arm's cell stands for its mirror too
-            where += f" (and, mirrored, cell {Nx + 1 - c})"
+        """SolverError naming cell c as the cell of the original matrix on each side served."""
+        where = _named(sides, "cell", c, c, Nx + 1, aside=True)
         return SolverError(f"{problem.scheme.value} march: {where} matrix {why}")
-
-    def diagonals(j0, j1):
-        """``_diagonals`` of the arm's nodes j0 .. j1 - 1, in the arm's order."""
-        if not mirrored:
-            return _diagonals(problem, j0, j1)
-        return {-d: coef[::-1, ::-1] for d, coef in _diagonals(problem, Nx + 1 - j1, Nx + 1 - j0).items()}
 
     # a cell step is a function of its own: tracemalloc looks up the line of each allocation,
     # which Python finds by scanning the function's line table from its start, so each of a
@@ -768,7 +764,7 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, arms=(False,)
     for c0 in range(1, cells + 1, run):
         count = min(run, cells + 1 - c0)
         band[:count] = span[:count] = 0.0
-        for d, coef in diagonals(c0 - 1, c0 + count).items():
+        for d, coef in _diagonals(problem, c0 - 1, c0 + count).items():
             # row k of cell c, on node c - back, reads channel k + e of node c - back + ahead:
             # e, ahead = r, q below channel m - r and r - m, q + 1 above, so a key can hold both nodes
             q, r = divmod(d, m)
@@ -824,49 +820,46 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
     After Ascher, Mattheij & Russell (SIAM 1995, ch. 4.4).  Two arms march
     to node Nx / 2, x = 0 (``build_mesh`` takes only even Nx): the arm from
     -l/2 over cells 1 .. Nx / 2, and the arm from +l/2, the same march on
-    the reversed flat order (see ``_march``), over cells Nx .. Nx / 2 + 1
-    from the inflow data b[::-1].  The inflow conditions are separated, so
-    in an arm with n channels of velocity < 0, in its order, the state at
-    the start n_s of segment s is y_s = Q_s c_s + p_s: the n columns of Q_s
-    are orthonormal, and y_0 = [c_0; the arm's inflow data] with Q_0 the
-    unit vectors of those n channels.  ``_march`` carries n + 1 columns
-    over each segment, Q_s and p_s, and ends a segment where Q_s grows (the
-    rounding of y_s then stays small in the march that fills the field).
-    At each segment end the QR Y = Q_{s+1} R_s of the marched Q_s and the
-    marched p_s, z_s, give g_s = Q_{s+1}^T z_s and
-    p_{s+1} = z_s - Q_{s+1} g_s, so c_{s+1} = R_s c_s + g_s, and the next
-    segment starts from Q_{s+1} and p_{s+1}.  At x = 0 the
-    square system Q_L c_L + p_L = reverse(Q_R c_R + p_R), of the last
-    segment of each arm, gives both arms' c_S.  In each arm the
-    back-recurrence c_s = R_s^-1 (c_{s+1} - g_s) gives the segment states,
-    and a march of one column from them fills its half of the field (node
-    Nx / 2 from the arm from -l/2).
+    ``_mirror(problem)`` (``_arms``), over cells Nx .. Nx / 2 + 1.  The
+    inflow conditions are separated, so in an arm with n channels of
+    velocity < 0 the state at the start n_s of segment s is
+    y_s = Q_s c_s + p_s: the n columns of Q_s are orthonormal, Q_0 holds
+    the unit vectors of those channels and p_0 is the side's ``pinval`` at
+    node 0.  ``_march`` carries n + 1 columns, Q_s and p_s, over each
+    segment and ends a segment where Q_s grows (the rounding of y_s then
+    stays small in the march that fills the field).  At each segment end
+    the QR Y = Q_{s+1} R_s of the marched Q_s and the marched p_s, z_s,
+    give g_s = Q_{s+1}^T z_s and p_{s+1} = z_s - Q_{s+1} g_s, so
+    c_{s+1} = R_s c_s + g_s.  At x = 0 the square system
+    Q_L c_L + p_L = reverse(Q_R c_R + p_R), of the last segment of each
+    arm, gives both arms' c_S; in each arm the back-recurrence
+    c_s = R_s^-1 (c_{s+1} - g_s) gives the segment states, and a march of
+    one column from them fills its half of the field (node Nx / 2 from the
+    arm from -l/2).
 
-    Where the reversal maps the matrix onto itself (``_mirror_invariant``),
-    the cells of the two arms are equal to the bit, so Q_s and R_s are
-    marched once, with the particular states of both arms (n + 2 columns),
-    and the field march carries both arms' columns.  Segment ends depend
-    only on Q_s, and each column is marched as it
-    would be alone, so the field is the one two marched arms give, to the
-    bit.  The back-recurrence is stable as the problem is well posed:
-    |diag R_s| stays near 1 (CHANGES.md).  Memory is O(S m n) for S
-    segments, plus the field.
+    Where ``_arms`` gives one arm for both sides, Q_s and R_s are marched
+    once with the particular states of both sides (n + 2 columns), and the
+    field march carries both sides' columns.  Segment ends depend only on
+    Q_s, and each column is marched as it would be alone, so the field is
+    the one two marched arms give, to the bit.  The back-recurrence is
+    stable as the problem is well posed: |diag R_s| stays near 1
+    (CHANGES.md).  Memory is O(S m n) for S segments, plus the field.
 
     Raises:
         SolverError: a cell matrix is not finite or is singular, or the
             matching system or an R_s is singular.
     """
-    Nx, v, b = problem.system.mesh.Nx, problem.system.grid.velocities, problem.system.boundary.values
-    m, half = v.size, Nx // 2
-    # an arm is the sides it stands for, each a flag mirrored (see _march)
-    arms = ((False, True),) if _mirror_invariant(problem) else ((False,), (True,))
+    Nx, m = problem.system.mesh.Nx, problem.system.grid.size
+    half = Nx // 2
+    problems, arms = _arms(problem)
 
     def transfer(arm):
         """The edges, Q_s and R_s of an arm, and g_s and p_s of each side it serves, by side."""
-        neg = int(np.searchsorted(-v[::-1] if arm[0] else v, 0.0))
+        op = problems[arm[0]]
+        neg = int(np.searchsorted(op.system.grid.velocities, 0.0))
         Q, R = [np.eye(m)[:, :neg]], []
         g = {side: [] for side in arm}
-        p = {side: [np.concatenate((np.zeros(neg), (b[::-1] if side else b)[neg:]))] for side in arm}
+        p = {side: [problems[side].pinval[0]] for side in arm}
 
         def start():
             """The states the next segment starts from: Q_s and each side's p_s."""
@@ -882,7 +875,7 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
                 p[side].append(z - q @ g[side][-1])
             return start()
 
-        return _march(problem, start()[None], half, arm, restart=restart), Q, R, g, p
+        return _march(op, start()[None], half, arm, restart=restart), Q, R, g, p
 
     marched = [transfer(arm) for arm in arms]
     ends = {side: (Q[-1], p[side][-1]) for _, Q, _, _, p in marched for side in p}
@@ -904,7 +897,7 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
                 if info > 0:
                     raise SolverError(f"upwind1 march: R of segment {s} from {'+' if side else '-'}l/2 is singular")
                 y[s, i] = Q[s] @ cs + p[side][s]
-        _march(problem, y, half, arm, edges, [halves[side] for side in arm])
+        _march(problems[arm[0]], y, half, arm, edges, [halves[side] for side in arm])
     return field
 
 

@@ -209,10 +209,12 @@ def _small_system(rng, Nx=12):
 
 
 def _sample_systems(rng):
-    """Flagship meshes from the smallest, random systems and small-M systems."""
+    """Flagship meshes from the smallest, random systems, small-M systems and the smallest meshes of s = 0.3 kappa."""
     systems = [make_system(Nx) for Nx in (2, 4, 6, 60)]
     systems += [random_system(rng, max_harmonics=4, max_M=30) for _ in range(6)]
-    return systems + [_small_system(rng, Nx) for Nx in (4, 12)]
+    systems += [_small_system(rng, Nx) for Nx in (4, 12)]
+    # two factored arms on the smallest meshes: upwind2 has T = 0 at Nx 2 and 4, T = 1 at Nx 6
+    return systems + [_asymmetric_system(Nx) for Nx in (2, 4, 6)]
 
 
 def _check_arm_block(problem, block, rows, cols, mirrored):
@@ -260,7 +262,7 @@ def test_node_blocks_match_the_assembled_matrix():
             problem = assemble(system, scheme)
             N = problem.pinned.size
             reach = 2 if scheme is Scheme.UPWIND2 else 1
-            arms = [fd._node_blocks(problem, mirrored) for mirrored in (False, True)]
+            arms = [fd._node_blocks(op) for op in (problem, fd._mirror(problem))]
             for mirrored, (edges, coupled, kept, J, blocks, recovery) in zip((False, True), arms):
                 blocks, recovery = list(blocks), list(recovery)
                 T, c, size = len(edges) - 2, edges[-2], reach * m
@@ -319,14 +321,53 @@ def test_diagonals_are_mirror_invariant_to_the_bit():
     assert not fd._mirror_invariant(assemble(_asymmetric_system(10), Scheme.UPWIND2))
 
 
+def test_mirror_is_the_problem_on_the_reversed_flat_order_to_the_bit():
+    # _mirror(p) keeps p's bands, yet its whole-field matrix is p's read in
+    # reversed flat order, (j, k) -> (Nx - j, m - 1 - k): diagonal d of the
+    # mirror is diagonal -d of p backwards, on every scheme and off the
+    # half-shift lattice too, also for a run of nodes (equal values: at
+    # x = 0, where A is 0, an entry may be a zero of the other sign).  Its
+    # grid is the lattice of shift kappa - s, it is the problem ``assemble``
+    # sets up on that grid with the data reversed, and mirrored twice p
+    # comes back
+    rng = np.random.default_rng(47)
+    systems = [random_system(rng, max_harmonics=4, max_M=30) for _ in range(10)]
+    systems += [_asymmetric_system(Nx) for Nx in (2, 10)] + [_small_system(rng)]
+    assert sum(not fd._mirror_invariant(assemble(system, Scheme.UPWIND1)) for system in systems) >= 5
+    for system in systems:
+        Nx = system.mesh.Nx
+        j0 = int(rng.integers(0, Nx))
+        j1 = int(rng.integers(j0 + 1, Nx + 2))
+        for scheme in Scheme:
+            problem = assemble(system, scheme)
+            mirror = fd._mirror(problem)
+            assert mirror.bands is problem.bands
+            grid = mirror.system.grid
+            assert grid.size == system.grid.size and grid.s == system.grid.kappa - system.grid.s
+            assert np.allclose(grid.indices * grid.kappa + grid.s, grid.velocities, rtol=0, atol=1e-12 * grid.kappa)
+            direct = assemble(mirror.system, scheme)
+            assert np.array_equal(direct.pinned, mirror.pinned) and np.array_equal(direct.pinval, mirror.pinval)
+            for (rows, cols, coef), (rows_, cols_, coef_) in zip(direct.bands, mirror.bands, strict=True):
+                assert (rows, cols) == (rows_, cols_) and np.array_equal(coef, coef_)
+            for (a, b), (ra, rb) in (((0, Nx + 1), (0, Nx + 1)), ((j0, j1), (Nx + 1 - j1, Nx + 1 - j0))):
+                ours, theirs = fd._diagonals(problem, ra, rb), fd._diagonals(mirror, a, b)
+                assert set(theirs) == {-d for d in ours}
+                for d, coef in theirs.items():
+                    assert np.array_equal(coef, ours[-d][::-1, ::-1])
+            twice = fd._mirror(mirror)
+            assert np.array_equal(twice.system.grid.velocities, system.grid.velocities)
+            assert np.array_equal(twice.pinned, problem.pinned)
+            assert np.array_equal(twice.pinval, problem.pinval)
+
+
 def test_shared_arm_matches_two_factored_arms_to_the_bit(monkeypatch):
     # on a mirror-invariant system one arm is factored and carries both
     # right-hand sides; with both arms factored the field is the same to
     # the bit, for the inflow data and for a generic rhs as refinement sees
     rng = np.random.default_rng(41)
     cases = [(system, scheme) for system in _symmetric_systems(rng) for scheme in Scheme]
-    node_blocks, arms = fd._node_blocks, []
-    monkeypatch.setattr(fd, "_node_blocks", lambda op, mirrored=False: arms.append(mirrored) or node_blocks(op, mirrored))
+    node_blocks, arms, is_mirror = fd._node_blocks, [], _made_mirrors(monkeypatch)
+    monkeypatch.setattr(fd, "_node_blocks", lambda op: arms.append(is_mirror(op)) or node_blocks(op))
     for system, scheme in cases + [(make_system(1600), Scheme.UPWIND2)]:
         problem = assemble(system, scheme)
         generic = np.zeros(problem.pinned.shape)
@@ -363,21 +404,29 @@ def test_block_path_matches_direct_path():
                 assert pin_gap < 1e-11 * np.abs(direct).max()
 
 
+def _made_mirrors(monkeypatch):
+    """Patch fd._mirror to keep the problems it makes; returns the test whether a problem is one of them."""
+    mirror, made = fd._mirror, []
+    monkeypatch.setattr(fd, "_mirror", lambda op: made.append(mirror(op)) or made[-1])
+    return lambda op: any(op is other for other in made)
+
+
 def _zero_node_block(monkeypatch, node, value=0.0, whole_rows=False):
     """Make the sweep see the node's own block of the matrix set to value.
 
     With whole_rows, the node's rows over every column of the block.
 
-    The arm from +l/2 reads node Nx - j as its j-th node.  On a
-    mirror-invariant system the arm from -l/2 is factored for both sides,
-    so a node right of the middle is set there, at its mirror image.
+    The arm from +l/2 is the arm from -l/2 of the mirrored problem, whose
+    j-th node is node Nx - j.  On a mirror-invariant system the arm from
+    -l/2 is factored for both sides, so a node right of the middle is set
+    there, at its mirror image.
     """
-    node_blocks = fd._node_blocks
+    node_blocks, is_mirror = fd._node_blocks, _made_mirrors(monkeypatch)
 
-    def altered(op, mirrored=False):
-        edges, coupled, kept, J, blocks, recovery = node_blocks(op, mirrored)
+    def altered(op):
+        edges, coupled, kept, J, blocks, recovery = node_blocks(op)
         Nx, m = op.system.mesh.Nx, op.system.grid.size
-        a = m * (Nx - node if mirrored or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
+        a = m * (Nx - node if is_mirror(op) or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
 
         def patched():
             for t, block in enumerate(blocks):
@@ -451,12 +500,12 @@ def _zero_recovery_rows(monkeypatch, node):
     The node is found in its arm as in ``_zero_node_block``.  The forward
     blocks are left as they are, so only the recovery system is singular.
     """
-    node_blocks = fd._node_blocks
+    node_blocks, is_mirror = fd._node_blocks, _made_mirrors(monkeypatch)
 
-    def altered(op, mirrored=False):
-        edges, coupled, kept, J, blocks, recovery = node_blocks(op, mirrored)
+    def altered(op):
+        edges, coupled, kept, J, blocks, recovery = node_blocks(op)
         Nx, m = op.system.mesh.Nx, op.system.grid.size
-        a = m * (Nx - node if mirrored or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
+        a = m * (Nx - node if is_mirror(op) or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
         recovered = np.flatnonzero(~kept)
 
         def patched():
@@ -793,13 +842,13 @@ def test_upwind1_solves_the_smallest_meshes(monkeypatch):
 
 
 def _transfer_marches(monkeypatch):
-    """Patch fd._march to record (columns, cells, arms, edges) of every transfer march; returns that list."""
+    """Patch fd._march to record (columns, cells, sides, edges) of every transfer march; returns that list."""
     march, calls = fd._march, []
 
-    def spy(op, starts, cells, arms=(False,), edges=None, out=(), restart=None):
-        result = march(op, starts, cells, arms, edges, out, restart)
+    def spy(op, starts, cells, sides=(False,), edges=None, out=(), restart=None):
+        result = march(op, starts, cells, sides, edges, out, restart)
         if edges is None:
-            calls.append((starts.shape[1], cells, arms, result))
+            calls.append((starts.shape[1], cells, sides, result))
         return result
 
     monkeypatch.setattr(fd, "_march", spy)
@@ -871,15 +920,15 @@ def test_upwind1_march_names_a_singular_end_system(monkeypatch):
     # matching system at x = 0 is zero
     march = fd._march
 
-    def flattened(op, starts, cells, arms=(False,), edges=None, out=(), restart=None):
+    def flattened(op, starts, cells, sides=(False,), edges=None, out=(), restart=None):
         if restart is None:
-            return march(op, starts, cells, arms, edges, out)
+            return march(op, starts, cells, sides, edges, out)
 
         def replaced(states):
             states[...] = np.eye(*states.shape, 1)
             return restart(states)
 
-        return march(op, starts, cells, arms, restart=replaced)
+        return march(op, starts, cells, sides, restart=replaced)
 
     monkeypatch.setattr(fd, "_march", flattened)
     for make in (make_system, _asymmetric_system):
@@ -900,9 +949,9 @@ def test_upwind1_march_names_a_singular_segment_system(monkeypatch, system, arm,
     # pivot; a shared arm runs the side from -l/2 first
     march = fd._march
 
-    def zeroed(op, starts, cells, arms=(False,), edges=None, out=(), restart=None):
-        if restart is None or arms != arm:
-            return march(op, starts, cells, arms, edges, out, restart)
+    def zeroed(op, starts, cells, sides=(False,), edges=None, out=(), restart=None):
+        if restart is None or sides != arm:
+            return march(op, starts, cells, sides, edges, out, restart)
         first = iter((True,))
 
         def replaced(states):
@@ -910,7 +959,7 @@ def test_upwind1_march_names_a_singular_segment_system(monkeypatch, system, arm,
                 states[0] = 0.0
             return restart(states)
 
-        return march(op, starts, cells, arms, restart=replaced)
+        return march(op, starts, cells, sides, restart=replaced)
 
     monkeypatch.setattr(fd, "_march", zeroed)
     with pytest.raises(SolverError, match=re.escape(f"upwind1 march: R of segment 0 from {end}l/2 is singular")):
@@ -997,14 +1046,18 @@ def test_central_march_names_a_singular_cell():
 
 
 def _zero_node_rows(monkeypatch, node, value=0.0):
-    """Make every reader of the whole-field matrix's diagonals see the node's rows set to value."""
-    diagonals = fd._diagonals
+    """Make every reader of the whole-field matrix's diagonals see the node's rows set to value.
+
+    A mirrored problem (the arm from +l/2) sees them at its node Nx - node.
+    """
+    diagonals, is_mirror = fd._diagonals, _made_mirrors(monkeypatch)
 
     def zero_node_rows(op, j0, j1):
         out = diagonals(op, j0, j1)
-        if j0 <= node < j1:
+        j = op.system.mesh.Nx - node if is_mirror(op) else node
+        if j0 <= j < j1:
             for coef in out.values():
-                coef[node - j0] = value
+                coef[j - j0] = value
         return out
 
     monkeypatch.setattr(fd, "_diagonals", zero_node_rows)
