@@ -282,14 +282,10 @@ def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
     return float(np.linalg.norm(r) / max(np.linalg.norm(problem.rhs), _NORM_FLOOR))
 
 
-def _runs(mask: np.ndarray) -> tuple:
-    """The runs of True in a mask, each as (slice of the mask, slice of its True entries packed)."""
-    bounds = np.flatnonzero(np.diff(mask, prepend=False, append=False))
-    runs, packed = [], 0
-    for lo, hi in zip(bounds[::2].tolist(), bounds[1::2].tolist()):
-        runs.append((slice(lo, hi), slice(packed, packed + hi - lo)))
-        packed += hi - lo
-    return tuple(runs)
+def _spans(at: np.ndarray) -> tuple:
+    """An index array as runs of consecutive values, each as (slice of the values, slice of the array)."""
+    cuts = [0, *(np.flatnonzero(np.diff(at) != 1) + 1).tolist(), len(at)] if len(at) else []
+    return tuple((slice(int(at[i]), int(at[j - 1]) + 1), slice(i, j)) for i, j in zip(cuts[:-1], cuts[1:]))
 
 
 def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np.ndarray:
@@ -397,23 +393,32 @@ def _node_blocks(problem: LinearProblem):
     only their own block and the next one, and its rows of v > 0 (the rows
     of L) only their own block and the one before.  The columns they read
     follow from the legs, the channel signs and the channels that the
-    coupling legs reach (the band spread), the same for every block.  The
-    diagonals are built a run of ``_RUN_NODES`` nodes at a time and written
-    into each block by strided writes.
+    coupling legs reach (the band spread), the same for every block.
 
-    Returns (edges, coupled, kept, J, blocks, recovery): edges 0, reach m,
-    ..., c, N - c bound the T arm blocks and the middle block; coupled, kept
-    and J are masks over the reach m entries of a block: coupled the rows of
-    L_t, kept the columns of block t - 1 that L_t reads together with the
-    rows of L, which carry Schur fill (for every stencil here the v > 0
-    entries, and for central the band spread of their coupling legs too),
-    and J the columns J_t within block t + 1 (the middle, for the last arm
-    block).  blocks yields, for each arm block t in order, its rows over the
-    columns of blocks t - 1 .. t + 1, and then the middle block's rows over
-    the columns of the last block of both arms, Fortran-ordered so that the
-    sweep factors a block's own columns in place.  recovery yields, for each
-    arm block t from T - 1 down to 0, its rows off kept over the columns of
-    blocks t and t + 1, rebuilt from the diagonals a run at a time.
+    Returns (edges, coupled, kept, J, order, blocks, recovery): edges 0,
+    reach m, ..., c, N - c bound the T arm blocks and the middle block;
+    coupled, kept and J are masks over the reach m entries of a block:
+    coupled the rows of L_t, kept the columns of block t - 1 that L_t reads
+    together with the rows of L, which carry Schur fill (for every stencil
+    here the v > 0 entries, and for central the band spread of their
+    coupling legs too), and J the columns J_t within block t + 1 (the
+    middle, for the last arm block).  order lists a block's entries in the
+    order the sweep eliminates them: Q, the entries off kept, then K, the
+    kept ones, the rows of L first.
+
+    blocks yields each arm block t in order, and then the middle block.  An
+    arm block is the block's rows, in ``order``, over every column they
+    reach: the K of block t - 1 (zero in the first block), the block's own
+    entries in ``order`` and the J of block t + 1.  The
+    middle block is its rows over the columns of the last block of both
+    arms, in mesh order.  recovery yields, for each arm block t from T - 1
+    down to 0, its rows Q over its own entries and the J of block t + 1.
+    The diagonals are built a run of ``_RUN_NODES`` nodes at a time and
+    stacked, and each arm block is scattered from them at once into one
+    buffer for blocks and one for recovery: every arm block but the first,
+    which has no block before, has entries on the same diagonals, so the
+    other entries stay zero, and a yielded block holds until the next is
+    read.
     """
     Nx = problem.system.mesh.Nx
     m = problem.system.grid.size
@@ -443,54 +448,84 @@ def _node_blocks(problem: LinearProblem):
     coupled = np.tile(v > 0, reach)
     kept, J = behind.ravel() | coupled, carried.ravel()
     run = reach * max(_RUN_NODES // reach, 1)
+    nQ = size - kept.sum()
+    order = np.concatenate((np.flatnonzero(~kept), np.flatnonzero(coupled), np.flatnonzero(kept & ~coupled)))
+    # an arm block's column of each of the 3 size columns of blocks t - 1 .. t + 1, or -1
+    columns = np.concatenate((order[nQ:], size + order, 2 * size + np.flatnonzero(J)))
+    column_at = np.full(3 * size, -1)
+    column_at[columns] = np.arange(columns.size)
+    row_at = np.argsort(order)
+    placed = {}
 
-    def diagonals(j0, j1):
-        """The diagonals of nodes j0 .. j1 - 1, flat, and the flat row they start at."""
-        return {d: coef.ravel() for d, coef in _diagonals(problem, j0, j1).items()}, j0 * m
+    def place(keys, first):
+        """Where an arm block holds the entries of the diagonals keys: flat positions, and the diagonal and row of each."""
+        if (keys, first) not in placed:
+            r = np.arange(size)
+            at, which, rows = [], [], []
+            for i, d in enumerate(keys):
+                col = r + d + size                  # among the columns of blocks t - 1 .. t + 1
+                ok = (col >= (size if first else 0)) & (col < 3 * size)
+                ok[ok] = column_at[col[ok]] >= 0
+                at.append(row_at[r[ok]] * columns.size + column_at[col[ok]])
+                which.append(np.full(ok.sum(), i))
+                rows.append(r[ok])
+            placed[keys, first] = tuple(np.concatenate(x) for x in (at, which, rows))
+        return placed[keys, first]
 
-    def block(loaded, rows, cols, out=None):
-        """Rows a .. b - 1 over columns lo .. hi - 1, from loaded diagonals.
+    def arm_blocks(ts, rows=size):
+        """The first rows rows of the arm blocks t of ts, in that order, scattered into one buffer from the stacked diagonals of their run."""
+        out = np.zeros((rows, columns.size))
+        flat, j0, keys = out.ravel(), None, ()
+        for t in ts:
+            if j0 != t * reach // run * run:
+                j0 = t * reach // run * run
+                diagonals = _diagonals(problem, j0, min(j0 + run, c // m))
+                if tuple(diagonals) != keys:
+                    keys = tuple(diagonals)
+                    out[...] = 0.0
+                stacked = np.stack(list(diagonals.values())).ravel()
+                del diagonals
+                length, sources = stacked.size // len(keys), {}
+            first = t == 0
+            if first not in sources:
+                at, which, r = place(keys, first)
+                held = at < out.size
+                sources[first] = at[held], (which * length + r - j0 * m)[held]
+            at, source = sources[first]
+            flat[at] = stacked[source + edges[t]]
+            yield out
 
-        Written into out, zero and contiguous in either order, or else into
-        a new Fortran-ordered block.
-        """
-        (a, b), (lo, hi) = rows, cols
-        out = np.zeros((hi - lo, b - a)).T if out is None else out
-        flat, (coefs, base) = out.ravel(order="K"), loaded
-        # entry (r, r + d) of the matrix is flat[(r - a) sr + (r + d - lo) sc],
-        # sr and sc the strides of out: a diagonal of the block, stride sr + sc
-        sr, sc = (stride // out.itemsize for stride in out.strides)
-        for d, coef in coefs.items():
-            ra, rb = max(a, lo - d), min(b, hi - d)
+    def middle():
+        """The middle block's rows c .. N - c - 1 over columns lo .. N - lo - 1, Fortran-ordered."""
+        a, b, lo = c, N - c, edges[max(T - 1, 0)]
+        out = np.zeros((N - 2 * lo, b - a)).T
+        flat = out.ravel(order="K")
+        # entry (r, r + d) of the matrix is flat[(r - a) + (r + d - lo) (b - a)]:
+        # a diagonal of the block, stride b - a + 1
+        for d, coef in _diagonals(problem, a // m, b // m).items():
+            ra, rb = max(a, lo - d), min(b, N - lo - d)
             if ra < rb:
-                start = (ra - a) * sr + (ra + d - lo) * sc
-                flat[start:start + (rb - ra - 1) * (sr + sc) + 1:sr + sc] = coef[ra - base:rb - base]
+                start = (ra - a) + (ra + d - lo) * (b - a)
+                flat[start:start + (rb - ra - 1) * (b - a + 1) + 1:b - a + 1] = coef.ravel()[ra - a:rb - a]
         return out
 
     def blocks():
-        for j0 in range(0, c // m, run):
-            loaded = diagonals(j0, min(j0 + run, c // m))
-            for t in range(j0 // reach, min(j0 + run, c // m) // reach):
-                yield block(loaded, edges[t:t + 2], (edges[max(t - 1, 0)], edges[t + 2]))
-        lo = edges[max(T - 1, 0)]
-        yield block(diagonals(c // m, (N - c) // m), (c, N - c), (lo, N - lo))
+        yield from arm_blocks(range(T))
+        yield middle()
 
     def recovery():
-        recovered, count = _runs(~kept), size - kept.sum()
-        for j0 in range((c // m - 1) // run * run, -1, -run):
-            loaded = diagonals(j0, min(j0 + run, c // m))
-            for t in range(min(j0 + run, c // m) // reach - 1, j0 // reach - 1, -1):
-                out = np.zeros((count, 2 * size))
-                for rows, packed in recovered:
-                    block(loaded, (edges[t] + rows.start, edges[t] + rows.stop),
-                          (edges[t], edges[t] + 2 * size), out[packed])
-                yield out
+        for out in arm_blocks(range(T - 1, -1, -1), nQ):
+            yield out[:, size - nQ:]
 
-    return edges, coupled, kept, J, blocks(), recovery()
+    return edges, coupled, kept, J, order, blocks(), recovery()
+
+
+# entries of the sweep's carries, and of D'[K, Q] D0[Q, Q]^-1, below _TINY in magnitude are set to zero
+_TINY = 2.0 ** -500
 
 
 # one arm of the block sweep as ``_block_sweep`` carries it from the forward pass to back substitution
-_Arm = collections.namedtuple("_Arm", "sides columns edges coupled kept J rest carries blocks recovery")
+_Arm = collections.namedtuple("_Arm", "sides columns edges Q K J nL nodes carries recovery")
 
 
 def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -505,39 +540,55 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     Nx / 2.  U_t, the coupling of arm block t to block t + 1, is nonzero
     only in the columns J_t (about the channels of the next block that flow
     toward the arm's own end), so the carry is the half-rank
-    C_t = D'_t^-1 U_t[:, J_t].  The Schur update touches only
-    D_{t+1}[:, J_t], on the rows of L_{t+1}, and L_{t+1} reads only the
-    kept entries of block t (the v > 0 ones), so each block keeps only
-    C_t[kept], L_{t+1}[:, kept] C_t[kept] is the update, and the other rows
-    of C_t are dropped: for upwind2 half of each carry.
+    C_t = D'_t^-1 U_t[:, J_t], D'_t being the block after the Schur update
+    of the block before.  That update touches only D_{t+1}[:, J_t], on the
+    rows of L_{t+1}, and L_{t+1} reads only the kept entries K of block t
+    (the v > 0 ones), so each block keeps only C_t[K], and
+    L_{t+1}[:, K] C_t[K] is the update: for upwind2 half of each carry.
+
+    Each arm block eliminates its other entries Q first.  Their rows carry
+    no Schur fill and no entry of L, so D'[Q, :] = D0[Q, :], D0 being the
+    block as assembled, and they read only their own node and the nodes
+    ahead: D0[Q, Q] is block triangular over the block's nodes, with
+    c0 I - w H A(x) on each, H = diag(dx / |v|), and c0 and w the stencil's
+    own-node transport and coupling weights (1.5 and 1 for upwind2, all of
+    whose rows at Q are second order; 1 and 1 for upwind1; 1 and 1/2 for
+    central).  A(x) is skew, so the similarity by H^(1/2) leaves c0 I plus
+    a skew matrix, and each node's block is nonsingular.  Each is factored
+    with partial pivoting and inverted (getrf, getri), and
+    Y = D'[K, Q] D0[Q, Q]^-1 is formed node by node, first node first.
+    Then only the Schur corner S = D'[K, K] - Y D0[Q, K] is factored (80 x
+    80 for upwind2 on the flagship, where the block is 160 x 160), and
+    C_t[K] = S^-1 (U[K, J] - Y U[Q, J]), p_t[K] = S^-1 (p[K] - Y p[Q]) for
+    the block's right-hand side p after L's update.  Entries of Y and of the
+    carries below ``_TINY`` are set to zero: the inverses decay across the
+    channels, and their products would otherwise reach subnormal numbers,
+    which x86 cores compute slowly, while no such entry moves any entry of
+    the field.
+
     The middle block takes the update of the last block of both arms and is
-    solved once; back substitution then reads
-    x_t[kept] = p_t[kept] - C_t[kept] x_{t+1}[J_t] down each arm and
-    recovers the rest, x_t[Q], from the block's own rows at Q, rebuilt from
-    the diagonals a run at a time (``_node_blocks``): they carry no Schur
-    fill and no entry of L, so, D0 being the block as assembled,
-    D0[Q, Q] x_t[Q] = r_t[Q] - D0[Q, kept] x_t[kept] - U_t[Q, J_t] x_{t+1}[J_t].
-    Those rows read only their own node and the nodes ahead, so D0[Q, Q] is
-    block triangular over the block's nodes, with c0 I - w H A(x) on each:
-    H = diag(dx / |v|), and c0 and w the stencil's own-node transport and
-    coupling weights (1.5 and 1 for upwind2, all of whose rows at Q are
-    second order; 1 and 1 for upwind1; 1 and 1/2 for central).  A(x) is
-    skew, so the similarity by H^(1/2) leaves c0 I plus a skew matrix, and
-    D0[Q, Q] is nonsingular.  Its solve takes each right-hand side alone.
-    Where L reads every column, Q is empty.  The arm from +l/2 is the arm
-    from -l/2 of ``_mirror(problem)``, on the reversed right-hand side and
-    field.  Where ``_arms`` gives one arm for both sides, it is factored
-    once and carries both right-hand sides, each solved one column at a
-    time as a second arm would, so the field is the one two factored arms
-    give, to the bit.
+    solved whole; back substitution then reads
+    x_t[K] = p_t[K] - C_t[K] x_{t+1}[J_t] down each arm and recovers the
+    rest from the block's rows at Q, rebuilt (``_node_blocks``):
+    D0[Q, Q] x_t[Q] = r_t[Q] - D0[Q, K] x_t[K] - U_t[Q, J_t] x_{t+1}[J_t],
+    with D0[Q, Q] factored again node by node, since keeping its factors
+    would add half again the carries' memory, and solved last node first.
+    The arm from +l/2 is the arm from -l/2 of ``_mirror(problem)``, on the
+    reversed right-hand side and field.  Where ``_arms`` gives one arm for
+    both sides, it is factored once and carries both right-hand sides, each
+    solved one column at a time as a second arm would, so the field is the
+    one two factored arms give, to the bit.
 
     Raises:
-        SolverError: a block, or a block's D0[Q, Q], is not finite or is
-            exactly singular.
+        SolverError: a block, or the rows at Q that back substitution
+            rebuilds, is not finite or is exactly singular.  A zero pivot of
+            an arm block counts its entries in the order they are
+            eliminated, Q node by node and then K; one of the recovery
+            counts Q.
     """
     m, N, Nx = problem.system.grid.size, problem.pinned.size, problem.system.mesh.Nx
     rhs = (problem.pinval if rhs is None else rhs).ravel()
-    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (problem.pinval,))
+    getrf, getrs, getri = get_lapack_funcs(("getrf", "getrs", "getri"), (problem.pinval,))
     problems, arms = _arms(problem)
     x = np.empty(N)
     # each side of the field as its arm reads it: (right-hand side, solution)
@@ -548,113 +599,122 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         where = _named(sides, "mesh node", a // m, (b - 1) // m, Nx)
         return SolverError(f"block elimination failed at {where}: {why}")
 
-    def factor(D, a, b, sides, runs=None):
-        """getrf of D, the block of flat rows a .. b - 1, or of their rows in the runs if given."""
-        what = "the block" if runs is None else "the block's recovery system"
-        if not np.isfinite(D).all():
-            raise fail(a, b, sides, f"{what} is not finite")
+    def factor(D, a, b, sides, what="the block", entries=None, first=0, total=None):
+        """getrf of D, a system of the block of flat rows a .. b - 1, in place if D is Fortran-ordered.
+
+        Pivot i of D is the block's entry entries[i] (entry i if None) and
+        counts as pivot first + i + 1 of total (of len(D) if None).
+        """
         lu, piv, info = getrf(D, overwrite_a=True)
         if info > 0:
-            i = info - 1
-            if runs is not None:
-                i = next(rows.start + i - packed.start for rows, packed in runs if i < packed.stop)
-            j, k = divmod(int(a + i), m)
-            raise fail(a, b, sides, f"{what} is singular, zero pivot {info} of {len(D)} "
+            j, k = divmod(int(a + (info - 1 if entries is None else entries[info - 1])), m)
+            raise fail(a, b, sides, f"{what} is singular, zero pivot {first + info} of {total or len(D)} "
                                     f"({_named(sides[:1], 'node', j, j, Nx)}, "
                                     f"{_named(sides[:1], 'velocity index', k, k, m - 1)})")
         return lu, piv
 
-    def take(M, runs):
-        """The columns of M (or entries of a vector) in the runs, packed, as a Fortran-ordered copy."""
-        out = np.empty(M.shape[:-1] + (runs[-1][1].stop if runs else 0,), order="F")
-        for src, dst in runs:
-            out[..., dst] = M[..., src]
-        return out
+    def factor_nodes(rows, arm, a, b, what, total):
+        """getrf of the block of D0[Q, Q] on each node, first node first; rows holds the rows Q over Q first."""
+        return [factor(rows[s:e, s:e], a, b, arm.sides, what, arm.Q[s:e], s, total) for s, e in arm.nodes]
 
-    def update(D, block, arm, carry):
-        """D[rows of L, J] -= L[:, kept] carry, L the block's rows over the block before; returns L[:, kept]."""
-        L = np.empty((arm.coupled[-1][1].stop, carry.shape[0]))
-        for rows, packed in arm.coupled:
-            L[packed] = take(block[rows], arm.kept)
-        fill = L @ carry
-        for rows, packed in arm.coupled:
-            for cols, at in arm.J:
-                D[rows, cols] -= fill[packed, at]
-        return L
+    def finite(D, a, b, sides, what="the block"):
+        """Raise unless every entry of D, a system of the block of flat rows a .. b - 1, is finite."""
+        if not np.isfinite(D).all():
+            raise fail(a, b, sides, f"{what} is not finite")
 
-    def reduce(p, L, arm, y):
-        """p[rows of L] -= L[:, kept] y[kept], y the partial solution of the block before."""
-        z = L @ take(y, arm.kept)
-        for rows, packed in arm.coupled:
-            p[rows] -= z[packed]
+    def flushed(A):
+        """A with its entries below ``_TINY`` in magnitude set to zero, in place."""
+        np.copyto(A, 0.0, where=np.abs(A) < _TINY)
+        return A
 
     def eliminate(sides):
         """Forward elimination of the arm serving the sides over its T blocks, for their (rhs, x) columns.
 
-        Leaves the partial solutions p_t in x and returns the ``_Arm``, its
-        fields the runs of its masks; its blocks yield the middle block next.
+        Leaves the partial solutions p_t[K] in x and returns the ``_Arm``
+        and the arm's blocks, which yield the middle block next.
         """
-        edges, coupled, kept, J, blocks, recovery = _node_blocks(problems[sides[0]])
-        T = len(edges) - 2
-        # the kept rows of the carries share one buffer of exactly their
-        # size, each a Fortran-ordered view
-        carries = np.empty((T, J.sum(), kept.sum())).transpose(0, 2, 1)
-        arm = _Arm(sides, [views[side] for side in sides], edges, _runs(coupled), _runs(kept), _runs(J),
-                   _runs(~kept), carries, blocks, recovery)
-        for t, block in zip(range(T), blocks):
+        edges, coupled, kept, J, order, blocks, recovery = _node_blocks(problems[sides[0]])
+        T, size, nQ, nL = len(edges) - 2, len(kept), (~kept).sum(), coupled.sum()
+        Q, K, J = order[:nQ], order[nQ:], np.flatnonzero(J)
+        nK = K.size
+        bounds = np.searchsorted(Q, np.arange(0, size + 1, m)).tolist()
+        nodes = tuple((s, e) for s, e in zip(bounds[:-1], bounds[1:]) if s < e)
+        # the Schur fill lands on the rows of L over the J of the block, among its own columns
+        fills = _spans(np.argsort(order)[J])
+        # C_t[K] and Y, C-ordered: on two threads OpenBLAS split the Schur
+        # updates of the lattice s = 0.3 kappa, 82 x 82 x 80, with a
+        # Fortran-ordered carry, and each such call stalled (CHANGES.md)
+        carries = np.empty((T, nK, J.size))
+        arm = _Arm(sides, [views[side] for side in sides], edges, Q, K, J, nL, nodes, carries, recovery)
+        Y = np.empty((nK, nQ))
+        for t, G in zip(range(T), blocks):
             a, b = edges[t], edges[t + 1]
-            lo = edges[max(t - 1, 0)]
-            D = block[:, a - lo:b - lo]                  # a Fortran-ordered view, factored in place
-            if t > 0:
-                L = update(D, block, arm, carries[t - 1])
-            lu, piv = factor(D, a, b, sides)
+            D = G[:, nK:]                               # the block's own columns, then the J of the next
+            finite(D[:, :size], a, b, sides)
+            DK = D[nQ:].copy()                          # D'[K, :]
+            if t:
+                L = G[nQ:nQ + nL, :nK]
+                fill = L @ carries[t - 1]
+                for cols, packed in fills:
+                    DK[:nL, cols] -= fill[:, packed]
+            DQQ = D[:nQ, :nQ]
+            for (s, e), (lu, piv) in zip(nodes, factor_nodes(D, arm, a, b, "the block", size)):
+                inverse = flushed(getri(lu, piv, overwrite_lu=True)[0])
+                Y[:, s:e] = (DK[:, s:e] - Y[:, :s] @ DQQ[:s, s:e] if s else DK[:, s:e]) @ inverse
+                flushed(Y[:, s:e])
+            # S and W = U[K, J] - Y U[Q, J] in two products, not one: on two
+            # threads OpenBLAS split the flagship's 80 x 80 x 160 product, and
+            # each such call stalled for milliseconds (CHANGES.md)
+            DK[:, nQ:size] -= Y @ D[:nQ, nQ:size]
+            DK[:, size:] -= Y @ D[:nQ, size:]
+            lu, piv = factor(np.asfortranarray(DK[:, nQ:size]), a, b, sides, "the block", K, nQ, size)
+            carries[t][...] = getrs(lu, piv, DK[:, size:])[0]
+            flushed(carries[t])
             for r, y in arm.columns:
-                p = r[a:b].copy()
-                if t > 0:
-                    reduce(p, L, arm, y[lo:a])
-                y[a:b] = getrs(lu, piv, p, overwrite_b=True)[0]
-            C = getrs(lu, piv, take(block[:, b - lo:], arm.J), overwrite_b=True)[0]
-            for rows, packed in arm.kept:
-                carries[t][packed] = C[rows]
-        return arm
+                p = r[a + order]
+                if t:
+                    p[nQ:nQ + nL] -= L @ y[edges[t - 1] + K]
+                y[a + K] = getrs(lu, piv, p[nQ:] - Y @ p[:nQ], overwrite_b=True)[0]
+        return arm, blocks
 
     def recover(arm):
-        """Back substitution down one arm: x_t[kept] from the carries, then x_t[Q] from the block's rows at Q."""
-        edges, size, rest = arm.edges, arm.edges[1], arm.rest
+        """Back substitution down one arm: x_t[K] from the carries, then x_t[Q] from the block's rows at Q."""
+        edges, Q, K, J = arm.edges, arm.Q, arm.K, arm.J
         for t, R in zip(range(len(edges) - 3, -1, -1), arm.recovery):
             a, b = edges[t], edges[t + 1]
-            if rest:
-                lu, piv = factor(take(R, rest), a, b, arm.sides, rest)
+            finite(R, a, b, arm.sides, "the block's recovery system")
+            lus = factor_nodes(R, arm, a, b, "the block's recovery system", Q.size)
             for r, y in arm.columns:
-                z = arm.carries[t] @ take(y[b:b + size], arm.J)
-                x_t = y[a:b]
-                for rows, packed in arm.kept:
-                    x_t[rows] -= z[packed]
-                if rest:
-                    for rows, _ in rest:
-                        x_t[rows] = 0.0
-                    q = take(r[a:b], rest) - R @ y[a:a + 2 * size]
-                    q = getrs(lu, piv, q, overwrite_b=True)[0]
-                    for rows, packed in rest:
-                        x_t[rows] = q[packed]
+                y[a + K] -= arm.carries[t] @ y[b + J]
+                # x_t[Q], x_t[K] and x_{t+1}[J], in the order of R's columns; the
+                # rows of a node read no entry of Q of the nodes before it
+                z = np.concatenate((np.zeros(Q.size), y[a + K], y[b + J]))
+                for (s, e), (lu, piv) in zip(arm.nodes[::-1], lus[::-1]):
+                    z[s:e] = getrs(lu, piv, r[a + Q[s:e]] - R[s:e] @ z, overwrite_b=True)[0]
+                y[a + Q] = z[:Q.size]
 
     eliminated = [eliminate(sides) for sides in arms]
-    left, right = eliminated[0], eliminated[-1]
+    (left, blocks), (right, _) = eliminated[0], eliminated[-1]
     edges = left.edges
     T, c = len(edges) - 2, edges[-2]
     lo = edges[max(T - 1, 0)]
-    middle = next(left.blocks)                        # rows c .. N - c - 1 over columns lo .. N - lo - 1
+    middle = next(blocks)                             # rows c .. N - c - 1 over columns lo .. N - lo - 1
+    for _, arm_blocks in eliminated:
+        arm_blocks.close()                            # freeing the arms' block buffers before back substitution
     D = middle[:, c - lo:N - c - lo]
     r = rhs[c:N - c].copy()
     if T:
         # the update of the last block of each arm, seen in its arm's order
         for arm, block, D_arm, r_arm, y in (
                 (left, middle, D, r, x), (right, middle[::-1, ::-1], D[::-1, ::-1], r[::-1], x[::-1])):
-            L = update(D_arm, block[:, :c - lo], arm, arm.carries[-1])
-            reduce(r_arm, L, arm, y[lo:c])
+            rows = arm.K[:arm.nL]
+            L = block[np.ix_(rows, arm.K)]
+            D_arm[np.ix_(rows, arm.J)] -= L @ arm.carries[-1]
+            r_arm[rows] -= L @ y[lo + arm.K]
+    finite(D, c, N - c, (False,))
     lu, piv = factor(D, c, N - c, (False,))
     x[c:N - c] = getrs(lu, piv, r, overwrite_b=True)[0]
-    for arm in eliminated:
+    for arm, _ in eliminated:
         recover(arm)
     return x.reshape(problem.pinned.shape)
 

@@ -263,11 +263,18 @@ def test_node_blocks_match_the_assembled_matrix():
             N = problem.pinned.size
             reach = 2 if scheme is Scheme.UPWIND2 else 1
             arms = [fd._node_blocks(op) for op in (problem, fd._mirror(problem))]
-            for mirrored, (edges, coupled, kept, J, blocks, recovery) in zip((False, True), arms):
-                blocks, recovery = list(blocks), list(recovery)
+            for mirrored, (edges, coupled, kept, J, order, blocks, recovery) in zip((False, True), arms):
+                # blocks share buffers, so each is copied as it comes
+                blocks, recovery = [block.copy() for block in blocks], [rows.copy() for rows in recovery]
                 T, c, size = len(edges) - 2, edges[-2], reach * m
+                nQ, nL = (~kept).sum(), coupled.sum()
+                K = order[nQ:]
                 assert len(blocks) == T + 1 and len(recovery) == T
                 assert np.all(kept[coupled])
+                # order: the entries off kept, then the rows of L, then the rest of kept
+                assert np.array_equal(order[:nQ], np.flatnonzero(~kept))
+                assert np.array_equal(K[:nL], np.flatnonzero(coupled))
+                assert np.array_equal(np.sort(K[nL:]), np.flatnonzero(kept & ~coupled))
                 assert np.all(np.diff(edges)[:-1] == reach * m) and edges[-1] == N - c
                 assert reach <= Nx + 1 - 2 * T * reach < 3 * reach
                 read = set()
@@ -275,6 +282,15 @@ def test_node_blocks_match_the_assembled_matrix():
                     a, b = edges[t], edges[t + 1]
                     lo = edges[max(t - 1, 0)]
                     hi = N - lo if t == T else edges[t + 2]
+                    if t < T:
+                        # an arm block is its rows in order over the K of the
+                        # block before, its own entries in order and the J of
+                        # the next: put back in mesh order, all other columns zero
+                        assert t or not block[:, :K.size].any()
+                        cols = np.concatenate((K + a - size - lo, order + a - lo, np.flatnonzero(J) + b - lo))
+                        gathered = slice(0 if t else K.size, None)
+                        block, arm_block = np.zeros((size, hi - lo)), block
+                        block[np.ix_(order, cols[gathered])] = arm_block[:, gathered]
                     _check_arm_block(problem, block, (a, b), (lo, hi), mirrored)
                     if t > 0:
                         before = np.flatnonzero(block[:, :a - lo].any(axis=1))
@@ -285,9 +301,9 @@ def test_node_blocks_match_the_assembled_matrix():
                         assert np.isin(touched, np.flatnonzero(J)).all()
                         read.update(touched)
                         # the recovery rows are the block's rows off kept over
-                        # blocks t and t + 1, and read nothing before
-                        rows = recovery[T - 1 - t]
-                        assert np.array_equal(rows, block[~kept, a - lo:a - lo + 2 * size])
+                        # its own entries and the J of the next, and read
+                        # nothing before
+                        assert np.array_equal(recovery[T - 1 - t], arm_block[:nQ, K.size:])
                         assert not block[~kept, :a - lo].any()
                 # one block may leave a column of J unread: at Nx = 2 the
                 # lone arm block reads A(x) only at x = 0, where it is 0
@@ -411,32 +427,42 @@ def _made_mirrors(monkeypatch):
     return lambda op: any(op is other for other in made)
 
 
-def _zero_node_block(monkeypatch, node, value=0.0, whole_rows=False):
+def _zero_node_block(monkeypatch, node, value=0.0, whole_rows=False, kept_rows=False):
     """Make the sweep see the node's own block of the matrix set to value.
 
-    With whole_rows, the node's rows over every column of the block.
+    With whole_rows, the node's rows over every column of the block; with
+    kept_rows, the node's rows at kept entries over every column.
 
     The arm from +l/2 is the arm from -l/2 of the mirrored problem, whose
     j-th node is node Nx - j.  On a mirror-invariant system the arm from
     -l/2 is factored for both sides, so a node right of the middle is set
-    there, at its mirror image.
+    there, at its mirror image.  An arm block holds its rows and its own
+    columns in the order of ``_node_blocks``, its own columns after the K
+    of the block before; the middle block is in mesh order.
     """
     node_blocks, is_mirror = fd._node_blocks, _made_mirrors(monkeypatch)
 
     def altered(op):
-        edges, coupled, kept, J, blocks, recovery = node_blocks(op)
+        edges, coupled, kept, J, order, blocks, recovery = node_blocks(op)
         Nx, m = op.system.mesh.Nx, op.system.grid.size
         a = m * (Nx - node if is_mirror(op) or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
 
         def patched():
             for t, block in enumerate(blocks):
                 if edges[t] <= a < edges[t + 1]:
-                    lo = edges[max(t - 1, 0)]
-                    cols = slice(None) if whole_rows else slice(a - lo, a - lo + m)
-                    block[a - edges[t]:a - edges[t] + m, cols] = value
+                    own = a - edges[t] + np.arange(m)             # the node's entries of the block
+                    rows = own[kept[own]] if kept_rows else own
+                    if t < len(edges) - 2:
+                        at = np.argsort(order)
+                        cols = slice(None) if whole_rows or kept_rows else kept.sum() + at[own]
+                        block[at[rows, None], cols] = value
+                    else:
+                        lo = edges[max(t - 1, 0)]
+                        cols = slice(None) if whole_rows else slice(a - lo, a - lo + m)
+                        block[rows, cols] = value
                 yield block
 
-        return edges, coupled, kept, J, patched(), recovery
+        return edges, coupled, kept, J, order, patched(), recovery
 
     monkeypatch.setattr(fd, "_node_blocks", altered)
 
@@ -449,47 +475,56 @@ def _asymmetric_system(Nx):
     return build_system(system.potential, grid, system.mesh, mono_energetic_boundary(grid, 0))
 
 
-# (system, scheme, node, where, pivot) on Nx = 10: nodes 0-4 and 6-10 are the
-# arms of upwind1, nodes 0-3 and 7-10 those of upwind2.  In an arm block the
-# carry of the block before fills the inflow columns, so the first zero pivot
-# is the first column past their rank; on the flagship one arm is factored
-# for both sides and the error names both
+# (system, scheme, node, rows, where, pivot) on Nx = 10: nodes 0-4 and 6-10
+# are the arms of upwind1, nodes 0-3 and 7-10 those of upwind2.  An arm block
+# eliminates its entries off kept first, node by node, then factors the Schur
+# corner on the kept ones, and a zero pivot counts its entries in that order.
+# With the node's own block zeroed ("own"), its block of D0[Q, Q] is zero, so
+# the zero pivot is the node's first entry off kept.  With the node's kept
+# rows zeroed over every column ("kept"), so that L adds no fill to them, the
+# corner has zero rows, and its first zero pivot is the first column past
+# their rank.  On the flagship one arm is factored for both sides and the
+# error names both
+_SHARED1, _SHARED2 = "mesh node 3 and, mirrored, mesh node 7:", "mesh nodes 2-3 and, mirrored, mesh nodes 7-8:"
 _SINGULAR_BLOCKS = [
-    (make_system, Scheme.UPWIND1, 3, "mesh node 3 and, mirrored, mesh node 7:", "41 of 80 (node 3, velocity index 40)"),
-    (make_system, Scheme.UPWIND1, 7, "mesh node 3 and, mirrored, mesh node 7:", "41 of 80 (node 3, velocity index 40)"),
-    (make_system, Scheme.UPWIND2, 3, "mesh nodes 2-3 and, mirrored, mesh nodes 7-8:",
-     "121 of 160 (node 3, velocity index 40)"),
-    (make_system, Scheme.UPWIND2, 7, "mesh nodes 2-3 and, mirrored, mesh nodes 7-8:",
-     "121 of 160 (node 3, velocity index 40)"),
-    (_asymmetric_system, Scheme.UPWIND1, 3, "mesh node 3:", "41 of 81 (node 3, velocity index 40)"),
-    (_asymmetric_system, Scheme.UPWIND1, 7, "mesh node 7:", "41 of 81 (node 7, velocity index 40)"),
-    (_asymmetric_system, Scheme.UPWIND2, 3, "mesh nodes 2-3:", "122 of 162 (node 3, velocity index 40)"),
-    (_asymmetric_system, Scheme.UPWIND2, 7, "mesh nodes 7-8:", "122 of 162 (node 7, velocity index 40)"),
-    # the middle block: the Schur updates of both arms keep it regular with
-    # the node's own block zeroed, so the node's rows are zeroed whole
-    (make_system, Scheme.UPWIND1, 5, "mesh node 5:", "1 of 80 (node 5, velocity index 0)"),
-    (make_system, Scheme.UPWIND2, 5, "mesh nodes 4-6:", "161 of 240 (node 6, velocity index 0)"),
-    (_asymmetric_system, Scheme.UPWIND1, 5, "mesh node 5:", "1 of 81 (node 5, velocity index 0)"),
-    (_asymmetric_system, Scheme.UPWIND2, 5, "mesh nodes 4-6:", "163 of 243 (node 6, velocity index 0)"),
+    (make_system, Scheme.UPWIND1, 3, "own", _SHARED1, "1 of 80 (node 3, velocity index 0)"),
+    (make_system, Scheme.UPWIND1, 7, "own", _SHARED1, "1 of 80 (node 3, velocity index 0)"),
+    (make_system, Scheme.UPWIND1, 3, "kept", _SHARED1, "41 of 80 (node 3, velocity index 40)"),
+    (make_system, Scheme.UPWIND2, 3, "own", _SHARED2, "41 of 160 (node 3, velocity index 0)"),
+    (make_system, Scheme.UPWIND2, 7, "own", _SHARED2, "41 of 160 (node 3, velocity index 0)"),
+    (make_system, Scheme.UPWIND2, 7, "kept", _SHARED2, "121 of 160 (node 3, velocity index 40)"),
+    (_asymmetric_system, Scheme.UPWIND1, 3, "own", "mesh node 3:", "1 of 81 (node 3, velocity index 0)"),
+    (_asymmetric_system, Scheme.UPWIND1, 7, "own", "mesh node 7:", "1 of 81 (node 7, velocity index 80)"),
+    (_asymmetric_system, Scheme.UPWIND1, 7, "kept", "mesh node 7:", "42 of 81 (node 7, velocity index 39)"),
+    (_asymmetric_system, Scheme.UPWIND2, 3, "own", "mesh nodes 2-3:", "41 of 162 (node 3, velocity index 0)"),
+    (_asymmetric_system, Scheme.UPWIND2, 7, "own", "mesh nodes 7-8:", "42 of 162 (node 7, velocity index 80)"),
+    (_asymmetric_system, Scheme.UPWIND2, 3, "kept", "mesh nodes 2-3:", "122 of 162 (node 3, velocity index 40)"),
+    (_asymmetric_system, Scheme.UPWIND2, 7, "kept", "mesh nodes 7-8:", "123 of 162 (node 7, velocity index 39)"),
+    # the middle block, factored whole: the Schur updates of both arms keep it
+    # regular with the node's own block zeroed, so the node's rows are zeroed whole
+    (make_system, Scheme.UPWIND1, 5, "whole", "mesh node 5:", "1 of 80 (node 5, velocity index 0)"),
+    (make_system, Scheme.UPWIND2, 5, "whole", "mesh nodes 4-6:", "161 of 240 (node 6, velocity index 0)"),
+    (_asymmetric_system, Scheme.UPWIND1, 5, "whole", "mesh node 5:", "1 of 81 (node 5, velocity index 0)"),
+    (_asymmetric_system, Scheme.UPWIND2, 5, "whole", "mesh nodes 4-6:", "163 of 243 (node 6, velocity index 0)"),
 ]
 
 
 @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
 def test_block_sweep_names_a_singular_node_block(monkeypatch):
-    for make, scheme, node, where, pivot in _SINGULAR_BLOCKS:
+    for make, scheme, node, rows, where, pivot in _SINGULAR_BLOCKS:
         op = assemble(make(10), scheme)
         with monkeypatch.context() as patch:
-            _zero_node_block(patch, node, whole_rows=node == 5)
+            _zero_node_block(patch, node, whole_rows=rows == "whole", kept_rows=rows == "kept")
             with pytest.raises(SolverError, match="singular") as info:
                 fd._block_sweep(op)
         assert f"block elimination failed at {where} the block is singular, zero pivot {pivot}" in str(info.value)
 
 
 def test_block_sweep_rejects_a_non_finite_block(monkeypatch):
-    for make, scheme, node, where, _ in _SINGULAR_BLOCKS:
+    for make, scheme, node, rows, where, _ in _SINGULAR_BLOCKS:
         op = assemble(make(10), scheme)
         with monkeypatch.context() as patch:
-            _zero_node_block(patch, node, np.nan)
+            _zero_node_block(patch, node, np.nan, kept_rows=rows == "kept")
             with pytest.raises(SolverError, match=re.escape(f"block elimination failed at {where} the block is not finite")):
                 fd._block_sweep(op)
 
@@ -497,25 +532,26 @@ def test_block_sweep_rejects_a_non_finite_block(monkeypatch):
 def _zero_recovery_rows(monkeypatch, node):
     """Make back substitution see the node's recovered rows zero over the node's own columns.
 
-    The node is found in its arm as in ``_zero_node_block``.  The forward
-    blocks are left as they are, so only the recovery system is singular.
+    The node is found in its arm as in ``_zero_node_block``; the recovery
+    rows are the block's rows Q over its own columns, both in the order of
+    ``_node_blocks``.  The forward blocks are left as they are, so only the
+    recovery system is singular.
     """
     node_blocks, is_mirror = fd._node_blocks, _made_mirrors(monkeypatch)
 
     def altered(op):
-        edges, coupled, kept, J, blocks, recovery = node_blocks(op)
+        edges, coupled, kept, J, order, blocks, recovery = node_blocks(op)
         Nx, m = op.system.mesh.Nx, op.system.grid.size
         a = m * (Nx - node if is_mirror(op) or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
-        recovered = np.flatnonzero(~kept)
 
         def patched():
             for t, rows in zip(range(len(edges) - 3, -1, -1), recovery):
                 if edges[t] <= a < edges[t + 1]:
-                    own = a - edges[t]
-                    rows[(recovered >= own) & (recovered < own + m), own:own + m] = 0.0
+                    at = np.argsort(order)[a - edges[t] + np.arange(m)]   # the node's entries, in order
+                    rows[at[at < len(rows), None], at] = 0.0
                 yield rows
 
-        return edges, coupled, kept, J, blocks, patched()
+        return edges, coupled, kept, J, order, blocks, patched()
 
     monkeypatch.setattr(fd, "_node_blocks", altered)
 
@@ -544,6 +580,27 @@ def test_block_sweep_names_a_singular_recovery_system(monkeypatch):
                 fd._block_sweep(op)
         assert (f"block elimination failed at {where} the block's recovery system is singular, "
                 f"zero pivot {pivot}") in str(info.value)
+
+
+def test_upwind2_first_iterate_is_accurate_without_refinement():
+    # the gate reads only the residual; this reads the field.  The sweep's
+    # first iterate, not refined, against the field refined twice, on the
+    # flagship at Nx = 1600, where one arm is factored for both sides, and
+    # on the lattice s = 0.3 kappa, where both arms are: max |f_0 - f_2| was
+    # 6.8e-12 and 8.4e-12 with each 160 x 160 block factored whole, and is
+    # 1.0e-13 and 9.1e-13 with the entries off kept eliminated first and the
+    # 80 x 80 Schur corner factored (one host, one thread).  The bound is
+    # three times the first of the old figures
+    for system in (make_system(1600), _asymmetric_system(1600)):
+        problem = assemble(system, Scheme.UPWIND2)
+        first = fd._block_sweep(problem)
+        np.copyto(first, problem.pinval, where=problem.pinned)
+        field = first
+        for _ in range(2):
+            field = field + fd._block_sweep(problem, -fd._residual_field(problem, field))
+            np.copyto(field, problem.pinval, where=problem.pinned)
+        assert fd._gate(problem, first) <= 1e-12
+        assert np.abs(first - field).max() <= 2e-11
 
 
 def test_block_sweep_carries_half_rank():
@@ -970,13 +1027,13 @@ def test_upwind2_sweep_memory_is_bounded():
     # columns for every block but the last.  Each block keeps only the
     # carry's rows that the next block's Schur update reads, half of them
     # for upwind2, and back substitution recovers the rest.  So on the
-    # flagship one factored arm keeps a quarter of that (traced peak 0.31
-    # of it here, 25.5 MB: the kept carries, the field and the five-node
+    # flagship one factored arm keeps a quarter of that (traced peak 0.32
+    # of it here, 24.7 MB: the kept carries, the field and the five-node
     # middle block).  On the lattice s = 0.3 kappa both arms are factored:
-    # the traced peak is 0.58 of it, 48.0 MB
+    # the traced peak is 0.58 of it, 46.0 MB
     for make, bound in ((make_system, 0.4), (_asymmetric_system, 0.7)):
         op = assemble(make(1600), Scheme.UPWIND2)
-        edges, _, _, J, _, _ = fd._node_blocks(op)
+        edges, _, _, J, _, _, _ = fd._node_blocks(op)
         one_arm = 8 * J.sum() * (op.pinned.size - (edges[1] - edges[0]))
         tracemalloc.start()
         try:
