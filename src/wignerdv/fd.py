@@ -282,12 +282,6 @@ def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
     return float(np.linalg.norm(r) / max(np.linalg.norm(problem.rhs), _NORM_FLOOR))
 
 
-def _spans(at: np.ndarray) -> tuple:
-    """An index array as runs of consecutive values, each as (slice of the values, slice of the array)."""
-    cuts = [0, *(np.flatnonzero(np.diff(at) != 1) + 1).tolist(), len(at)] if len(at) else []
-    return tuple((slice(int(at[i]), int(at[j - 1]) + 1), slice(i, j)) for i, j in zip(cuts[:-1], cuts[1:]))
-
-
 def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np.ndarray:
     """Rows of mesh nodes j0 .. j1 - 1 of R(F) = M F - pinval, shape (j1 - j0, m).
 
@@ -520,8 +514,30 @@ def _node_blocks(problem: LinearProblem):
     return edges, coupled, kept, J, order, blocks(), recovery()
 
 
-# entries of the sweep's carries, and of D'[K, Q] D0[Q, Q]^-1, below _TINY in magnitude are set to zero
+# entries of D'[K, Q] D0[Q, Q]^-1 below _TINY in magnitude are set to zero, and a carry keeps
+# only its rows and columns with an entry above max(_TINY, _CARRY_CUT max|C|) (``_kept_carry``)
 _TINY = 2.0 ** -500
+_CARRY_CUT = 2.0 ** -100
+
+
+def _kept_carry(C: np.ndarray) -> tuple:
+    """The rows and columns of the carry C with an entry above max(_TINY, _CARRY_CUT max|C|), and C on them.
+
+    Returns (rows, cols, C[rows][:, cols]), the last C-ordered.  A carry
+    with an entry that is not finite is kept whole: its max|C| is NaN or
+    inf, which no entry exceeds, so the cut would drop a carry that must
+    reach the field and fail the gate.  The entries above the cut lie in
+    the rows kept, so the columns are read from those rows alone.
+    """
+    size = np.abs(C)
+    row_max = size.max(axis=1)
+    top = row_max.max()
+    if not top < np.inf:
+        return np.arange(C.shape[0]), np.arange(C.shape[1]), np.ascontiguousarray(C)
+    cut = max(_TINY, _CARRY_CUT * top)
+    rows = np.flatnonzero(row_max > cut)
+    cols = np.flatnonzero(size[rows].max(axis=0, initial=0.0) > cut)
+    return rows, cols, C[rows[:, None], cols]
 
 
 # one arm of the block sweep as ``_block_sweep`` carries it from the forward pass to back substitution
@@ -560,11 +576,26 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     Then only the Schur corner S = D'[K, K] - Y D0[Q, K] is factored (80 x
     80 for upwind2 on the flagship, where the block is 160 x 160), and
     C_t[K] = S^-1 (U[K, J] - Y U[Q, J]), p_t[K] = S^-1 (p[K] - Y p[Q]) for
-    the block's right-hand side p after L's update.  Entries of Y and of the
-    carries below ``_TINY`` are set to zero: the inverses decay across the
-    channels, and their products would otherwise reach subnormal numbers,
-    which x86 cores compute slowly, while no such entry moves any entry of
-    the field.
+    the block's right-hand side p after L's update.  Entries of Y below
+    ``_TINY`` are set to zero: the inverses decay across the channels, and
+    their products would otherwise reach subnormal numbers, which x86 cores
+    compute slowly, while no such entry moves any entry of the field.
+
+    Each carry is stored only on its rows and columns that hold an entry
+    above max(``_TINY``, 2^-100 max|C_t[K]|), as a dense sub-block with
+    their indices (``_kept_carry``), and the next block's Schur fill, the
+    middle block's update and back substitution read that sub-block.  A
+    carry reflects the v < 0 entries ahead into the block's v > 0 ones, and
+    only the slow channels reflect above rounding, as the inverses of
+    banded matrices decay (Demko, Moss & Smith, Math. Comp. 43, 1984): on
+    the flagship at Nx = 1600 a sixth of the entries is kept.  A dropped
+    entry lies 2^47 times below the rounding that ``getrs`` commits on
+    C_t[K], about 2^-53 max|C_t[K]| in each entry, so the sweep is as
+    backward stable as with whole carries.  The cut is not set at 2^-53:
+    there the dropped entries are as large as that rounding, and at
+    Nx = 6400 the fields moved by 3.0e-15 of their largest entry on the
+    flagship and by 1.3e-13 on the lattice s = 0.3 kappa (5.4e-16 and
+    5.3e-16 at 2^-100).
 
     The middle block takes the update of the last block of both arms and is
     solved whole; back substitution then reads
@@ -640,11 +671,12 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         bounds = np.searchsorted(Q, np.arange(0, size + 1, m)).tolist()
         nodes = tuple((s, e) for s, e in zip(bounds[:-1], bounds[1:]) if s < e)
         # the Schur fill lands on the rows of L over the J of the block, among its own columns
-        fills = _spans(np.argsort(order)[J])
-        # C_t[K] and Y, C-ordered: on two threads OpenBLAS split the Schur
-        # updates of the lattice s = 0.3 kappa, 82 x 82 x 80, with a
-        # Fortran-ordered carry, and each such call stalled (CHANGES.md)
-        carries = np.empty((T, nK, J.size))
+        fills = np.argsort(order)[J]
+        # the kept part of each C_t[K] (``_kept_carry``), and Y, C-ordered: on
+        # two threads OpenBLAS split the Schur updates of the lattice
+        # s = 0.3 kappa, 82 x 82 x 80, with a Fortran-ordered carry, and each
+        # such call stalled (CHANGES.md)
+        carries = []
         arm = _Arm(sides, [views[side] for side in sides], edges, Q, K, J, nL, nodes, carries, recovery)
         Y = np.empty((nK, nQ))
         for t, G in zip(range(T), blocks):
@@ -654,9 +686,8 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             DK = D[nQ:].copy()                          # D'[K, :]
             if t:
                 L = G[nQ:nQ + nL, :nK]
-                fill = L @ carries[t - 1]
-                for cols, packed in fills:
-                    DK[:nL, cols] -= fill[:, packed]
+                rows, cols, carry = carries[t - 1]
+                DK[:nL, fills[cols]] -= L[:, rows] @ carry
             DQQ = D[:nQ, :nQ]
             for (s, e), (lu, piv) in zip(nodes, factor_nodes(D, arm, a, b, "the block", size)):
                 inverse = flushed(getri(lu, piv, overwrite_lu=True)[0])
@@ -668,8 +699,7 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             DK[:, nQ:size] -= Y @ D[:nQ, nQ:size]
             DK[:, size:] -= Y @ D[:nQ, size:]
             lu, piv = factor(np.asfortranarray(DK[:, nQ:size]), a, b, sides, "the block", K, nQ, size)
-            carries[t][...] = getrs(lu, piv, DK[:, size:])[0]
-            flushed(carries[t])
+            carries.append(_kept_carry(getrs(lu, piv, DK[:, size:])[0]))
             for r, y in arm.columns:
                 p = r[a + order]
                 if t:
@@ -684,8 +714,10 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             a, b = edges[t], edges[t + 1]
             finite(R, a, b, arm.sides, "the block's recovery system")
             lus = factor_nodes(R, arm, a, b, "the block's recovery system", Q.size)
+            rows, cols, carry = arm.carries[t]
+            kept, read = a + K[rows], b + J[cols]
             for r, y in arm.columns:
-                y[a + K] -= arm.carries[t] @ y[b + J]
+                y[kept] -= carry @ y[read]
                 # x_t[Q], x_t[K] and x_{t+1}[J], in the order of R's columns; the
                 # rows of a node read no entry of Q of the nodes before it
                 z = np.concatenate((np.zeros(Q.size), y[a + K], y[b + J]))
@@ -707,9 +739,9 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         # the update of the last block of each arm, seen in its arm's order
         for arm, block, D_arm, r_arm, y in (
                 (left, middle, D, r, x), (right, middle[::-1, ::-1], D[::-1, ::-1], r[::-1], x[::-1])):
-            rows = arm.K[:arm.nL]
+            rows, (k, j, carry) = arm.K[:arm.nL], arm.carries[-1]
             L = block[np.ix_(rows, arm.K)]
-            D_arm[np.ix_(rows, arm.J)] -= L @ arm.carries[-1]
+            D_arm[np.ix_(rows, arm.J[j])] -= L[:, k] @ carry
             r_arm[rows] -= L @ y[lo + arm.K]
     finite(D, c, N - c, (False,))
     lu, piv = factor(D, c, N - c, (False,))

@@ -420,6 +420,91 @@ def test_block_path_matches_direct_path():
                 assert pin_gap < 1e-11 * np.abs(direct).max()
 
 
+def _stored_carries(monkeypatch):
+    """Patch fd._kept_carry to keep, for each carry, (entries of the carry, entries stored)."""
+    kept_carry, stored = fd._kept_carry, []
+
+    def recorded(C):
+        rows, cols, carry = kept_carry(C)
+        stored.append((C.size, carry.size))
+        return rows, cols, carry
+
+    monkeypatch.setattr(fd, "_kept_carry", recorded)
+    return stored
+
+
+def test_compressed_carries_match_whole_carries(monkeypatch):
+    # a carry keeps only its rows and columns with an entry above 2^-100 of
+    # its largest; with the cut at 0 it drops only entries below _TINY, as a
+    # whole carry would.  The dropped entries lie far below the rounding of
+    # the carry's own solve, so the fields agree to rounding, for every
+    # scheme, for the inflow data and for a generic rhs as refinement sees.
+    # At Nx = 1600 only upwind2 runs, the scheme whose first iterate is the sweep
+    rng = np.random.default_rng(29)
+    flagship = make_system(1600)
+    cases = [(make(Nx), scheme) for make in (make_system, _asymmetric_system) for Nx in (10, 100) for scheme in Scheme]
+    cases += [(random_system(rng, max_harmonics=4, max_M=30), scheme) for _ in range(4) for scheme in Scheme]
+    cases += [(flagship, Scheme.UPWIND2), (_asymmetric_system(1600), Scheme.UPWIND2)]
+    stored = _stored_carries(monkeypatch)
+    for system, scheme in cases:
+        problem = assemble(system, scheme)
+        generic = np.zeros(problem.pinned.shape)
+        generic[~problem.pinned] = rng.standard_normal(problem.rhs.size)
+        for rhs in (None, generic):
+            stored.clear()
+            cut = fd._block_sweep(problem, rhs)
+            kept = sum(size for _, size in stored) / max(sum(entries for entries, _ in stored), 1)
+            with monkeypatch.context() as patch:
+                patch.setattr(fd, "_CARRY_CUT", 0.0)
+                whole = fd._block_sweep(problem, rhs)
+            assert np.abs(cut - whole).max() <= 1e-14 * np.abs(whole).max()
+            if system is flagship and scheme is Scheme.UPWIND2:
+                assert kept <= 0.25                       # 0.167 of one arm's whole carries here
+    # under a zero potential no carry holds an entry, and the sweep streams
+    # the inflow data: exactly for upwind1 and central, and to the rounding
+    # of upwind2's own-node weight 1.5, the same with or without a cut
+    system = make_system(100, coeffs=(0.0,))
+    streamed = np.broadcast_to(system.boundary.values, (101, system.grid.size))
+    for scheme in Scheme:
+        stored.clear()
+        field = fd._block_sweep(assemble(system, scheme))
+        assert stored and not any(size for _, size in stored)
+        if scheme is Scheme.UPWIND2:
+            assert np.abs(field - streamed).max() <= 1e-13
+        else:
+            assert np.array_equal(field, streamed)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_carry_is_kept_whole(monkeypatch, bad):
+    # a carry whose largest entry is not finite keeps every entry: no entry
+    # lies above a cut of NaN or inf, so a cut would keep none and the sweep
+    # would return a finite wrong field.  Kept, the entry reaches the middle
+    # block through the last carry's update, and the sweep raises there
+    C = np.ones((4, 3))
+    C[1, 2] = bad
+    rows, cols, carry = fd._kept_carry(C)
+    assert rows.tolist() == [0, 1, 2, 3] and cols.tolist() == [0, 1, 2]
+    assert np.array_equal(carry, C, equal_nan=True)
+    get_lapack_funcs = fd.get_lapack_funcs
+
+    def broken(names, arrays):
+        getrf, getrs, getri = get_lapack_funcs(names, arrays)
+
+        def solved(lu, piv, b, **kwargs):
+            x, info = getrs(lu, piv, b, **kwargs)
+            if x.ndim == 2:                               # the carry of an arm block
+                x[0, 0] = bad
+            return x, info
+
+        return getrf, solved, getri
+
+    monkeypatch.setattr(fd, "get_lapack_funcs", broken)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(SolverError, match="mesh nodes 48-52: the block is not finite"):
+            fd._block_sweep(assemble(make_system(100), Scheme.UPWIND2))
+
+
 def _made_mirrors(monkeypatch):
     """Patch fd._mirror to keep the problems it makes; returns the test whether a problem is one of them."""
     mirror, made = fd._mirror, []
@@ -501,11 +586,14 @@ _SINGULAR_BLOCKS = [
     (_asymmetric_system, Scheme.UPWIND2, 3, "kept", "mesh nodes 2-3:", "122 of 162 (node 3, velocity index 40)"),
     (_asymmetric_system, Scheme.UPWIND2, 7, "kept", "mesh nodes 7-8:", "123 of 162 (node 7, velocity index 39)"),
     # the middle block, factored whole: the Schur updates of both arms keep it
-    # regular with the node's own block zeroed, so the node's rows are zeroed whole
+    # regular with the node's own block zeroed, so the node's rows are zeroed
+    # whole.  Its first zero pivot depends on which update entries are exactly
+    # zero: for upwind2, whose carries keep only their rows and columns above
+    # the cut, it is node 5's velocity index 64 on both lattices
     (make_system, Scheme.UPWIND1, 5, "whole", "mesh node 5:", "1 of 80 (node 5, velocity index 0)"),
-    (make_system, Scheme.UPWIND2, 5, "whole", "mesh nodes 4-6:", "161 of 240 (node 6, velocity index 0)"),
+    (make_system, Scheme.UPWIND2, 5, "whole", "mesh nodes 4-6:", "145 of 240 (node 5, velocity index 64)"),
     (_asymmetric_system, Scheme.UPWIND1, 5, "whole", "mesh node 5:", "1 of 81 (node 5, velocity index 0)"),
-    (_asymmetric_system, Scheme.UPWIND2, 5, "whole", "mesh nodes 4-6:", "163 of 243 (node 6, velocity index 0)"),
+    (_asymmetric_system, Scheme.UPWIND2, 5, "whole", "mesh nodes 4-6:", "146 of 243 (node 5, velocity index 64)"),
 ]
 
 
@@ -586,11 +674,12 @@ def test_upwind2_first_iterate_is_accurate_without_refinement():
     # the gate reads only the residual; this reads the field.  The sweep's
     # first iterate, not refined, against the field refined twice, on the
     # flagship at Nx = 1600, where one arm is factored for both sides, and
-    # on the lattice s = 0.3 kappa, where both arms are: max |f_0 - f_2| was
-    # 6.8e-12 and 8.4e-12 with each 160 x 160 block factored whole, and is
-    # 1.0e-13 and 9.1e-13 with the entries off kept eliminated first and the
-    # 80 x 80 Schur corner factored (one host, one thread).  The bound is
-    # three times the first of the old figures
+    # on the lattice s = 0.3 kappa, where both arms are: max |f_0 - f_2| is
+    # 1.8e-12 and 2.5e-12 (one host, one thread).  Refined with residuals
+    # summed in double, f_2 moves by up to 8e-12 when f_0 moves by one ulp,
+    # so the figures are that noise; against a field refined with residuals
+    # summed in long double, f_0 is 3.3e-12 and 9.3e-12 off.  The bound lies
+    # above both
     for system in (make_system(1600), _asymmetric_system(1600)):
         problem = assemble(system, Scheme.UPWIND2)
         first = fd._block_sweep(problem)
@@ -606,7 +695,9 @@ def test_upwind2_first_iterate_is_accurate_without_refinement():
 def test_block_sweep_carries_half_rank():
     # a dense velocity-by-velocity carry per node alone would take
     # n_nodes * m^2 doubles; the half-rank carry takes about half of that,
-    # and on the flagship one arm of them is kept (a quarter)
+    # on the flagship one arm of them is kept (a quarter), and each stores
+    # only its rows and columns above the cut: the traced peak is 0.079 of
+    # it here, 3.2 MB, and the bound leaves a third on top
     system = make_system(800)
     op = assemble(system, Scheme.UPWIND1)
     tracemalloc.start()
@@ -615,7 +706,7 @@ def test_block_sweep_carries_half_rank():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.65 * (system.mesh.Nx + 1) * system.grid.size ** 2 * 8
+    assert peak < 0.11 * (system.mesh.Nx + 1) * system.grid.size ** 2 * 8
 
 
 def test_solve_bvp_never_calls_superlu(monkeypatch):
@@ -1026,12 +1117,13 @@ def test_upwind2_sweep_memory_is_bounded():
     # a one-arm sweep of the whole field with whole carries would keep |J|
     # columns for every block but the last.  Each block keeps only the
     # carry's rows that the next block's Schur update reads, half of them
-    # for upwind2, and back substitution recovers the rest.  So on the
-    # flagship one factored arm keeps a quarter of that (traced peak 0.32
-    # of it here, 24.7 MB: the kept carries, the field and the five-node
-    # middle block).  On the lattice s = 0.3 kappa both arms are factored:
-    # the traced peak is 0.58 of it, 46.0 MB
-    for make, bound in ((make_system, 0.4), (_asymmetric_system, 0.7)):
+    # for upwind2, and back substitution recovers the rest; of those it
+    # stores only the rows and columns above the cut, the slow channels,
+    # about a sixth of the entries.  On the flagship one arm is factored:
+    # the traced peak is 0.114 of that here, 9.3 MB (the kept carries, the
+    # field and the five-node middle block).  On the lattice s = 0.3 kappa
+    # both arms are: 0.170, 14.1 MB.  The bounds leave a third on top
+    for make, bound in ((make_system, 0.15), (_asymmetric_system, 0.23)):
         op = assemble(make(1600), Scheme.UPWIND2)
         edges, _, _, J, _, _, _ = fd._node_blocks(op)
         one_arm = 8 * J.sum() * (op.pinned.size - (edges[1] - edges[0]))
