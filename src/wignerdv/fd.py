@@ -17,15 +17,19 @@ channel bands of ``potential._bands`` on the mesh nodes.  On the node-major
 leg, and each coupling leg on each band, is one diagonal of the matrix
 (``_diagonals``), which every solver reads.  Every scheme is solved by one
 flow (``solve_bvp``): a first iterate, the gate, and at most one refinement
-sweep.  ``central`` marches once from the inflow data of both ends
-(``_central_march``): A(x) is odd and the mesh mirror symmetric, so the
-discrete period map is the identity.  ``upwind1`` marches stabilized from
-both inflow ends to x = 0 (``_upwind1_march``).  ``upwind2`` sweeps: block
-tridiagonal elimination from both inflow ends toward a middle block at
-x = 0 (``_block_sweep``).  The same sweep, on the gate's residual, is the
-refinement step of every scheme.  The gate is the residual of
-``assemble``'s system, a product with the same diagonals (``_residual``),
-summed a run of nodes at a time.
+sweep.  Both marches run on one cell march (``_march``), which calls one
+hook after each cell that may restart the states.  ``central`` marches
+once from the inflow data of both ends, with no hook (``_central_march``):
+A(x) is odd and the mesh mirror symmetric, so the discrete period map is
+the identity.  ``upwind1`` marches stabilized from both inflow ends to
+x = 0 (``_upwind1_march``): the hook of one march cuts segments and
+re-orthonormalizes, and the hook of a second restarts it from the states
+at the segment ends.  ``upwind2`` sweeps: block tridiagonal elimination
+from both inflow ends toward a middle block at x = 0 (``_block_sweep``).
+The same sweep, on the gate's residual, is the refinement step of every
+scheme.  The gate is the norm of the residual of ``assemble``'s system on
+the whole field, a product with the same diagonals a run of nodes at a
+time (``_residual_field``).
 
 The arm from +l/2 of the march and of the sweep is the arm from -l/2 of
 ``_mirror(problem)``, the problem on the reversed flat order,
@@ -310,13 +314,8 @@ def _residual_field(problem: LinearProblem, field: np.ndarray) -> np.ndarray:
 
 
 def _gate(problem: LinearProblem, field: np.ndarray) -> float:
-    """|R(F)| / max(|b|, tiny), R = M F - pinval summed a run of ``_RUN_NODES`` nodes at a time and not kept."""
-    field = np.ascontiguousarray(field)
-    squares = 0.0
-    for j0 in range(0, len(field), _RUN_NODES):
-        r = _residual(problem, field, j0, min(j0 + _RUN_NODES, len(field))).ravel()
-        squares += r @ r
-    return float(np.sqrt(squares) / max(problem.rhs_norm, _NORM_FLOOR))
+    """|R(F)| / max(|b|, tiny), R = M F - pinval of ``_residual_field``."""
+    return float(np.linalg.norm(_residual_field(problem, field)) / max(problem.rhs_norm, _NORM_FLOOR))
 
 
 def _mirror(problem: LinearProblem) -> LinearProblem:
@@ -751,17 +750,8 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     return x.reshape(problem.pinned.shape)
 
 
-# an upwind1 segment ends once the largest entry of its marched homogeneous states
-# passes _SEGMENT_GROWTH, or after _SEGMENT_CELLS cells (measured in CHANGES.md).  The
-# cell cap stays although growth ends most segments: without it, first-march gates
-# rose up to 3.4 times (5.0e-14 to 1.7e-13 on coeffs 0, 30, 60, 30 at Nx=12800), and
-# a growth bound of 3 or 5 did not win that back
-_SEGMENT_GROWTH = 10.0
-_SEGMENT_CELLS = 800
-
-
-def _march(problem: LinearProblem, starts: np.ndarray, cells: int, sides=(False,), edges=None, out=(), restart=None):
-    """March states over the first cells mesh cells of a problem from given states at segment starts.
+def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,), out=(), end=None):
+    """March states over the first cells mesh cells of a problem from the given states at node 0.
 
     Cell c is the v > 0 rows of node c and the v < 0 rows of node c - 1 of
     the whole-field matrix; in ``central`` and ``upwind1`` they touch only
@@ -778,17 +768,12 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, sides=(False,
     ``central``, (False,) is the whole period), only name its cells in an
     error.
 
-    starts, shape (S, w, m), holds the w states of each segment at its
-    first node.  With edges, the nodes 0 = n_0 < ... < n_S = cells that
-    bound the segments, the march writes state i at node j into out[i][j],
-    for the nodes j of the arm that out[i] has rows for, a run of nodes at a
-    time: node n_s holds starts[s], in place of the marched end of segment
-    s - 1, and node cells is marched.  Without edges, the march starts from
-    starts[0]; a segment ends once max|state| over the first neg states
-    passes ``_SEGMENT_GROWTH`` or after ``_SEGMENT_CELLS`` cells, and
-    restart, called with the (w, m) states at each segment end, returns the
-    next segment's start states (at node cells, where none follows, its
-    return is unused).  The march returns the edges.
+    start, shape (w, m), holds the w states at node 0.  After each cell c
+    the march calls end(c, states), if given, with the (w, m) states at
+    node c; it returns None, or the states to go on from in their place (a
+    restart).  The march writes state i at node j into out[i][j], for the
+    nodes j that out[i] has rows for, a run of nodes at a time, restarts
+    included.
 
     Raises:
         SolverError: a cell matrix is not finite or is singular.  The message
@@ -796,29 +781,27 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, sides=(False,
             serves; a zero pivot counts the cell's rows in the march's order.
     """
     v = problem.system.grid.velocities
-    m, Nx, w = v.size, problem.system.mesh.Nx, starts.shape[1]
+    m, Nx, w = v.size, problem.system.mesh.Nx, start.shape[0]
     nb = max((cols.start - rows.start for rows, cols, _ in problem.bands), default=0)
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
-    field = edges is not None
     explicit = problem.scheme is Scheme.UPWIND1
     run = min(_RUN_NODES, cells)
-    # the states padded with nb zero channels on each side, for the field one node per row
-    # from node c0 - 1 of the run on; channel k + e of state i on row j is window[j, i, nb + e, k]
-    padded = np.zeros((run + 1 if field else 1, w, m + 2 * nb))
+    # the states padded with nb zero channels on each side, one node per row from node c0 - 1
+    # of the run on; channel k + e of state i on row j is window[j, i, nb + e, k]
+    padded = np.zeros((run + 1, w, m + 2 * nb))
     states = padded[..., nb:nb + m]
-    states[0] = starts[0]
-    for target, state in zip(out, starts[0]):
+    states[0] = start
+    for target, state in zip(out, start):
         target[0] = state
     window = np.lib.stride_tricks.sliding_window_view(padded, m, axis=2)
     gbsv = get_lapack_funcs("gbsv", (padded,))
-    edges, s = list(edges) if field else [0], 0
     # band[i].T is B of cell c0 + i as gbsv's ab[2 nb + k - j, j] = B[k, j] (rows < nb: fill-in);
     # span[i, nb + e, k] = -(B + R)[k, k + e] holds every entry of B too, so only it is checked
     band, span = np.empty((run, m, 3 * nb + 1)), np.empty((run, 2 * nb + 1, m))
     # one cell's product -(B + R) f_{c-1} by offset, its step d with views of d^- and d^+,
-    # d^+ packed contiguous for gbsv, and |f_c| of the first neg states, all made once per march
+    # and d^+ packed contiguous for gbsv, all made once per march
     product, step = np.empty((w, 2 * nb + 1, m)), np.empty((w, m))
-    packed, magnitude = np.empty((w, m - neg)), np.empty((neg, m))
+    packed = np.empty((w, m - neg))
     minus, plus = step[:, :neg], step[:, neg:]
 
     def fail(c, why):
@@ -830,12 +813,8 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, sides=(False,
     # which Python finds by scanning the function's line table from its start, so each of a
     # step's allocations would cost several times more deep inside _march
     def advance(i, c):
-        """March the states over cell c, the i-th of its run; max|f_c| if they are not a field."""
-        if field:
-            read, last, now = window[i], states[i], states[i + 1]
-        else:
-            read, last, now = window[0], states[0], states[0]
-        np.multiply(span[i], read, out=product)
+        """March the states over cell c, the i-th of its run, and restart them if end says so."""
+        np.multiply(span[i], window[i], out=product)
         product.sum(axis=1, out=step)
         if explicit:
             np.divide(minus, band[i, :neg, 2 * nb], out=minus)
@@ -850,8 +829,10 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, sides=(False,
             _, _, solved, info = gbsv(nb, nb, band[i].T, step.T, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise fail(c, f"is singular: zero pivot {info} of {m}")
-        np.add(last, solved.T, out=now)
-        return None if field else np.abs(now[:neg], out=magnitude).max()
+        np.add(states[i], solved.T, out=states[i + 1])
+        restart = None if end is None else end(c, states[i + 1])
+        if restart is not None:
+            states[i + 1] = restart
 
     for c0 in range(1, cells + 1, run):
         count = min(run, cells + 1 - c0)
@@ -871,21 +852,11 @@ def _march(problem: LinearProblem, starts: np.ndarray, cells: int, sides=(False,
         if not finite.all():
             raise fail(c0 + int(np.argmin(finite)), "is not finite")
         for i in range(count):
-            c = c0 + i
-            grown = advance(i, c)
-            if field:
-                if c == edges[s + 1] and c < cells:
-                    s += 1
-                    states[i + 1] = starts[s]
-            elif c - edges[-1] == _SEGMENT_CELLS or c == cells or grown > _SEGMENT_GROWTH:
-                edges.append(c)
-                states[0] = restart(states[0])
-        if field:
-            for target, column in zip(out, states.transpose(1, 0, 2)):
-                rows = target[c0:c0 + count]               # the run's nodes that target has rows for
-                rows[...] = column[1:len(rows) + 1]
-            states[0] = states[count]
-    return None if field else edges
+            advance(i, c0 + i)
+        for target, column in zip(out, states.transpose(1, 0, 2)):
+            rows = target[c0:c0 + count]                   # the run's nodes that target has rows for
+            rows[...] = column[1:len(rows) + 1]
+        states[0] = states[count]
 
 
 def _central_march(problem: LinearProblem) -> np.ndarray:
@@ -900,10 +871,18 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
     Raises:
         SolverError: a cell matrix is not finite or is singular.
     """
-    Nx = problem.system.mesh.Nx
     field = np.empty(problem.pinned.shape)
-    _march(problem, problem.system.boundary.values[None, None], Nx, edges=(0, Nx), out=(field,))
+    _march(problem, problem.system.boundary.values[None], problem.system.mesh.Nx, out=(field,))
     return field
+
+
+# an upwind1 segment ends once the largest entry of its marched homogeneous states
+# passes _SEGMENT_GROWTH, or after _SEGMENT_CELLS cells (measured in CHANGES.md).  The
+# cell cap stays although growth ends most segments: without it, first-march gates
+# rose up to 3.4 times (5.0e-14 to 1.7e-13 on coeffs 0, 30, 60, 30 at Nx=12800), and
+# a growth bound of 3 or 5 did not win that back
+_SEGMENT_GROWTH = 10.0
+_SEGMENT_CELLS = 800
 
 
 def _upwind1_march(problem: LinearProblem) -> np.ndarray:
@@ -917,17 +896,20 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
     velocity < 0 the state at the start n_s of segment s is
     y_s = Q_s c_s + p_s: the n columns of Q_s are orthonormal, Q_0 holds
     the unit vectors of those channels and p_0 is the side's ``pinval`` at
-    node 0.  ``_march`` carries n + 1 columns, Q_s and p_s, over each
-    segment and ends a segment where Q_s grows (the rounding of y_s then
-    stays small in the march that fills the field).  At each segment end
-    the QR Y = Q_{s+1} R_s of the marched Q_s and the marched p_s, z_s,
-    give g_s = Q_{s+1}^T z_s and p_{s+1} = z_s - Q_{s+1} g_s, so
-    c_{s+1} = R_s c_s + g_s.  At x = 0 the square system
+    node 0.  A transfer march (``_march``) carries n + 1 columns, Q_s and
+    p_s; its hook ends a segment once an entry of the marched Q_s passes
+    ``_SEGMENT_GROWTH`` in magnitude, after ``_SEGMENT_CELLS`` cells or at
+    x = 0 (the rounding of y_s then stays small in the march that fills
+    the field), and records the segment ends.  At each, the QR
+    Y = Q_{s+1} R_s of the marched Q_s and the marched p_s, z_s, give
+    g_s = Q_{s+1}^T z_s and p_{s+1} = z_s - Q_{s+1} g_s, so
+    c_{s+1} = R_s c_s + g_s, and the hook restarts the march from Q_{s+1}
+    and p_{s+1}.  At x = 0 the square system
     Q_L c_L + p_L = reverse(Q_R c_R + p_R), of the last segment of each
     arm, gives both arms' c_S; in each arm the back-recurrence
     c_s = R_s^-1 (c_{s+1} - g_s) gives the segment states, and a march of
-    one column from them fills its half of the field (node Nx / 2 from the
-    arm from -l/2).
+    one column from y_0, whose hook restarts it from y_s at segment end
+    n_s, fills its half of the field (node Nx / 2 from the arm from -l/2).
 
     Where ``_arms`` gives one arm for both sides, Q_s and R_s are marched
     once with the particular states of both sides (n + 2 columns), and the
@@ -949,16 +931,21 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
         """The edges, Q_s and R_s of an arm, and g_s and p_s of each side it serves, by side."""
         op = problems[arm[0]]
         neg = int(np.searchsorted(op.system.grid.velocities, 0.0))
-        Q, R = [np.eye(m)[:, :neg]], []
+        edges, Q, R = [0], [np.eye(m)[:, :neg]], []
         g = {side: [] for side in arm}
         p = {side: [problems[side].pinval[0]] for side in arm}
+        magnitude = np.empty((neg, m))
 
         def start():
             """The states the next segment starts from: Q_s and each side's p_s."""
             return np.vstack((Q[-1].T, *(p[side][-1] for side in arm)))
 
-        def restart(states):
-            """Q_{s+1}, R_s, g_s and p_{s+1} from the states at the end of segment s; the next start."""
+        def end(c, states):
+            """None within segment s; at its end, Q_{s+1}, R_s, g_s and p_{s+1} from the states, and the next start."""
+            if not (c - edges[-1] == _SEGMENT_CELLS or c == half
+                    or np.abs(states[:neg], out=magnitude).max() > _SEGMENT_GROWTH):
+                return None
+            edges.append(c)
             q, r = np.linalg.qr(states[:neg].T)
             Q.append(q)
             R.append(r)
@@ -967,7 +954,8 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
                 p[side].append(z - q @ g[side][-1])
             return start()
 
-        return _march(op, start()[None], half, arm, restart=restart), Q, R, g, p
+        _march(op, start(), half, arm, end=end)
+        return edges, Q, R, g, p
 
     marched = [transfer(arm) for arm in arms]
     ends = {side: (Q[-1], p[side][-1]) for _, Q, _, _, p in marched for side in p}
@@ -989,7 +977,8 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
                 if info > 0:
                     raise SolverError(f"upwind1 march: R of segment {s} from {'+' if side else '-'}l/2 is singular")
                 y[s, i] = Q[s] @ cs + p[side][s]
-        _march(problems[arm[0]], y, half, arm, edges, [halves[side] for side in arm])
+        restarts = dict(zip(edges[1:-1], y[1:]))
+        _march(problems[arm[0]], y[0], half, arm, [halves[side] for side in arm], lambda c, states: restarts.get(c))
     return field
 
 
@@ -1000,8 +989,8 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     ``_central_march`` for ``central`` and of ``_upwind1_march`` for
     ``upwind1``, the sweep of ``_block_sweep`` for ``upwind2``) with its
     inflow entries reset to the data, the gate, and, if it misses rel_tol,
-    one step of iterative refinement: a sweep on the residual field, which
-    is built only then.  The step is not monotone on an ill-conditioned
+    one step of iterative refinement: a sweep on the residual field.  The
+    step is not monotone on an ill-conditioned
     system, so the better iterate is kept (NaN is the worse).  An iterate
     with a residual of 1 or more, or a march that raises, is no better than
     ``problem.pinval`` (the inflow data alone, residual 1), so the step

@@ -60,7 +60,15 @@ class VelocityGrid:
         return self.i_max - self.i_min + 1
 
     def position_of(self, i: int) -> int:
-        """Row position of lattice index i inside the stored arrays."""
+        """Row position of lattice index i inside the stored arrays.
+
+        Raises:
+            ValueError: if i is not an integer (int or NumPy integer; a bool
+                or a float is rejected however integral) or lies outside
+                [i_min, i_max].
+        """
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ValueError(f"velocity index {i!r} is not an integer")
         if not (self.i_min <= i <= self.i_max):
             raise ValueError(f"velocity index {i} outside [{self.i_min}, {self.i_max}]")
         return int(i - self.i_min)
@@ -130,13 +138,14 @@ def build_velocity_grid(kappa: float, s: float, M: int, symmetric: bool = True) 
 
     Raises:
         ValueError: if s is outside (0, kappa) or M is not an integer >= 1
-            (int or NumPy integer; a float is rejected however integral).
+            (int or NumPy integer; a bool or a float is rejected however
+            integral).
     """
     if not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa!r}")
     if not (math.isfinite(s) and 0.0 < s < kappa):
         raise ValueError(f"shift s must lie strictly inside (0, kappa), got s={s!r}")
-    if not (isinstance(M, numbers.Integral) and M >= 1):
+    if isinstance(M, bool) or not (isinstance(M, numbers.Integral) and M >= 1):
         raise ValueError(f"M must be an integer >= 1, got {M!r}")
     M = int(M)
     half_shift = abs(s - 0.5 * kappa) <= _HALF_SHIFT_RTOL * kappa
@@ -158,10 +167,12 @@ def build_mesh(period_l: float, Nx: int) -> SpatialMesh:
     exact floating-point negation of nodes[j] and nodes[Nx // 2] is 0.0.
 
     Raises:
-        ValueError: if period_l is not positive or Nx is not an even
-            integer >= 2 (int or NumPy integer; a float is rejected).
+        ValueError: if period_l is not a positive real (a bool is
+            rejected) or Nx is not an even integer >= 2 (int or NumPy
+            integer; a float is rejected).
     """
-    if not (math.isfinite(period_l) and period_l > 0):
+    if isinstance(period_l, bool) or not (isinstance(period_l, numbers.Real) and math.isfinite(period_l)
+                                          and period_l > 0):
         raise ValueError(f"period_l must be positive, got {period_l!r}")
     if not (isinstance(Nx, numbers.Integral) and Nx >= 2 and Nx % 2 == 0):
         raise ValueError(f"Nx must be an even integer >= 2, got {Nx}")
@@ -179,7 +190,8 @@ def mono_energetic_boundary(grid: VelocityGrid, i0: int) -> BoundaryData:
     The channel must carry positive velocity (left-end inflow).
 
     Raises:
-        ValueError: if i0 is outside the grid or v_{i0} <= 0.
+        ValueError: if i0 is not an integer (see ``position_of``), is
+            outside the grid or v_{i0} <= 0.
     """
     pos = grid.position_of(i0)
     if grid.velocities[pos] <= 0:
@@ -197,11 +209,12 @@ def tabulated_boundary(grid: VelocityGrid, table: dict) -> BoundaryData:
     velocity the right end.  Unlisted channels inject nothing.
 
     Raises:
-        ValueError: on out-of-range keys or negative/non-finite values.
+        ValueError: on keys that are not integers (see ``position_of``) or
+            out of range, or on negative/non-finite values.
     """
     values = np.zeros(grid.size)
     for i, val in table.items():
-        pos = grid.position_of(int(i))
+        pos = grid.position_of(i)
         v = float(val)
         if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"boundary value for index {i} must be finite and nonnegative, got {val!r}")

@@ -16,6 +16,7 @@ finite-difference schemes write them into their matrix diagonals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,8 @@ def new_potential(period_l: float, coeffs) -> FourierPotential:
     """Validate inputs and build a FourierPotential.
 
     Args:
-        period_l: positive period length.
+        period_l: positive finite real period length (int, float or a NumPy
+            number; not a bool).
         coeffs: non-empty sequence of finite reals a_0, a_1, ...
 
     Returns:
@@ -58,7 +60,8 @@ def new_potential(period_l: float, coeffs) -> FourierPotential:
     Raises:
         ValueError: on non-positive period or empty/non-finite coefficients.
     """
-    if not (isinstance(period_l, (int, float)) and math.isfinite(period_l) and period_l > 0):
+    if isinstance(period_l, bool) or not (isinstance(period_l, numbers.Real) and math.isfinite(period_l)
+                                          and period_l > 0):
         raise ValueError(f"period_l must be a positive finite real, got {period_l!r}")
     arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:

@@ -4,7 +4,11 @@ The flagship configuration (cosine barrier of height and amplitude 20 on
 a unit period, 80 half-shifted velocity channels, unit injection of the
 slowest right-moving channel) is reused across many tests, and some of
 its solves are expensive.  solve_cached shares them per session.
+census_systems builds the census of hard systems that the solvers'
+solved and refinement counts are measured on.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -51,6 +55,29 @@ def random_system(rng, max_harmonics: int, max_M: int, off_half=(0.05, 0.95)):
               *rng.choice(grid.indices[v < 0], 2, replace=False)]
     table = {int(i): float(rng.uniform(0.1, 1.0)) for i in inflow}
     return build_system(pot, grid, mesh, tabulated_boundary(grid, table))
+
+
+def census_systems():
+    """The census of hard systems: 243 (name, system) pairs, in a fixed order.
+
+    33 barriers: the flagship with coeffs = 0, a for a in {20, 40, 60, 80,
+    100, 150, 200, 300, 1000, 3000, 10000} at Nx 100, 400 and 1600, named
+    "0,a@Nx".  Then 150 draws of ``random_system(default_rng(123), 4, 30)``
+    and 60 of ``random_system(default_rng(99), 12, 8)``, each from its own
+    generator in draw order.  Draw i of seed 123 is named "r123#i" and has
+    every cosine coefficient, a_0 included, multiplied by
+    (1, 3, 6, 10)[i % 4]; draw i of seed 99 is named "r99#i" and scaled by
+    (1, 3, 10)[i % 3].  The scaled draw keeps its grid, mesh and inflow data.
+    """
+    systems = [(f"0,{a}@{Nx}", make_system(Nx, coeffs=(0.0, float(a))))
+               for a in (20, 40, 60, 80, 100, 150, 200, 300, 1000, 3000, 10000) for Nx in (100, 400, 1600)]
+    for seed, draws, max_harmonics, max_M, scales in ((123, 150, 4, 30, (1, 3, 6, 10)), (99, 60, 12, 8, (1, 3, 10))):
+        rng = np.random.default_rng(seed)
+        for i in range(draws):
+            system = random_system(rng, max_harmonics, max_M)
+            potential = new_potential(system.potential.period_l, scales[i % len(scales)] * system.potential.coeffs)
+            systems.append((f"r{seed}#{i}", dataclasses.replace(system, potential=potential)))
+    return systems
 
 
 @pytest.fixture(scope="session")

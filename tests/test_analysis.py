@@ -22,6 +22,8 @@ from wignerdv import (
     write_csv,
 )
 
+from wignerdv.verify import _current_deviation
+
 from conftest import make_system
 
 
@@ -57,6 +59,16 @@ def test_current_deviation_shrinks_for_one_sided_scheme(solution_cache):
         J = current(solution_cache("upwind2", nx))
         devs.append(np.abs(J - J[0]).max() / abs(J[0]))
     assert devs[0] > devs[1] > devs[2]
+
+
+def test_current_deviation_is_absolute_when_the_inflow_current_is_zero():
+    # on Nx = 2 with channel 0 (v_0 = kappa/2) alone occupied, J = f v_0
+    system = make_system(2)
+    F = np.zeros((system.grid.size, 3))
+    F[system.grid.position_of(0), 1] = 2.0
+    assert _current_deviation(_hand_solution(system, F)) == system.grid.kappa    # |2 v_0 - 0|
+    F[system.grid.position_of(0), 0] = 0.5
+    assert _current_deviation(_hand_solution(system, F)) == 3.0                  # |2 v_0 - v_0/2| / (v_0/2)
 
 
 def test_symmetry_error_of_even_field_is_zero():

@@ -1,5 +1,8 @@
 """Config parsing, CLI commands, exit statuses, CSV outputs."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,50 @@ def test_parse_config_table_boundary(tmp_path):
     )
     cfg = parse_config(path)
     assert cfg["boundary"] == ("table", {0: 1.0, -1: 0.5})
+
+
+def test_parse_config_rejects_an_empty_table(tmp_path):
+    path = _write(tmp_path, "period_l = 1\ncoeffs = 1\nNx = 10\nboundary = table: ,\n")
+    with pytest.raises(ConfigError, match=re.escape("config key 'boundary': expected 'mono:<i0>' or 'table:")):
+        parse_config(path)
+
+
+def test_parse_config_rejects_a_line_without_a_value_and_a_repeated_key(tmp_path):
+    with pytest.raises(ConfigError, match=re.escape("line 3: expected 'key = value', got 'Nx 10'")):
+        parse_config(_write(tmp_path, "period_l = 1\ncoeffs = 1\nNx 10\nboundary = mono:0\n"))
+    with pytest.raises(ConfigError, match=re.escape("config key 'Nx': given more than once")):
+        parse_config(_write(tmp_path, "period_l = 1\ncoeffs = 1\nNx = 10\nNx = 12\nboundary = mono:0\n"))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("period_l = 0", "config keys 'period_l'/'coeffs': period_l must be a positive finite real"),
+    ("M = 0", "config keys 's_over_kappa'/'M': M must be an integer >= 1"),
+    ("Nx = 7", "config key 'Nx': Nx must be an even integer >= 2"),
+    ("boundary = mono:99", "config key 'boundary': velocity index 99 outside [-40, 39]"),
+])
+def test_invalid_system_errors_name_the_config_key(line, message, tmp_path, capsys):
+    # each value parses, and the constructor it goes to rejects it
+    key = line.split(" = ")[0]
+    text = "\n".join(line if old.startswith(key + " =") else old for old in BASE_CONFIG.splitlines())
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli._system_from_config(parse_config(path))
+    assert main(["solve", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_on_a_two_sided_table_boundary(tmp_path, capsys):
+    # the inflow data reach the field exactly: 1.0 into channel 0 at x = -l/2
+    # and 0.5 into channel -1 at x = +l/2, nothing into any other channel
+    text = BASE_CONFIG.replace("boundary = mono:0", "boundary = table:0=1.0,-1=0.5")
+    out = tmp_path / "out"
+    assert main(["solve", _write(tmp_path, text), "--out", str(out)]) == 0
+    assert "scheme=central" in capsys.readouterr().out
+    x, v, f = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1, unpack=True)
+    half = 0.5 * math.pi
+    assert f[(x == -0.5) & (v > 0)].tolist() == [1.0 if u == half else 0.0 for u in v[(x == -0.5) & (v > 0)]]
+    assert f[(x == 0.5) & (v < 0)].tolist() == [0.5 if u == -half else 0.0 for u in v[(x == 0.5) & (v < 0)]]
 
 
 def test_solve_writes_outputs(config_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Velocity grid, mesh and boundary data."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,22 @@ def test_position_of_maps_indices():
     assert g.position_of(2) == 5
     with pytest.raises(ValueError):
         g.position_of(3)
+
+
+def test_velocity_indices_must_be_integers():
+    # a float or bool index is rejected, not truncated to a channel (0.5 and
+    # 0.9 would read as index 0, True as index 1); NumPy integers are valid
+    g = build_velocity_grid(KAPPA, 0.5 * KAPPA, 40, True)
+    for i in (0.5, 0.9, 1.0, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"velocity index {i!r} is not an integer")):
+            g.position_of(i)
+    with pytest.raises(ValueError, match="velocity index 0.5 is not an integer"):
+        mono_energetic_boundary(g, 0.5)
+    with pytest.raises(ValueError, match="velocity index 0.9 is not an integer"):
+        tabulated_boundary(g, {0.9: 1.0})
+    assert g.position_of(np.int64(3)) == g.position_of(3) == 43
+    assert mono_energetic_boundary(g, np.int32(0)).values[40] == 1.0
+    assert tabulated_boundary(g, {np.int64(-1): 0.5}).values[39] == 0.5
 
 
 def test_mesh_basic_properties():
@@ -138,6 +155,12 @@ def test_tabulated_boundary_rejects_bad_entries():
         tabulated_boundary(g, {0: math.inf})
 
 
+def test_velocity_grid_rejects_a_kappa_that_is_not_positive():
+    for kappa in (0.0, -KAPPA, math.inf, math.nan):
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            build_velocity_grid(kappa, 0.5, 4)
+
+
 def test_build_system_cross_checks():
     pot = new_potential(1.0, [20.0, 20.0])
     grid = build_velocity_grid(pot.kappa, 0.5 * pot.kappa, 4, True)
@@ -170,3 +193,16 @@ def test_grid_and_mesh_sizes_must_be_integers():
     assert np.all(g.velocities != 0.0)
     mesh = build_mesh(1.0, np.int32(10))
     assert mesh.Nx == 10 and type(mesh.Nx) is int
+
+
+def test_sizes_and_periods_reject_bools():
+    # True is an int to Python, but it is no size or period (as M it would
+    # give a two-channel grid, as a period a unit mesh); NumPy numbers are valid
+    with pytest.raises(ValueError, match="M must be an integer >= 1, got True"):
+        build_velocity_grid(KAPPA, 0.5 * KAPPA, True)
+    with pytest.raises(ValueError, match="Nx must be an even integer"):
+        build_mesh(1.0, True)
+    with pytest.raises(ValueError, match="period_l must be positive, got True"):
+        build_mesh(True, 10)
+    assert build_velocity_grid(KAPPA, 0.5 * KAPPA, np.int16(1)).size == 2
+    assert build_mesh(np.float64(1.0), 10).Nx == build_mesh(np.int64(1), 10).Nx == 10

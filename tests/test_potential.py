@@ -1,6 +1,7 @@
 """Potential evaluation and coupling-operator structure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,16 @@ def test_new_potential_rejects_bad_inputs():
         new_potential(1.0, [])
     with pytest.raises(ValueError):
         new_potential(1.0, [1.0, math.nan])
+
+
+def test_new_potential_takes_any_real_period_but_a_bool():
+    # NumPy numbers are reals; True is an int to Python, but no period
+    for period in (np.int64(1), np.float32(1.0), np.float64(1.0), 1):
+        p = new_potential(period, [20.0, 20.0])
+        assert p.period_l == 1.0 and type(p.period_l) is float and p.kappa == math.pi
+    for bad in (True, np.True_, "1.0", math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"period_l must be a positive finite real, got {bad!r}")):
+            new_potential(bad, [1.0])
 
 
 def test_eval_potential_barrier_values():
@@ -126,6 +137,12 @@ def test_constant_potential_couples_nothing():
     p = new_potential(1.0, [40.0])
     f = np.arange(1.0, 6.0)
     assert np.all(apply_coupling(p, 0.37, f) == 0.0)
+
+
+def test_constant_potential_evaluates_to_its_constant():
+    p = new_potential(1.0, [40.0])
+    assert eval_potential(p, 0.3) == 40.0
+    assert eval_potential(p, np.array([[-0.5, 0.1], [0.2, 0.5]])).tolist() == [[40.0, 40.0], [40.0, 40.0]]
 
 
 def test_batched_apply_matches_apply_coupling():
