@@ -27,9 +27,10 @@ re-orthonormalizes, and the hook of a second restarts it from the states
 at the segment ends.  ``upwind2`` sweeps: block tridiagonal elimination
 from both inflow ends toward a middle block at x = 0 (``_block_sweep``).
 The same sweep, on the gate's residual, is the refinement step of every
-scheme.  The gate is the norm of the residual of ``assemble``'s system on
-the whole field, a product with the same diagonals a run of nodes at a
-time (``_residual_field``).
+scheme.  The gate (``_gate``) is the norm of the residual of ``assemble``'s
+system on the whole field, a product with the same diagonals a run of
+nodes at a time, and returns that residual too, so that the refinement
+sweep reads it and no iterate's residual is built twice.
 
 The arm from +l/2 of the march and of the sweep is the arm from -l/2 of
 ``_mirror(problem)``, the problem on the reversed flat order,
@@ -304,18 +305,18 @@ def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np
     return R.reshape(j1 - j0, m)
 
 
-def _residual_field(problem: LinearProblem, field: np.ndarray) -> np.ndarray:
-    """R(F) = M F - pinval on the whole field, a run of ``_RUN_NODES`` nodes at a time."""
+def _gate(problem: LinearProblem, field: np.ndarray) -> tuple:
+    """The gate of a full field F: (|R| / max(|b|, tiny), R), R = R(F) = M F - pinval of ``_residual``.
+
+    R is built on the whole field, a run of ``_RUN_NODES`` nodes at a time,
+    and returned so that a refinement sweep reads the residual the gate
+    measured instead of building it again.
+    """
     field = np.ascontiguousarray(field)               # so that each run's ravel is a view
     R = np.empty(field.shape)
     for j0 in range(0, len(field), _RUN_NODES):
         R[j0:j0 + _RUN_NODES] = _residual(problem, field, j0, min(j0 + _RUN_NODES, len(field)))
-    return R
-
-
-def _gate(problem: LinearProblem, field: np.ndarray) -> float:
-    """|R(F)| / max(|b|, tiny), R = M F - pinval of ``_residual_field``."""
-    return float(np.linalg.norm(_residual_field(problem, field)) / max(problem.rhs_norm, _NORM_FLOOR))
+    return float(np.linalg.norm(R) / max(problem.rhs_norm, _NORM_FLOOR)), R
 
 
 def _mirror(problem: LinearProblem) -> LinearProblem:
@@ -601,8 +602,10 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     x_t[K] = p_t[K] - C_t[K] x_{t+1}[J_t] down each arm and recovers the
     rest from the block's rows at Q, rebuilt (``_node_blocks``):
     D0[Q, Q] x_t[Q] = r_t[Q] - D0[Q, K] x_t[K] - U_t[Q, J_t] x_{t+1}[J_t],
-    with D0[Q, Q] factored again node by node, since keeping its factors
-    would add half again the carries' memory, and solved last node first.
+    with D0[Q, Q] factored again node by node, since its factors would take
+    about three times the memory of the stored carries (on the flagship,
+    1.28M factor entries against 0.43M stored carry entries at Nx = 1600
+    and 5.12M against 1.65M at Nx = 6400), and solved last node first.
     The arm from +l/2 is the arm from -l/2 of ``_mirror(problem)``, on the
     reversed right-hand side and field.  Where ``_arms`` gives one arm for
     both sides, it is factored once and carries both right-hand sides, each
@@ -773,7 +776,10 @@ def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,)
     node c; it returns None, or the states to go on from in their place (a
     restart).  The march writes state i at node j into out[i][j], for the
     nodes j that out[i] has rows for, a run of nodes at a time, restarts
-    included.
+    included.  It holds the states in a ring, node j on row j modulo the
+    ring's length: a run's nodes and the node before them if out is given,
+    and else two rows, the node a step reads and the one it writes, so a
+    march that writes no field keeps no run of states.
 
     Raises:
         SolverError: a cell matrix is not finite or is singular.  The message
@@ -786,13 +792,13 @@ def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,)
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
     explicit = problem.scheme is Scheme.UPWIND1
     run = min(_RUN_NODES, cells)
-    # the states padded with nb zero channels on each side, one node per row from node c0 - 1
-    # of the run on; channel k + e of state i on row j is window[j, i, nb + e, k]
-    padded = np.zeros((run + 1, w, m + 2 * nb))
+    # the states padded with nb zero channels on each side, in a ring that holds node j on row
+    # j % ring: a run's nodes and the one before it if out is written, else two nodes; channel
+    # k + e of state i on row j is window[j, i, nb + e, k]
+    ring = run + 1 if out else 2
+    padded = np.zeros((ring, w, m + 2 * nb))
     states = padded[..., nb:nb + m]
     states[0] = start
-    for target, state in zip(out, start):
-        target[0] = state
     window = np.lib.stride_tricks.sliding_window_view(padded, m, axis=2)
     gbsv = get_lapack_funcs("gbsv", (padded,))
     # band[i].T is B of cell c0 + i as gbsv's ab[2 nb + k - j, j] = B[k, j] (rows < nb: fill-in);
@@ -814,7 +820,8 @@ def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,)
     # step's allocations would cost several times more deep inside _march
     def advance(i, c):
         """March the states over cell c, the i-th of its run, and restart them if end says so."""
-        np.multiply(span[i], window[i], out=product)
+        before, after = (c - 1) % ring, c % ring       # the ring rows of nodes c - 1 and c
+        np.multiply(span[i], window[before], out=product)
         product.sum(axis=1, out=step)
         if explicit:
             np.divide(minus, band[i, :neg, 2 * nb], out=minus)
@@ -829,10 +836,10 @@ def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,)
             _, _, solved, info = gbsv(nb, nb, band[i].T, step.T, overwrite_ab=True, overwrite_b=True)
         if info > 0:
             raise fail(c, f"is singular: zero pivot {info} of {m}")
-        np.add(states[i], solved.T, out=states[i + 1])
-        restart = None if end is None else end(c, states[i + 1])
+        np.add(states[before], solved.T, out=states[after])
+        restart = None if end is None else end(c, states[after])
         if restart is not None:
-            states[i + 1] = restart
+            states[after] = restart
 
     for c0 in range(1, cells + 1, run):
         count = min(run, cells + 1 - c0)
@@ -854,9 +861,8 @@ def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,)
         for i in range(count):
             advance(i, c0 + i)
         for target, column in zip(out, states.transpose(1, 0, 2)):
-            rows = target[c0:c0 + count]                   # the run's nodes that target has rows for
-            rows[...] = column[1:len(rows) + 1]
-        states[0] = states[count]
+            rows = target[c0 - 1:c0 + count]               # the run's nodes and the one before, if target has them
+            rows[...] = column.take(range(c0 - 1, c0 - 1 + len(rows)), axis=0, mode="wrap")
 
 
 def _central_march(problem: LinearProblem) -> np.ndarray:
@@ -989,9 +995,11 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     ``_central_march`` for ``central`` and of ``_upwind1_march`` for
     ``upwind1``, the sweep of ``_block_sweep`` for ``upwind2``) with its
     inflow entries reset to the data, the gate, and, if it misses rel_tol,
-    one step of iterative refinement: a sweep on the residual field.  The
-    step is not monotone on an ill-conditioned
-    system, so the better iterate is kept (NaN is the worse).  An iterate
+    one step of iterative refinement: a sweep on the residual field that
+    the gate built, which is released once the sweep has read it or the
+    gate has passed (it is as large as the field).  The step is not
+    monotone on an ill-conditioned system, so the better iterate is kept
+    (NaN is the worse).  An iterate
     with a residual of 1 or more, or a march that raises, is no better than
     ``problem.pinval`` (the inflow data alone, residual 1), so the step
     refines pinval instead and solves the system from the data.  A sweep
@@ -1031,19 +1039,22 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     try:
         field = (march or _block_sweep)(problem)
         np.copyto(field, problem.pinval, where=problem.pinned)   # marched, or swept to rounding
-        res = _gate(problem, field)
+        res, R = _gate(problem, field)
         first = f"first iterate residual {res:.3e}"
     except SolverError as exc:
         if march is None:
             raise                                 # the refinement sweep would fail the same way
         res, first = float("nan"), str(exc)
-    if not res <= rel_tol:                        # NaN fails too
+    if res <= rel_tol:                            # NaN fails
+        del R                                     # R is as large as the field: no longer held
+    else:
         if not res < 1.0:                         # no better than pinval: refine pinval instead
             field = problem.pinval
-            res = _gate(problem, field)
-        refined = field + _block_sweep(problem, -_residual_field(problem, field))
+            res, R = _gate(problem, field)
+        refined = field + _block_sweep(problem, np.negative(R, out=R))
+        del R                                     # read by the sweep; the next gate builds its own
         np.copyto(refined, problem.pinval, where=problem.pinned)
-        refined_res = _gate(problem, refined)
+        refined_res = _gate(problem, refined)[0]
         if refined_res < res:
             field, res = refined, refined_res
     if not res <= rel_tol:

@@ -137,13 +137,14 @@ def build_velocity_grid(kappa: float, s: float, M: int, symmetric: bool = True) 
     to the bit.  Otherwise the window is i in [-M, M].
 
     Raises:
-        ValueError: if s is outside (0, kappa) or M is not an integer >= 1
-            (int or NumPy integer; a bool or a float is rejected however
+        ValueError: if kappa is not positive, s is outside (0, kappa) (a
+            bool is rejected for either) or M is not an integer >= 1 (int
+            or NumPy integer; a bool or a float is rejected however
             integral).
     """
-    if not (math.isfinite(kappa) and kappa > 0):
+    if isinstance(kappa, bool) or not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa!r}")
-    if not (math.isfinite(s) and 0.0 < s < kappa):
+    if isinstance(s, bool) or not (math.isfinite(s) and 0.0 < s < kappa):
         raise ValueError(f"shift s must lie strictly inside (0, kappa), got s={s!r}")
     if isinstance(M, bool) or not (isinstance(M, numbers.Integral) and M >= 1):
         raise ValueError(f"M must be an integer >= 1, got {M!r}")

@@ -79,13 +79,10 @@ def eval_potential(p: FourierPotential, x) -> float | np.ndarray:
     Accepts a scalar or an array of positions; returns the matching shape.
     """
     xa = np.asarray(x, dtype=float)
-    n = np.arange(1, len(p.coeffs))
-    if n.size == 0:
-        out = np.full(xa.shape, p.coeffs[0])
-    else:
-        # shape (..., n) cosine table summed against a_1..a_N
-        phases = 2.0 * p.kappa * np.multiply.outer(xa, n)
-        out = p.coeffs[0] + np.cos(phases) @ p.coeffs[1:]
+    # shape (..., n) cosine table summed against a_1..a_N; for a constant potential both are
+    # empty and their product is 0
+    phases = 2.0 * p.kappa * np.multiply.outer(xa, np.arange(1, len(p.coeffs)))
+    out = p.coeffs[0] + np.cos(phases) @ p.coeffs[1:]
     return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 

@@ -686,9 +686,9 @@ def test_upwind2_first_iterate_is_accurate_without_refinement():
         np.copyto(first, problem.pinval, where=problem.pinned)
         field = first
         for _ in range(2):
-            field = field + fd._block_sweep(problem, -fd._residual_field(problem, field))
+            field = field + fd._block_sweep(problem, -fd._gate(problem, field)[1])
             np.copyto(field, problem.pinval, where=problem.pinned)
-        assert fd._gate(problem, first) <= 1e-12
+        assert fd._gate(problem, first)[0] <= 1e-12
         assert np.abs(first - field).max() <= 2e-11
 
 
@@ -776,13 +776,13 @@ def test_gate_matches_the_assembled_residual(solution_cache):
         x = rng.standard_normal(problem.rhs.size)
         field = op.pinval.copy()
         field[free] = x
-        r, res = fd._residual_field(op, field), fd._gate(op, field)
+        res, r = fd._gate(op, field)
         assert np.all(r[op.pinned] == 0.0)
         assert np.abs(r[free] - (problem.matrix @ x - problem.rhs)).max() <= 1e-14 * np.abs(r).max()
         assert res == pytest.approx(residual_norm(problem, x), rel=1e-14)
         # a solved field: both gates pass and agree to rounding
         x = sol.values.T[free]
-        assert sol.residual == fd._gate(op, sol.values.T)
+        assert sol.residual == fd._gate(op, sol.values.T)[0]
         assert max(sol.residual, residual_norm(problem, x)) <= 1e-12
         assert abs(sol.residual - residual_norm(problem, x)) <= 5e-14
         if system == 1600:
@@ -795,7 +795,7 @@ def test_refinement_keeps_the_better_iterate(monkeypatch):
     op = assemble(system, Scheme.UPWIND2)
     sweep = fd._block_sweep
     first = np.where(op.pinned, op.pinval, sweep(op) + 1e-9)
-    first_res = fd._gate(op, first)
+    first_res = fd._gate(op, first)[0]
     assert 1e-12 < first_res < 1.0
     # a correction ten times too long makes the residual worse and is
     # dropped; the true correction makes it better and is kept
@@ -810,14 +810,14 @@ def test_refinement_keeps_the_better_iterate(monkeypatch):
         if kept:
             sol = solve_bvp(system, Scheme.UPWIND2)
             assert sol.residual < 1e-12
-            assert sol.residual == fd._gate(op, sol.values.T)
+            assert sol.residual == fd._gate(op, sol.values.T)[0]
         else:
             with pytest.raises(SolverError) as info:
                 solve_bvp(system, Scheme.UPWIND2)
             assert info.value.residual == first_res
         assert len(calls) == 2
         # the refinement's rhs is the gate's residual field of the first iterate
-        assert np.array_equal(calls[1], -fd._residual_field(op, first))
+        assert np.array_equal(calls[1], -fd._gate(op, first)[1])
 
 
 def _counted_sweeps(monkeypatch):
@@ -825,6 +825,19 @@ def _counted_sweeps(monkeypatch):
     sweep, calls = fd._block_sweep, []
     monkeypatch.setattr(fd, "_block_sweep", lambda op, rhs=None: calls.append(rhs) or sweep(op, rhs))
     return calls
+
+
+def _counted_residuals(monkeypatch):
+    """Patch fd._residual to record the field of every whole-field residual, by its first run; returns that list."""
+    residual, fields = fd._residual, []
+
+    def first_run(op, field, j0, j1):
+        if (j0, j1) == (0, min(fd._RUN_NODES, len(field))):
+            fields.append(field)
+        return residual(op, field, j0, j1)
+
+    monkeypatch.setattr(fd, "_residual", first_run)
+    return fields
 
 
 def test_census_subset_counts(monkeypatch):
@@ -858,12 +871,14 @@ def test_a_missed_march_is_refined_by_one_sweep(monkeypatch):
     system = make_system(100, coeffs=(0.0, 60.0))
     op = assemble(system, Scheme.CENTRAL)
     march = np.where(op.pinned, op.pinval, fd._central_march(op))
-    r, march_res = fd._residual_field(op, march), fd._gate(op, march)
+    march_res, r = fd._gate(op, march)
     assert 1e-12 < march_res < 1.0
-    calls = _counted_sweeps(monkeypatch)
+    calls, residuals = _counted_sweeps(monkeypatch), _counted_residuals(monkeypatch)
     sol = solve_bvp(system, Scheme.CENTRAL)
     assert sol.residual <= 1e-12
     assert len(calls) == 1 and np.array_equal(calls[0], -r)
+    # two whole-field residuals: the march's, which the sweep reads too, and the refined field's
+    assert len(residuals) == 2
 
 
 def test_a_march_worse_than_no_solution_is_refined_from_the_inflow_data(monkeypatch):
@@ -872,11 +887,13 @@ def test_a_march_worse_than_no_solution_is_refined_from_the_inflow_data(monkeypa
     # pinval and solves the system from the data
     system = make_system(100, coeffs=(0.0, 1000.0))
     op = assemble(system, Scheme.CENTRAL)
-    assert fd._gate(op, np.where(op.pinned, op.pinval, fd._central_march(op))) > 1.0
-    calls = _counted_sweeps(monkeypatch)
+    assert fd._gate(op, np.where(op.pinned, op.pinval, fd._central_march(op)))[0] > 1.0
+    calls, residuals = _counted_sweeps(monkeypatch), _counted_residuals(monkeypatch)
     with pytest.raises(SolverError, match="first iterate residual") as info:
         solve_bvp(system, Scheme.CENTRAL)
-    assert len(calls) == 1 and np.array_equal(calls[0], -fd._residual_field(op, op.pinval))
+    # three whole-field residuals: the march's, pinval's, which the sweep reads, and the refined field's
+    assert len(residuals) == 3 and np.array_equal(residuals[1], op.pinval)
+    assert len(calls) == 1 and np.array_equal(calls[0], -fd._gate(op, op.pinval)[1])
     growth = float(re.search(r"growth factor max\|f\| / max\|b\| = ([^;\s]+)", str(info.value))[1])
     assert math.isfinite(growth)
 
@@ -897,7 +914,7 @@ def test_a_march_that_raises_is_refined_from_the_inflow_data(monkeypatch):
             calls = _counted_sweeps(patch)
             sol = solve_bvp(system, scheme)
             op = assemble(system, scheme)
-            assert len(calls) == 1 and np.array_equal(calls[0], -fd._residual_field(op, op.pinval))
+            assert len(calls) == 1 and np.array_equal(calls[0], -fd._gate(op, op.pinval)[1])
             assert sol.residual <= 1e-12
             assert np.abs(sol.values - expected.values).max() <= 1e-11
             # a refinement that falls short names the march's error
@@ -1177,27 +1194,30 @@ def test_upwind1_first_march_meets_the_gate_on_a_strong_barrier():
     op = assemble(make_system(1600, coeffs=(0.0, 100.0)), Scheme.UPWIND1)
     field = fd._upwind1_march(op)
     np.copyto(field, op.pinval, where=op.pinned)
-    assert fd._gate(op, field) <= 4e-13
+    assert fd._gate(op, field)[0] <= 4e-13
 
 
 def test_upwind1_solve_memory_is_bounded():
     # the march keeps Q_s and R_s per segment, not a carry per node: the
-    # block sweep alone peaks at about 87 MB here
-    system = make_system(6400)
-    tracemalloc.start()
-    try:
-        solve_bvp(system, Scheme.UPWIND1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    # block sweep alone peaks at about 87 MB at Nx = 6400.  At Nx = 1600 the
+    # solve peaks at 3.9 MB and the bound adds a third: a transfer march that
+    # held a run of 129 state rows, not two, peaked at 6.2 MB there
+    for Nx, bound in ((1600, 5.2e6), (6400, 40e6)):
+        system = make_system(Nx)
+        tracemalloc.start()
+        try:
+            solve_bvp(system, Scheme.UPWIND1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def _swept(op):
     """The block sweep's field with its inflow entries reset, and its gate residual."""
     field = fd._block_sweep(op)
     np.copyto(field, op.pinval, where=op.pinned)
-    return field, fd._gate(op, field)
+    return field, fd._gate(op, field)[0]
 
 
 def test_global_solve_of_central_reflects_nothing_over_random_inputs():

@@ -196,10 +196,15 @@ def test_grid_and_mesh_sizes_must_be_integers():
 
 
 def test_sizes_and_periods_reject_bools():
-    # True is an int to Python, but it is no size or period (as M it would
-    # give a two-channel grid, as a period a unit mesh); NumPy numbers are valid
+    # True is an int to Python, but it is no size, period, spacing or shift
+    # (as M it would give a two-channel grid, as a period a unit mesh, as
+    # kappa a unit spacing); NumPy numbers are valid
     with pytest.raises(ValueError, match="M must be an integer >= 1, got True"):
         build_velocity_grid(KAPPA, 0.5 * KAPPA, True)
+    with pytest.raises(ValueError, match="kappa must be positive, got True"):
+        build_velocity_grid(True, 0.5, 4)
+    with pytest.raises(ValueError, match=r"shift s must lie strictly inside \(0, kappa\), got s=True"):
+        build_velocity_grid(2.0, True, 4)
     with pytest.raises(ValueError, match="Nx must be an even integer"):
         build_mesh(1.0, True)
     with pytest.raises(ValueError, match="period_l must be positive, got True"):
