@@ -159,41 +159,43 @@ def convergence_study(system: WignerSystem, scheme, Nx_list, rel_tol: float = 1e
     return StudyReport(rows=tuple(rows))
 
 
-def _fmt(x: float) -> str:
-    """17 significant digits, enough for exact float round trips."""
-    return format(float(x), ".17g")
-
-
 def write_csv(obj, path) -> None:
     """Write a solution, a study report, or an (x, value) profile as CSV.
 
     DiscreteSolution: header "x, v, f", node-major rows.
     StudyReport: header "scheme, Nx, symmetry_error, runtime_s, residual".
     (x, value) pair of equal-length 1-D arrays: header "x, value".
-    Floats carry 17 significant digits so parsing them back is exact.
+    Floats carry 17 significant digits ("%.17g") so parsing them back is
+    exact.  Rows are streamed to the file: a solution a node at a time, from
+    one text template of a node's m rows that holds the velocities, so the
+    writer keeps one node's text, not the file's.
+
+    Raises:
+        TypeError: an object of another type, before the file is opened.
+        ValueError: a profile that is not two equal-length 1-D arrays,
+            before the file is opened.
     """
-    lines = []
     if isinstance(obj, DiscreteSolution):
-        lines.append("x, v, f")
-        vs = [_fmt(v) for v in obj.system.grid.velocities]
-        for x, f in zip(obj.system.mesh.nodes, obj.values.T):
-            xj = _fmt(x)
-            lines.extend(f"{xj}, {v}, {_fmt(fk)}" for v, fk in zip(vs, f))
+        header = "x, v, f"
+        node = "".join(f"<x>, {v:.17g}, %.17g\n" for v in obj.system.grid.velocities.tolist())
+        rows = (
+            node.replace("<x>", "%.17g" % x) % tuple(f.tolist())
+            for x, f in zip(obj.system.mesh.nodes, obj.values.T)
+        )
     elif isinstance(obj, StudyReport):
-        lines.append("scheme, Nx, symmetry_error, runtime_s, residual")
-        for row in obj.rows:
-            lines.append(
-                f"{row.scheme}, {row.Nx}, {_fmt(row.symmetry_error)}, "
-                f"{_fmt(row.runtime_s)}, {_fmt(row.residual)}"
-            )
+        header = "scheme, Nx, symmetry_error, runtime_s, residual"
+        rows = (
+            "%s, %s, %.17g, %.17g, %.17g\n" % (r.scheme, r.Nx, r.symmetry_error, r.runtime_s, r.residual)
+            for r in obj.rows
+        )
     elif isinstance(obj, tuple) and len(obj) == 2:
         x, val = np.asarray(obj[0], dtype=float), np.asarray(obj[1], dtype=float)
         if x.ndim != 1 or x.shape != val.shape:
             raise ValueError("profile must be a pair of equal-length 1-D arrays")
-        lines.append("x, value")
-        for j in range(x.size):
-            lines.append(f"{_fmt(x[j])}, {_fmt(val[j])}")
+        header = "x, value"
+        rows = ("%.17g, %.17g\n" % xv for xv in zip(x.tolist(), val.tolist()))
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(rows)

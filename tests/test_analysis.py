@@ -1,6 +1,7 @@
 """Observables, symmetry error, refinement studies, CSV round trips."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +13,12 @@ from wignerdv import (
     StudyReport,
     StudyRow,
     build_mesh,
+    build_system,
+    build_velocity_grid,
     convergence_study,
     current,
     density,
+    mono_energetic_boundary,
     scheme_difference,
     solve_bvp,
     symmetry_error,
@@ -24,7 +28,7 @@ from wignerdv import (
 
 from wignerdv.verify import _current_deviation
 
-from conftest import make_system
+from conftest import M_CHANNELS, make_system
 
 
 def _hand_solution(system, F):
@@ -139,8 +143,6 @@ def test_scheme_difference_on_nested_meshes(solution_cache):
 def test_scheme_difference_rejects_different_grids():
     a = solve_bvp(make_system(10), Scheme.UPWIND1)
     sys_b = make_system(10)
-    from wignerdv import build_system, build_velocity_grid, mono_energetic_boundary
-
     small_grid = build_velocity_grid(sys_b.potential.kappa, 0.5 * sys_b.potential.kappa, 20, True)
     sys_small = build_system(
         sys_b.potential, small_grid, sys_b.mesh, mono_energetic_boundary(small_grid, 0)
@@ -269,6 +271,71 @@ def test_write_csv_rejects_unknown_objects(tmp_path):
         write_csv({"not": "supported"}, tmp_path / "x.csv")
     with pytest.raises(ValueError):
         write_csv((np.zeros(3), np.zeros(4)), tmp_path / "y.csv")
+    assert not any(tmp_path.iterdir())
+
+
+# floats whose text a change of format would show: a failed solve's nan,
+# signed zero and infinities, the smallest subnormal, the largest double,
+# a NumPy scalar and a value whose shortest repr has fewer than 17 digits
+_AWKWARD = (
+    float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.7976931348623157e308, np.float64(1e-14), 0.1,
+)
+
+
+def _reference_csv(header, rows):
+    """CSV text by the formula the writer must keep: text cells as given,
+    floats through format(float(x), ".17g"), ", " between cells, and one
+    newline after every line."""
+    cells = (", ".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row) for row in rows)
+    return "\n".join([header, *cells]) + "\n"
+
+
+def test_write_csv_solution_bytes_on_an_asymmetric_lattice(tmp_path):
+    pot = make_system(6).potential
+    grid = build_velocity_grid(pot.kappa, 0.3 * pot.kappa, M_CHANNELS, True)
+    system = build_system(pot, grid, build_mesh(pot.period_l, 6), mono_energetic_boundary(grid, 0))
+    assert grid.size == 81
+    F = solve_bvp(system, Scheme.UPWIND1).values.copy()
+    F[: len(_AWKWARD), 3] = _AWKWARD
+    sol = _hand_solution(system, F)
+    path = tmp_path / "solution.csv"
+    write_csv(sol, path)
+    rows = [(x, v, F[i, j]) for j, x in enumerate(system.mesh.nodes) for i, v in enumerate(grid.velocities)]
+    assert path.read_bytes() == _reference_csv("x, v, f", rows).encode()
+
+
+def test_write_csv_report_and_profile_bytes(tmp_path):
+    values = list(_AWKWARD)
+    rows = tuple(
+        StudyRow(scheme="central", Nx=100 * (k + 1), symmetry_error=a, runtime_s=b, residual=c)
+        for k, (a, b, c) in enumerate(zip(values, values[1:] + values[:1], values[2:] + values[:2]))
+    )
+    write_csv(StudyReport(rows=rows), tmp_path / "report.csv")
+    expected = _reference_csv(
+        "scheme, Nx, symmetry_error, runtime_s, residual",
+        [(r.scheme, str(r.Nx), r.symmetry_error, r.runtime_s, r.residual) for r in rows],
+    )
+    assert (tmp_path / "report.csv").read_bytes() == expected.encode()
+    x = np.linspace(-0.5, 0.5, len(values))
+    write_csv((x, np.array(values)), tmp_path / "profile.csv")
+    expected = _reference_csv("x, value", list(zip(x, values)))
+    assert (tmp_path / "profile.csv").read_bytes() == expected.encode()
+    write_csv((np.zeros(0), np.zeros(0)), tmp_path / "empty.csv")
+    assert (tmp_path / "empty.csv").read_bytes() == b"x, value\n"
+
+
+def test_write_csv_solution_memory_is_one_node(solution_cache, tmp_path):
+    # the flagship at Nx=1600 writes 128 080 rows, about 8 MB of text; the
+    # writer holds one node's 80 rows at a time (a traced peak of about
+    # 0.03 MB at any Nx), where building the file's text first peaked at 31 MB
+    sol = solution_cache("central", 1600)
+    tracemalloc.start()
+    try:
+        write_csv(sol, tmp_path / "solution.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25e6
 
 
 def test_solution_has_negative_regions(solution_cache):
