@@ -12,11 +12,20 @@ suite and reports one pass/fail line per check.  The checks are:
                         for all difference schemes and the oracle.
   current-conservation  the channel current J_j is constant in x for the
                         cell form to solver precision and its deviation
-                        shrinks under refinement for the one-sided form.
+                        shrinks under refinement for the one-sided form,
+                        or is already at rounding.
+
+``run_all_checks`` runs the mirror check on the calling thread while one
+worker thread runs the other four in the order above, so the seeded
+generator gives each check the draws of a sequential run.  Their numpy
+loops and LAPACK calls release the GIL: on two CPUs the suite takes 0.86 s
+instead of 1.35 s on the bundled configuration, at about 5 MB more peak
+RSS for the worker's temporaries; on one CPU it is about 5% slower.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +61,9 @@ _FREE_STREAMING_TOL = 1e-12
 # Mesh refinement factor for upwind2, and the bound on central's deviation.
 _REFINE = 4
 _CENTRAL_CURRENT_FLOOR = 1e-8
+# A refined upwind2 deviation at or below this is rounding, which refinement
+# cannot shrink (a constant potential, or zero inflow data).
+_UPWIND2_ROUNDING_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,34 +171,62 @@ def _current_deviation(sol) -> float:
 def check_current_conservation(system: WignerSystem, rel_tol: float = 1e-12) -> CheckResult:
     """Current is flat for the cell form and improves for the one-sided form.
 
-    The cell (central) form conserves J to solver precision on any mesh;
-    the second-order one-sided form must shrink its deviation when the
-    mesh is refined by ``_REFINE``.
+    The cell (central) form conserves J to solver precision on any mesh,
+    up to the channel window's edge terms: the coupling moves current into
+    channels past the window's edge, which the truncation drops.  They are
+    negligible on the bundled configuration (M = 40), but with M = 1 the
+    central deviation is 5.7e1 and the check fails.  The second-order
+    one-sided form must shrink its deviation when the mesh is refined by
+    ``_REFINE``, unless the refined deviation is already at or below
+    ``_UPWIND2_ROUNDING_FLOOR``: then refinement has nothing left to shrink
+    (rounding on a constant potential, a zero current for zero inflow data).
     """
     dev_central = _current_deviation(solve_bvp(system, Scheme.CENTRAL, rel_tol=rel_tol))
     dev_up2_coarse = _current_deviation(solve_bvp(system, Scheme.UPWIND2, rel_tol=rel_tol))
     fine_mesh = build_mesh(system.potential.period_l, system.mesh.Nx * _REFINE)
     fine = replace(system, mesh=fine_mesh)
     dev_up2_fine = _current_deviation(solve_bvp(fine, Scheme.UPWIND2, rel_tol=rel_tol))
-    ok = dev_central <= _CENTRAL_CURRENT_FLOOR and dev_up2_fine < dev_up2_coarse
+    shrinks = dev_up2_fine < dev_up2_coarse
+    rounding = not shrinks and dev_up2_fine <= _UPWIND2_ROUNDING_FLOOR
+    ok = dev_central <= _CENTRAL_CURRENT_FLOOR and (shrinks or rounding)
     return CheckResult(
         name="current-conservation",
         passed=ok,
         detail=(
             f"central deviation {dev_central:.3e} (floor {_CENTRAL_CURRENT_FLOOR:.1e}); "
             f"upwind2 {dev_up2_coarse:.3e} -> {dev_up2_fine:.3e} under {_REFINE}x refinement"
+            + (f" (at rounding, floor {_UPWIND2_ROUNDING_FLOOR:.1e})" if rounding else "")
         ),
     )
 
 
 def run_all_checks(system: WignerSystem, rel_tol: float = 1e-12, seed: int = 20260817) -> list:
-    """Run the full suite with a deterministic RNG; returns CheckResults."""
+    """Run the full suite with a deterministic RNG; returns CheckResults.
+
+    The results come in the order coupling-bound, propagator-mirror,
+    propagator-inversion, free-streaming, current-conservation.  The mirror
+    check runs on the calling thread; one worker thread runs the other four
+    one after another.  The RNG seeded with ``seed`` is used only by the
+    worker, coupling-bound first and propagator-inversion next, as in a
+    sequential run, so every result is the same to the bit.  The checks
+    share no mutable state: each builds its own problems.  The worker's
+    numpy temporaries cost about 5 MB of peak RSS on the bundled
+    configuration.  An exception from either thread propagates, after the
+    worker has finished; no thread outlives the call.
+    """
     rng = np.random.default_rng(seed)
-    results = [
-        check_coupling_bound(system, rng),
-        check_propagator_mirror(system),
-        check_propagator_inversion(system, rng),
-        check_free_streaming(system, rel_tol=rel_tol),
-        check_current_conservation(system, rel_tol=rel_tol),
-    ]
-    return results
+
+    def worker() -> list:
+        return [
+            check_coupling_bound(system, rng),
+            check_propagator_inversion(system, rng),
+            check_free_streaming(system, rel_tol=rel_tol),
+            check_current_conservation(system, rel_tol=rel_tol),
+        ]
+
+    # the executor's module loads on first use, so the other commands never import it
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        others = pool.submit(worker)
+        mirror = check_propagator_mirror(system)
+        coupling, inversion, streaming, conservation = others.result()
+    return [coupling, mirror, inversion, streaming, conservation]
