@@ -26,11 +26,16 @@ x = 0 (``_upwind1_march``): the hook of one march cuts segments and
 re-orthonormalizes, and the hook of a second restarts it from the states
 at the segment ends.  ``upwind2`` sweeps: block tridiagonal elimination
 from both inflow ends toward a middle block at x = 0 (``_block_sweep``).
-The same sweep, on the gate's residual, is the refinement step of every
-scheme.  The gate (``_gate``) is the norm of the residual of ``assemble``'s
-system on the whole field, a product with the same diagonals a run of
-nodes at a time, and returns that residual too, so that the refinement
-sweep reads it and no iterate's residual is built twice.
+The layout of an arm, its block edges, the order it eliminates a block's
+entries in and the index sets that order is made of, is derived in one
+place, ``_node_blocks``, which returns it with the arm's blocks as one
+``_Arm`` record; the middle block is built in one call once both arms are
+eliminated.  The same sweep, on the gate's residual, is the refinement
+step of every scheme.  The gate (``_gate``) is the norm of the residual of
+``assemble``'s system on the whole field, a product with the same
+diagonals a run of nodes at a time, safe from overflow (``_norm``), and
+returns that residual too, so that the refinement sweep reads it and no
+iterate's residual is built twice.
 
 The arm from +l/2 of the march and of the sweep is the arm from -l/2 of
 ``_mirror(problem)``, the problem on the reversed flat order,
@@ -70,6 +75,21 @@ __all__ = [
 # Guard against division by a zero right-hand-side norm.
 _NORM_FLOOR = 1e-300
 
+
+def _norm(a: np.ndarray) -> float:
+    """The Euclidean norm of a, safe from overflow.
+
+    It is ``np.linalg.norm(a)`` wherever that is finite, to the bit.  Past
+    about 1.3e154 in |a| its sum of squares overflows, and then a is scaled
+    by its largest magnitude first.  An entry that is not finite gives the
+    plain norm, inf or NaN.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    top = float(np.abs(a).max()) if norm == np.inf else 0.0
+    return top * float(np.linalg.norm(a / top)) if 0.0 < top < np.inf else norm
+
+
 # The accepted range of rel_tol, as ``_valid_rel_tol`` checks it.
 _REL_TOL_RANGE = "(0, 1e-6]"
 
@@ -105,7 +125,8 @@ class LinearProblem:
     ``potential._bands``).  ``pinned`` flags the inflow entries of the
     node-major (Nx + 1, m) field, and ``pinval`` is the field that holds
     the inflow data there and zero elsewhere.
-    ``rhs_norm`` is |b| of the reduced system, from b = -R(pinval).  The
+    ``rhs_norm`` is |b| of the reduced system, from b = -R(pinval), safe
+    from overflow (``_norm``).  The
     solvers read only these.  It, ``matrix`` and ``rhs``, the reduced sparse
     system over the non-pinned unknowns, are computed on first access and
     kept.  ``free`` flags, in node-major (node, velocity) order, which
@@ -129,7 +150,7 @@ class LinearProblem:
         Nx = self.system.mesh.Nx
         first = min(_reach(_stencil(self.scheme, Nx)) + 1, Nx + 1)      # past the rows of nodes 0 .. reach
         ends = ((0, first), (max(Nx + 1 - first, first), Nx + 1))
-        return float(np.linalg.norm(np.concatenate([_residual(self, self.pinval, *end) for end in ends])))
+        return _norm(np.concatenate([_residual(self, self.pinval, *end) for end in ends]))
 
     @functools.cached_property
     def _reduced(self):
@@ -277,14 +298,14 @@ def _assemble_csr(problem: LinearProblem):
 
 
 def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
-    """Relative residual |M u - b| / max(|b|, tiny) in the Euclidean norm."""
+    """Relative residual |M u - b| / max(|b|, tiny) in the Euclidean norm, safe from overflow (``_norm``)."""
     u = np.asarray(candidate, dtype=float)
     if u.shape != problem.rhs.shape:
         raise ValueError(
             f"candidate shape {u.shape} does not match rhs shape {problem.rhs.shape}"
         )
     r = problem.matrix @ u - problem.rhs
-    return float(np.linalg.norm(r) / max(np.linalg.norm(problem.rhs), _NORM_FLOOR))
+    return _norm(r) / max(_norm(problem.rhs), _NORM_FLOOR)
 
 
 def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np.ndarray:
@@ -308,15 +329,16 @@ def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np
 def _gate(problem: LinearProblem, field: np.ndarray) -> tuple:
     """The gate of a full field F: (|R| / max(|b|, tiny), R), R = R(F) = M F - pinval of ``_residual``.
 
-    R is built on the whole field, a run of ``_RUN_NODES`` nodes at a time,
-    and returned so that a refinement sweep reads the residual the gate
-    measured instead of building it again.
+    Both norms are safe from overflow (``_norm``).  R is built on the whole
+    field, a run of ``_RUN_NODES`` nodes at a time, and returned so that a
+    refinement sweep reads the residual the gate measured instead of
+    building it again.
     """
     field = np.ascontiguousarray(field)               # so that each run's ravel is a view
     R = np.empty(field.shape)
     for j0 in range(0, len(field), _RUN_NODES):
         R[j0:j0 + _RUN_NODES] = _residual(problem, field, j0, min(j0 + _RUN_NODES, len(field)))
-    return float(np.linalg.norm(R) / max(problem.rhs_norm, _NORM_FLOOR)), R
+    return _norm(R) / max(problem.rhs_norm, _NORM_FLOOR), R
 
 
 def _mirror(problem: LinearProblem) -> LinearProblem:
@@ -373,8 +395,12 @@ def _named(sides: tuple, noun: str, first: int, last: int, end: int, aside: bool
     return where
 
 
-def _node_blocks(problem: LinearProblem):
-    """The arm from -l/2 of the two-arm block sweep, written from the whole-field matrix's diagonals.
+# the layout of one arm of the block sweep, as ``_node_blocks`` gives it to ``_block_sweep``
+_Arm = collections.namedtuple("_Arm", "edges order Q K J nL nodes fills blocks middle recovery")
+
+
+def _node_blocks(problem: LinearProblem) -> _Arm:
+    """The layout of the arm from -l/2 of the two-arm block sweep, and its blocks from the whole-field matrix's diagonals.
 
     The sweep cuts the flat field into two arms of T node blocks each, one
     from each inflow end, and a middle block around node Nx / 2; it reads
@@ -387,32 +413,42 @@ def _node_blocks(problem: LinearProblem):
     only their own block and the next one, and its rows of v > 0 (the rows
     of L) only their own block and the one before.  The columns they read
     follow from the legs, the channel signs and the channels that the
-    coupling legs reach (the band spread), the same for every block.
+    coupling legs reach (the band spread), the same for every block.  This
+    is the only code that derives the layout; the sweep reads its fields.
 
-    Returns (edges, coupled, kept, J, order, blocks, recovery): edges 0,
-    reach m, ..., c, N - c bound the T arm blocks and the middle block;
-    coupled, kept and J are masks over the reach m entries of a block:
-    coupled the rows of L_t, kept the columns of block t - 1 that L_t reads
-    together with the rows of L, which carry Schur fill (for every stencil
-    here the v > 0 entries, and for central the band spread of their
-    coupling legs too), and J the columns J_t within block t + 1 (the
-    middle, for the last arm block).  order lists a block's entries in the
-    order the sweep eliminates them: Q, the entries off kept, then K, the
-    kept ones, the rows of L first.
-
-    blocks yields each arm block t in order, and then the middle block.  An
-    arm block is the block's rows, in ``order``, over every column they
-    reach: the K of block t - 1 (zero in the first block), the block's own
-    entries in ``order`` and the J of block t + 1.  The
-    middle block is its rows over the columns of the last block of both
-    arms, in mesh order.  recovery yields, for each arm block t from T - 1
-    down to 0, its rows Q over its own entries and the J of block t + 1.
+    Returns the ``_Arm`` record.  Its fields, the entries of a block
+    counted from 0 to reach m - 1 in mesh order:
+      edges    0, reach m, ..., c, N - c, the bounds of the T arm blocks
+               and of the middle block.
+      order    a block's entries in the order the sweep eliminates them: Q,
+               then K.
+      Q        the entries off kept, ascending.  kept are the columns of
+               block t - 1 that L_t reads together with the rows of L,
+               which carry Schur fill (for every stencil here the v > 0
+               entries, and for central the band spread of their coupling
+               legs too).
+      K        the kept entries, the nL rows of L (ascending) first.
+      J        the columns J_t within block t + 1 (the middle, for the last
+               arm block) that the block's rows read, ascending.
+      nodes    the (start, stop) span of each node's entries within Q, for
+               the nodes that have some.
+      fills    the position in ``order`` of each entry of J: the column of
+               block t's own on which the Schur fill of block t - 1's carry
+               lands.
+      blocks   yields each arm block t in order: the block's rows, in
+               ``order``, over every column they reach: the K of block
+               t - 1, the block's own entries in ``order`` and the J of
+               block t + 1.
+      middle   builds the middle block, its rows over the columns of the
+               last block of both arms, in mesh order, Fortran-ordered.
+      recovery yields, for each arm block t from T - 1 down to 0, its rows
+               Q over its own entries and the J of block t + 1.
     The diagonals are built a run of ``_RUN_NODES`` nodes at a time and
     stacked, and each arm block is scattered from them at once into one
-    buffer for blocks and one for recovery: every arm block but the first,
-    which has no block before, has entries on the same diagonals, so the
-    other entries stay zero, and a yielded block holds until the next is
-    read.
+    buffer for blocks and one for recovery: every arm block has entries on
+    the same diagonals (the first block's columns before node 0 read
+    entries that no diagonal holds, which are zero), so the other entries
+    stay zero, and a yielded block holds until the next is read.
     """
     Nx = problem.system.mesh.Nx
     m = problem.system.grid.size
@@ -440,31 +476,18 @@ def _node_blocks(problem: LinearProblem):
             carried[:-dj] |= ahead
             behind[reach + dj:] |= back
     coupled = np.tile(v > 0, reach)
-    kept, J = behind.ravel() | coupled, carried.ravel()
-    run = reach * max(_RUN_NODES // reach, 1)
-    nQ = size - kept.sum()
-    order = np.concatenate((np.flatnonzero(~kept), np.flatnonzero(coupled), np.flatnonzero(kept & ~coupled)))
+    kept = behind.ravel() | coupled
+    Q, J = np.flatnonzero(~kept), np.flatnonzero(carried.ravel())
+    K = np.concatenate((np.flatnonzero(coupled), np.flatnonzero(kept & ~coupled)))
+    order = np.concatenate((Q, K))
+    row_at = np.argsort(order)
+    bounds = np.searchsorted(Q, np.arange(0, size + 1, m)).tolist()
+    nodes = tuple((s, e) for s, e in zip(bounds[:-1], bounds[1:]) if s < e)
     # an arm block's column of each of the 3 size columns of blocks t - 1 .. t + 1, or -1
-    columns = np.concatenate((order[nQ:], size + order, 2 * size + np.flatnonzero(J)))
+    columns = np.concatenate((K, size + order, 2 * size + J))
     column_at = np.full(3 * size, -1)
     column_at[columns] = np.arange(columns.size)
-    row_at = np.argsort(order)
-    placed = {}
-
-    def place(keys, first):
-        """Where an arm block holds the entries of the diagonals keys: flat positions, and the diagonal and row of each."""
-        if (keys, first) not in placed:
-            r = np.arange(size)
-            at, which, rows = [], [], []
-            for i, d in enumerate(keys):
-                col = r + d + size                  # among the columns of blocks t - 1 .. t + 1
-                ok = (col >= (size if first else 0)) & (col < 3 * size)
-                ok[ok] = column_at[col[ok]] >= 0
-                at.append(row_at[r[ok]] * columns.size + column_at[col[ok]])
-                which.append(np.full(ok.sum(), i))
-                rows.append(r[ok])
-            placed[keys, first] = tuple(np.concatenate(x) for x in (at, which, rows))
-        return placed[keys, first]
+    run = reach * max(_RUN_NODES // reach, 1)
 
     def arm_blocks(ts, rows=size):
         """The first rows rows of the arm blocks t of ts, in that order, scattered into one buffer from the stacked diagonals of their run."""
@@ -477,15 +500,15 @@ def _node_blocks(problem: LinearProblem):
                 if tuple(diagonals) != keys:
                     keys = tuple(diagonals)
                     out[...] = 0.0
+                    # where a block holds entry (r, r + d) of each diagonal d, among the columns of blocks t - 1 .. t + 1
+                    col = np.arange(size) + np.array(keys)[:, None] + size
+                    which, r = np.nonzero((col >= 0) & (col < 3 * size))
+                    at = column_at[col[which, r]]
+                    held = (at >= 0) & (row_at[r] < rows)
+                    which, r, at = which[held], r[held], row_at[r[held]] * columns.size + at[held]
                 stacked = np.stack(list(diagonals.values())).ravel()
                 del diagonals
-                length, sources = stacked.size // len(keys), {}
-            first = t == 0
-            if first not in sources:
-                at, which, r = place(keys, first)
-                held = at < out.size
-                sources[first] = at[held], (which * length + r - j0 * m)[held]
-            at, source = sources[first]
+                source = which * (stacked.size // len(keys)) + r - j0 * m
             flat[at] = stacked[source + edges[t]]
             yield out
 
@@ -503,15 +526,11 @@ def _node_blocks(problem: LinearProblem):
                 flat[start:start + (rb - ra - 1) * (b - a + 1) + 1:b - a + 1] = coef.ravel()[ra - a:rb - a]
         return out
 
-    def blocks():
-        yield from arm_blocks(range(T))
-        yield middle()
-
     def recovery():
-        for out in arm_blocks(range(T - 1, -1, -1), nQ):
-            yield out[:, size - nQ:]
+        for out in arm_blocks(range(T - 1, -1, -1), Q.size):
+            yield out[:, K.size:]
 
-    return edges, coupled, kept, J, order, blocks(), recovery()
+    return _Arm(edges, order, Q, K, J, int(coupled.sum()), nodes, row_at[J], arm_blocks(range(T)), middle, recovery())
 
 
 # entries of D'[K, Q] D0[Q, Q]^-1 below _TINY in magnitude are set to zero, and a carry keeps
@@ -540,10 +559,6 @@ def _kept_carry(C: np.ndarray) -> tuple:
     return rows, cols, C[rows[:, None], cols]
 
 
-# one arm of the block sweep as ``_block_sweep`` carries it from the forward pass to back substitution
-_Arm = collections.namedtuple("_Arm", "sides columns edges Q K J nL nodes carries recovery")
-
-
 def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.ndarray:
     """Solve M F = rhs for the (Nx + 1, m) field F by two-arm block elimination.
 
@@ -552,8 +567,12 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     solve ``assemble``'s reduced system and the pinned ones hold the inflow
     data to rounding (partial pivoting may mix an identity row with the
     equations of its block).  Two arms, one from each inflow end, eliminate
-    their node blocks (``_node_blocks``) toward the middle block around node
-    Nx / 2.  U_t, the coupling of arm block t to block t + 1, is nonzero
+    their node blocks toward the middle block around node Nx / 2.  Each
+    arm's layout (block edges, the index sets Q, K and J, the node spans of
+    Q and the fill rows) and its blocks come from ``_node_blocks``, as one
+    ``_Arm`` record that the sweep reads; it keeps only the sides an arm
+    serves, their (rhs, x) views and the arm's carries.
+    U_t, the coupling of arm block t to block t + 1, is nonzero
     only in the columns J_t (about the channels of the next block that flow
     toward the arm's own end), so the carry is the half-rank
     C_t = D'_t^-1 U_t[:, J_t], D'_t being the block after the Schur update
@@ -597,10 +616,12 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
     flagship and by 1.3e-13 on the lattice s = 0.3 kappa (5.4e-16 and
     5.3e-16 at 2^-100).
 
-    The middle block takes the update of the last block of both arms and is
-    solved whole; back substitution then reads
-    x_t[K] = p_t[K] - C_t[K] x_{t+1}[J_t] down each arm and recovers the
-    rest from the block's rows at Q, rebuilt (``_node_blocks``):
+    Each arm's elimination reads its blocks to the end, which frees their
+    buffer.  The middle block is then built in one call, takes the update
+    of the last block of both arms and is solved whole; back substitution
+    then reads x_t[K] = p_t[K] - C_t[K] x_{t+1}[J_t] down each arm and
+    recovers the rest from the block's rows at Q, rebuilt (the record's
+    recovery):
     D0[Q, Q] x_t[Q] = r_t[Q] - D0[Q, K] x_t[K] - U_t[Q, J_t] x_{t+1}[J_t],
     with D0[Q, Q] factored again node by node, since its factors would take
     about three times the memory of the stored carries (on the flagship,
@@ -646,9 +667,9 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
                                     f"{_named(sides[:1], 'velocity index', k, k, m - 1)})")
         return lu, piv
 
-    def factor_nodes(rows, arm, a, b, what, total):
+    def factor_nodes(rows, sides, arm, a, b, what, total):
         """getrf of the block of D0[Q, Q] on each node, first node first; rows holds the rows Q over Q first."""
-        return [factor(rows[s:e, s:e], a, b, arm.sides, what, arm.Q[s:e], s, total) for s, e in arm.nodes]
+        return [factor(rows[s:e, s:e], a, b, sides, what, arm.Q[s:e], s, total) for s, e in arm.nodes]
 
     def finite(D, a, b, sides, what="the block"):
         """Raise unless every entry of D, a system of the block of flat rows a .. b - 1, is finite."""
@@ -660,28 +681,20 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         np.copyto(A, 0.0, where=np.abs(A) < _TINY)
         return A
 
-    def eliminate(sides):
-        """Forward elimination of the arm serving the sides over its T blocks, for their (rhs, x) columns.
+    def eliminate(sides, arm):
+        """Forward elimination of the arm serving the sides over its blocks, for their (rhs, x) views.
 
-        Leaves the partial solutions p_t[K] in x and returns the ``_Arm``
-        and the arm's blocks, which yield the middle block next.
+        Leaves the partial solutions p_t[K] in x and returns the kept part
+        of each C_t[K] (``_kept_carry``).
         """
-        edges, coupled, kept, J, order, blocks, recovery = _node_blocks(problems[sides[0]])
-        T, size, nQ, nL = len(edges) - 2, len(kept), (~kept).sum(), coupled.sum()
-        Q, K, J = order[:nQ], order[nQ:], np.flatnonzero(J)
-        nK = K.size
-        bounds = np.searchsorted(Q, np.arange(0, size + 1, m)).tolist()
-        nodes = tuple((s, e) for s, e in zip(bounds[:-1], bounds[1:]) if s < e)
-        # the Schur fill lands on the rows of L over the J of the block, among its own columns
-        fills = np.argsort(order)[J]
-        # the kept part of each C_t[K] (``_kept_carry``), and Y, C-ordered: on
-        # two threads OpenBLAS split the Schur updates of the lattice
-        # s = 0.3 kappa, 82 x 82 x 80, with a Fortran-ordered carry, and each
-        # such call stalled (CHANGES.md)
+        edges, order, Q, K, nL = arm.edges, arm.order, arm.Q, arm.K, arm.nL
+        nQ, nK, size = Q.size, K.size, order.size
+        # the carries, and Y, C-ordered: on two threads OpenBLAS split the
+        # Schur updates of the lattice s = 0.3 kappa, 82 x 82 x 80, with a
+        # Fortran-ordered carry, and each such call stalled (CHANGES.md)
         carries = []
-        arm = _Arm(sides, [views[side] for side in sides], edges, Q, K, J, nL, nodes, carries, recovery)
         Y = np.empty((nK, nQ))
-        for t, G in zip(range(T), blocks):
+        for t, G in enumerate(arm.blocks):
             a, b = edges[t], edges[t + 1]
             D = G[:, nK:]                               # the block's own columns, then the J of the next
             finite(D[:, :size], a, b, sides)
@@ -689,9 +702,9 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             if t:
                 L = G[nQ:nQ + nL, :nK]
                 rows, cols, carry = carries[t - 1]
-                DK[:nL, fills[cols]] -= L[:, rows] @ carry
+                DK[:nL, arm.fills[cols]] -= L[:, rows] @ carry
             DQQ = D[:nQ, :nQ]
-            for (s, e), (lu, piv) in zip(nodes, factor_nodes(D, arm, a, b, "the block", size)):
+            for (s, e), (lu, piv) in zip(arm.nodes, factor_nodes(D, sides, arm, a, b, "the block", size)):
                 inverse = flushed(getri(lu, piv, overwrite_lu=True)[0])
                 Y[:, s:e] = (DK[:, s:e] - Y[:, :s] @ DQQ[:s, s:e] if s else DK[:, s:e]) @ inverse
                 flushed(Y[:, s:e])
@@ -702,23 +715,23 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             DK[:, size:] -= Y @ D[:nQ, size:]
             lu, piv = factor(np.asfortranarray(DK[:, nQ:size]), a, b, sides, "the block", K, nQ, size)
             carries.append(_kept_carry(getrs(lu, piv, DK[:, size:])[0]))
-            for r, y in arm.columns:
+            for r, y in (views[side] for side in sides):
                 p = r[a + order]
                 if t:
                     p[nQ:nQ + nL] -= L @ y[edges[t - 1] + K]
                 y[a + K] = getrs(lu, piv, p[nQ:] - Y @ p[:nQ], overwrite_b=True)[0]
-        return arm, blocks
+        return carries
 
-    def recover(arm):
+    def recover(sides, arm, carries):
         """Back substitution down one arm: x_t[K] from the carries, then x_t[Q] from the block's rows at Q."""
         edges, Q, K, J = arm.edges, arm.Q, arm.K, arm.J
-        for t, R in zip(range(len(edges) - 3, -1, -1), arm.recovery):
+        for t, R in zip(range(len(carries) - 1, -1, -1), arm.recovery):
             a, b = edges[t], edges[t + 1]
-            finite(R, a, b, arm.sides, "the block's recovery system")
-            lus = factor_nodes(R, arm, a, b, "the block's recovery system", Q.size)
-            rows, cols, carry = arm.carries[t]
+            finite(R, a, b, sides, "the block's recovery system")
+            lus = factor_nodes(R, sides, arm, a, b, "the block's recovery system", Q.size)
+            rows, cols, carry = carries[t]
             kept, read = a + K[rows], b + J[cols]
-            for r, y in arm.columns:
+            for r, y in (views[side] for side in sides):
                 y[kept] -= carry @ y[read]
                 # x_t[Q], x_t[K] and x_{t+1}[J], in the order of R's columns; the
                 # rows of a node read no entry of Q of the nodes before it
@@ -727,29 +740,28 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
                     z[s:e] = getrs(lu, piv, r[a + Q[s:e]] - R[s:e] @ z, overwrite_b=True)[0]
                 y[a + Q] = z[:Q.size]
 
-    eliminated = [eliminate(sides) for sides in arms]
-    (left, blocks), (right, _) = eliminated[0], eliminated[-1]
-    edges = left.edges
+    layouts = [_node_blocks(problems[sides[0]]) for sides in arms]
+    carries = [eliminate(sides, arm) for sides, arm in zip(arms, layouts)]
+    edges = layouts[0].edges
     T, c = len(edges) - 2, edges[-2]
     lo = edges[max(T - 1, 0)]
-    middle = next(blocks)                             # rows c .. N - c - 1 over columns lo .. N - lo - 1
-    for _, arm_blocks in eliminated:
-        arm_blocks.close()                            # freeing the arms' block buffers before back substitution
+    middle = layouts[0].middle()                      # rows c .. N - c - 1 over columns lo .. N - lo - 1
     D = middle[:, c - lo:N - c - lo]
     r = rhs[c:N - c].copy()
     if T:
         # the update of the last block of each arm, seen in its arm's order
-        for arm, block, D_arm, r_arm, y in (
-                (left, middle, D, r, x), (right, middle[::-1, ::-1], D[::-1, ::-1], r[::-1], x[::-1])):
-            rows, (k, j, carry) = arm.K[:arm.nL], arm.carries[-1]
+        for arm, (k, j, carry), block, D_arm, r_arm, y in (
+                (layouts[0], carries[0][-1], middle, D, r, x),
+                (layouts[-1], carries[-1][-1], middle[::-1, ::-1], D[::-1, ::-1], r[::-1], x[::-1])):
+            rows = arm.K[:arm.nL]
             L = block[np.ix_(rows, arm.K)]
             D_arm[np.ix_(rows, arm.J[j])] -= L[:, k] @ carry
             r_arm[rows] -= L @ y[lo + arm.K]
     finite(D, c, N - c, (False,))
     lu, piv = factor(D, c, N - c, (False,))
     x[c:N - c] = getrs(lu, piv, r, overwrite_b=True)[0]
-    for arm, _ in eliminated:
-        recover(arm)
+    for sides, arm, kept in zip(arms, layouts, carries):
+        recover(sides, arm, kept)
     return x.reshape(problem.pinned.shape)
 
 

@@ -144,5 +144,7 @@ def coupling_bound(p: FourierPotential) -> float:
     """Euclidean operator-norm bound C = 2 sum_{n>=1} |a_n| of A(x).
 
     The constant term a_0 never enters A, so a constant potential gives 0.
+    A sum past the largest double gives inf, without a warning.
     """
-    return 2.0 * float(np.abs(p.coeffs[1:]).sum())
+    with np.errstate(over="ignore"):
+        return 2.0 * float(np.abs(p.coeffs[1:]).sum())

@@ -62,6 +62,9 @@ _MAX_PICARD_ITER = 200
 # from 56 panels on.
 _SLAB_ENTRIES = 256
 
+# The most pieces an interval may be cut into: as many as an array can index.
+_MAX_PIECES = np.iinfo(np.intp).max
+
 # Slack when checking that endpoints lie inside the period.
 _DOMAIN_EPS = 1e-12
 
@@ -185,12 +188,19 @@ def _march(system: WignerSystem, F0: np.ndarray, points) -> np.ndarray:
     its start state exactly.
 
     Raises:
-        PropagatorError: a run stalls; the message names the indices in
-            ``points`` around it as mesh nodes.
+        PropagatorError: the step is 0 (the coupling bound overflows), or
+            an interval needs more pieces than an array can index; or a run
+            stalls, and the message names the indices in ``points`` around
+            it as mesh nodes.
     """
     points = np.asarray(points, dtype=float)
     panels = _QUAD_PANELS
-    step = _STEP_FRACTION * contraction_step(system)
+    delta = contraction_step(system)
+    step = _STEP_FRACTION * delta
+    widest = float(np.abs(np.diff(points)).max(initial=0.0))
+    if step == 0.0 or widest / step >= _MAX_PIECES:
+        raise PropagatorError(f"the contraction step {delta:.3e} is too short: an interval of length "
+                              f"{widest:.3e} would need more pieces than an array can index")
     # piece ends, and the position of every point among them
     pieces = [_cuts(float(a), float(b), step)[1:] for a, b in zip(points[:-1], points[1:])]
     xs = np.concatenate([points[:1]] + pieces)

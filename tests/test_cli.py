@@ -312,6 +312,21 @@ def test_repeated_emit_token_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("coeffs, step", [("0, 1e300", "7.854e-301"), ("0, 1e308, 1e308", "0.000e+00")])
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_a_picard_step_too_short_to_cut_is_one_error_line(coeffs, step, command, tmp_path, capsys):
+    # the configs are valid, but their coupling bound, 2e300 or past the
+    # largest double, leaves a Picard step that cannot cut the period: the
+    # oracle and verify's Picard checks end in one error line naming the
+    # contraction step, with no traceback and no overflow warning
+    path = _write(tmp_path, BASE_CONFIG.replace("coeffs = 20.0, 20.0", f"coeffs = {coeffs}"), "huge.cfg")
+    argv = ["solve", path, "--scheme", "oracle", "--out", str(tmp_path / "out")] if command == "solve" else ["verify", path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: the contraction step {step} is too short")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_out_of_memory_is_one_error_line(config_file, tmp_path, monkeypatch, capsys):
     def too_large(cfg):
         raise MemoryError("Unable to allocate 146. TiB for an array")

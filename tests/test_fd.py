@@ -251,30 +251,41 @@ def test_node_blocks_match_the_assembled_matrix():
     # entries in the block before, and J_t every column of the next block
     # that any U_t has an entry in: the same for every block.  The middle
     # block's rows over the other arm's last block are that arm's L rows,
-    # reversed.  L_t reads only the kept columns of the block before, and
-    # the rows off kept, which back substitution recovers, read nothing
+    # reversed.  L_t reads only the kept columns K of the block before, and
+    # the rows Q off kept, which back substitution recovers, read nothing
     # before their block: the recovery yields them, last block first, over
-    # blocks t and t + 1
+    # blocks t and t + 1.  The node spans of Q and the fill rows are those
+    # of the layout
     rng = np.random.default_rng(29)
     for system in _sample_systems(rng):
         m, Nx = system.grid.size, system.mesh.Nx
+        v = system.grid.velocities
         for scheme in Scheme:
             problem = assemble(system, scheme)
             N = problem.pinned.size
             reach = 2 if scheme is Scheme.UPWIND2 else 1
             arms = [fd._node_blocks(op) for op in (problem, fd._mirror(problem))]
-            for mirrored, (edges, coupled, kept, J, order, blocks, recovery) in zip((False, True), arms):
+            for mirrored, arm in zip((False, True), arms):
                 # blocks share buffers, so each is copied as it comes
-                blocks, recovery = [block.copy() for block in blocks], [rows.copy() for rows in recovery]
+                blocks = [block.copy() for block in arm.blocks] + [arm.middle()]
+                recovery = [rows.copy() for rows in arm.recovery]
+                edges, order, Q, K, J, nL = arm.edges, arm.order, arm.Q, arm.K, arm.J, arm.nL
                 T, c, size = len(edges) - 2, edges[-2], reach * m
-                nQ, nL = (~kept).sum(), coupled.sum()
-                K = order[nQ:]
+                nQ = Q.size
+                kept, coupled = np.isin(np.arange(size), K), np.isin(np.arange(size), K[:nL])
                 assert len(blocks) == T + 1 and len(recovery) == T
                 assert np.all(kept[coupled])
-                # order: the entries off kept, then the rows of L, then the rest of kept
+                # order: the entries off kept, then the rows of L (the v > 0
+                # entries), then the rest of kept, each entry once
+                assert np.array_equal(order, np.concatenate((Q, K)))
+                assert np.array_equal(np.sort(order), np.arange(size))
                 assert np.array_equal(order[:nQ], np.flatnonzero(~kept))
-                assert np.array_equal(K[:nL], np.flatnonzero(coupled))
+                assert np.array_equal(K[:nL], np.flatnonzero(np.tile((-v[::-1] if mirrored else v) > 0, reach)))
                 assert np.array_equal(np.sort(K[nL:]), np.flatnonzero(kept & ~coupled))
+                assert np.array_equal(J, np.unique(J))
+                assert np.array_equal(arm.fills, np.argsort(order)[J])
+                spans = [np.flatnonzero(Q // m == j) for j in range(reach)]
+                assert arm.nodes == tuple((int(s[0]), int(s[-1]) + 1) for s in spans if s.size)
                 assert np.all(np.diff(edges)[:-1] == reach * m) and edges[-1] == N - c
                 assert reach <= Nx + 1 - 2 * T * reach < 3 * reach
                 read = set()
@@ -287,7 +298,7 @@ def test_node_blocks_match_the_assembled_matrix():
                         # block before, its own entries in order and the J of
                         # the next: put back in mesh order, all other columns zero
                         assert t or not block[:, :K.size].any()
-                        cols = np.concatenate((K + a - size - lo, order + a - lo, np.flatnonzero(J) + b - lo))
+                        cols = np.concatenate((K + a - size - lo, order + a - lo, J + b - lo))
                         gathered = slice(0 if t else K.size, None)
                         block, arm_block = np.zeros((size, hi - lo)), block
                         block[np.ix_(order, cols[gathered])] = arm_block[:, gathered]
@@ -298,7 +309,7 @@ def test_node_blocks_match_the_assembled_matrix():
                         assert not block[:, :a - lo][:, ~kept].any()
                     if t < T:
                         touched = np.flatnonzero(block[:, b - lo:].any(axis=0))
-                        assert np.isin(touched, np.flatnonzero(J)).all()
+                        assert np.isin(touched, J).all()
                         read.update(touched)
                         # the recovery rows are the block's rows off kept over
                         # its own entries and the J of the next, and read
@@ -308,11 +319,11 @@ def test_node_blocks_match_the_assembled_matrix():
                 # one block may leave a column of J unread: at Nx = 2 the
                 # lone arm block reads A(x) only at x = 0, where it is 0
                 if T > 1:
-                    assert np.array_equal(sorted(read), np.flatnonzero(J))
+                    assert np.array_equal(sorted(read), J)
                 if T:
-                    other = arms[not mirrored][1]
+                    other = arms[not mirrored]
                     after = np.flatnonzero(blocks[T][:, N - c - lo:].any(axis=1))
-                    assert np.array_equal(after, (N - 2 * c - 1 - np.flatnonzero(other))[::-1])
+                    assert np.array_equal(after, (N - 2 * c - 1 - other.K[:other.nL])[::-1])
                     assert not blocks[T][:, :c - lo][:, ~kept].any()
 
 
@@ -345,10 +356,13 @@ def test_mirror_is_the_problem_on_the_reversed_flat_order_to_the_bit():
     # x = 0, where A is 0, an entry may be a zero of the other sign).  Its
     # grid is the lattice of shift kappa - s, it is the problem ``assemble``
     # sets up on that grid with the data reversed, and mirrored twice p
-    # comes back
+    # comes back.  On the flagship from Nx = 2, on s = 0.3 kappa and on
+    # random systems, some with more harmonics than half the channel
+    # window, no diagonal of p holds an entry in a column outside the field
     rng = np.random.default_rng(47)
     systems = [random_system(rng, max_harmonics=4, max_M=30) for _ in range(10)]
     systems += [_asymmetric_system(Nx) for Nx in (2, 10)] + [_small_system(rng)]
+    systems += [make_system(Nx) for Nx in (2, 4, 10)]
     assert sum(not fd._mirror_invariant(assemble(system, Scheme.UPWIND1)) for system in systems) >= 5
     for system in systems:
         Nx = system.mesh.Nx
@@ -365,6 +379,12 @@ def test_mirror_is_the_problem_on_the_reversed_flat_order_to_the_bit():
             assert np.array_equal(direct.pinned, mirror.pinned) and np.array_equal(direct.pinval, mirror.pinval)
             for (rows, cols, coef), (rows_, cols_, coef_) in zip(direct.bands, mirror.bands, strict=True):
                 assert (rows, cols) == (rows_, cols_) and np.array_equal(coef, coef_)
+            # no diagonal holds an entry in a column outside the field, so the
+            # sweep's first arm block may read columns before node 0 as zeros
+            N = problem.pinned.size
+            for d, coef in fd._diagonals(problem, 0, Nx + 1).items():
+                outside = (np.arange(N) + d < 0) | (np.arange(N) + d >= N)
+                assert not coef.ravel()[outside].any()
             for (a, b), (ra, rb) in (((0, Nx + 1), (0, Nx + 1)), ((j0, j1), (Nx + 1 - j1, Nx + 1 - j0))):
                 ours, theirs = fd._diagonals(problem, ra, rb), fd._diagonals(mirror, a, b)
                 assert set(theirs) == {-d for d in ours}
@@ -528,26 +548,28 @@ def _zero_node_block(monkeypatch, node, value=0.0, whole_rows=False, kept_rows=F
     node_blocks, is_mirror = fd._node_blocks, _made_mirrors(monkeypatch)
 
     def altered(op):
-        edges, coupled, kept, J, order, blocks, recovery = node_blocks(op)
+        arm = node_blocks(op)
+        edges, order, K = arm.edges, arm.order, arm.K
         Nx, m = op.system.mesh.Nx, op.system.grid.size
         a = m * (Nx - node if is_mirror(op) or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
 
-        def patched():
-            for t, block in enumerate(blocks):
-                if edges[t] <= a < edges[t + 1]:
-                    own = a - edges[t] + np.arange(m)             # the node's entries of the block
-                    rows = own[kept[own]] if kept_rows else own
-                    if t < len(edges) - 2:
-                        at = np.argsort(order)
-                        cols = slice(None) if whole_rows or kept_rows else kept.sum() + at[own]
-                        block[at[rows, None], cols] = value
-                    else:
-                        lo = edges[max(t - 1, 0)]
-                        cols = slice(None) if whole_rows else slice(a - lo, a - lo + m)
-                        block[rows, cols] = value
-                yield block
+        def patched(t, block):
+            """Block t of the sweep (the middle one if t is T), with the node's rows set if it holds them."""
+            if edges[t] <= a < edges[t + 1]:
+                own = a - edges[t] + np.arange(m)             # the node's entries of the block
+                rows = own[np.isin(own, K)] if kept_rows else own
+                if t < len(edges) - 2:
+                    at = np.argsort(order)
+                    cols = slice(None) if whole_rows or kept_rows else K.size + at[own]
+                    block[at[rows, None], cols] = value
+                else:
+                    lo = edges[max(t - 1, 0)]
+                    cols = slice(None) if whole_rows else slice(a - lo, a - lo + m)
+                    block[rows, cols] = value
+            return block
 
-        return edges, coupled, kept, J, order, patched(), recovery
+        return arm._replace(blocks=(patched(t, block) for t, block in enumerate(arm.blocks)),
+                            middle=lambda: patched(len(edges) - 2, arm.middle()))
 
     monkeypatch.setattr(fd, "_node_blocks", altered)
 
@@ -628,18 +650,19 @@ def _zero_recovery_rows(monkeypatch, node):
     node_blocks, is_mirror = fd._node_blocks, _made_mirrors(monkeypatch)
 
     def altered(op):
-        edges, coupled, kept, J, order, blocks, recovery = node_blocks(op)
+        arm = node_blocks(op)
+        edges = arm.edges
         Nx, m = op.system.mesh.Nx, op.system.grid.size
         a = m * (Nx - node if is_mirror(op) or (fd._mirror_invariant(op) and 2 * node > Nx) else node)
 
         def patched():
-            for t, rows in zip(range(len(edges) - 3, -1, -1), recovery):
+            for t, rows in zip(range(len(edges) - 3, -1, -1), arm.recovery):
                 if edges[t] <= a < edges[t + 1]:
-                    at = np.argsort(order)[a - edges[t] + np.arange(m)]   # the node's entries, in order
+                    at = np.argsort(arm.order)[a - edges[t] + np.arange(m)]   # the node's entries, in order
                     rows[at[at < len(rows), None], at] = 0.0
                 yield rows
 
-        return edges, coupled, kept, J, order, blocks, patched()
+        return arm._replace(recovery=patched())
 
     monkeypatch.setattr(fd, "_node_blocks", altered)
 
@@ -750,6 +773,20 @@ def test_solve_bvp_never_assembles(monkeypatch):
     sol = solve_bvp(system, Scheme.CENTRAL)
     assert sol.residual <= 1e-12 and len(sweeps) == 1
     assert np.abs(sol.values - expected[Scheme.CENTRAL]).max() <= 1e-11
+
+
+def test_gate_reads_a_residual_whose_rhs_norm_overflows():
+    # A(x) enters b through the scaled coupling, so on the flagship with
+    # coeffs = 0, 2e173 |b| is 1.56e155, past the 1.3e154 where its sum of
+    # squares overflows: a plain norm reads |b| as inf and gates every field
+    # at 0.  The sweep's field passes, and one perturbed by 1e-24 off the
+    # pinned entries, whose relative residual is 1.03e-9, fails
+    op = assemble(make_system(100, coeffs=(0.0, 2e173)), Scheme.UPWIND2)
+    assert op.rhs_norm == pytest.approx(1.5592687330077505e155, rel=1e-12)
+    field = fd._block_sweep(op)
+    np.copyto(field, op.pinval, where=op.pinned)
+    assert fd._gate(op, field)[0] <= 1e-12
+    assert fd._gate(op, field + 1e-24 * ~op.pinned)[0] >= 1e-10
 
 
 def test_gate_matches_the_assembled_residual(solution_cache):
@@ -1176,8 +1213,8 @@ def test_upwind2_sweep_memory_is_bounded():
     # both arms are: 0.170, 14.1 MB.  The bounds leave a third on top
     for make, bound in ((make_system, 0.15), (_asymmetric_system, 0.23)):
         op = assemble(make(1600), Scheme.UPWIND2)
-        edges, _, _, J, _, _, _ = fd._node_blocks(op)
-        one_arm = 8 * J.sum() * (op.pinned.size - (edges[1] - edges[0]))
+        arm = fd._node_blocks(op)
+        one_arm = 8 * arm.J.size * (op.pinned.size - (arm.edges[1] - arm.edges[0]))
         tracemalloc.start()
         try:
             fd._block_sweep(op)

@@ -10,6 +10,7 @@ import pytest
 from wignerdv import (
     PropagatorError,
     contraction_step,
+    convergence_study,
     picard_propagate,
     propagator_matrix,
     solve_bvp_shooting,
@@ -37,6 +38,23 @@ def test_contraction_step_values():
         pot, grid, build_mesh(1.0, 4), tabulated_boundary(grid, {0: 1.0})
     )
     assert contraction_step(sysq) == pytest.approx(math.pi / 160.0, rel=1e-15)
+
+
+def test_a_step_too_short_to_cut_is_a_propagator_error():
+    # a coupling bound of 2e300 leaves a Picard step of 3.9e-301, 2.5e298
+    # pieces per cell at Nx = 40; one past the largest double overflows to
+    # inf, with no warning, and the step is 0.  The march checks before it
+    # builds a piece, and a study records a failed row
+    for coeffs, step in (((0.0, 1e300), math.pi / 4e300), ((0.0, 1e308, 1e308), 0.0)):
+        system = make_system(40, coeffs=coeffs)
+        assert contraction_step(system) == pytest.approx(step, rel=1e-15)
+        message = f"the contraction step {step:.3e} is too short: an interval of length 2.500e-02"
+        with pytest.raises(PropagatorError, match=re.escape(message)):
+            solve_bvp_shooting(system)
+        with pytest.raises(PropagatorError, match="more pieces than an array can index"):
+            propagator_matrix(system, -0.5, 0.5)
+        (row,) = convergence_study(system, "oracle", [40]).rows
+        assert math.isnan(row.symmetry_error)
 
 
 def test_zero_potential_propagates_unchanged():

@@ -98,3 +98,12 @@ def test_current_conservation_fails_a_deviation_that_grows_above_rounding(monkey
     result = verify.check_current_conservation(make_system(20))
     assert not result.passed, result.detail
     assert "at rounding" not in result.detail
+
+
+def test_coupling_bound_check_measures_a_coupling_past_a_sum_of_squares():
+    # with a_1 = 1e300, |A f| reaches about 1e300, whose square overflows:
+    # a plain norm reads it as inf (and warns), which the bound of 2e300
+    # would fail.  Measured safe from overflow, it passes below the bound
+    result = verify.check_coupling_bound(make_system(10, coeffs=(0.0, 1e300)), np.random.default_rng(5))
+    assert result.passed, result.detail
+    assert "against bound 2.000000e+300" in result.detail
