@@ -6,8 +6,9 @@ even in x.  It is the discrete L1 mirror defect
     e_sym = (kappa / 2) * dx * sum_{i,j} |f_{i,j} - f_{i,Nx-j}|,
 
 i.e. each (channel, node) cell carries the phase-space measure
-dx * kappa / 2, half the channel spacing.  Density and current are plain
-channel sums, n_j = sum_i f_{i,j} and J_j = sum_i v_i f_{i,j}.
+dx * kappa / 2, half the channel spacing.  Density and current are the
+channel sums n_j = sum_i f_{i,j} and J_j = sum_i v_i f_{i,j}, finite
+wherever they fit the float range (``_channel_sum``).
 """
 
 from __future__ import annotations
@@ -38,13 +39,34 @@ __all__ = [
 
 
 def density(sol: DiscreteSolution) -> np.ndarray:
-    """Channel sum n_j = sum_i f_{i,j}, one value per mesh node."""
-    return sol.values.sum(axis=0)
+    """Channel sum n_j = sum_i f_{i,j}, one value per mesh node (``_channel_sum``)."""
+    return _channel_sum(sol.values)
 
 
 def current(sol: DiscreteSolution) -> np.ndarray:
-    """Velocity-weighted channel sum J_j = sum_i v_i f_{i,j} per node."""
-    return (sol.system.grid.velocities[:, None] * sol.values).sum(axis=0)
+    """Velocity-weighted channel sum J_j = sum_i v_i f_{i,j} per node (``_channel_sum``)."""
+    return _channel_sum(sol.values, sol.system.grid.velocities[:, None])
+
+
+def _channel_sum(F: np.ndarray, weights=None) -> np.ndarray:
+    """sum_i weights_i F_{i,j} per node, exact, and inf past the float range.
+
+    It is the plain sum wherever that is finite, to the bit.  At a node
+    whose plain sum overflows, the sum runs on F times 2^-k, with k as in
+    ``kinetic._unit_scaled``, and is multiplied back by 2^k.  No overflow
+    warning.
+    """
+    def plain(G):
+        return (G if weights is None else weights * G).sum(axis=0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = plain(F)
+        lost = ~np.isfinite(total)
+        if lost.any():
+            k = _unit_exponent(float(np.abs(F).max()))
+            # summed over the whole field, whose layout sets numpy's order of addition
+            total[lost] = np.ldexp(plain(F * math.ldexp(1.0, -k))[lost], k)
+    return total
 
 
 def symmetry_error(sol: DiscreteSolution) -> float:

@@ -1,11 +1,13 @@
 """Command-line front end: solve, study, verify.
 
-Configs are flat ``key = value`` text files in UTF-8; ``#`` starts a
-comment.  ``_KEYS`` below lists each recognized key with its parser, what it
-expects and its default; a list value splits on commas and/or whitespace.
-Unknown, repeated and missing required keys are rejected by name.  Exit
-status: 0 on success, 2 for config or usage errors, 1 for solver, I/O or
-out-of-memory failures.
+Configs are flat ``key = value`` text files in UTF-8, with or without a
+byte-order mark; ``#`` starts a comment.  ``_KEYS`` below lists each
+recognized key with its parser, what it expects and its default; a list value
+splits on commas and/or whitespace.  Unknown, repeated and missing required
+keys are rejected by name.  A value that parses but that the builder it goes
+to rejects is reported by ``_built``, which names the key (or flag) and gives
+the builder's reason.  Exit status: 0 on success, 2 for config or usage
+errors, 1 for solver, I/O or out-of-memory failures.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def parse_config(path: str) -> dict:
     """
     raw = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 text = line.split("#", 1)[0].strip()
                 if not text:
@@ -172,29 +174,23 @@ def parse_config(path: str) -> dict:
     return cfg
 
 
+def _built(source: str, build, *args):
+    """``build(*args)``; its ValueError becomes a ConfigError naming ``source``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
 def _system_from_config(cfg: dict):
     """Build the WignerSystem a config describes; errors name the key."""
-    try:
-        pot = new_potential(cfg["period_l"], cfg["coeffs"])
-    except ValueError as exc:
-        raise ConfigError(f"config keys 'period_l'/'coeffs': {exc}")
+    pot = _built("config keys 'period_l'/'coeffs'", new_potential, cfg["period_l"], cfg["coeffs"])
     s = cfg["s_over_kappa"] * pot.kappa
-    try:
-        grid = build_velocity_grid(pot.kappa, s, cfg["M"], cfg["symmetric"])
-    except ValueError as exc:
-        raise ConfigError(f"config keys 's_over_kappa'/'M': {exc}")
-    try:
-        mesh = build_mesh(cfg["period_l"], cfg["Nx"])
-    except ValueError as exc:
-        raise ConfigError(f"config key 'Nx': {exc}")
+    grid = _built("config keys 's_over_kappa'/'M'", build_velocity_grid, pot.kappa, s, cfg["M"], cfg["symmetric"])
+    mesh = _built("config key 'Nx'", build_mesh, cfg["period_l"], cfg["Nx"])
     kind, payload = cfg["boundary"]
-    try:
-        if kind == "mono":
-            boundary = mono_energetic_boundary(grid, payload)
-        else:
-            boundary = tabulated_boundary(grid, payload)
-    except ValueError as exc:
-        raise ConfigError(f"config key 'boundary': {exc}")
+    make_boundary = mono_energetic_boundary if kind == "mono" else tabulated_boundary
+    boundary = _built("config key 'boundary'", make_boundary, grid, payload)
     return build_system(pot, grid, mesh, boundary)
 
 
@@ -252,10 +248,7 @@ def cmd_study(args) -> int:
     schemes = _read_items("--schemes", "scheme", args.schemes)
     system = _system_from_config(cfg)
     for nx in nx_list:
-        try:
-            build_mesh(cfg["period_l"], nx)
-        except ValueError as exc:
-            raise ConfigError(f"--nx: {exc}")
+        _built("--nx", build_mesh, cfg["period_l"], nx)
     rows = []
     for scheme in schemes:
         report = convergence_study(system, scheme, nx_list, rel_tol=cfg["rel_tol"])

@@ -158,7 +158,7 @@ def _picard_run(system: WignerSystem, F0: np.ndarray, ys: np.ndarray, h) -> np.n
             return F
     raise PropagatorError(
         f"Picard iteration stalled at gap {gap:.3e} (tol {_PICARD_TOL:.3e}) "
-        f"on [{ys[0]!r}, {ys[-1]!r}]",
+        f"on [{float(ys[0])!r}, {float(ys[-1])!r}]",
         gap=gap,
     )
 
@@ -243,13 +243,17 @@ def picard_propagate(system: WignerSystem, f_start, x1: float, x2: float) -> np.
         f(x2) as a new array.
 
     Raises:
-        ValueError: endpoints outside the period or bad vector shape.
+        ValueError: endpoints outside the period, a bad vector shape or a
+            non-finite entry (the message names its channel).
         PropagatorError: iteration cap hit before reaching _PICARD_TOL, or
             a result that overflows when scaled back.
     """
     fa = np.asarray(f_start, dtype=float)
     if fa.shape != (system.grid.size,):
         raise ValueError(f"f_start shape {fa.shape} does not match grid size {system.grid.size}")
+    bad = np.flatnonzero(~np.isfinite(fa))
+    if bad.size:
+        raise ValueError(f"f_start is {fa[bad[0]]} in channel {system.grid.indices[bad[0]]}")
     _check_domain(system, float(x1), "x1")
     _check_domain(system, float(x2), "x2")
     unit, scale_back = _unit_scaled(fa, PropagatorError)

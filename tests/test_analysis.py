@@ -119,6 +119,26 @@ def test_l1_measures_reach_the_float_limit_exactly():
     assert huge[0] == pytest.approx(3.805e307, rel=1e-3)
 
 
+@pytest.mark.parametrize("k", [1020, -600])
+def test_density_and_current_reach_the_float_limit_exactly(k):
+    # data 2^1020 overflows the plain current at 15 nodes, while the current
+    # itself fits; the field is exactly 2^k times that of data 1, and so are
+    # both observables, with no overflow warning.  On data 1 they are the
+    # plain channel sums to the bit
+    system = make_system(100)
+
+    def solution(value):
+        return solve_bvp(replace(system, boundary=tabulated_boundary(system.grid, {0: value})), Scheme.CENTRAL)
+
+    unit, scaled = solution(1.0), solution(math.ldexp(1.0, k))
+    v = system.grid.velocities
+    assert np.array_equal(density(unit), unit.values.sum(axis=0))
+    assert np.array_equal(current(unit), (v[:, None] * unit.values).sum(axis=0))
+    assert np.array_equal(density(scaled), np.ldexp(density(unit), k))
+    assert np.array_equal(current(scaled), np.ldexp(current(unit), k))
+    assert np.isfinite(current(scaled)).all()
+
+
 def test_scheme_difference_identical_is_zero(solution_cache):
     sol = solution_cache("central", 100)
     assert scheme_difference(sol, sol) == 0.0

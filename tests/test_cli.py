@@ -1,6 +1,7 @@
 """Config parsing, CLI commands, exit statuses, CSV outputs."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -139,6 +140,63 @@ def test_invalid_system_errors_name_the_config_key(line, message, tmp_path, caps
     assert main(["solve", path, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+_BUILD_ERRORS = [
+    ("period_l = 0", "config keys 'period_l'/'coeffs': period_l must be a positive finite real, got 0.0"),
+    ("M = 0", "config keys 's_over_kappa'/'M': M must be an integer >= 1, got 0"),
+    ("Nx = 7", "config key 'Nx': Nx must be an even integer >= 2, got 7"),
+    ("boundary = mono:99", "config key 'boundary': velocity index 99 outside [-40, 39]"),
+    ("boundary = table:0=-1",
+     "config key 'boundary': boundary value for index 0 must be finite and nonnegative, got -1.0"),
+]
+
+
+@pytest.mark.parametrize("command, line, message", [
+    *((command, line, message) for line, message in _BUILD_ERRORS for command in ("solve", "study", "verify")),
+    ("study", "--nx 100,3", "--nx: Nx must be an even integer >= 2, got 3"),
+])
+def test_every_command_names_the_source_of_a_build_error(command, line, message, tmp_path, capsys):
+    # each value parses, and the builder it goes to rejects it: the one
+    # error line names the config key or flag and gives the builder's reason
+    if line.startswith("--nx"):
+        path, nx = _write(tmp_path, BASE_CONFIG), line.split()[-1]
+    else:
+        key = line.split(" = ")[0]
+        text = "\n".join(line if old.startswith(key + " =") else old for old in BASE_CONFIG.splitlines())
+        path, nx = _write(tmp_path, text), "10"
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "solve": ["solve", path, *out],
+        "study": ["study", path, "--nx", nx, "--schemes", "central", *out],
+        "verify": ["verify", path],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_builder_error_other_than_a_value_error_passes_through(config_file, tmp_path, monkeypatch, capsys):
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 146. TiB for an array")
+
+    monkeypatch.setattr(cli, "build_mesh", too_large)
+    assert main(["solve", config_file, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 146. TiB for an array\n"
+
+
+def test_a_config_with_a_byte_order_mark_is_read_as_without(tmp_path, capsys):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    plain = os.path.join(here, "configs", "paper.cfg")
+    marked = tmp_path / "bom.cfg"
+    with open(plain, "rb") as fh:
+        marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+    assert parse_config(str(marked)) == parse_config(plain)
+    assert main(["solve", str(marked), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "solution.csv").exists()
 
 
 def test_solve_on_a_two_sided_table_boundary(tmp_path, capsys):

@@ -82,6 +82,16 @@ def test_propagate_rejects_bad_input():
         picard_propagate(system, np.ones(system.grid.size), -0.6, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_propagate_rejects_a_non_finite_start_before_marching(bad):
+    # a NaN start used to stall the Picard run, and an inf one to warn first
+    system = make_system(100)
+    f = np.ones(system.grid.size)
+    f[[3, 7]] = bad
+    with pytest.raises(ValueError, match=f"f_start is {bad} in channel {system.grid.indices[3]}$"):
+        picard_propagate(system, f, -0.5, 0.5)
+
+
 def test_propagation_inverts():
     system = make_system(4)
     rng = np.random.default_rng(2)
@@ -240,6 +250,8 @@ def test_picard_stall_in_the_march_names_its_mesh_nodes(monkeypatch, Nx, nodes):
     with pytest.raises(PropagatorError, match=f"between mesh nodes {nodes}") as info:
         solve_bvp_shooting(make_system(Nx))
     assert info.value.gap > propagator._PICARD_TOL
+    # the run's ends print as plain floats under every numpy version
+    assert "np.float64" not in str(info.value)
 
 
 def test_oracle_needs_no_period_matrix(monkeypatch):
