@@ -7,8 +7,9 @@ even in x.  It is the discrete L1 mirror defect
 
 i.e. each (channel, node) cell carries the phase-space measure
 dx * kappa / 2, half the channel spacing.  Density and current are the
-channel sums n_j = sum_i f_{i,j} and J_j = sum_i v_i f_{i,j}, finite
-wherever they fit the float range (``_channel_sum``).
+channel sums n_j = sum_i f_{i,j} and J_j = sum_i v_i f_{i,j}.  All three
+are plain sums wherever those are finite, to the bit, and are kept in the
+float range by the one overflow-safe reduction, ``kinetic._in_range``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fd import DiscreteSolution, Scheme, SolverError, solve_bvp
-from .kinetic import WignerSystem, _unit_exponent, build_mesh
+from .kinetic import WignerSystem, _in_range, build_mesh
 from .propagator import PropagatorError, solve_bvp_shooting
 
 # Scheme tags: the finite-difference stencils, then the Picard oracle.
@@ -49,24 +50,8 @@ def current(sol: DiscreteSolution) -> np.ndarray:
 
 
 def _channel_sum(F: np.ndarray, weights=None) -> np.ndarray:
-    """sum_i weights_i F_{i,j} per node, exact, and inf past the float range.
-
-    It is the plain sum wherever that is finite, to the bit.  At a node
-    whose plain sum overflows, the sum runs on F times 2^-k, with k as in
-    ``kinetic._unit_scaled``, and is multiplied back by 2^k.  No overflow
-    warning.
-    """
-    def plain(G):
-        return (G if weights is None else weights * G).sum(axis=0)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = plain(F)
-        lost = ~np.isfinite(total)
-        if lost.any():
-            k = _unit_exponent(float(np.abs(F).max()))
-            # summed over the whole field, whose layout sets numpy's order of addition
-            total[lost] = np.ldexp(plain(F * math.ldexp(1.0, -k))[lost], k)
-    return total
+    """sum_i weights_i F_{i,j} per node, kept in the float range (``kinetic._in_range``)."""
+    return _in_range(lambda G: (G if weights is None else weights * G).sum(axis=0), F)
 
 
 def symmetry_error(sol: DiscreteSolution) -> float:
@@ -102,18 +87,8 @@ def scheme_difference(a: DiscreteSolution, b: DiscreteSolution) -> float:
 
 
 def _l1_distance(F: np.ndarray, G: np.ndarray, measure: float) -> float:
-    """measure * sum |F - G|, exact, and inf past the float range.
-
-    The sum runs on F and G times 2^-k (k as in ``kinetic._unit_scaled``, at
-    least -1022 so 2^-k is finite; a product, as ldexp is slow on a mirrored
-    view) and is multiplied back by 2^k after the measure.
-    """
-    k = max(_unit_exponent(max(float(np.abs(F).max()), float(np.abs(G).max()))), -1022)
-    scale = math.ldexp(1.0, -k)
-    D = F * scale
-    D -= G * scale
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(measure * np.abs(D, out=D).sum(), k))
+    """measure * sum |F - G|, kept in the float range (``kinetic._in_range``)."""
+    return _in_range(lambda F, G: measure * np.abs(F - G).sum(), F, G)
 
 
 def _solve(system: WignerSystem, scheme: str, rel_tol: float) -> DiscreteSolution:

@@ -33,9 +33,9 @@ place, ``_node_blocks``, which returns it with the arm's blocks as one
 eliminated.  The same sweep, on the gate's residual, is the refinement
 step of every scheme.  The gate (``_gate``) is the norm of the residual of
 ``assemble``'s system on the whole field, a product with the same
-diagonals a run of nodes at a time, safe from overflow (``_norm``), and
-returns that residual too, so that the refinement sweep reads it and no
-iterate's residual is built twice.
+diagonals a run of nodes at a time, kept in the float range
+(``kinetic._in_range``), and returns that residual too, so that the
+refinement sweep reads it and no iterate's residual is built twice.
 
 The arm from +l/2 of the march and of the sweep is the arm from -l/2 of
 ``_mirror(problem)``, the problem on the reversed flat order,
@@ -59,7 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
-from .kinetic import BoundaryData, VelocityGrid, WignerSystem, _unit_scaled
+from .kinetic import _NORM_FLOOR, BoundaryData, VelocityGrid, WignerSystem, _in_range, _unit_scaled
 from .potential import _bands
 
 __all__ = [
@@ -71,24 +71,6 @@ __all__ = [
     "residual_norm",
     "solve_bvp",
 ]
-
-# Guard against division by a zero right-hand-side norm.
-_NORM_FLOOR = 1e-300
-
-
-def _norm(a: np.ndarray) -> float:
-    """The Euclidean norm of a, safe from overflow.
-
-    It is ``np.linalg.norm(a)`` wherever that is finite, to the bit.  Past
-    about 1.3e154 in |a| its sum of squares overflows, and then a is scaled
-    by its largest magnitude first.  An entry that is not finite gives the
-    plain norm, inf or NaN.
-    """
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    top = float(np.abs(a).max()) if norm == np.inf else 0.0
-    return top * float(np.linalg.norm(a / top)) if 0.0 < top < np.inf else norm
-
 
 # The accepted range of rel_tol, as ``_valid_rel_tol`` checks it.
 _REL_TOL_RANGE = "(0, 1e-6]"
@@ -125,8 +107,8 @@ class LinearProblem:
     ``potential._bands``).  ``pinned`` flags the inflow entries of the
     node-major (Nx + 1, m) field, and ``pinval`` is the field that holds
     the inflow data there and zero elsewhere.
-    ``rhs_norm`` is |b| of the reduced system, from b = -R(pinval), safe
-    from overflow (``_norm``).  The
+    ``rhs_norm`` is |b| of the reduced system, from b = -R(pinval), kept
+    in the float range (``kinetic._in_range``).  The
     solvers read only these.  It, ``matrix`` and ``rhs``, the reduced sparse
     system over the non-pinned unknowns, are computed on first access and
     kept.  ``free`` flags, in node-major (node, velocity) order, which
@@ -150,7 +132,7 @@ class LinearProblem:
         Nx = self.system.mesh.Nx
         first = min(_reach(_stencil(self.scheme, Nx)) + 1, Nx + 1)      # past the rows of nodes 0 .. reach
         ends = ((0, first), (max(Nx + 1 - first, first), Nx + 1))
-        return _norm(np.concatenate([_residual(self, self.pinval, *end) for end in ends]))
+        return _in_range(np.linalg.norm, np.concatenate([_residual(self, self.pinval, *end) for end in ends]))
 
     @functools.cached_property
     def _reduced(self):
@@ -298,14 +280,14 @@ def _assemble_csr(problem: LinearProblem):
 
 
 def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
-    """Relative residual |M u - b| / max(|b|, tiny) in the Euclidean norm, safe from overflow (``_norm``)."""
+    """Relative residual |M u - b| / max(|b|, tiny) in the Euclidean norm (``kinetic._in_range``)."""
     u = np.asarray(candidate, dtype=float)
     if u.shape != problem.rhs.shape:
         raise ValueError(
             f"candidate shape {u.shape} does not match rhs shape {problem.rhs.shape}"
         )
     r = problem.matrix @ u - problem.rhs
-    return _norm(r) / max(_norm(problem.rhs), _NORM_FLOOR)
+    return _in_range(np.linalg.norm, r) / max(_in_range(np.linalg.norm, problem.rhs), _NORM_FLOOR)
 
 
 def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np.ndarray:
@@ -329,7 +311,7 @@ def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np
 def _gate(problem: LinearProblem, field: np.ndarray) -> tuple:
     """The gate of a full field F: (|R| / max(|b|, tiny), R), R = R(F) = M F - pinval of ``_residual``.
 
-    Both norms are safe from overflow (``_norm``).  R is built on the whole
+    Both norms are kept in the float range (``kinetic._in_range``).  R is built on the whole
     field, a run of ``_RUN_NODES`` nodes at a time, and returned so that a
     refinement sweep reads the residual the gate measured instead of
     building it again.
@@ -338,7 +320,7 @@ def _gate(problem: LinearProblem, field: np.ndarray) -> tuple:
     R = np.empty(field.shape)
     for j0 in range(0, len(field), _RUN_NODES):
         R[j0:j0 + _RUN_NODES] = _residual(problem, field, j0, min(j0 + _RUN_NODES, len(field)))
-    return _norm(R) / max(problem.rhs_norm, _NORM_FLOOR), R
+    return _in_range(np.linalg.norm, R) / max(problem.rhs_norm, _NORM_FLOOR), R
 
 
 def _mirror(problem: LinearProblem) -> LinearProblem:
@@ -1023,8 +1005,12 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     ``kinetic._unit_scaled``).  Every result is gated on the relative
     residual |M x - b| / |b| of the linear system ``assemble`` sets up, a
     product with the diagonals of M that the marches and the sweep's node
-    blocks read too (see ``_residual``).  It differs from ``residual_norm``
-    of the assembled system only in the order of summation.
+    blocks read too (see ``_residual``), its norms kept in the float range
+    (``kinetic._in_range``).  It differs from ``residual_norm`` of the
+    assembled system only in the order of summation.  The flow runs with
+    numpy's overflow, invalid and divide warnings off: a transport entry or
+    a step past the float range is caught by the finiteness checks of the
+    marches and the sweep or by the gate, and ends in a SolverError.
 
     Args:
         system: the transport problem.
@@ -1045,30 +1031,31 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     """
     _valid_rel_tol(rel_tol)
     b, scale_back = _unit_scaled(system.boundary.values, SolverError)
-    problem = assemble(replace(system, boundary=replace(system.boundary, values=b)), scheme)
-    scheme = problem.scheme
-    march = {Scheme.CENTRAL: _central_march, Scheme.UPWIND1: _upwind1_march}.get(scheme)
-    try:
-        field = (march or _block_sweep)(problem)
-        np.copyto(field, problem.pinval, where=problem.pinned)   # marched, or swept to rounding
-        res, R = _gate(problem, field)
-        first = f"first iterate residual {res:.3e}"
-    except SolverError as exc:
-        if march is None:
-            raise                                 # the refinement sweep would fail the same way
-        res, first = float("nan"), str(exc)
-    if res <= rel_tol:                            # NaN fails
-        del R                                     # R is as large as the field: no longer held
-    else:
-        if not res < 1.0:                         # no better than pinval: refine pinval instead
-            field = problem.pinval
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        problem = assemble(replace(system, boundary=replace(system.boundary, values=b)), scheme)
+        scheme = problem.scheme
+        march = {Scheme.CENTRAL: _central_march, Scheme.UPWIND1: _upwind1_march}.get(scheme)
+        try:
+            field = (march or _block_sweep)(problem)
+            np.copyto(field, problem.pinval, where=problem.pinned)   # marched, or swept to rounding
             res, R = _gate(problem, field)
-        refined = field + _block_sweep(problem, np.negative(R, out=R))
-        del R                                     # read by the sweep; the next gate builds its own
-        np.copyto(refined, problem.pinval, where=problem.pinned)
-        refined_res = _gate(problem, refined)[0]
-        if refined_res < res:
-            field, res = refined, refined_res
+            first = f"first iterate residual {res:.3e}"
+        except SolverError as exc:
+            if march is None:
+                raise                                 # the refinement sweep would fail the same way
+            res, first = float("nan"), str(exc)
+        if res <= rel_tol:                            # NaN fails
+            del R                                     # R is as large as the field: no longer held
+        else:
+            if not res < 1.0:                         # no better than pinval: refine pinval instead
+                field = problem.pinval
+                res, R = _gate(problem, field)
+            refined = field + _block_sweep(problem, np.negative(R, out=R))
+            del R                                     # read by the sweep; the next gate builds its own
+            np.copyto(refined, problem.pinval, where=problem.pinned)
+            refined_res = _gate(problem, refined)[0]
+            if refined_res < res:
+                field, res = refined, refined_res
     if not res <= rel_tol:
         b_max = np.abs(b).max()
         growth = max(np.abs(field).max(), b_max) / b_max

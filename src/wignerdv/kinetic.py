@@ -4,6 +4,11 @@ The velocity axis is the shifted lattice v_i = i kappa + s for integer i in a
 truncated window.  The spatial mesh spans one period [-l/2, l/2] with an even
 number of cells so that x = 0 is a node and the node set is mirror symmetric.
 Inflow boundary data pins f at x = -l/2 for v > 0 and at x = +l/2 for v < 0.
+
+The module also owns the float range, by one power of two 2^k per array
+(``_unit_exponent``): ``_unit_scaled`` hands the solvers their data scaled
+to order one, and ``_in_range`` is the one overflow-safe reduction, which
+every norm, channel sum and L1 measure of a field goes through.
 """
 
 from __future__ import annotations
@@ -250,6 +255,10 @@ def build_system(
     return WignerSystem(potential=potential, grid=grid, mesh=mesh, boundary=boundary)
 
 
+# Guard against division by a zero norm, as in |r| / max(|b|, _NORM_FLOOR).
+_NORM_FLOOR = 1e-300
+
+
 def _unit_exponent(peak: float) -> int:
     """The k that puts peak in [2^k, 2^(k + 1)), or 0 if peak is 0."""
     return math.frexp(peak)[1] - 1 if peak > 0.0 else 0
@@ -279,3 +288,27 @@ def _unit_scaled(values: np.ndarray, error: type) -> tuple:
         return scaled
 
     return (np.ldexp(values, -k) if k else values), scale_back
+
+
+def _in_range(reduce, *arrays):
+    """reduce(*arrays), kept in the float range by a power of two.
+
+    The one overflow-safe reduction of the package: the Euclidean norms of
+    the residual gate, ``residual_norm``, the oracle's end gap and the
+    coupling check, the channel sums of ``density`` and ``current``, and the
+    L1 measures of ``symmetry_error`` and ``scheme_difference``.  It is
+    reduce(*arrays) wherever that is finite, to the bit.  At each entry of
+    the result where it is not, it is 2^k reduce(a 2^-k, ...), k from
+    ``_unit_exponent`` of the arrays' largest magnitude: the scaling is exact
+    but for entries it takes below the normal range, so a result past the
+    float range reads inf and any other is exact.  A non-finite input gives
+    inf or NaN.  No warning either way; a result of one number is a float.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = reduce(*arrays)
+        lost = ~np.isfinite(total)
+        if lost.any():
+            k = _unit_exponent(max(float(np.abs(a).max()) for a in arrays))
+            scale = math.ldexp(1.0, -k)
+            total = np.where(lost, np.ldexp(reduce(*(a * scale for a in arrays)), k), total)
+    return total if np.ndim(total) else float(total)

@@ -58,11 +58,15 @@ def new_potential(period_l: float, coeffs) -> FourierPotential:
         FourierPotential with kappa = pi / period_l.
 
     Raises:
-        ValueError: on non-positive period or empty/non-finite coefficients.
+        ValueError: on non-positive period, a period so short that kappa
+            overflows, or empty/non-finite coefficients.
     """
     if isinstance(period_l, bool) or not (isinstance(period_l, numbers.Real) and math.isfinite(period_l)
                                           and period_l > 0):
         raise ValueError(f"period_l must be a positive finite real, got {period_l!r}")
+    kappa = math.pi / float(period_l)
+    if not math.isfinite(kappa):
+        raise ValueError(f"period_l = {period_l!r} is too short: kappa = pi / period_l overflows")
     arr = np.asarray(coeffs, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("coeffs must be a non-empty one-dimensional sequence")
@@ -70,7 +74,7 @@ def new_potential(period_l: float, coeffs) -> FourierPotential:
         raise ValueError("coeffs must all be finite")
     arr = arr.copy()
     arr.flags.writeable = False
-    return FourierPotential(period_l=float(period_l), coeffs=arr, kappa=math.pi / float(period_l))
+    return FourierPotential(period_l=float(period_l), coeffs=arr, kappa=kappa)
 
 
 def eval_potential(p: FourierPotential, x) -> float | np.ndarray:

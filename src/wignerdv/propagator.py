@@ -34,8 +34,8 @@ import math
 
 import numpy as np
 
-from .fd import _NORM_FLOOR, DiscreteSolution
-from .kinetic import WignerSystem, _unit_scaled
+from .fd import DiscreteSolution
+from .kinetic import _NORM_FLOOR, WignerSystem, _in_range, _unit_scaled
 from .potential import _apply, _bands, coupling_bound
 
 __all__ = [
@@ -296,10 +296,10 @@ def solve_bvp_shooting(system: WignerSystem) -> DiscreteSolution:
     v = system.grid.velocities
     pos, neg = v > 0, v < 0
     values = _march(system, b, system.mesh.nodes).T.copy()
-    gap = np.linalg.norm(values[neg, -1] - b[neg]) / max(np.linalg.norm(b), _NORM_FLOOR)
+    gap = _in_range(np.linalg.norm, values[neg, -1] - b[neg]) / max(_in_range(np.linalg.norm, b), _NORM_FLOOR)
     # pin the inflow entries to the boundary data bit-exactly
     values[pos, 0] = b[pos]
     values[neg, -1] = b[neg]
     values = scale_back(values)
     values.flags.writeable = False
-    return DiscreteSolution(values=values, system=system, scheme="oracle", residual=float(gap))
+    return DiscreteSolution(values=values, system=system, scheme="oracle", residual=gap)

@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import _SCHEMES, _solve, current
-from .fd import Scheme, _norm, solve_bvp
-from .kinetic import WignerSystem, build_mesh, build_system, mono_energetic_boundary
+from .fd import Scheme, solve_bvp
+from .kinetic import WignerSystem, _in_range, build_mesh, build_system, mono_energetic_boundary
 from .potential import apply_coupling, coupling_bound, new_potential
 from .propagator import _march, propagator_matrix
 
@@ -76,7 +76,7 @@ class CheckResult:
 def check_coupling_bound(system: WignerSystem, rng: np.random.Generator) -> CheckResult:
     """Random unit vectors never get amplified past the coupling bound.
 
-    |A f| is measured safe from overflow (``fd._norm``), so a coupling
+    |A f| is kept in the float range (``kinetic._in_range``), so a coupling
     past 1e154 is compared with the bound, not read as inf.
     """
     p = system.potential
@@ -88,7 +88,7 @@ def check_coupling_bound(system: WignerSystem, rng: np.random.Generator) -> Chec
         for _ in range(_COUPLING_VECTORS):
             f = rng.standard_normal(m)
             f /= np.linalg.norm(f)
-            worst = max(worst, _norm(apply_coupling(p, float(x), f)))
+            worst = max(worst, _in_range(np.linalg.norm, apply_coupling(p, float(x), f)))
     ok = worst <= C * (1.0 + 1e-12) + 1e-15
     return CheckResult(
         name="coupling-bound",

@@ -102,21 +102,29 @@ def test_symmetry_error_center_column_drops_out():
     assert symmetry_error(_hand_solution(system, F)) == 0.0
 
 
-def test_l1_measures_reach_the_float_limit_exactly():
-    # data 2^1020 puts the L1 sums past the float range, while e_sym and
-    # the scheme difference themselves fit: both are summed on the field
-    # scaled to order one, so they are 2^1020 times those of data 1
+@pytest.mark.parametrize("k", [1020, -600])
+def test_l1_measures_reach_the_float_limit_exactly(k):
+    # data 2^1020 puts the plain L1 sums past the float range, while e_sym
+    # and the scheme difference themselves fit: both are then summed on the
+    # field scaled to order one, so they are 2^k times those of data 1, as
+    # they are at 2^-600, where the plain sums are exact.  On data 1 e_sym
+    # is the plain sum to the bit
     system = make_system(10)
     fine = replace(system, mesh=build_mesh(system.potential.period_l, 20))
 
     def measures(value):
         data = {"boundary": tabulated_boundary(system.grid, {0: value, 1: value})}
         a, b = (solve_bvp(replace(s, **data), Scheme.UPWIND1) for s in (system, fine))
-        return symmetry_error(a), scheme_difference(a, b)
+        return a, symmetry_error(a), scheme_difference(a, b)
 
-    unit, huge = measures(1.0), measures(2.0**1020)
-    assert huge == tuple(math.ldexp(e, 1020) for e in unit)
-    assert huge[0] == pytest.approx(3.805e307, rel=1e-3)
+    (unit, *plain), (big, *scaled) = measures(1.0), measures(math.ldexp(1.0, k))
+    measure = 0.5 * system.grid.kappa * system.mesh.dx
+    F, G = unit.values, big.values
+    assert plain[0] == measure * np.abs(F - F[:, ::-1]).sum()
+    assert plain[0] == pytest.approx(3.3866, rel=1e-4)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.abs(G - G[:, ::-1]).sum()) == (k < 0)
+    assert scaled == [math.ldexp(e, k) for e in plain]
 
 
 @pytest.mark.parametrize("k", [1020, -600])

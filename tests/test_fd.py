@@ -189,6 +189,28 @@ def test_a_field_that_overflows_is_named(scheme, error):
             _solve_any(huge, scheme)
 
 
+# accepted configs past the float range of the transport entries (v / dx or
+# dx / |v| overflows) or of the coupling, with the flagship's lattice and Nx = 100
+_OUT_OF_RANGE = [(1e160, (20.0, 20.0)), (1e-160, (20.0, 20.0)), (1e100, (0.0, 1e300)), (1.0, (0.0, 1e306))]
+
+
+@pytest.mark.parametrize("scheme", ["upwind1", "upwind2", "central"])
+@pytest.mark.parametrize("period, coeffs", _OUT_OF_RANGE)
+def test_a_solve_past_the_float_range_ends_without_a_warning(period, coeffs, scheme):
+    # the gate and the finiteness checks judge every iterate: each such solve
+    # ends in a SolverError or in a gated solution, and numpy warns of nothing
+    pot = new_potential(period, list(coeffs))
+    grid = build_velocity_grid(pot.kappa, 0.5 * pot.kappa, 40, True)
+    system = build_system(pot, grid, build_mesh(period, 100), mono_energetic_boundary(grid, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if coeffs[1] == 1e306 and scheme != "central":
+            assert solve_bvp(system, scheme).residual <= 1e-12
+        else:
+            with pytest.raises(SolverError, match="is not finite"):
+                solve_bvp(system, scheme)
+
+
 def test_solution_metadata():
     system = make_system(10)
     sol = solve_bvp(system, "central")

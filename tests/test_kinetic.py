@@ -14,6 +14,7 @@ from wignerdv import (
     new_potential,
     tabulated_boundary,
 )
+from wignerdv.kinetic import _in_range
 
 
 KAPPA = math.pi
@@ -211,3 +212,24 @@ def test_sizes_and_periods_reject_bools():
         build_mesh(True, 10)
     assert build_velocity_grid(KAPPA, 0.5 * KAPPA, np.int16(1)).size == 2
     assert build_mesh(np.float64(1.0), 10).Nx == build_mesh(np.int64(1), 10).Nx == 10
+
+
+def test_a_norm_past_the_float_range_scales_exactly_with_a_power_of_two():
+    # seeded vectors 2^k a, up to 1e304 in magnitude, whose plain sum of
+    # squares overflows: their norm is exactly 2^k |a| (scaling by the
+    # largest entry instead missed it by up to 4 ulp in about half of them)
+    rng = np.random.default_rng(32)
+    checked = 0
+    for _ in range(3000):
+        a = rng.standard_normal(int(rng.integers(1, 100)))
+        k = int(rng.integers(499, 1010))
+        big = np.ldexp(a, k)
+        with np.errstate(over="ignore"):
+            if np.isfinite(np.linalg.norm(big)):
+                continue
+        assert _in_range(np.linalg.norm, big) == math.ldexp(float(np.linalg.norm(a)), k)
+        checked += 1
+    assert checked > 2500
+    # a norm past the float range reads inf and a non-finite entry gives the plain norm, with no warning
+    assert _in_range(np.linalg.norm, np.array([1.5e308, 1.5e308])) == math.inf
+    assert math.isnan(_in_range(np.linalg.norm, np.array([1e308, math.nan])))
