@@ -15,7 +15,10 @@ Each stencil is written once, in ``_stencil``, and A(x) is read as the
 channel bands of ``potential._bands`` on the mesh nodes.  On the node-major
 (Nx + 1, m) field, with an identity row on each pinned entry, each transport
 leg, and each coupling leg on each band, is one diagonal of the matrix
-(``_diagonals``), which every solver reads.  Every scheme is solved by one
+(``_diagonals``), which every solver reads.  ``_diagonals`` is also the
+only code that judges those entries: one that is not finite raises a
+SolverError naming the factor past the float range, dx/|v|, |v|/dx or the
+coupling |a_n| dx/|v|, with its value.  Every scheme is solved by one
 flow (``solve_bvp``): a first iterate, the gate, and at most one refinement
 sweep.  Both marches run on one cell march (``_march``), which calls one
 hook after each cell that may restart the states.  ``central`` marches
@@ -51,6 +54,7 @@ once, serves both (``_arms``).  The reference ``LinearProblem.matrix`` and
 from __future__ import annotations
 
 import collections
+import decimal
 import enum
 import functools
 from dataclasses import dataclass, replace
@@ -213,6 +217,20 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
     node j + dj, on offset dj m + (cols.start - rows.start) over the band's
     rows.  Rows of v < 0 mirror those of v > 0 (see ``_stencil``).  No two
     legs meet on one entry, so each leg writes its entries in place.
+
+    This is the only code that judges the entries: every reader (the
+    marches, the sweep's arm blocks and recovery rows, the gate, |b| and
+    the reference CSR) gets them finite.
+
+    Raises:
+        SolverError: an entry is not finite.  The message names the factor
+            past the float range with its value, computed in decimal: max
+            dx/|v| or max |v|/dx, whose product times the leg's c is a
+            transport entry, or max |a_n| dx/|v|, a_n over the harmonics of
+            the bands, which bounds the coupling entries.  The first of them that overflows
+            a double is named, else the largest.  They are maxima over the
+            channels, which ``_mirror(problem)`` shares, so the message is
+            the same on either arm.
     """
     system = problem.system
     m = system.grid.size
@@ -239,6 +257,14 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
                     half = slice(max(K.start, band.start), min(K.stop, band.stop))
                     offset = sign * dj * m + cols.start - band.start
                     np.multiply(s, scale[half], out=diagonals[offset][rows, half])
+    if not all(np.isfinite(coef).all() for coef in diagonals.values()):
+        # in decimal, so that a factor past the float range reads as it is (v = 0 gives Infinity)
+        speed, a = np.abs(v), np.abs(system.potential.coeffs[1:m]).max(initial=0.0)
+        with decimal.localcontext(decimal.Context(traps=[])):
+            dx, slow, fast, a = map(decimal.Decimal, (system.mesh.dx, speed.min(), speed.max(), a))
+            factors = {"dx/|v|": dx / slow, "|v|/dx": fast / dx, "|a_n| dx/|v|": a * dx / slow}
+            name = next((n for n, f in factors.items() if float(f) == np.inf), max(factors, key=factors.get))
+        raise SolverError(f"the {problem.scheme.value} matrix leaves the float range: max {name} = {factors[name]:.3e}")
     return diagonals
 
 
@@ -280,7 +306,12 @@ def _assemble_csr(problem: LinearProblem):
 
 
 def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
-    """Relative residual |M u - b| / max(|b|, tiny) in the Euclidean norm (``kinetic._in_range``)."""
+    """Relative residual |M u - b| / max(|b|, tiny) in the Euclidean norm (``kinetic._in_range``).
+
+    Raises ValueError if u does not match the reduced system, and
+    SolverError if an entry of the matrix is past the float range
+    (``_diagonals``).
+    """
     u = np.asarray(candidate, dtype=float)
     if u.shape != problem.rhs.shape:
         raise ValueError(
@@ -617,10 +648,13 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
 
     Raises:
         SolverError: a block, or the rows at Q that back substitution
-            rebuilds, is not finite or is exactly singular.  A zero pivot of
-            an arm block counts its entries in the order they are
-            eliminated, Q node by node and then K; one of the recovery
-            counts Q.
+            rebuilds, is exactly singular, or the middle block is not
+            finite: it holds the Schur updates of both arms, which are
+            computed values, while every entry read from the matrix was
+            judged by ``_diagonals``, which raises for one past the float
+            range.  A zero pivot of an arm block counts its entries in the
+            order they are eliminated, Q node by node and then K; one of
+            the recovery counts Q.
     """
     m, N, Nx = problem.system.grid.size, problem.pinned.size, problem.system.mesh.Nx
     rhs = (problem.pinval if rhs is None else rhs).ravel()
@@ -653,11 +687,6 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         """getrf of the block of D0[Q, Q] on each node, first node first; rows holds the rows Q over Q first."""
         return [factor(rows[s:e, s:e], a, b, sides, what, arm.Q[s:e], s, total) for s, e in arm.nodes]
 
-    def finite(D, a, b, sides, what="the block"):
-        """Raise unless every entry of D, a system of the block of flat rows a .. b - 1, is finite."""
-        if not np.isfinite(D).all():
-            raise fail(a, b, sides, f"{what} is not finite")
-
     def flushed(A):
         """A with its entries below ``_TINY`` in magnitude set to zero, in place."""
         np.copyto(A, 0.0, where=np.abs(A) < _TINY)
@@ -679,7 +708,6 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         for t, G in enumerate(arm.blocks):
             a, b = edges[t], edges[t + 1]
             D = G[:, nK:]                               # the block's own columns, then the J of the next
-            finite(D[:, :size], a, b, sides)
             DK = D[nQ:].copy()                          # D'[K, :]
             if t:
                 L = G[nQ:nQ + nL, :nK]
@@ -709,7 +737,6 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
         edges, Q, K, J = arm.edges, arm.Q, arm.K, arm.J
         for t, R in zip(range(len(carries) - 1, -1, -1), arm.recovery):
             a, b = edges[t], edges[t + 1]
-            finite(R, a, b, sides, "the block's recovery system")
             lus = factor_nodes(R, sides, arm, a, b, "the block's recovery system", Q.size)
             rows, cols, carry = carries[t]
             kept, read = a + K[rows], b + J[cols]
@@ -739,7 +766,8 @@ def _block_sweep(problem: LinearProblem, rhs: np.ndarray | None = None) -> np.nd
             L = block[np.ix_(rows, arm.K)]
             D_arm[np.ix_(rows, arm.J[j])] -= L[:, k] @ carry
             r_arm[rows] -= L @ y[lo + arm.K]
-    finite(D, c, N - c, (False,))
+    if not np.isfinite(D).all():                     # the Schur updates of the arms are computed values
+        raise fail(c, N - c, (False,), "the block is not finite")
     lu, piv = factor(D, c, N - c, (False,))
     x[c:N - c] = getrs(lu, piv, r, overwrite_b=True)[0]
     for sides, arm, kept in zip(arms, layouts, carries):
@@ -776,9 +804,11 @@ def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,)
     march that writes no field keeps no run of states.
 
     Raises:
-        SolverError: a cell matrix is not finite or is singular.  The message
-            names the cell of the original matrix for each side the march
-            serves; a zero pivot counts the cell's rows in the march's order.
+        SolverError: a cell matrix is singular.  The message names the cell
+            of the original matrix for each side the march serves; a zero
+            pivot counts the cell's rows in the march's order.  An entry
+            past the float range raises in ``_diagonals``, which names the
+            factor.
     """
     v = problem.system.grid.velocities
     m, Nx, w = v.size, problem.system.mesh.Nx, start.shape[0]
@@ -796,18 +826,13 @@ def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,)
     window = np.lib.stride_tricks.sliding_window_view(padded, m, axis=2)
     gbsv = get_lapack_funcs("gbsv", (padded,))
     # band[i].T is B of cell c0 + i as gbsv's ab[2 nb + k - j, j] = B[k, j] (rows < nb: fill-in);
-    # span[i, nb + e, k] = -(B + R)[k, k + e] holds every entry of B too, so only it is checked
+    # span[i, nb + e, k] = -(B + R)[k, k + e]
     band, span = np.empty((run, m, 3 * nb + 1)), np.empty((run, 2 * nb + 1, m))
     # one cell's product -(B + R) f_{c-1} by offset, its step d with views of d^- and d^+,
     # and d^+ packed contiguous for gbsv, all made once per march
     product, step = np.empty((w, 2 * nb + 1, m)), np.empty((w, m))
     packed = np.empty((w, m - neg))
     minus, plus = step[:, :neg], step[:, neg:]
-
-    def fail(c, why):
-        """SolverError naming cell c as the cell of the original matrix on each side served."""
-        where = _named(sides, "cell", c, c, Nx + 1, aside=True)
-        return SolverError(f"{problem.scheme.value} march: {where} matrix {why}")
 
     # a cell step is a function of its own: tracemalloc looks up the line of each allocation,
     # which Python finds by scanning the function's line table from its start, so each of a
@@ -828,8 +853,9 @@ def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,)
             solved, info = step.T, info + neg * (info > 0)
         else:
             _, _, solved, info = gbsv(nb, nb, band[i].T, step.T, overwrite_ab=True, overwrite_b=True)
-        if info > 0:
-            raise fail(c, f"is singular: zero pivot {info} of {m}")
+        if info > 0:                                  # cell c of the original matrix on each side served
+            where = _named(sides, "cell", c, c, Nx + 1, aside=True)
+            raise SolverError(f"{problem.scheme.value} march: {where} matrix is singular: zero pivot {info} of {m}")
         np.add(states[before], solved.T, out=states[after])
         restart = None if end is None else end(c, states[after])
         if restart is not None:
@@ -849,9 +875,6 @@ def _march(problem: LinearProblem, start: np.ndarray, cells: int, sides=(False,)
                         if ahead == back:
                             band[:count, a + e:b + e, 2 * nb - e] = rows[:, a:b]
                         span[:count, nb + e, a:b] -= rows[:, a:b]
-        finite = np.isfinite(span[:count]).all(axis=(1, 2))
-        if not finite.all():
-            raise fail(c0 + int(np.argmin(finite)), "is not finite")
         for i in range(count):
             advance(i, c0 + i)
         for target, column in zip(out, states.transpose(1, 0, 2)):
@@ -869,7 +892,8 @@ def _central_march(problem: LinearProblem) -> np.ndarray:
     inflow data of both ends meets the right-end inflow at +l/2.
 
     Raises:
-        SolverError: a cell matrix is not finite or is singular.
+        SolverError: a cell matrix is singular, or an entry of the matrix
+            is past the float range (``_diagonals``).
     """
     field = np.empty(problem.pinned.shape)
     _march(problem, problem.system.boundary.values[None], problem.system.mesh.Nx, out=(field,))
@@ -920,8 +944,9 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
     (CHANGES.md).  Memory is O(S m n) for S segments, plus the field.
 
     Raises:
-        SolverError: a cell matrix is not finite or is singular, or the
-            matching system or an R_s is singular.
+        SolverError: a cell matrix, the matching system or an R_s is
+            singular, or an entry of the matrix is past the float range
+            (``_diagonals``).
     """
     Nx, m = problem.system.mesh.Nx, problem.system.grid.size
     half = Nx // 2
@@ -1008,9 +1033,11 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     blocks read too (see ``_residual``), its norms kept in the float range
     (``kinetic._in_range``).  It differs from ``residual_norm`` of the
     assembled system only in the order of summation.  The flow runs with
-    numpy's overflow, invalid and divide warnings off: a transport entry or
-    a step past the float range is caught by the finiteness checks of the
-    marches and the sweep or by the gate, and ends in a SolverError.
+    numpy's overflow, invalid and divide warnings off: a matrix entry past
+    the float range raises in ``_diagonals``, which names the factor (a
+    march that raises so is not refined, as the gate of ``pinval`` reads
+    the same entries and raises the same error), and a step past it is
+    caught by the middle block's check or by the gate.
 
     Args:
         system: the transport problem.
@@ -1023,8 +1050,9 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
 
     Raises:
         ValueError: bad rel_tol or scheme.
-        SolverError: singular system, residual above rel_tol or a field
-            that overflows when scaled back.  A missed gate's message gives
+        SolverError: a matrix entry past the float range (the message
+            names the factor), singular system, residual above rel_tol or
+            a field that overflows when scaled back.  A missed gate's message gives
             the growth factor max|f| / max|b| of the rejected field, which
             sets an ill-conditioned truncation apart from a bug, and the
             first iterate's residual, or the error the march raised.

@@ -143,9 +143,10 @@ def build_velocity_grid(kappa: float, s: float, M: int, symmetric: bool = True) 
 
     Raises:
         ValueError: if kappa is not positive, s is outside (0, kappa) (a
-            bool is rejected for either) or M is not an integer >= 1 (int
+            bool is rejected for either), M is not an integer >= 1 (int
             or NumPy integer; a bool or a float is rejected however
-            integral).
+            integral) or the window's largest velocity, i_max kappa + s,
+            is past the float range.
     """
     if isinstance(kappa, bool) or not (math.isfinite(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive, got {kappa!r}")
@@ -154,13 +155,15 @@ def build_velocity_grid(kappa: float, s: float, M: int, symmetric: bool = True) 
     if isinstance(M, bool) or not (isinstance(M, numbers.Integral) and M >= 1):
         raise ValueError(f"M must be an integer >= 1, got {M!r}")
     M = int(M)
-    half_shift = abs(s - 0.5 * kappa) <= _HALF_SHIFT_RTOL * kappa
-    if symmetric and half_shift:
-        i_min, i_max = -M, M - 1
+    antisymmetric = symmetric and abs(s - 0.5 * kappa) <= _HALF_SHIFT_RTOL * kappa
+    i_min, i_max = -M, M - 1 if antisymmetric else M
+    # v_{i_max} is the largest velocity in magnitude, computed as the array computes it
+    if not math.isfinite(i_max * kappa + s):
+        raise ValueError(f"M = {M} puts v_{i_max} = {i_max} kappa + s past the float range for kappa = {kappa!r}")
+    if antisymmetric:
         upper = np.arange(M) * kappa + s
         velocities = np.concatenate([-upper[::-1], upper])
     else:
-        i_min, i_max = -M, M
         velocities = np.arange(i_min, i_max + 1) * kappa + s
     velocities.flags.writeable = False
     return VelocityGrid(s=float(s), kappa=float(kappa), i_min=i_min, i_max=i_max, velocities=velocities)

@@ -53,7 +53,8 @@ _COUPLING_POINTS = 10
 _MIRROR_FRACTIONS = (0.1, 0.3, 0.5, 0.9)
 # Tolerance on propagator matrix entries (mirror, period, inversion).
 _PROPAGATOR_TOL = 1e-8
-# Random intervals of the inversion check, each at most this long.
+# Random intervals of the inversion check, each at most this long, and
+# shorter than the period (the draw is capped there, so that an interval fits).
 _INVERSION_INTERVALS = 3
 _INVERSION_MAX_LENGTH = 0.5
 # Largest free-streaming deviation from the inflow data.
@@ -125,7 +126,7 @@ def check_propagator_inversion(system: WignerSystem, rng: np.random.Generator) -
     eye = np.eye(m)
     worst = 0.0
     for _ in range(_INVERSION_INTERVALS):
-        length = rng.uniform(0.0, _INVERSION_MAX_LENGTH)
+        length = rng.uniform(0.0, min(_INVERSION_MAX_LENGTH, system.potential.period_l))
         a = rng.uniform(-half, half - length)
         b = a + length
         F = propagator_matrix(system, a, b)

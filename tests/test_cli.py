@@ -129,6 +129,8 @@ _BUILD_ERRORS = [
     ("period_l = 1e-310",
      "config keys 'period_l'/'coeffs': period_l = 1e-310 is too short: kappa = pi / period_l overflows"),
     ("M = 0", "config keys 's_over_kappa'/'M': M must be an integer >= 1, got 0"),
+    ("period_l = 1e-307", "config keys 's_over_kappa'/'M': M = 40 puts v_39 = 39 kappa + s past the float range "
+                          "for kappa = 3.1415926535897933e+307"),
     ("Nx = 7", "config key 'Nx': Nx must be an even integer >= 2, got 7"),
     ("boundary = mono:99", "config key 'boundary': velocity index 99 outside [-40, 39]"),
     ("boundary = table:0=-1",

@@ -162,6 +162,19 @@ def test_velocity_grid_rejects_a_kappa_that_is_not_positive():
             build_velocity_grid(kappa, 0.5, 4)
 
 
+def test_velocity_grid_rejects_a_window_past_the_float_range():
+    # on period_l = 1e-307, v_39 = 39 kappa + s overflows: the window is
+    # rejected before its array is built, so numpy warns of nothing (tier-1
+    # turns a RuntimeWarning into an error).  One index fewer fits
+    kappa = math.pi / 1e-307
+    for symmetric, i_max in ((True, 39), (False, 40)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"M = 40 puts v_{i_max} = {i_max} kappa + s past the float range for kappa = {kappa!r}")):
+            build_velocity_grid(kappa, 0.5 * kappa, 40, symmetric)
+    top = max(M for M in range(1, 40) if math.isfinite((M - 1) * kappa + 0.5 * kappa))
+    assert np.isfinite(build_velocity_grid(kappa, 0.5 * kappa, top, True).velocities).all()
+
+
 def test_build_system_cross_checks():
     pot = new_potential(1.0, [20.0, 20.0])
     grid = build_velocity_grid(pot.kappa, 0.5 * pot.kappa, 4, True)

@@ -54,6 +54,17 @@ def test_run_all_checks_equals_the_checks_in_sequence(s_over_kappa):
         assert all(r.passed for r in expected), expected
 
 
+@pytest.mark.parametrize("period", [0.2, 0.05])
+def test_run_all_checks_passes_on_a_period_shorter_than_an_inversion_interval(period):
+    # the inversion check draws each interval's length below the period too,
+    # so that the interval fits in it
+    pot = new_potential(period, [20.0, 20.0])
+    grid = build_velocity_grid(pot.kappa, 0.5 * pot.kappa, M_CHANNELS, True)
+    system = build_system(pot, grid, build_mesh(period, 20), mono_energetic_boundary(grid, 0))
+    results = verify.run_all_checks(system)
+    assert len(results) == 5 and all(r.passed for r in results), results
+
+
 @pytest.mark.parametrize("name", ["check_propagator_mirror", "check_current_conservation"])
 def test_run_all_checks_raises_a_check_error_and_leaves_no_thread(monkeypatch, name):
     system = _small_system()
