@@ -213,6 +213,8 @@ def _load_config(args) -> dict:
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     system = _system_from_config(cfg)
+    out_dir = cfg["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)              # an unusable directory fails before the solve
     t0 = time.perf_counter()
     sol = _solve(system, cfg["scheme"], cfg["rel_tol"])
     runtime = time.perf_counter() - t0
@@ -232,8 +234,6 @@ def cmd_solve(args) -> int:
         "current": lambda: (nodes, current(sol)),
         "report": lambda: StudyReport(rows=(row,)),
     }
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     emitted = [os.path.join(out_dir, f"{token}.csv") for token in cfg["emit"]]
     for token, path in zip(cfg["emit"], emitted):
         write_csv(outputs[token](), path)
@@ -249,6 +249,8 @@ def cmd_study(args) -> int:
     system = _system_from_config(cfg)
     for nx in nx_list:
         _built("--nx", build_mesh, cfg["period_l"], nx)
+    out_dir = cfg["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)              # an unusable directory fails before the first solve
     rows = []
     for scheme in schemes:
         report = convergence_study(system, scheme, nx_list, rel_tol=cfg["rel_tol"])
@@ -258,8 +260,6 @@ def cmd_study(args) -> int:
                 f"scheme={row.scheme} Nx={row.Nx} symmetry_error={row.symmetry_error:.6e} "
                 f"runtime_s={row.runtime_s:.3f} residual={row.residual:.6e}"
             )
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "report.csv")
     write_csv(StudyReport(rows=tuple(rows)), path)
     print(f"wrote {path}")

@@ -72,7 +72,6 @@ __all__ = [
     "DiscreteSolution",
     "SolverError",
     "assemble",
-    "residual_norm",
     "solve_bvp",
 ]
 
@@ -115,9 +114,11 @@ class LinearProblem:
     in the float range (``kinetic._in_range``).  The
     solvers read only these.  It, ``matrix`` and ``rhs``, the reduced sparse
     system over the non-pinned unknowns, are computed on first access and
-    kept.  ``free`` flags, in node-major (node, velocity) order, which
-    entries of the full field are unknowns; the reduced vector lists them
-    in ascending order of that flat index.
+    kept; the reduced vector lists the unknowns, the entries off
+    ``pinned``, in ascending node-major flat index.  No solve reads
+    ``matrix`` or ``rhs``: they are the reference the tests check the
+    solvers against, and the benchmark tracer reads ``matrix`` to count
+    unknowns and nonzeros.
     """
 
     system: WignerSystem
@@ -125,10 +126,6 @@ class LinearProblem:
     bands: list
     pinned: np.ndarray
     pinval: np.ndarray
-
-    @property
-    def free(self) -> np.ndarray:
-        return ~self.pinned.ravel()
 
     @functools.cached_property
     def rhs_norm(self) -> float:
@@ -161,9 +158,10 @@ class DiscreteSolution:
         scheme: stencil tag, one of the Scheme values or "oracle".
         residual: for a finite-difference scheme, the relative residual
             |M x - b| / |b| of the linear system ``assemble`` sets up, read
-            from the diagonals of M (it differs from ``residual_norm`` only
-            in the order of summation); for the oracle,
-            the marched end gap |f_{v<0}(+l/2) - right inflow| / |inflow|.
+            from the diagonals of M (it differs from |matrix @ x - rhs| /
+            |rhs| of ``LinearProblem``'s reference system only in the order
+            of summation); for the oracle, the marched end gap
+            |f_{v<0}(+l/2) - right inflow| / |inflow|.
     """
 
     values: np.ndarray
@@ -220,7 +218,10 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
 
     This is the only code that judges the entries: every reader (the
     marches, the sweep's arm blocks and recovery rows, the gate, |b| and
-    the reference CSR) gets them finite.
+    the reference ``matrix`` and ``rhs``) gets them finite.  It computes
+    them with numpy's overflow, divide and invalid warnings off, as the
+    check judges every entry, so a read outside ``solve_bvp`` raises the
+    named error and warns of nothing.
 
     Raises:
         SolverError: an entry is not finite.  The message names the factor
@@ -233,30 +234,30 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
             the same on either arm.
     """
     system = problem.system
-    m = system.grid.size
-    Nx = system.mesh.Nx
+    m, Nx = system.grid.size, system.mesh.Nx
     v = system.grid.velocities
-    vdx = v / system.mesh.dx
-    scale = system.mesh.dx / np.abs(v)
     diagonals = collections.defaultdict(lambda: np.zeros((j1 - j0, m)))
     diagonals[0][problem.pinned[j0:j1]] = 1.0
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
-    for sign, K in ((1, slice(neg, m)), (-1, slice(0, neg))):
-        for nodes, transport, coupling in _stencil(problem.scheme, Nx):
-            # rows of v < 0 mirror those of v > 0: nodes Nx - j, offsets -dj
-            first = int(nodes[0]) if sign > 0 else Nx - int(nodes[-1])
-            lo, hi = max(first, j0), min(first + nodes.size, j1)
-            if lo >= hi:
-                continue
-            rows = slice(lo - j0, hi - j0)
-            for dj, c in transport:
-                diagonals[sign * dj * m][rows, K] = c * sign * vdx[K] * scale[K]
-            for dj, w in coupling:
-                for band, cols, coef in problem.bands:
-                    s = (-w * coef[lo + sign * dj:hi + sign * dj])[:, None]
-                    half = slice(max(K.start, band.start), min(K.stop, band.stop))
-                    offset = sign * dj * m + cols.start - band.start
-                    np.multiply(s, scale[half], out=diagonals[offset][rows, half])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):    # the check below judges every entry
+        vdx = v / system.mesh.dx
+        scale = system.mesh.dx / np.abs(v)
+        for sign, K in ((1, slice(neg, m)), (-1, slice(0, neg))):
+            for nodes, transport, coupling in _stencil(problem.scheme, Nx):
+                # rows of v < 0 mirror those of v > 0: nodes Nx - j, offsets -dj
+                first = int(nodes[0]) if sign > 0 else Nx - int(nodes[-1])
+                lo, hi = max(first, j0), min(first + nodes.size, j1)
+                if lo >= hi:
+                    continue
+                rows = slice(lo - j0, hi - j0)
+                for dj, c in transport:
+                    diagonals[sign * dj * m][rows, K] = c * sign * vdx[K] * scale[K]
+                for dj, w in coupling:
+                    for band, cols, coef in problem.bands:
+                        s = (-w * coef[lo + sign * dj:hi + sign * dj])[:, None]
+                        half = slice(max(K.start, band.start), min(K.stop, band.stop))
+                        offset = sign * dj * m + cols.start - band.start
+                        np.multiply(s, scale[half], out=diagonals[offset][rows, half])
     if not all(np.isfinite(coef).all() for coef in diagonals.values()):
         # in decimal, so that a factor past the float range reads as it is (v = 0 gives Infinity)
         speed, a = np.abs(v), np.abs(system.potential.coeffs[1:m]).max(initial=0.0)
@@ -300,25 +301,9 @@ def _assemble_csr(problem: LinearProblem):
     # diagonal d holds the rows max(-d, 0) .. N - max(d, 0) - 1
     whole = sp.diags([coef.ravel()[max(-d, 0):N - max(d, 0)] for d, coef in diagonals.items()],
                      list(diagonals), shape=(N, N), format="csr")
-    free = problem.free
+    free = ~problem.pinned.ravel()
     rows = whole[free]
     return rows[:, free], -(rows[:, ~free] @ problem.pinval.ravel()[~free])
-
-
-def residual_norm(problem: LinearProblem, candidate: np.ndarray) -> float:
-    """Relative residual |M u - b| / max(|b|, tiny) in the Euclidean norm (``kinetic._in_range``).
-
-    Raises ValueError if u does not match the reduced system, and
-    SolverError if an entry of the matrix is past the float range
-    (``_diagonals``).
-    """
-    u = np.asarray(candidate, dtype=float)
-    if u.shape != problem.rhs.shape:
-        raise ValueError(
-            f"candidate shape {u.shape} does not match rhs shape {problem.rhs.shape}"
-        )
-    r = problem.matrix @ u - problem.rhs
-    return _in_range(np.linalg.norm, r) / max(_in_range(np.linalg.norm, problem.rhs), _NORM_FLOOR)
 
 
 def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np.ndarray:
@@ -1031,13 +1016,14 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     residual |M x - b| / |b| of the linear system ``assemble`` sets up, a
     product with the diagonals of M that the marches and the sweep's node
     blocks read too (see ``_residual``), its norms kept in the float range
-    (``kinetic._in_range``).  It differs from ``residual_norm`` of the
-    assembled system only in the order of summation.  The flow runs with
-    numpy's overflow, invalid and divide warnings off: a matrix entry past
-    the float range raises in ``_diagonals``, which names the factor (a
-    march that raises so is not refined, as the gate of ``pinval`` reads
-    the same entries and raises the same error), and a step past it is
-    caught by the middle block's check or by the gate.
+    (``kinetic._in_range``).  It differs from |matrix @ x - rhs| / |rhs|
+    of ``LinearProblem``'s reference system only in the order of
+    summation.  The flow runs with numpy's overflow, invalid and divide
+    warnings off, as ``_diagonals`` does for its own arithmetic: a matrix
+    entry past the float range raises in ``_diagonals``, which names the
+    factor (a march that raises so is not refined, as the gate of
+    ``pinval`` reads the same entries and raises the same error), and a
+    step past it is caught by the middle block's check or by the gate.
 
     Args:
         system: the transport problem.

@@ -204,7 +204,7 @@ def mono_energetic_boundary(grid: VelocityGrid, i0: int) -> BoundaryData:
     """
     pos = grid.position_of(i0)
     if grid.velocities[pos] <= 0:
-        raise ValueError(f"boundary channel i0={i0} has non-positive velocity {grid.velocities[pos]!r}")
+        raise ValueError(f"boundary channel i0={i0} has non-positive velocity {float(grid.velocities[pos])!r}")
     values = np.zeros(grid.size)
     values[pos] = 1.0
     values.flags.writeable = False
@@ -226,7 +226,7 @@ def tabulated_boundary(grid: VelocityGrid, table: dict) -> BoundaryData:
         pos = grid.position_of(i)
         v = float(val)
         if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"boundary value for index {i} must be finite and nonnegative, got {val!r}")
+            raise ValueError(f"boundary value for index {i} must be finite and nonnegative, got {v!r}")
         values[pos] = v
     values.flags.writeable = False
     return BoundaryData(grid=grid, values=values)
@@ -297,9 +297,9 @@ def _in_range(reduce, *arrays):
     """reduce(*arrays), kept in the float range by a power of two.
 
     The one overflow-safe reduction of the package: the Euclidean norms of
-    the residual gate, ``residual_norm``, the oracle's end gap and the
-    coupling check, the channel sums of ``density`` and ``current``, and the
-    L1 measures of ``symmetry_error`` and ``scheme_difference``.  It is
+    the residual gate and its |b|, the oracle's end gap and the coupling
+    check, the channel sums of ``density`` and ``current``, and the L1
+    measures of ``symmetry_error`` and ``scheme_difference``.  It is
     reduce(*arrays) wherever that is finite, to the bit.  At each entry of
     the result where it is not, it is 2^k reduce(a 2^-k, ...), k from
     ``_unit_exponent`` of the arrays' largest magnitude: the scaling is exact

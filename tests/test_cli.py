@@ -133,6 +133,8 @@ _BUILD_ERRORS = [
                           "for kappa = 3.1415926535897933e+307"),
     ("Nx = 7", "config key 'Nx': Nx must be an even integer >= 2, got 7"),
     ("boundary = mono:99", "config key 'boundary': velocity index 99 outside [-40, 39]"),
+    ("boundary = mono:-1",
+     "config key 'boundary': boundary channel i0=-1 has non-positive velocity -1.5707963267948966"),
     ("boundary = table:0=-1",
      "config key 'boundary': boundary value for index 0 must be finite and nonnegative, got -1.0"),
 ]
@@ -165,6 +167,27 @@ def test_every_command_names_the_source_of_a_build_error(command, line, message,
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_an_unusable_output_directory_fails_before_any_solve(command, sub, config_file, tmp_path, monkeypatch, capsys):
+    # --out naming a file, or a path below one: the directory is made once
+    # the config, the system and --nx are valid, so it fails before a solve
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before the output directory was made")
+
+    monkeypatch.setattr(cli, "_solve", refuse)
+    monkeypatch.setattr(cli, "convergence_study", refuse)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = ["--out", str(afile / sub) if sub else str(afile)]
+    argv = {"solve": ["solve", config_file, *out],
+            "study": ["study", config_file, "--nx", "10,20", "--schemes", "central,upwind2", *out]}[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno") and captured.err.count("\n") == 1
 
 
 def test_a_builder_error_other_than_a_value_error_passes_through(config_file, tmp_path, monkeypatch, capsys):
