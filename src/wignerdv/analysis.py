@@ -8,8 +8,12 @@ even in x.  It is the discrete L1 mirror defect
 i.e. each (channel, node) cell carries the phase-space measure
 dx * kappa / 2, half the channel spacing.  Density and current are the
 channel sums n_j = sum_i f_{i,j} and J_j = sum_i v_i f_{i,j}.  All three
-are plain sums wherever those are finite, to the bit, and are kept in the
-float range by the one overflow-safe reduction, ``kinetic._in_range``.
+reduce the field a run of ``_RUN_NODES`` nodes at a time (``_node_runs``),
+so their temporaries hold one run, never a whole field, and each run is
+kept in the float range by the one overflow-safe reduction,
+``kinetic._in_range``.  Density and current are the plain channel sums
+wherever those are finite, to the bit; the L1 measures are the plain sum
+of the runs' measured sums, measure * sum |f - g| over each run's nodes.
 """
 
 from __future__ import annotations
@@ -49,9 +53,32 @@ def current(sol: DiscreteSolution) -> np.ndarray:
     return _channel_sum(sol.values, sol.system.grid.velocities[:, None])
 
 
+# mesh nodes whose terms an observable reduces at once
+_RUN_NODES = 512
+
+
+def _node_runs(reduce, *arrays) -> np.ndarray:
+    """reduce of each run of ``_RUN_NODES`` nodes of the (m, Nx + 1) arrays, kept in the float range, joined.
+
+    reduce takes the runs' (m, nodes) blocks and returns a value per node
+    or one value; each call goes through ``kinetic._in_range``.
+    """
+    runs = [slice(j0, j0 + _RUN_NODES) for j0 in range(0, arrays[0].shape[1], _RUN_NODES)]
+    return np.hstack([_in_range(reduce, *(a[:, run] for a in arrays)) for run in runs])
+
+
 def _channel_sum(F: np.ndarray, weights=None) -> np.ndarray:
-    """sum_i weights_i F_{i,j} per node, kept in the float range (``kinetic._in_range``)."""
-    return _in_range(lambda G: (G if weights is None else weights * G).sum(axis=0), F)
+    """sum_i weights_i F_{i,j} per node, a run of nodes at a time (``_node_runs``).
+
+    Each run is summed channel after channel, as numpy sums a C-ordered F
+    of more than one node, so the sums are those to the bit, whatever the
+    layout of F or the width of a run (numpy sums one node's channels, or
+    those of a Fortran-ordered F, pairwise).
+    """
+    def run_sum(G):
+        return np.cumsum(G if weights is None else weights * G, axis=0)[-1]     # cumsum adds in order
+
+    return _node_runs(run_sum, F)
 
 
 def symmetry_error(sol: DiscreteSolution) -> float:
@@ -87,8 +114,12 @@ def scheme_difference(a: DiscreteSolution, b: DiscreteSolution) -> float:
 
 
 def _l1_distance(F: np.ndarray, G: np.ndarray, measure: float) -> float:
-    """measure * sum |F - G|, kept in the float range (``kinetic._in_range``)."""
-    return _in_range(lambda F, G: measure * np.abs(F - G).sum(), F, G)
+    """The sum over runs of nodes of measure * sum |F - G| on the run (``_node_runs``), kept in the float range."""
+    def measured(F, G):
+        D = np.subtract(F, G)
+        return measure * np.abs(D, out=D).sum()
+
+    return _in_range(np.sum, _node_runs(measured, F, G))
 
 
 def _solve(system: WignerSystem, scheme: str, rel_tol: float) -> DiscreteSolution:

@@ -33,12 +33,15 @@ The layout of an arm, its block edges, the order it eliminates a block's
 entries in and the index sets that order is made of, is derived in one
 place, ``_node_blocks``, which returns it with the arm's blocks as one
 ``_Arm`` record; the middle block is built in one call once both arms are
-eliminated.  The same sweep, on the gate's residual, is the refinement
+eliminated.  The same sweep, on the residual field, is the refinement
 step of every scheme.  The gate (``_gate``) is the norm of the residual of
 ``assemble``'s system on the whole field, a product with the same
-diagonals a run of nodes at a time, kept in the float range
-(``kinetic._in_range``), and returns that residual too, so that the
-refinement sweep reads it and no iterate's residual is built twice.
+diagonals a run of nodes at a time (``_residual_runs``), kept in the float
+range (``kinetic._in_range``).  It returns only that norm and holds one
+run of the residual at a time; a refinement builds the residual field
+again, by the same runs (``_residual_field``), as the sweep's right-hand
+side.  So a solve that passes the gate holds one field-sized array, the
+field itself, which its ``DiscreteSolution`` keeps as a transposed view.
 
 The arm from +l/2 of the march and of the sweep is the arm from -l/2 of
 ``_mirror(problem)``, the problem on the reversed flat order,
@@ -57,6 +60,7 @@ import collections
 import decimal
 import enum
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -109,7 +113,9 @@ class LinearProblem:
     ``bands`` is A(x) on the mesh nodes as channel diagonals (see
     ``potential._bands``).  ``pinned`` flags the inflow entries of the
     node-major (Nx + 1, m) field, and ``pinval`` is the field that holds
-    the inflow data there and zero elsewhere.
+    the inflow data there and zero elsewhere: a fresh ``np.zeros`` array
+    written only on nodes 0 and Nx, so its interior, which nothing writes,
+    takes no resident memory on a large mesh.
     ``rhs_norm`` is |b| of the reduced system, from b = -R(pinval), kept
     in the float range (``kinetic._in_range``).  The
     solvers read only these.  It, ``matrix`` and ``rhs``, the reduced sparse
@@ -153,7 +159,10 @@ class DiscreteSolution:
     """Solution field on the (velocity, node) array plus solve metadata.
 
     Attributes:
-        values: array of shape (grid.size, Nx + 1).
+        values: array of shape (grid.size, Nx + 1), read only.  A solver
+            returns the transposed view of the node-major (Nx + 1, m) field
+            it wrote, not a copy, so it is Fortran-ordered: each node's
+            channels are contiguous.
         system: the system that was solved.
         scheme: stencil tag, one of the Scheme values or "oracle".
         residual: for a finite-difference scheme, the relative residual
@@ -218,10 +227,15 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
 
     This is the only code that judges the entries: every reader (the
     marches, the sweep's arm blocks and recovery rows, the gate, |b| and
-    the reference ``matrix`` and ``rhs``) gets them finite.  It computes
-    them with numpy's overflow, divide and invalid warnings off, as the
-    check judges every entry, so a read outside ``solve_bvp`` raises the
-    named error and warns of nothing.
+    the reference ``matrix`` and ``rhs``) gets them finite.  It judges each
+    leg's entries as it writes them, exactly and in O(rows + m): a
+    transport leg's are one m-vector, the same on every row, and a coupling
+    leg's on a band are the outer product of its coefficients s over the
+    rows and dx/|v| over the band's channels, each finite iff max|s| max
+    dx/|v| is, as rounding is monotone.  It computes them with numpy's
+    overflow, divide and invalid warnings off, as that check judges every
+    entry, so a read outside ``solve_bvp`` raises the named error and warns
+    of nothing.
 
     Raises:
         SolverError: an entry is not finite.  The message names the factor
@@ -239,7 +253,8 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
     diagonals = collections.defaultdict(lambda: np.zeros((j1 - j0, m)))
     diagonals[0][problem.pinned[j0:j1]] = 1.0
     neg = int(np.searchsorted(v, 0.0))                 # v is ascending and never 0
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):    # the check below judges every entry
+    finite = True
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):    # finite judges every entry
         vdx = v / system.mesh.dx
         scale = system.mesh.dx / np.abs(v)
         for sign, K in ((1, slice(neg, m)), (-1, slice(0, neg))):
@@ -251,14 +266,22 @@ def _diagonals(problem: LinearProblem, j0: int, j1: int) -> dict:
                     continue
                 rows = slice(lo - j0, hi - j0)
                 for dj, c in transport:
-                    diagonals[sign * dj * m][rows, K] = c * sign * vdx[K] * scale[K]
+                    entries = c * sign * vdx[K] * scale[K]             # the same on every row
+                    finite &= bool(np.isfinite(entries).all())
+                    diagonals[sign * dj * m][rows, K] = entries
                 for dj, w in coupling:
                     for band, cols, coef in problem.bands:
-                        s = (-w * coef[lo + sign * dj:hi + sign * dj])[:, None]
+                        s = -w * coef[lo + sign * dj:hi + sign * dj]
                         half = slice(max(K.start, band.start), min(K.stop, band.stop))
+                        if half.start < half.stop:
+                            # |v| grows away from v = 0, so dx/|v| is largest on the channel of half
+                            # next to it; rounding is monotone, so max|s| times that is the largest
+                            # |entry|, finite iff every entry is (0 inf is NaN)
+                            slowest = scale[half.start if sign > 0 else half.stop - 1]
+                            finite &= math.isfinite(np.abs(s).max() * slowest)
                         offset = sign * dj * m + cols.start - band.start
-                        np.multiply(s, scale[half], out=diagonals[offset][rows, half])
-    if not all(np.isfinite(coef).all() for coef in diagonals.values()):
+                        np.multiply(s[:, None], scale[half], out=diagonals[offset][rows, half])
+    if not finite:
         # in decimal, so that a factor past the float range reads as it is (v = 0 gives Infinity)
         speed, a = np.abs(v), np.abs(system.potential.coeffs[1:m]).max(initial=0.0)
         with decimal.localcontext(decimal.Context(traps=[])):
@@ -287,7 +310,10 @@ def assemble(system: WignerSystem, scheme: Scheme) -> LinearProblem:
     bands = _bands(system.potential, system.mesh.nodes, v.size)
     pinned = np.zeros((system.mesh.Nx + 1, v.size), dtype=bool)
     pinned[0], pinned[-1] = v > 0, v < 0
-    return LinearProblem(system, scheme, bands, pinned, np.where(pinned, system.boundary.values, 0.0))
+    pinval = np.zeros(pinned.shape)                   # written only on the end nodes (see LinearProblem)
+    for j in (0, -1):
+        pinval[j] = np.where(pinned[j], system.boundary.values, 0.0)
+    return LinearProblem(system, scheme, bands, pinned, pinval)
 
 
 def _assemble_csr(problem: LinearProblem):
@@ -324,19 +350,31 @@ def _residual(problem: LinearProblem, field: np.ndarray, j0: int, j1: int) -> np
     return R.reshape(j1 - j0, m)
 
 
-def _gate(problem: LinearProblem, field: np.ndarray) -> tuple:
-    """The gate of a full field F: (|R| / max(|b|, tiny), R), R = R(F) = M F - pinval of ``_residual``.
-
-    Both norms are kept in the float range (``kinetic._in_range``).  R is built on the whole
-    field, a run of ``_RUN_NODES`` nodes at a time, and returned so that a
-    refinement sweep reads the residual the gate measured instead of
-    building it again.
-    """
+def _residual_runs(problem: LinearProblem, field: np.ndarray):
+    """Yield (j0, rows of R(F) from node j0) of a full field F, ``_RUN_NODES`` nodes at a time (``_residual``)."""
     field = np.ascontiguousarray(field)               # so that each run's ravel is a view
-    R = np.empty(field.shape)
     for j0 in range(0, len(field), _RUN_NODES):
-        R[j0:j0 + _RUN_NODES] = _residual(problem, field, j0, min(j0 + _RUN_NODES, len(field)))
-    return _in_range(np.linalg.norm, R) / max(problem.rhs_norm, _NORM_FLOOR), R
+        yield j0, _residual(problem, field, j0, min(j0 + _RUN_NODES, len(field)))
+
+
+def _residual_field(problem: LinearProblem, field: np.ndarray) -> np.ndarray:
+    """R(F) = M F - pinval of a full field F on the whole field, the refinement sweep's right-hand side negated."""
+    R = np.empty(field.shape)
+    for j0, rows in _residual_runs(problem, field):
+        R[j0:j0 + len(rows)] = rows
+    return R
+
+
+def _gate(problem: LinearProblem, field: np.ndarray) -> float:
+    """The gate of a full field F: |R| / max(|b|, tiny), R = R(F) = M F - pinval of ``_residual``.
+
+    |R| is the norm of the norms of R's runs of ``_RUN_NODES`` nodes
+    (``_residual_runs``), so the gate holds one run of R at a time, never
+    the whole field's.  Every norm is kept in the float range
+    (``kinetic._in_range``).
+    """
+    norms = np.array([_in_range(np.linalg.norm, rows) for _, rows in _residual_runs(problem, field)])
+    return _in_range(np.linalg.norm, norms) / max(problem.rhs_norm, _NORM_FLOOR)
 
 
 def _mirror(problem: LinearProblem) -> LinearProblem:
@@ -992,6 +1030,13 @@ def _upwind1_march(problem: LinearProblem) -> np.ndarray:
     return field
 
 
+def _pinned_to_data(problem: LinearProblem, field: np.ndarray) -> np.ndarray:
+    """field with its inflow entries set to the data, in place; only nodes 0 and Nx are read or written."""
+    for j in (0, -1):
+        np.copyto(field[j], problem.pinval[j], where=problem.pinned[j])
+    return field
+
+
 def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> DiscreteSolution:
     """Solve one scheme on one system, without assembling its matrix.
 
@@ -999,9 +1044,9 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
     ``_central_march`` for ``central`` and of ``_upwind1_march`` for
     ``upwind1``, the sweep of ``_block_sweep`` for ``upwind2``) with its
     inflow entries reset to the data, the gate, and, if it misses rel_tol,
-    one step of iterative refinement: a sweep on the residual field that
-    the gate built, which is released once the sweep has read it or the
-    gate has passed (it is as large as the field).  The step is not
+    one step of iterative refinement: a sweep on the residual field, built
+    again for the sweep (``_residual_field``) since the gate keeps only its
+    norm, and released once the sweep has read it.  The step is not
     monotone on an ill-conditioned system, so the better iterate is kept
     (NaN is the worse).  An iterate
     with a residual of 1 or more, or a march that raises, is no better than
@@ -1011,8 +1056,10 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
 
     The system is solved with its inflow data divided by the power of two
     2^k that puts their largest magnitude in [1, 2), and the field is
-    multiplied back by 2^k: exact, and safe from overflow in |b| (see
-    ``kinetic._unit_scaled``).  Every result is gated on the relative
+    multiplied back by 2^k in place: exact, and safe from overflow in |b|
+    (see ``kinetic._unit_scaled``).  The solution's values are the
+    transposed view of that field, so a passing solve holds no second
+    field (``pinval`` is written only on nodes 0 and Nx).  Every result is gated on the relative
     residual |M x - b| / |b| of the linear system ``assemble`` sets up, a
     product with the diagonals of M that the marches and the sweep's node
     blocks read too (see ``_residual``), its norms kept in the float range
@@ -1050,24 +1097,22 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
         scheme = problem.scheme
         march = {Scheme.CENTRAL: _central_march, Scheme.UPWIND1: _upwind1_march}.get(scheme)
         try:
-            field = (march or _block_sweep)(problem)
-            np.copyto(field, problem.pinval, where=problem.pinned)   # marched, or swept to rounding
-            res, R = _gate(problem, field)
+            field = _pinned_to_data(problem, (march or _block_sweep)(problem))   # marched, or swept to rounding
+            res = _gate(problem, field)
             first = f"first iterate residual {res:.3e}"
         except SolverError as exc:
             if march is None:
                 raise                                 # the refinement sweep would fail the same way
             res, first = float("nan"), str(exc)
-        if res <= rel_tol:                            # NaN fails
-            del R                                     # R is as large as the field: no longer held
-        else:
+        if not res <= rel_tol:                        # NaN misses
             if not res < 1.0:                         # no better than pinval: refine pinval instead
                 field = problem.pinval
-                res, R = _gate(problem, field)
-            refined = field + _block_sweep(problem, np.negative(R, out=R))
-            del R                                     # read by the sweep; the next gate builds its own
-            np.copyto(refined, problem.pinval, where=problem.pinned)
-            refined_res = _gate(problem, refined)[0]
+                res = _gate(problem, field)
+            R = _residual_field(problem, field)
+            refined = _block_sweep(problem, np.negative(R, out=R))
+            del R                                     # as large as the field, and read by the sweep
+            refined = _pinned_to_data(problem, np.add(refined, field, out=refined))
+            refined_res = _gate(problem, refined)
             if refined_res < res:
                 field, res = refined, refined_res
     if not res <= rel_tol:
@@ -1080,6 +1125,6 @@ def solve_bvp(system: WignerSystem, scheme: Scheme, rel_tol: float = 1e-12) -> D
             residual=res,
         )
 
-    values = scale_back(np.ascontiguousarray(field.T))
+    values = scale_back(field).T                      # the solver's own field, (m, Nx + 1) by a view
     values.flags.writeable = False
     return DiscreteSolution(values=values, system=system, scheme=scheme.value, residual=res)

@@ -274,8 +274,12 @@ def _unit_scaled(values: np.ndarray, error: type) -> tuple:
     so a solver's tolerances act on data of order one and the norms of the
     data neither overflow nor underflow.  Scaling by a power of two is
     exact, so a solver works on the scaled values and multiplies its
-    result by 2^k with the returned function; relative residuals are
-    unchanged.  That function raises ``error`` if the result overflows.
+    result by 2^k with the returned function, which scales the solver's
+    own field in place and returns it, so a solve holds no second field;
+    relative residuals are unchanged.  That function raises ``error``,
+    leaving the field as it was, if the result would overflow: the
+    largest magnitude overflows iff some entry does, as the scaling is
+    monotone.
     """
     peak = float(np.abs(values).max())
     k = _unit_exponent(peak)
@@ -283,12 +287,11 @@ def _unit_scaled(values: np.ndarray, error: type) -> tuple:
     def scale_back(field: np.ndarray) -> np.ndarray:
         if not k:
             return field
+        top = max(float(field.max()), -float(field.min()))      # max|f| without a copy; NaN stays NaN
         with np.errstate(over="ignore"):
-            scaled = np.ldexp(field, k)
-        if not np.isfinite(scaled).all():
-            raise error(f"the field overflows: max|f| = {np.abs(field).max():.3e} times 2^{k} "
-                        f"for data up to {peak:.3e}")
-        return scaled
+            if not math.isfinite(np.ldexp(top, k)):
+                raise error(f"the field overflows: max|f| = {top:.3e} times 2^{k} for data up to {peak:.3e}")
+        return np.ldexp(field, k, out=field)
 
     return (np.ldexp(values, -k) if k else values), scale_back
 

@@ -295,11 +295,11 @@ def solve_bvp_shooting(system: WignerSystem) -> DiscreteSolution:
     b, scale_back = _unit_scaled(system.boundary.values, PropagatorError)
     v = system.grid.velocities
     pos, neg = v > 0, v < 0
-    values = _march(system, b, system.mesh.nodes).T.copy()
-    gap = _in_range(np.linalg.norm, values[neg, -1] - b[neg]) / max(_in_range(np.linalg.norm, b), _NORM_FLOOR)
+    field = _march(system, b, system.mesh.nodes)            # node-major, (Nx + 1, m)
+    gap = _in_range(np.linalg.norm, field[-1, neg] - b[neg]) / max(_in_range(np.linalg.norm, b), _NORM_FLOOR)
     # pin the inflow entries to the boundary data bit-exactly
-    values[pos, 0] = b[pos]
-    values[neg, -1] = b[neg]
-    values = scale_back(values)
+    field[0, pos] = b[pos]
+    field[-1, neg] = b[neg]
+    values = scale_back(field).T                            # the marched field, (m, Nx + 1) by a view
     values.flags.writeable = False
     return DiscreteSolution(values=values, system=system, scheme="oracle", residual=gap)

@@ -26,6 +26,7 @@ from wignerdv import (
     write_csv,
 )
 
+from wignerdv import analysis
 from wignerdv.verify import _current_deviation
 
 from conftest import M_CHANNELS, make_system
@@ -108,7 +109,9 @@ def test_l1_measures_reach_the_float_limit_exactly(k):
     # and the scheme difference themselves fit: both are then summed on the
     # field scaled to order one, so they are 2^k times those of data 1, as
     # they are at 2^-600, where the plain sums are exact.  On data 1 e_sym
-    # is the plain sum to the bit
+    # is, to the bit, the plain sum of measure * sum |f_j - f_{Nx-j}| over
+    # each run of analysis._RUN_NODES nodes (here one run, and three on a
+    # random field at Nx=1200)
     system = make_system(10)
     fine = replace(system, mesh=build_mesh(system.potential.period_l, 20))
 
@@ -120,7 +123,15 @@ def test_l1_measures_reach_the_float_limit_exactly(k):
     (unit, *plain), (big, *scaled) = measures(1.0), measures(math.ldexp(1.0, k))
     measure = 0.5 * system.grid.kappa * system.mesh.dx
     F, G = unit.values, big.values
-    assert plain[0] == measure * np.abs(F - F[:, ::-1]).sum()
+
+    def run_sums(F, measure):
+        runs = [slice(j, j + analysis._RUN_NODES) for j in range(0, F.shape[1], analysis._RUN_NODES)]
+        return np.sum([measure * np.abs(F[:, run] - F[:, ::-1][:, run]).sum() for run in runs])
+
+    assert plain[0] == run_sums(F, measure)
+    wide = make_system(1200)
+    H = np.random.default_rng(7).standard_normal((wide.grid.size, 1201))
+    assert symmetry_error(_hand_solution(wide, H)) == run_sums(H, 0.5 * wide.grid.kappa * wide.mesh.dx)
     assert plain[0] == pytest.approx(3.3866, rel=1e-4)
     with np.errstate(over="ignore"):
         assert np.isfinite(np.abs(G - G[:, ::-1]).sum()) == (k < 0)
@@ -132,16 +143,23 @@ def test_density_and_current_reach_the_float_limit_exactly(k):
     # data 2^1020 overflows the plain current at 15 nodes, while the current
     # itself fits; the field is exactly 2^k times that of data 1, and so are
     # both observables, with no overflow warning.  On data 1 they are the
-    # plain channel sums to the bit
+    # plain channel sums to the bit, summed channel after channel as numpy
+    # sums a C-ordered field (the solution's values are the transpose of
+    # the node-major field, whose own sum over channels numpy would pair),
+    # in either layout and over runs of analysis._RUN_NODES nodes whose last
+    # holds one node (Nx=1024)
     system = make_system(100)
 
     def solution(value):
         return solve_bvp(replace(system, boundary=tabulated_boundary(system.grid, {0: value})), Scheme.CENTRAL)
 
     unit, scaled = solution(1.0), solution(math.ldexp(1.0, k))
-    v = system.grid.velocities
-    assert np.array_equal(density(unit), unit.values.sum(axis=0))
-    assert np.array_equal(current(unit), (v[:, None] * unit.values).sum(axis=0))
+    wide = make_system(1024)
+    H = np.random.default_rng(3).standard_normal((wide.grid.size, 1025))
+    for sol in (unit, _hand_solution(wide, H), _hand_solution(wide, np.asfortranarray(H))):
+        v, F = sol.system.grid.velocities, np.ascontiguousarray(sol.values)
+        assert np.array_equal(density(sol), F.sum(axis=0))
+        assert np.array_equal(current(sol), (v[:, None] * F).sum(axis=0))
     assert np.array_equal(density(scaled), np.ldexp(density(unit), k))
     assert np.array_equal(current(scaled), np.ldexp(current(unit), k))
     assert np.isfinite(current(scaled)).all()
@@ -364,6 +382,29 @@ def test_write_csv_solution_memory_is_one_node(solution_cache, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 0.25e6
+
+
+@pytest.mark.parametrize("scheme", [Scheme.CENTRAL, Scheme.UPWIND1])
+def test_a_marched_solve_and_its_observables_hold_one_field(scheme):
+    # the solution's values are the march's own field, the gate and the
+    # observables hold one run of nodes at a time, and pinval is a fresh
+    # zeros array written only on its end nodes.  tracemalloc counts all of
+    # pinval's allocation, its unwritten zeros too, as one field, although
+    # they take no resident memory; so the traced peak is about two fields
+    # and the run temporaries: 2.56 field sizes for both schemes at
+    # Nx=6400, where holding R, a dense pinval, a transposed copy of the
+    # field and whole-field temporaries in symmetry_error and current
+    # peaked at 3.40 (central) and 3.32 (upwind1)
+    system = make_system(6400)
+    field_size = (system.mesh.Nx + 1) * system.grid.size * 8
+    tracemalloc.start()
+    try:
+        sol = solve_bvp(system, scheme)
+        symmetry_error(sol), density(sol), current(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.8 * field_size
 
 
 def test_solution_has_negative_regions(solution_cache):

@@ -769,9 +769,9 @@ def test_upwind2_first_iterate_is_accurate_without_refinement():
         np.copyto(first, problem.pinval, where=problem.pinned)
         field = first
         for _ in range(2):
-            field = field + fd._block_sweep(problem, -fd._gate(problem, field)[1])
+            field = field + fd._block_sweep(problem, -fd._residual_field(problem, field))
             np.copyto(field, problem.pinval, where=problem.pinned)
-        assert fd._gate(problem, first)[0] <= 1e-12
+        assert fd._gate(problem, first) <= 1e-12
         assert np.abs(first - field).max() <= 2e-11
 
 
@@ -845,8 +845,8 @@ def test_gate_reads_a_residual_whose_rhs_norm_overflows():
     assert op.rhs_norm == pytest.approx(1.5592687330077505e155, rel=1e-12)
     field = fd._block_sweep(op)
     np.copyto(field, op.pinval, where=op.pinned)
-    assert fd._gate(op, field)[0] <= 1e-12
-    assert fd._gate(op, field + 1e-24 * ~op.pinned)[0] >= 1e-10
+    assert fd._gate(op, field) <= 1e-12
+    assert fd._gate(op, field + 1e-24 * ~op.pinned) >= 1e-10
 
 
 def test_gate_matches_the_assembled_residual(solution_cache):
@@ -874,13 +874,13 @@ def test_gate_matches_the_assembled_residual(solution_cache):
         x = rng.standard_normal(problem.rhs.size)
         field = op.pinval.copy()
         field[free] = x
-        res, r = fd._gate(op, field)
+        res, r = fd._gate(op, field), fd._residual_field(op, field)
         assert np.all(r[op.pinned] == 0.0)
         assert np.abs(r[free] - (problem.matrix @ x - problem.rhs)).max() <= 1e-14 * np.abs(r).max()
         assert res == pytest.approx(_assembled_residual(problem, x), rel=1e-14)
         # a solved field: both gates pass and agree to rounding
         x = sol.values.T[free]
-        assert sol.residual == fd._gate(op, sol.values.T)[0]
+        assert sol.residual == fd._gate(op, sol.values.T)
         assembled = _assembled_residual(problem, x)
         assert max(sol.residual, assembled) <= 1e-12
         assert abs(sol.residual - assembled) <= 5e-14
@@ -894,7 +894,7 @@ def test_refinement_keeps_the_better_iterate(monkeypatch):
     op = assemble(system, Scheme.UPWIND2)
     sweep = fd._block_sweep
     first = np.where(op.pinned, op.pinval, sweep(op) + 1e-9)
-    first_res = fd._gate(op, first)[0]
+    first_res = fd._gate(op, first)
     assert 1e-12 < first_res < 1.0
     # a correction ten times too long makes the residual worse and is
     # dropped; the true correction makes it better and is kept
@@ -909,14 +909,14 @@ def test_refinement_keeps_the_better_iterate(monkeypatch):
         if kept:
             sol = solve_bvp(system, Scheme.UPWIND2)
             assert sol.residual < 1e-12
-            assert sol.residual == fd._gate(op, sol.values.T)[0]
+            assert sol.residual == fd._gate(op, sol.values.T)
         else:
             with pytest.raises(SolverError) as info:
                 solve_bvp(system, Scheme.UPWIND2)
             assert info.value.residual == first_res
         assert len(calls) == 2
         # the refinement's rhs is the gate's residual field of the first iterate
-        assert np.array_equal(calls[1], -fd._gate(op, first)[1])
+        assert np.array_equal(calls[1], -fd._residual_field(op, first))
 
 
 def _counted_sweeps(monkeypatch):
@@ -970,14 +970,15 @@ def test_a_missed_march_is_refined_by_one_sweep(monkeypatch):
     system = make_system(100, coeffs=(0.0, 60.0))
     op = assemble(system, Scheme.CENTRAL)
     march = np.where(op.pinned, op.pinval, fd._central_march(op))
-    march_res, r = fd._gate(op, march)
+    march_res, r = fd._gate(op, march), fd._residual_field(op, march)
     assert 1e-12 < march_res < 1.0
     calls, residuals = _counted_sweeps(monkeypatch), _counted_residuals(monkeypatch)
     sol = solve_bvp(system, Scheme.CENTRAL)
     assert sol.residual <= 1e-12
     assert len(calls) == 1 and np.array_equal(calls[0], -r)
-    # two whole-field residuals: the march's, which the sweep reads too, and the refined field's
-    assert len(residuals) == 2
+    # three whole-field residuals: the march's in the gate, which keeps only its norm, the march's
+    # again as the sweep's right-hand side, and the refined field's
+    assert len(residuals) == 3 and residuals[1] is residuals[0]
 
 
 def test_a_march_worse_than_no_solution_is_refined_from_the_inflow_data(monkeypatch):
@@ -986,13 +987,14 @@ def test_a_march_worse_than_no_solution_is_refined_from_the_inflow_data(monkeypa
     # pinval and solves the system from the data
     system = make_system(100, coeffs=(0.0, 1000.0))
     op = assemble(system, Scheme.CENTRAL)
-    assert fd._gate(op, np.where(op.pinned, op.pinval, fd._central_march(op)))[0] > 1.0
+    assert fd._gate(op, np.where(op.pinned, op.pinval, fd._central_march(op))) > 1.0
     calls, residuals = _counted_sweeps(monkeypatch), _counted_residuals(monkeypatch)
     with pytest.raises(SolverError, match="first iterate residual") as info:
         solve_bvp(system, Scheme.CENTRAL)
-    # three whole-field residuals: the march's, pinval's, which the sweep reads, and the refined field's
-    assert len(residuals) == 3 and np.array_equal(residuals[1], op.pinval)
-    assert len(calls) == 1 and np.array_equal(calls[0], -fd._gate(op, op.pinval)[1])
+    # four whole-field residuals: the march's, pinval's in the gate and again as the sweep's
+    # right-hand side, and the refined field's
+    assert len(residuals) == 4 and np.array_equal(residuals[1], op.pinval) and residuals[2] is residuals[1]
+    assert len(calls) == 1 and np.array_equal(calls[0], -fd._residual_field(op, op.pinval))
     growth = float(re.search(r"growth factor max\|f\| / max\|b\| = ([^;\s]+)", str(info.value))[1])
     assert math.isfinite(growth)
 
@@ -1013,7 +1015,7 @@ def test_a_march_that_raises_is_refined_from_the_inflow_data(monkeypatch):
             calls = _counted_sweeps(patch)
             sol = solve_bvp(system, scheme)
             op = assemble(system, scheme)
-            assert len(calls) == 1 and np.array_equal(calls[0], -fd._gate(op, op.pinval)[1])
+            assert len(calls) == 1 and np.array_equal(calls[0], -fd._residual_field(op, op.pinval))
             assert sol.residual <= 1e-12
             assert np.abs(sol.values - expected.values).max() <= 1e-11
             # a refinement that falls short names the march's error
@@ -1293,7 +1295,7 @@ def test_upwind1_first_march_meets_the_gate_on_a_strong_barrier():
     op = assemble(make_system(1600, coeffs=(0.0, 100.0)), Scheme.UPWIND1)
     field = fd._upwind1_march(op)
     np.copyto(field, op.pinval, where=op.pinned)
-    assert fd._gate(op, field)[0] <= 4e-13
+    assert fd._gate(op, field) <= 4e-13
 
 
 def test_upwind1_solve_memory_is_bounded():
@@ -1316,7 +1318,7 @@ def _swept(op):
     """The block sweep's field with its inflow entries reset, and its gate residual."""
     field = fd._block_sweep(op)
     np.copyto(field, op.pinval, where=op.pinned)
-    return field, fd._gate(op, field)[0]
+    return field, fd._gate(op, field)
 
 
 def test_global_solve_of_central_reflects_nothing_over_random_inputs():
