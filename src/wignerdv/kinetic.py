@@ -110,14 +110,6 @@ class BoundaryData:
     grid: VelocityGrid
     values: np.ndarray
 
-    @property
-    def left_inflow(self) -> np.ndarray:
-        return self.values[self.grid.velocities > 0]
-
-    @property
-    def right_inflow(self) -> np.ndarray:
-        return self.values[self.grid.velocities < 0]
-
 
 @dataclass(frozen=True)
 class WignerSystem:
@@ -246,7 +238,8 @@ def build_system(
     """
     if not math.isclose(grid.kappa, potential.kappa, rel_tol=1e-12):
         raise ValueError("velocity grid spacing must equal pi / period_l of the potential")
-    if not math.isclose(mesh.length, potential.period_l, rel_tol=1e-12):
+    # dx against l / Nx, not Nx dx against l: Nx dx overflows when dx rounds up near the largest double
+    if not math.isclose(mesh.dx, potential.period_l / mesh.Nx, rel_tol=1e-12):
         raise ValueError("mesh must span exactly one period of the potential")
     if boundary.grid is not grid and not (
         boundary.grid.i_min == grid.i_min

@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "FourierPotential",
     "new_potential",
-    "eval_potential",
     "apply_coupling",
     "coupling_bound",
 ]
@@ -75,19 +74,6 @@ def new_potential(period_l: float, coeffs) -> FourierPotential:
     arr = arr.copy()
     arr.flags.writeable = False
     return FourierPotential(period_l=float(period_l), coeffs=arr, kappa=kappa)
-
-
-def eval_potential(p: FourierPotential, x) -> float | np.ndarray:
-    """Evaluate V(x) = a_0 + sum_{n>=1} a_n cos(2 n kappa x).
-
-    Accepts a scalar or an array of positions; returns the matching shape.
-    """
-    xa = np.asarray(x, dtype=float)
-    # shape (..., n) cosine table summed against a_1..a_N; for a constant potential both are
-    # empty and their product is 0
-    phases = 2.0 * p.kappa * np.multiply.outer(xa, np.arange(1, len(p.coeffs)))
-    out = p.coeffs[0] + np.cos(phases) @ p.coeffs[1:]
-    return float(out) if np.isscalar(x) or xa.ndim == 0 else out
 
 
 def _bands(p: FourierPotential, x, m: int) -> list:

@@ -24,12 +24,12 @@ One driver, ``_march``, does every propagation: it carries a channel
 vector or a matrix of columns through monotone points in either
 direction, one Picard iteration per run of intervals no longer than the
 step, on the Simpson points of every interval.  The solver passes the
-mesh nodes, ``picard_propagate`` and ``propagator_matrix`` pass their
-two endpoints.
+mesh nodes, ``propagator_matrix`` its two endpoints.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 
 import numpy as np
@@ -41,7 +41,6 @@ from .potential import _apply, _bands, coupling_bound
 __all__ = [
     "PropagatorError",
     "contraction_step",
-    "picard_propagate",
     "propagator_matrix",
     "solve_bvp_shooting",
 ]
@@ -62,8 +61,9 @@ _MAX_PICARD_ITER = 200
 # from 56 panels on.
 _SLAB_ENTRIES = 256
 
-# The most pieces an interval may be cut into: as many as an array can index.
-_MAX_PIECES = np.iinfo(np.intp).max
+# The most pieces an interval may be cut into: as many as the largest float64
+# array numpy can describe holds (its size in bytes must fit an intp).
+_MAX_PIECES = np.iinfo(np.intp).max // 8
 
 # Slack when checking that endpoints lie inside the period.
 _DOMAIN_EPS = 1e-12
@@ -168,12 +168,6 @@ def _cuts(x1: float, x2: float, step: float) -> np.ndarray:
     return np.linspace(x1, x2, max(1, math.ceil(abs(x2 - x1) / step)) + 1)
 
 
-def _check_domain(system: WignerSystem, x: float, name: str):
-    half = 0.5 * system.potential.period_l
-    if not (-half - _DOMAIN_EPS <= x <= half + _DOMAIN_EPS):
-        raise ValueError(f"{name}={x!r} lies outside the period [{-half}, {half}]")
-
-
 def _march(system: WignerSystem, F0: np.ndarray, points) -> np.ndarray:
     """F marched from F0 at points[0] through monotone points, shape (len(points),) + F0.shape.
 
@@ -188,11 +182,18 @@ def _march(system: WignerSystem, F0: np.ndarray, points) -> np.ndarray:
     its start state exactly.
 
     Raises:
-        PropagatorError: the step is 0 (the coupling bound overflows), or
-            an interval needs more pieces than an array can index; or a run
+        PropagatorError: 1/|v| is past the float range (a subnormal
+            velocity; the message gives its largest value, computed in
+            decimal), the step is 0 (the coupling bound overflows), or an
+            interval needs more pieces than an array can index; or a run
             stalls, and the message names the indices in ``points`` around
             it as mesh nodes.
     """
+    slow = float(np.abs(system.grid.velocities).min())
+    if math.isinf(1.0 / slow):
+        # in decimal, so that a value past the float range reads as it is
+        raise PropagatorError(f"the Picard march leaves the float range: "
+                              f"max 1/|v| = {1 / decimal.Decimal(slow):.3e}")
     points = np.asarray(points, dtype=float)
     panels = _QUAD_PANELS
     delta = contraction_step(system)
@@ -228,46 +229,20 @@ def _march(system: WignerSystem, F0: np.ndarray, points) -> np.ndarray:
     return field
 
 
-def picard_propagate(system: WignerSystem, f_start, x1: float, x2: float) -> np.ndarray:
-    """Propagate a channel vector from x1 to x2 (either direction).
-
-    The vector is propagated scaled to order one by a power of two, so
-    _PICARD_TOL acts relative to it (see ``kinetic._unit_scaled``).
-
-    Args:
-        system: the transport problem (boundary data is not used here).
-        f_start: value of f at x1, indexed like grid.velocities.
-        x1, x2: endpoints inside [-l/2, l/2].
-
-    Returns:
-        f(x2) as a new array.
-
-    Raises:
-        ValueError: endpoints outside the period, a bad vector shape or a
-            non-finite entry (the message names its channel).
-        PropagatorError: iteration cap hit before reaching _PICARD_TOL, or
-            a result that overflows when scaled back.
-    """
-    fa = np.asarray(f_start, dtype=float)
-    if fa.shape != (system.grid.size,):
-        raise ValueError(f"f_start shape {fa.shape} does not match grid size {system.grid.size}")
-    bad = np.flatnonzero(~np.isfinite(fa))
-    if bad.size:
-        raise ValueError(f"f_start is {fa[bad[0]]} in channel {system.grid.indices[bad[0]]}")
-    _check_domain(system, float(x1), "x1")
-    _check_domain(system, float(x2), "x2")
-    unit, scale_back = _unit_scaled(fa, PropagatorError)
-    return scale_back(_march(system, unit, [x1, x2])[-1])
-
-
 def propagator_matrix(system: WignerSystem, x1: float, x2: float) -> np.ndarray:
     """Matrix of the map f(x1) -> f(x2), built by propagating a basis.
 
     All channel basis vectors propagate together, so the cost matches a
-    single batched Picard run.  Same errors as picard_propagate.
+    single batched Picard run.
+
+    Raises:
+        ValueError: an endpoint outside the period [-l/2, l/2].
+        PropagatorError: as ``_march``.
     """
-    _check_domain(system, float(x1), "x1")
-    _check_domain(system, float(x2), "x2")
+    half = 0.5 * system.potential.period_l
+    for name, x in (("x1", float(x1)), ("x2", float(x2))):
+        if not (-half - _DOMAIN_EPS <= x <= half + _DOMAIN_EPS):
+            raise ValueError(f"{name}={x!r} lies outside the period [{-half}, {half}]")
     return _march(system, np.eye(system.grid.size), [x1, x2])[-1]
 
 
@@ -281,7 +256,7 @@ def solve_bvp_shooting(system: WignerSystem) -> DiscreteSolution:
     ``symmetry_error`` stays a measurement), one Picard iteration per
     run of mesh cells no longer than the Picard step.  The result carries
     scheme tag "oracle" and, as its residual, the marched end gap
-    |f_{v<0}(+l/2) - right_inflow| / |inflow|: the period identity
+    |f_{v<0}(+l/2) - b_right| / |b|: the period identity
     measured on the solution.  The pinned inflow entries are then set
     from the boundary data exactly.  The march carries the data divided by
     the power of two 2^k that puts their largest magnitude in [1, 2), so

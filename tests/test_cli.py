@@ -37,6 +37,11 @@ def _write(tmp_path, text, name="bad.cfg"):
     return str(path)
 
 
+def _assert_no_warning(recwarn):
+    # recwarn records every category: pytest's filter turns only RuntimeWarning into an error
+    assert not recwarn.list, [f"{w.category.__name__}: {w.message}" for w in recwarn.list]
+
+
 def test_parse_config_defaults(tmp_path):
     path = _write(tmp_path, "period_l = 1\ncoeffs = 1, 2\nNx = 10\nboundary = mono:0\n")
     cfg = parse_config(path)
@@ -144,7 +149,7 @@ _BUILD_ERRORS = [
     *((command, line, message) for line, message in _BUILD_ERRORS for command in ("solve", "study", "verify")),
     ("study", "--nx 100,3", "--nx: Nx must be an even integer >= 2, got 3"),
 ])
-def test_every_command_names_the_source_of_a_build_error(command, line, message, tmp_path, capsys):
+def test_every_command_names_the_source_of_a_build_error(command, line, message, tmp_path, capsys, recwarn):
     # each value parses, and the builder it goes to rejects it: the one
     # error line names the config key or flag and gives the builder's reason,
     # as the ConfigError that _system_from_config raises does
@@ -167,11 +172,13 @@ def test_every_command_names_the_source_of_a_build_error(command, line, message,
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+    _assert_no_warning(recwarn)
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])
 @pytest.mark.parametrize("command", ["solve", "study"])
-def test_an_unusable_output_directory_fails_before_any_solve(command, sub, config_file, tmp_path, monkeypatch, capsys):
+def test_an_unusable_output_directory_fails_before_any_solve(command, sub, config_file, tmp_path, monkeypatch, capsys,
+                                                           recwarn):
     # --out naming a file, or a path below one: the directory is made once
     # the config, the system and --nx are valid, so it fails before a solve
     def refuse(*args, **kwargs):
@@ -188,6 +195,7 @@ def test_an_unusable_output_directory_fails_before_any_solve(command, sub, confi
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: [Errno") and captured.err.count("\n") == 1
+    _assert_no_warning(recwarn)
 
 
 def test_a_builder_error_other_than_a_value_error_passes_through(config_file, tmp_path, monkeypatch, capsys):
@@ -200,7 +208,7 @@ def test_a_builder_error_other_than_a_value_error_passes_through(config_file, tm
     assert captured.err == "error: out of memory: Unable to allocate 146. TiB for an array\n"
 
 
-def test_a_config_with_a_byte_order_mark_is_read_as_without(tmp_path, capsys):
+def test_a_config_with_a_byte_order_mark_is_read_as_without(tmp_path, capsys, recwarn):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     plain = os.path.join(here, "configs", "paper.cfg")
     marked = tmp_path / "bom.cfg"
@@ -209,6 +217,7 @@ def test_a_config_with_a_byte_order_mark_is_read_as_without(tmp_path, capsys):
     assert parse_config(str(marked)) == parse_config(plain)
     assert main(["solve", str(marked), "--out", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "solution.csv").exists()
+    _assert_no_warning(recwarn)
 
 
 def test_solve_on_a_two_sided_table_boundary(tmp_path, capsys):
@@ -380,7 +389,7 @@ def test_repeated_emit_token_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("coeffs, step", [("0, 1e300", "7.854e-301"), ("0, 1e308, 1e308", "0.000e+00")])
 @pytest.mark.parametrize("command", ["solve", "verify"])
-def test_a_picard_step_too_short_to_cut_is_one_error_line(coeffs, step, command, tmp_path, capsys):
+def test_a_picard_step_too_short_to_cut_is_one_error_line(coeffs, step, command, tmp_path, capsys, recwarn):
     # the configs are valid, but their coupling bound, 2e300 or past the
     # largest double, leaves a Picard step that cannot cut the period: the
     # oracle and verify's Picard checks end in one error line naming the
@@ -391,6 +400,60 @@ def test_a_picard_step_too_short_to_cut_is_one_error_line(coeffs, step, command,
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: the contraction step {step} is too short")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    _assert_no_warning(recwarn)
+
+
+# Configs that a random probe of the config grammar found ending in a
+# traceback or a warning, each with the start of the error line that solve
+# and verify end in now: a period so close to the largest double that Nx dx
+# overflows although the nodes span it (and dx/|v| then leaves the float
+# range), a Picard step that would cut a cell into more pieces than numpy
+# can describe in one array, and a subnormal velocity, whose 1/|v| overflows
+_FOUND_CONFIGS = {
+    "long-period": (
+        "period_l = 1.7976931348623157e308\ncoeffs = 0, 1\nNx = 24\nM = 3\nboundary = mono:0\n",
+        {"solve": "error: the central matrix leaves the float range: max dx/|v| = ",
+         "verify": "error: the contraction step 4.369e-309 is too short"},
+    ),
+    "short-step": (
+        "scheme = oracle\nperiod_l = 1.2877011269600555e-50\n"
+        "coeffs = 2.607311971956009e-08, -3.0963406947522006e+118, 1e-319\nNx = 36\nM = 3\n"
+        "s_over_kappa = 0.9162564406171048\nsymmetric = false\nboundary = mono:0\n",
+        {"solve": "error: the contraction step 3.299e-70 is too short",
+         "verify": "error: the contraction step 3.299e-70 is too short"},
+    ),
+    "subnormal-velocity": (
+        "scheme = oracle\nperiod_l = 1e308\ncoeffs = 0\ns_over_kappa = 0.01\nNx = 24\nM = 3\nboundary = mono:0\n",
+        {"solve": "error: the Picard march leaves the float range: max 1/|v| = 3.183e+309",
+         "verify": "error: the Picard march leaves the float range: max 1/|v| = 3.183e+309"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "study", "verify"])
+@pytest.mark.parametrize("name", list(_FOUND_CONFIGS))
+def test_configs_found_by_a_probe_end_in_one_error_line_or_nan_rows(name, command, tmp_path, capsys, recwarn):
+    # solve and verify exit 1 with one error line; study records each failed
+    # solve as a row of nan and exits 0.  None ends in a traceback or warns
+    text, errors = _FOUND_CONFIGS[name]
+    path = _write(tmp_path, text, f"{name}.cfg")
+    out = tmp_path / "out"
+    argv = {
+        "solve": ["solve", path, "--out", str(out)],
+        "study": ["study", path, "--nx", str(parse_config(path)["Nx"]), "--schemes", "upwind1,upwind2,central,oracle",
+                  "--out", str(out)],
+        "verify": ["verify", path],
+    }[command]
+    status = main(argv)
+    err = capsys.readouterr().err
+    if command == "study":
+        assert status == 0 and err == ""
+        assert (out / "report.csv").exists()
+    else:
+        assert status == 1
+        assert err.startswith(errors[command]) and err.count("\n") == 1
+    assert "Traceback" not in err
+    _assert_no_warning(recwarn)
 
 
 def test_out_of_memory_is_one_error_line(config_file, tmp_path, monkeypatch, capsys):

@@ -1,4 +1,4 @@
-"""Potential evaluation and coupling-operator structure."""
+"""Potential construction and coupling-operator structure."""
 
 import math
 import re
@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from wignerdv import apply_coupling, coupling_bound, eval_potential, new_potential
+from wignerdv import apply_coupling, coupling_bound, new_potential
 from wignerdv.potential import _apply, _bands
 
 
@@ -36,30 +36,6 @@ def test_new_potential_takes_any_real_period_but_a_bool():
     for bad in (True, np.True_, "1.0", math.inf):
         with pytest.raises(ValueError, match=re.escape(f"period_l must be a positive finite real, got {bad!r}")):
             new_potential(bad, [1.0])
-
-
-def test_eval_potential_barrier_values():
-    p = new_potential(1.0, [20.0, 20.0])
-    # V(x) = 20 + 20 cos(2 pi x): crest 40 at x=0, trough 0 at x=+-1/2
-    assert eval_potential(p, 0.0) == pytest.approx(40.0, abs=1e-12)
-    assert eval_potential(p, 0.25) == pytest.approx(20.0, abs=1e-12)
-    assert eval_potential(p, 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert eval_potential(p, -0.5) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_eval_potential_vectorized_matches_scalar():
-    p = new_potential(2.0, [1.0, -0.5, 0.25])
-    xs = np.linspace(-1.0, 1.0, 17)
-    vec = eval_potential(p, xs)
-    for x, val in zip(xs, vec):
-        assert val == pytest.approx(eval_potential(p, float(x)), abs=1e-14)
-
-
-def test_eval_potential_is_even_and_periodic():
-    p = new_potential(1.0, [3.0, 2.0, 1.0])
-    xs = np.linspace(0.0, 10.0, 101)
-    assert np.allclose(eval_potential(p, xs), eval_potential(p, -xs), atol=1e-12)
-    assert np.allclose(eval_potential(p, xs), eval_potential(p, xs + 1.0), atol=1e-12)
 
 
 def test_coupling_bound_values():
@@ -137,12 +113,6 @@ def test_constant_potential_couples_nothing():
     p = new_potential(1.0, [40.0])
     f = np.arange(1.0, 6.0)
     assert np.all(apply_coupling(p, 0.37, f) == 0.0)
-
-
-def test_constant_potential_evaluates_to_its_constant():
-    p = new_potential(1.0, [40.0])
-    assert eval_potential(p, 0.3) == 40.0
-    assert eval_potential(p, np.array([[-0.5, 0.1], [0.2, 0.5]])).tolist() == [[40.0, 40.0], [40.0, 40.0]]
 
 
 def test_batched_apply_matches_apply_coupling():

@@ -1,4 +1,4 @@
-"""Picard propagation, propagator matrices and the shooting solver."""
+"""The Picard march, propagator matrices and the shooting solver."""
 
 import dataclasses
 import math
@@ -11,7 +11,6 @@ from wignerdv import (
     PropagatorError,
     contraction_step,
     convergence_study,
-    picard_propagate,
     propagator_matrix,
     solve_bvp_shooting,
     symmetry_error,
@@ -60,7 +59,7 @@ def test_a_step_too_short_to_cut_is_a_propagator_error():
 def test_zero_potential_propagates_unchanged():
     system = make_system(4, coeffs=(0.0,))
     f = np.linspace(-1.0, 1.0, system.grid.size)
-    out = picard_propagate(system, f, -0.5, 0.3)
+    out = propagator._march(system, f, [-0.5, 0.3])[-1]
     assert out == pytest.approx(f, abs=0.0)
     P = propagator_matrix(system, -0.4, 0.4)
     assert np.all(P == np.eye(system.grid.size))
@@ -69,45 +68,34 @@ def test_zero_potential_propagates_unchanged():
 def test_identical_endpoints_give_identity():
     system = make_system(4)
     f = np.ones(system.grid.size)
-    assert picard_propagate(system, f, 0.2, 0.2) == pytest.approx(f, abs=0.0)
+    assert propagator._march(system, f, [0.2, 0.2])[-1] == pytest.approx(f, abs=0.0)
 
 
-def test_propagate_rejects_bad_input():
+def test_propagator_matrix_rejects_endpoints_outside_the_period():
     system = make_system(4)
     with pytest.raises(ValueError):
-        picard_propagate(system, np.ones(3), 0.0, 0.1)
+        propagator_matrix(system, 0.0, 0.7)
     with pytest.raises(ValueError):
-        picard_propagate(system, np.ones(system.grid.size), 0.0, 0.7)
-    with pytest.raises(ValueError):
-        picard_propagate(system, np.ones(system.grid.size), -0.6, 0.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_propagate_rejects_a_non_finite_start_before_marching(bad):
-    # a NaN start used to stall the Picard run, and an inf one to warn first
-    system = make_system(100)
-    f = np.ones(system.grid.size)
-    f[[3, 7]] = bad
-    with pytest.raises(ValueError, match=f"f_start is {bad} in channel {system.grid.indices[3]}$"):
-        picard_propagate(system, f, -0.5, 0.5)
+        propagator_matrix(system, -0.6, 0.0)
 
 
 def test_propagation_inverts():
     system = make_system(4)
     rng = np.random.default_rng(2)
     f = rng.standard_normal(system.grid.size)
-    fwd = picard_propagate(system, f, 0.0, 0.1)
-    back = picard_propagate(system, fwd, 0.1, 0.0)
+    fwd = propagator._march(system, f, [0.0, 0.1])[-1]
+    back = propagator._march(system, fwd, [0.1, 0.0])[-1]
     assert back == pytest.approx(f, abs=1e-9)
 
 
-def test_small_start_vectors_propagate_to_the_bit():
-    # picard_tol acts on the start vector scaled to order one, so a small
-    # vector is propagated as accurately as a unit one
+def test_small_inflow_data_are_solved_to_the_bit():
+    # picard_tol acts on the inflow data scaled to order one, so small data
+    # are solved as accurately as unit ones
     system = make_system(100)
     e = np.eye(system.grid.size)[40]
-    small = picard_propagate(system, math.ldexp(1.0, -40) * e, -0.5, 0.2)
-    assert np.array_equal(small, np.ldexp(picard_propagate(system, e, -0.5, 0.2), -40))
+    assert np.array_equal(system.boundary.values, e)
+    small = dataclasses.replace(system, boundary=tabulated_boundary(system.grid, {0: math.ldexp(1.0, -40)}))
+    assert np.array_equal(solve_bvp_shooting(small).values, np.ldexp(solve_bvp_shooting(system).values, -40))
 
 
 def test_propagator_matrix_mirror_symmetry():
@@ -130,7 +118,7 @@ def test_propagator_matrix_matches_vector_propagation():
     rng = np.random.default_rng(9)
     f = rng.standard_normal(system.grid.size)
     P = propagator_matrix(system, -0.3, 0.2)
-    direct = picard_propagate(system, f, -0.3, 0.2)
+    direct = propagator._march(system, f, [-0.3, 0.2])[-1]
     assert P @ f == pytest.approx(direct, abs=1e-10)
 
 
@@ -139,9 +127,9 @@ def test_quadrature_refinement_is_converged(monkeypatch):
     system = make_system(4)
     f = np.zeros(system.grid.size)
     f[system.grid.position_of(0)] = 1.0
-    coarse = picard_propagate(system, f, -0.5, 0.5)
+    coarse = propagator._march(system, f, [-0.5, 0.5])[-1]
     monkeypatch.setattr(propagator, "_QUAD_PANELS", 2 * propagator._QUAD_PANELS)
-    fine = picard_propagate(system, f, -0.5, 0.5)
+    fine = propagator._march(system, f, [-0.5, 0.5])[-1]
     assert np.abs(coarse - fine).max() < 1e-12
 
 
@@ -231,12 +219,12 @@ def test_period_identity_over_random_inputs():
         pos = system.grid.velocities > 0
         assert np.abs(sol.values[pos, -1] - b[pos]).max() <= 1e-12 * np.abs(b).max()
         assert symmetry_error(sol) <= 1e-10
-        # same fixed point as a per-cell chain of picard_propagate
+        # same fixed point as a per-cell chain of marches
         nodes = system.mesh.nodes
         state = system.boundary.values
         chain = [state]
         for a, b in zip(nodes[:-1], nodes[1:]):
-            state = picard_propagate(system, state, a, b)
+            state = propagator._march(system, state, [a, b])[-1]
             chain.append(state)
         chain = np.array(chain).T
         assert np.abs(sol.values - chain).max() <= 1e-11 * np.abs(chain).max()
