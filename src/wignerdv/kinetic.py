@@ -93,10 +93,6 @@ class SpatialMesh:
     dx: float
     nodes: np.ndarray
 
-    @property
-    def length(self) -> float:
-        return self.Nx * self.dx
-
 
 @dataclass(frozen=True)
 class BoundaryData:

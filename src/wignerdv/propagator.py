@@ -65,7 +65,7 @@ _SLAB_ENTRIES = 256
 # array numpy can describe holds (its size in bytes must fit an intp).
 _MAX_PIECES = np.iinfo(np.intp).max // 8
 
-# Slack when checking that endpoints lie inside the period.
+# Slack when checking that endpoints lie inside the period, relative to l/2.
 _DOMAIN_EPS = 1e-12
 
 
@@ -236,12 +236,14 @@ def propagator_matrix(system: WignerSystem, x1: float, x2: float) -> np.ndarray:
     single batched Picard run.
 
     Raises:
-        ValueError: an endpoint outside the period [-l/2, l/2].
+        ValueError: an endpoint outside the period [-l/2, l/2], by more
+            than ``_DOMAIN_EPS`` * l/2.
         PropagatorError: as ``_march``.
     """
     half = 0.5 * system.potential.period_l
+    reach = (1.0 + _DOMAIN_EPS) * half
     for name, x in (("x1", float(x1)), ("x2", float(x2))):
-        if not (-half - _DOMAIN_EPS <= x <= half + _DOMAIN_EPS):
+        if not (-reach <= x <= reach):
             raise ValueError(f"{name}={x!r} lies outside the period [{-half}, {half}]")
     return _march(system, np.eye(system.grid.size), [x1, x2])[-1]
 

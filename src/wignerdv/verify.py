@@ -4,8 +4,9 @@ Each check returns a CheckResult; the CLI verify command runs the whole
 suite and reports one pass/fail line per check.  The checks are:
 
   coupling-bound        |A(x) f|_2 never exceeds 2 sum |a_n|.
-  propagator-mirror     propagation from the center is even in the target:
-                        P_[0,x] equals P_[0,-x] (potential oddness), so
+  propagator-mirror     propagation from -l/2 is even in the target:
+                        P_[-l/2,x] equals P_[-l/2,-x], which holds iff
+                        P_[0,x] equals P_[0,-x] (potential oddness), and
                         the period propagator P_[-l/2,l/2] is the identity.
   propagator-inversion  P_[x2,x1] inverts P_[x1,x2].
   free-streaming        zero coupling transports inflow data unchanged,
@@ -18,9 +19,10 @@ suite and reports one pass/fail line per check.  The checks are:
 ``run_all_checks`` runs the mirror check on the calling thread while one
 worker thread runs the other four in the order above, so the seeded
 generator gives each check the draws of a sequential run.  Their numpy
-loops and LAPACK calls release the GIL: on two CPUs the suite takes 0.86 s
-instead of 1.35 s on the bundled configuration, at about 5 MB more peak
-RSS for the worker's temporaries; on one CPU it is about 5% slower.
+loops and LAPACK calls release the GIL: on two CPUs the suite takes
+0.77-1.05 s instead of 1.08-1.42 s on the bundled configuration, at about
+2 MB more peak RSS for the worker's temporaries; on one CPU it is 14-24%
+slower.
 """
 
 from __future__ import annotations
@@ -99,16 +101,22 @@ def check_coupling_bound(system: WignerSystem, rng: np.random.Generator) -> Chec
 
 
 def check_propagator_mirror(system: WignerSystem) -> CheckResult:
-    """P_[0,x] matches P_[0,-x] at several x, and P_[-l/2,l/2] is the identity.
+    """P_[-l/2,x] matches P_[-l/2,-x] at several x, and P_[-l/2,l/2] is the identity.
 
-    The x are fractions of the half period; each side is one march of the
-    identity out from the center through them.
+    One march of the identity from -l/2 to l/2 passes through -x and x
+    for x the fractions of the half period.  P_[-l/2,x] = P_[0,x]
+    P_[-l/2,0], so the march gives the same matrix at x and -x iff
+    P_[0,x] = P_[0,-x], which the oddness of A(x) asserts; its last
+    state is the period propagator.
     """
     half = 0.5 * system.potential.period_l
     eye = np.eye(system.grid.size)
-    xs = np.array([0.0] + sorted(frac * half for frac in _MIRROR_FRACTIONS))
-    worst = float(np.abs(_march(system, eye, xs) - _march(system, eye, -xs)).max())
-    period = float(np.abs(propagator_matrix(system, -half, half) - eye).max())
+    upper = np.array(sorted(frac * half for frac in _MIRROR_FRACTIONS))
+    F = _march(system, eye, np.concatenate([[-half], -upper[::-1], [0.0], upper, [half]]))
+    # the ends pair I with the period propagator, which the period term measures
+    inner = F[1:-1]
+    worst = float(np.abs(inner - inner[::-1]).max())
+    period = float(np.abs(F[-1] - eye).max())
     return CheckResult(
         name="propagator-mirror",
         passed=worst <= _PROPAGATOR_TOL and period <= _PROPAGATOR_TOL,
@@ -215,7 +223,7 @@ def run_all_checks(system: WignerSystem, rel_tol: float = 1e-12, seed: int = 202
     worker, coupling-bound first and propagator-inversion next, as in a
     sequential run, so every result is the same to the bit.  The checks
     share no mutable state: each builds its own problems.  The worker's
-    numpy temporaries cost about 5 MB of peak RSS on the bundled
+    numpy temporaries cost about 2 MB of peak RSS on the bundled
     configuration.  An exception from either thread propagates, after the
     worker has finished; no thread outlives the call.
     """

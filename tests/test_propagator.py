@@ -9,8 +9,13 @@ import pytest
 
 from wignerdv import (
     PropagatorError,
+    build_mesh,
+    build_system,
+    build_velocity_grid,
     contraction_step,
     convergence_study,
+    mono_energetic_boundary,
+    new_potential,
     propagator_matrix,
     solve_bvp_shooting,
     symmetry_error,
@@ -77,6 +82,25 @@ def test_propagator_matrix_rejects_endpoints_outside_the_period():
         propagator_matrix(system, 0.0, 0.7)
     with pytest.raises(ValueError):
         propagator_matrix(system, -0.6, 0.0)
+
+
+@pytest.mark.parametrize("period", [1e-20, 1e20])
+def test_propagator_matrix_endpoint_slack_scales_with_the_period(period):
+    # the slack is relative to l/2: one ulp past either end is inside, a
+    # point 1e-9 l/2 past it is outside, on a short period and on a long one
+    pot = new_potential(period, [20.0, 20.0])
+    grid = build_velocity_grid(pot.kappa, 0.5 * pot.kappa, 4, True)
+    system = build_system(pot, grid, build_mesh(period, 4), mono_energetic_boundary(grid, 0))
+    half = 0.5 * period
+    for end in (half, -half):
+        x = float(np.nextafter(end, 2.0 * end))
+        assert np.array_equal(propagator_matrix(system, x, x), np.eye(grid.size))
+        with pytest.raises(ValueError, match="lies outside the period"):
+            propagator_matrix(system, 0.0, end * (1.0 + 1e-9))
+    if period < 1.0:
+        # 1e8 periods past the end, yet inside an absolute slack of 1e-12
+        with pytest.raises(ValueError, match="lies outside the period"):
+            propagator_matrix(system, 0.0, 5e-13)
 
 
 def test_propagation_inverts():
@@ -269,23 +293,69 @@ def test_oracle_residual_sees_a_wrong_start_state(monkeypatch):
     assert solve_bvp_shooting(system).residual > 0.1
 
 
-def test_mirror_check_measures_the_period_propagator(monkeypatch):
-    system = make_system(4)
-    result = verify.check_propagator_mirror(system)
-    assert result.passed, result.detail
-    period = float(re.search(r"max \|P_period - I\| = (\S+)", result.detail).group(1))
-    assert period <= 1e-12
-    # a period map off the identity fails the check although the mirror holds
-    exact = verify.propagator_matrix
+def _mirror_check_with(monkeypatch, system, change):
+    """The mirror check on a march whose field ``change`` edits in place."""
+    march = verify._march
 
-    def skewed(system, x1, x2):
-        P = exact(system, x1, x2)
-        if (x1, x2) == (-0.5, 0.5):
-            return P + 1e-6
-        return P
+    def changed(system, F0, points):
+        F = march(system, F0, points)
+        change(F)
+        return F
 
-    monkeypatch.setattr(verify, "propagator_matrix", skewed)
-    result = verify.check_propagator_mirror(system)
+    monkeypatch.setattr(verify, "_march", changed)
+    return verify.check_propagator_mirror(system)
+
+
+def _mirror_terms(result):
+    """The mismatch and the period term that the mirror check prints."""
+    mismatch = float(re.search(r"max entry mismatch (\S+),", result.detail).group(1))
+    period = float(re.search(r"max \|P_period - I\| = (\S+) ", result.detail).group(1))
+    return mismatch, period
+
+
+def test_mirror_check_fails_a_period_map_off_the_identity(monkeypatch):
+    def skew_last(F):
+        F[-1] += 1e-6
+
+    result = _mirror_check_with(monkeypatch, make_system(4), skew_last)
     assert not result.passed
-    assert "max entry mismatch 0.000e+00" in result.detail
+    mismatch, _ = _mirror_terms(result)
+    assert mismatch <= 1e-12
     assert "max |P_period - I| = 1.000e-06" in result.detail
+
+
+def test_mirror_check_fails_an_interior_point_off_its_mirror(monkeypatch):
+    # index 1 is -0.9 l/2, the first point past the start
+    def skew_interior(F):
+        F[1] += 1e-6
+
+    result = _mirror_check_with(monkeypatch, make_system(4), skew_interior)
+    assert not result.passed
+    mismatch, period = _mirror_terms(result)
+    assert mismatch == pytest.approx(1e-6, rel=1e-3)
+    assert period <= 1e-12
+
+
+def test_mirror_check_marches_once_and_builds_no_propagator_matrix(monkeypatch):
+    march = verify._march
+    points = []
+
+    def spy(system, F0, xs):
+        points.append(np.asarray(xs))
+        return march(system, F0, xs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the mirror check built a propagator matrix")
+
+    monkeypatch.setattr(verify, "_march", spy)
+    monkeypatch.setattr(verify, "propagator_matrix", refuse)
+    result = verify.check_propagator_mirror(make_system(4))
+    assert result.passed, result.detail
+    mismatch, period = _mirror_terms(result)
+    # the two halves of the march are computed apart, not as bit images
+    assert 0.0 < mismatch <= 1e-12
+    assert period <= 1e-12
+    (xs,) = points
+    # from -l/2 to l/2 through mirror-symmetric points, 0 among them
+    assert xs[0] == -0.5 and xs[-1] == 0.5
+    assert np.array_equal(xs, -xs[::-1]) and 0.0 in xs
